@@ -51,6 +51,12 @@ Consolidator::planVictims(Instance *grower, Request *req, VictimPlan &plan)
     ModelEntry &me = ctl_.models_[req->model];
 
     for (Instance *v : victims) {
+        // An earlier victim's request is already planned onto `v`:
+        // unloading `v` too would strand it, so no plan exists here.
+        for (const auto &move : plan.moves) {
+            if (move.second == v)
+                return false;
+        }
         excluded.insert(v);
         plan.victims.push_back(v);
 

@@ -44,6 +44,7 @@ ControllerBase::attachObs(obs::FlightRecorder *fr)
     trace_ = fr->trace();
     prof_ = fr->profiler();
     anat_ = fr->anatomy();
+    onObsAttached();
     if (!trace_)
         return;
     trace_->setProcessName(obs::kPidController, "controller");

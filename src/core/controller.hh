@@ -211,6 +211,8 @@ class ControllerBase
     virtual void onRequestDoneHook(Request *req, Instance *inst);
     /** Hook invoked after deployModel registered model `m`. */
     virtual void onModelDeployed(ModelId m);
+    /** Hook invoked once attachObs pulled out the recorder's sinks. */
+    virtual void onObsAttached() {}
     /**
      * Drain hook: abort `inst`'s cold-start load if it is still parked
      * in the reservation station (it never held memory, so the
@@ -443,6 +445,7 @@ class SlinferController : public ControllerBase
     void doUnload(Instance *inst) override;
     void onRequestDoneHook(Request *req, Instance *inst) override;
     void onModelDeployed(ModelId m) override;
+    void onObsAttached() override { shadow_.attachCounters(ctr_); }
     bool tryAbortParkedLoad(Instance *inst) override;
 
   private:

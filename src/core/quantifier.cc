@@ -36,6 +36,7 @@ Quantifier::profile(const HardwareSpec &hw, const ModelSpec &m,
     (void)inserted; // a re-profile overwrites the existing table
     ProfileTable &slot = **cell;
     slot = std::move(t);
+    ++generation_;
     // A refresh must not leave a memo entry pointing at stale data
     // conceptually (the address is stable, but keep the semantics
     // obvious): re-point any matching entry.
@@ -118,7 +119,12 @@ Seconds
 Quantifier::prefillEstimate(const HardwareSpec &hw, const ModelSpec &m,
                             Tokens inputLen) const
 {
-    const ProfileTable &t = tableFor(hw, m);
+    return prefillEstimate(tableFor(hw, m), inputLen);
+}
+
+Seconds
+Quantifier::prefillEstimate(const ProfileTable &t, Tokens inputLen)
+{
     std::size_t lo, hi;
     double w;
     bracket(t.lenGrid, static_cast<double>(inputLen), lo, hi, w);
@@ -129,7 +135,13 @@ Seconds
 Quantifier::decodeEstimate(const HardwareSpec &hw, const ModelSpec &m,
                            int batchSize, Tokens avgLen) const
 {
-    const ProfileTable &t = tableFor(hw, m);
+    return decodeEstimate(tableFor(hw, m), batchSize, avgLen);
+}
+
+Seconds
+Quantifier::decodeEstimate(const ProfileTable &t, int batchSize,
+                           Tokens avgLen)
+{
     std::size_t bl, bh, ll, lh;
     double wb, wl;
     bracket(t.batchGrid, static_cast<double>(batchSize), bl, bh, wb);

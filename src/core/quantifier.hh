@@ -16,6 +16,7 @@
 #define SLINFER_CORE_QUANTIFIER_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -54,7 +55,7 @@ class Quantifier
     std::size_t sampleCount(const HardwareSpec &hw,
                             const ModelSpec &m) const;
 
-  private:
+    /** One pair's profiled grid. */
     struct ProfileTable
     {
         std::vector<Tokens> lenGrid;
@@ -63,6 +64,27 @@ class Quantifier
         std::vector<std::vector<Seconds>> decode; ///< [batch][len]
     };
 
+    /**
+     * The pair's table; panics when the pair was never profiled. The
+     * reference stays valid for the quantifier's lifetime (a re-profile
+     * refreshes it in place), so hot loops resolve it once and call the
+     * table-taking estimates below.
+     */
+    const ProfileTable &tableFor(const HardwareSpec &hw,
+                                 const ModelSpec &m) const;
+
+    /** Interpolated prefill iteration time from a resolved table. */
+    static Seconds prefillEstimate(const ProfileTable &t, Tokens inputLen);
+
+    /** Interpolated decode iteration time from a resolved table. */
+    static Seconds decodeEstimate(const ProfileTable &t, int batchSize,
+                                  Tokens avgLen);
+
+    /** Bumped by every profile() call: results cached against table
+     *  contents are stale once it moves. */
+    std::uint64_t generation() const { return generation_; }
+
+  private:
     /**
      * Flat (hw name, model name) → table map (common/flat_hash.hh),
      * probed with string_views so estimate queries never allocate a
@@ -74,12 +96,11 @@ class Quantifier
                     std::unique_ptr<ProfileTable>, FlatStringPairHash,
                     FlatStringPairEq>;
 
-    const ProfileTable &tableFor(const HardwareSpec &hw,
-                                 const ModelSpec &m) const;
     const ProfileTable *find(const HardwareSpec &hw,
                              const ModelSpec &m) const;
 
     Tables tables_;
+    std::uint64_t generation_ = 0;
 
     /**
      * Tiny MRU memo in front of the map: a fleet shares a handful of

@@ -1,6 +1,7 @@
 #include "core/shadow_validator.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace slinfer
@@ -9,6 +10,40 @@ namespace slinfer
 ShadowValidator::ShadowValidator(const Quantifier &quant, ShadowConfig cfg)
     : quant_(quant), cfg_(cfg)
 {
+}
+
+namespace
+{
+
+constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+std::uint64_t
+wordOf(std::int64_t x)
+{
+    return static_cast<std::uint64_t>(x);
+}
+
+} // namespace
+
+void
+ShadowValidator::SimInst::scanPrefills()
+{
+    pfMin = kInf;
+    pfIdx = 0;
+    for (std::size_t i = 0; i < prefills.size(); ++i) {
+        if (prefills[i].deadline < pfMin) {
+            pfMin = prefills[i].deadline;
+            pfIdx = i;
+        }
+    }
 }
 
 ShadowValidator::SimInst &
@@ -39,8 +74,7 @@ ShadowValidator::buildState(const Partition &part, Seconds now,
             continue;
         }
         SimInst &s = slotAt(n++);
-        s.model = &inst->model;
-        s.hw = &inst->execSpec;
+        s.table = &quant_.tableFor(inst->execSpec, inst->model);
         s.availAt = inst->state == InstanceState::Loading
                         ? inst->createdAt + inst->loadDuration
                         : now;
@@ -62,12 +96,17 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
                           Seconds start, bool collectDoomed) const
 {
     Seconds t = start;
-    bool candidate_present = false;
-    for (std::size_t i = 0; i < count; ++i)
-        for (const SimReq &p : v[i].prefills)
+    bool candidate_prefilled = true;
+    for (std::size_t i = 0; i < count; ++i) {
+        SimInst &si = v[i];
+        si.scanPrefills();
+        for (const SimReq &p : si.prefills)
             if (p.isCandidate)
-                candidate_present = true;
-    bool candidate_prefilled = !candidate_present;
+                candidate_prefilled = false;
+        si.decMin = kInf;
+        for (const SimDecode &dd : si.decodeDeadlines)
+            si.decMin = std::min(si.decMin, dd.deadline);
+    }
 
     auto is_exempt = [this](int id) {
         return std::binary_search(doomed_.begin(), doomed_.end(), id);
@@ -81,85 +120,55 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
         return !is_exempt(id);
     };
 
-    auto inst_min_deadline = [](const SimInst &si) {
-        Seconds d = std::numeric_limits<Seconds>::infinity();
-        for (const SimReq &p : si.prefills)
-            d = std::min(d, p.deadline);
-        for (const SimDecode &dd : si.decodeDeadlines)
-            d = std::min(d, dd.deadline);
-        return d;
-    };
-
     for (int step = 0; step < cfg_.maxSteps; ++step) {
-        // Termination: candidate prefilled, every prefill drained, and
-        // every busy instance decoded at least once.
-        if (candidate_prefilled) {
-            bool all_ok = true;
-            for (std::size_t i = 0; i < count; ++i) {
-                const SimInst &si = v[i];
-                if (!si.prefills.empty()) {
-                    all_ok = false;
-                    break;
-                }
-                if (!si.decodeDeadlines.empty() &&
-                    !si.decodedSinceCandidate) {
-                    all_ok = false;
-                    break;
-                }
-            }
-            if (all_ok)
-                return true;
-        }
-
-        // Select the runnable instance with the most urgent request.
-        SimInst *chosen = nullptr;
-        Seconds best = std::numeric_limits<Seconds>::infinity();
-        Seconds min_avail = std::numeric_limits<Seconds>::infinity();
+        // One pass over the instances both tests termination
+        // (candidate prefilled, every prefill drained, every busy
+        // instance decoded at least once) and selects the runnable
+        // instance with the most urgent request.
+        bool settled = candidate_prefilled;
         bool any_work = false;
+        SimInst *chosen = nullptr;
+        Seconds best = kInf;
+        Seconds min_avail = kInf;
         for (std::size_t i = 0; i < count; ++i) {
             SimInst &si = v[i];
-            if (si.prefills.empty() && si.decodeDeadlines.empty())
+            bool has_prefill = !si.prefills.empty();
+            bool has_decode = !si.decodeDeadlines.empty();
+            if (has_prefill || (has_decode && !si.decodedSinceCandidate))
+                settled = false;
+            if (!has_prefill && !has_decode)
                 continue;
             any_work = true;
             min_avail = std::min(min_avail, si.availAt);
             if (si.availAt > t)
                 continue;
-            Seconds d = inst_min_deadline(si);
+            Seconds d = std::min(si.pfMin, si.decMin);
             if (d < best) {
                 best = d;
                 chosen = &si;
             }
         }
-        if (!any_work)
+        if (settled || !any_work)
             return true;
         if (!chosen) {
             t = std::max(t, min_avail); // wait for a load to finish
             continue;
         }
 
-        // Which item within the chosen instance is most urgent?
-        std::size_t pf_idx = 0;
-        Seconds pf_best = std::numeric_limits<Seconds>::infinity();
-        for (std::size_t i = 0; i < chosen->prefills.size(); ++i) {
-            if (chosen->prefills[i].deadline < pf_best) {
-                pf_best = chosen->prefills[i].deadline;
-                pf_idx = i;
-            }
-        }
-        Seconds dec_best = std::numeric_limits<Seconds>::infinity();
-        for (const SimDecode &dd : chosen->decodeDeadlines)
-            dec_best = std::min(dec_best, dd.deadline);
-
-        if (pf_best <= dec_best) {
-            SimReq req = chosen->prefills[pf_idx];
-            Seconds dur = quant_.prefillEstimate(*chosen->hw,
-                                                 *chosen->model, req.ctx) *
-                          cfg_.overestimate;
+        if (chosen->pfMin <= chosen->decMin) {
+            SimReq req = chosen->prefills[chosen->pfIdx];
+            Seconds dur =
+                Quantifier::prefillEstimate(*chosen->table, req.ctx) *
+                cfg_.overestimate;
             t += dur;
-            if (t > req.deadline && violate(req.id))
+            if (t > req.deadline && violate(req.id)) {
+                obs::bump(ctr_, obs::kShadowRejectPrefillLate);
                 return false; // cases 1 / 2: prefill lands too late
+            }
             chosen->prefills.erase(chosen->prefills.begin() +
-                                   static_cast<std::ptrdiff_t>(pf_idx));
+                                   static_cast<std::ptrdiff_t>(
+                                       chosen->pfIdx));
+            chosen->scanPrefills();
             if (req.isCandidate)
                 candidate_prefilled = true;
             // Joins the decode batch with the cumulative deadline.
@@ -167,20 +176,28 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             chosen->avgLen = (chosen->avgLen * n +
                               static_cast<double>(req.ctx)) /
                              (n + 1.0);
-            chosen->decodeDeadlines.push_back(
-                {std::max(req.deadline, t) + cfg_.tpotSlo, req.id});
+            Seconds deadline = std::max(req.deadline, t) + cfg_.tpotSlo;
+            chosen->decodeDeadlines.push_back({deadline, req.id});
+            chosen->decMin = std::min(chosen->decMin, deadline);
         } else {
             int batch = static_cast<int>(chosen->decodeDeadlines.size());
-            Seconds dur =
-                quant_.decodeEstimate(*chosen->hw, *chosen->model, batch,
-                                      static_cast<Tokens>(chosen->avgLen)) *
-                cfg_.overestimate;
+            Seconds dur = Quantifier::decodeEstimate(
+                              *chosen->table, batch,
+                              static_cast<Tokens>(chosen->avgLen)) *
+                          cfg_.overestimate;
             t += dur;
+            // Every deadline moves by the same tpotSlo; the minimum is
+            // rebuilt from the rounded sums in the same loop.
+            Seconds dec_min = kInf;
             for (SimDecode &dd : chosen->decodeDeadlines) {
-                if (t > dd.deadline && violate(dd.id))
+                if (t > dd.deadline && violate(dd.id)) {
+                    obs::bump(ctr_, obs::kShadowRejectDecodeDelayed);
                     return false; // case 2: existing request delayed
+                }
                 dd.deadline += cfg_.tpotSlo;
+                dec_min = std::min(dec_min, dd.deadline);
             }
+            chosen->decMin = dec_min;
             chosen->avgLen += 1.0;
             chosen->decodedSinceCandidate = true;
         }
@@ -189,27 +206,80 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
     return true;
 }
 
+void
+ShadowValidator::baselineKey(std::size_t count, Seconds start) const
+{
+    key_.clear();
+    key_.push_back(bitsOf(start));
+    key_.push_back(quant_.generation());
+    for (std::size_t i = 0; i < count; ++i) {
+        const SimInst &si = state_[i];
+        std::size_t prefills = 0;
+        for (const SimReq &p : si.prefills)
+            prefills += p.isCandidate ? 0 : 1;
+        if (prefills == 0 && si.decodeDeadlines.empty())
+            continue;
+        key_.push_back(reinterpret_cast<std::uintptr_t>(si.table));
+        key_.push_back(bitsOf(si.availAt));
+        key_.push_back(bitsOf(si.avgLen));
+        key_.push_back(prefills);
+        key_.push_back(si.decodeDeadlines.size());
+        for (const SimReq &p : si.prefills) {
+            if (p.isCandidate)
+                continue;
+            key_.push_back(bitsOf(p.deadline));
+            key_.push_back(wordOf(p.ctx));
+            key_.push_back(wordOf(p.id));
+        }
+        for (const SimDecode &dd : si.decodeDeadlines) {
+            key_.push_back(bitsOf(dd.deadline));
+            key_.push_back(wordOf(dd.id));
+        }
+    }
+}
+
 bool
 ShadowValidator::twoPass(std::size_t count, Seconds start,
                          Seconds now) const
 {
     ++evals_;
     // Baseline pass without the candidate: whatever violates anyway is
-    // doomed and must not veto the admission. The baseline scratch
-    // copy-assigns element-wise so inner buffers are recycled.
-    if (baseline_.size() < count)
-        baseline_.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        baseline_[i] = state_[i];
-    for (std::size_t i = 0; i < count; ++i) {
-        SimInst &si = baseline_[i];
-        si.prefills.erase(
-            std::remove_if(si.prefills.begin(), si.prefills.end(),
-                           [](const SimReq &p) { return p.isCandidate; }),
-            si.prefills.end());
+    // doomed and must not veto the admission.
+    baselineKey(count, start);
+    const MemoEntry *hit = nullptr;
+    for (const MemoEntry &e : memo_) {
+        if (e.key.size() == key_.size() &&
+            std::memcmp(e.key.data(), key_.data(),
+                        key_.size() * sizeof(std::uint64_t)) == 0) {
+            hit = &e;
+            break;
+        }
     }
-    doomed_.clear();
-    simulate(baseline_, count, start, /*collectDoomed=*/true);
+    if (hit) {
+        obs::bump(ctr_, obs::kShadowMemoHits);
+        doomed_ = hit->doomed;
+    } else {
+        // The baseline scratch copy-assigns element-wise so inner
+        // buffers are recycled.
+        if (baseline_.size() < count)
+            baseline_.resize(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            SimInst &si = baseline_[i];
+            si = state_[i];
+            si.prefills.erase(
+                std::remove_if(si.prefills.begin(), si.prefills.end(),
+                               [](const SimReq &p) {
+                                   return p.isCandidate;
+                               }),
+                si.prefills.end());
+        }
+        doomed_.clear();
+        simulate(baseline_, count, start, /*collectDoomed=*/true);
+        MemoEntry &slot = memo_[memoNext_];
+        memoNext_ = (memoNext_ + 1) % kMemoSlots;
+        slot.key.swap(key_);
+        slot.doomed = doomed_;
+    }
     // A candidate whose own deadline has already passed (an evicted /
     // migrated request being re-placed) cannot be protected either; it
     // must still find a home, so its own lateness does not reject.
@@ -262,8 +332,10 @@ ShadowValidator::canAdmit(const Partition &part, const Instance *target,
                           Seconds partBusyUntil,
                           const std::set<const Instance *> &exclude) const
 {
-    if (!aggregateDecodeFits(part, target, 1, req.contextLen(), exclude))
+    if (!aggregateDecodeFits(part, target, 1, req.contextLen(), exclude)) {
+        obs::bump(ctr_, obs::kShadowRejectAggregate);
         return false;
+    }
 
     std::size_t count = buildState(part, now, exclude);
     std::size_t live = 0;
@@ -291,8 +363,10 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
                              Seconds partBusyUntil, Seconds readyAt) const
 {
     // Case 3 with the new instance's own decode stream included.
-    if (!aggregateDecodeFits(part, nullptr, 0, 0))
+    if (!aggregateDecodeFits(part, nullptr, 0, 0)) {
+        obs::bump(ctr_, obs::kShadowRejectAggregate);
         return false;
+    }
     Seconds own = quant_.decodeEstimate(execSpec, model, 1,
                                         req.contextLen()) *
                   cfg_.overestimate;
@@ -308,13 +382,14 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
                                         inst->avgContextLen()) *
                   cfg_.overestimate;
     }
-    if (own + others > cfg_.tpotSlo)
+    if (own + others > cfg_.tpotSlo) {
+        obs::bump(ctr_, obs::kShadowRejectAggregate);
         return false;
+    }
 
     std::size_t count = buildState(part, now, {});
     SimInst &cand = slotAt(count);
-    cand.model = &model;
-    cand.hw = &execSpec;
+    cand.table = &quant_.tableFor(execSpec, model);
     cand.availAt = readyAt;
     // Cold-started requests receive a grace window equal to the load
     // time, mirroring the runtime accounting.

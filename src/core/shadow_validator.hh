@@ -16,12 +16,15 @@
 #ifndef SLINFER_CORE_SHADOW_VALIDATOR_HH
 #define SLINFER_CORE_SHADOW_VALIDATOR_HH
 
+#include <array>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "core/quantifier.hh"
 #include "engine/instance.hh"
 #include "engine/node.hh"
+#include "obs/counters.hh"
 
 namespace slinfer
 {
@@ -70,6 +73,13 @@ class ShadowValidator
      *  throughput bench reports shadow work per decision). */
     std::uint64_t evaluations() const { return evals_; }
 
+    /**
+     * Attach the Session's counter block (nullable; null = off). The
+     * validator bumps the memo-hit and rejection-reason counters; a
+     * null block costs one test per bump and never changes a verdict.
+     */
+    void attachCounters(obs::Counters *c) { ctr_ = c; }
+
   private:
     struct SimReq
     {
@@ -85,25 +95,33 @@ class ShadowValidator
     };
     struct SimInst
     {
-        const ModelSpec *model = nullptr;
-        const HardwareSpec *hw = nullptr;
+        /** Resolved once per validation; the pair's estimates read
+         *  nothing else of the model or hardware. */
+        const Quantifier::ProfileTable *table = nullptr;
         Seconds availAt = 0.0;
         std::vector<SimReq> prefills;
         std::vector<SimDecode> decodeDeadlines;
         double avgLen = 1.0;
         bool decodedSinceCandidate = false;
+        /** simulate()'s running minima: the earliest prefill deadline
+         *  and the first index holding it, and the earliest decode
+         *  deadline (infinity when the queue is empty). */
+        Seconds pfMin = 0.0;
+        std::size_t pfIdx = 0;
+        Seconds decMin = 0.0;
+
+        /** Recompute pfMin / pfIdx over `prefills`. */
+        void scanPrefills();
     };
 
     /**
      * Rebuild the validation state for `part` into the first slots of
      * `state_`, returning the live-instance count. All validation
-     * scratch (`state_`, `baseline_`, `doomed_`) is per-validator
-     * storage recycled across calls — admission validation runs a few
-     * hundred times per simulated second at fleet scale, and the
-     * pre-scratch version re-allocated every inner vector (plus two
-     * deep copies per two-pass run) per call. The validator is
-     * therefore not reentrant, which is fine: one controller owns one
-     * validator on one simulator thread.
+     * scratch (`state_`, `baseline_`, `doomed_`, the memo) is
+     * per-validator storage recycled across calls — admission
+     * validation runs a few hundred times per simulated second at
+     * fleet scale. The validator is therefore not reentrant, which is
+     * fine: one controller owns one validator on one simulator thread.
      */
     std::size_t buildState(const Partition &part, Seconds now,
                            const std::set<const Instance *> &exclude)
@@ -114,12 +132,16 @@ class ShadowValidator
 
     /**
      * Fast-forward the token-level schedule over `v[0..count)`,
-     * consuming it. With `collectDoomed == false`, returns false on
-     * the first violation by a request not in the sorted `doomed_`
-     * scratch. With `collectDoomed == true`, never fails; instead it
-     * records the ids of requests that violate into `doomed_` (used
-     * as the baseline pass: requests that are late even without the
-     * candidate cannot be protected and must not veto admissions).
+     * consuming it. Each step runs the most urgent request of the
+     * runnable instance whose earliest deadline is smallest (first
+     * instance on ties, earliest-queued prefill on ties, prefill
+     * before decode on ties). With `collectDoomed == false`, returns
+     * false on the first violation by a request not in the sorted
+     * `doomed_` scratch. With `collectDoomed == true`, never fails;
+     * instead it records the ids of requests that violate into
+     * `doomed_` (used as the baseline pass: requests that are late
+     * even without the candidate cannot be protected and must not
+     * veto admissions).
      */
     bool simulate(std::vector<SimInst> &v, std::size_t count,
                   Seconds start, bool collectDoomed) const;
@@ -130,6 +152,10 @@ class ShadowValidator
      *  (start may be later when the partition is mid-iteration). */
     bool twoPass(std::size_t count, Seconds start, Seconds now) const;
 
+    /** Fill `key_` with every input the baseline pass over
+     *  `state_[0..count)` reads (see memo_). */
+    void baselineKey(std::size_t count, Seconds start) const;
+
     const Quantifier &quant_;
     ShadowConfig cfg_;
 
@@ -139,7 +165,31 @@ class ShadowValidator
     /** Ids that violate even without the candidate; sorted between
      *  the two passes, membership via binary search. */
     mutable std::vector<int> doomed_;
+
+    /**
+     * Baseline-pass memo. The baseline is a pure function of its
+     * inputs, flattened into a key of 64-bit words: the start time,
+     * the quantifier's profile generation, and, for every instance
+     * with work, its profile table, availability, mean context length
+     * and each request's deadline, context and id (doubles by bit
+     * pattern). Instances without work never run and are left out. A
+     * hit reuses the recorded doomed ids instead of simulating; a key
+     * that differs in any bit misses. Admission retries re-validate
+     * unchanged partitions back to back, so a small FIFO ring catches
+     * nearly all repeats.
+     */
+    struct MemoEntry
+    {
+        std::vector<std::uint64_t> key;
+        std::vector<int> doomed; ///< baseline doomed ids, as collected
+    };
+    static constexpr std::size_t kMemoSlots = 8;
+    mutable std::array<MemoEntry, kMemoSlots> memo_;
+    mutable std::size_t memoNext_ = 0;
+    mutable std::vector<std::uint64_t> key_;
+
     mutable std::uint64_t evals_ = 0;
+    obs::Counters *ctr_ = nullptr;
 };
 
 } // namespace slinfer

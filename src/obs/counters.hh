@@ -43,6 +43,10 @@ enum Counter : std::size_t
     kEmergencyGrows,   ///< KV-shortage emergency grow attempts
     kDrainSweeps,      ///< instance drain sweeps executed
     kShadowRuns,       ///< shadow-validator admission evaluations
+    kShadowMemoHits,   ///< baseline passes answered by the shadow memo
+    kShadowRejectAggregate,     ///< shadow rejections: case 3 (TPOT sum)
+    kShadowRejectPrefillLate,   ///< shadow rejections: a prefill too late
+    kShadowRejectDecodeDelayed, ///< shadow rejections: a decode delayed
     kNumCounters
 };
 
@@ -55,7 +59,9 @@ counterName(std::size_t i)
         "bucket_promotions", "placement_probes", "index_walk_steps",
         "pending_wakeups",   "decode_wakeups",   "kv_target_changes",
         "kv_resize_ops",     "emergency_grows",  "drain_sweeps",
-        "shadow_runs",
+        "shadow_runs",       "shadow_memo_hits",
+        "shadow_reject_aggregate",   "shadow_reject_prefill_late",
+        "shadow_reject_decode_delayed",
     };
     return i < kNumCounters ? kNames[i] : "?";
 }

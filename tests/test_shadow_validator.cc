@@ -1,13 +1,18 @@
 /**
  * @file
  * Shadow-validation tests (§VI-C): the three rejection cases, the
- * doomed-request exemption, loading-instance availability, and the
- * aggregate (case 3) decode check.
+ * doomed-request exemption, loading-instance availability, the
+ * aggregate (case 3) decode check, and the fast path (running minima,
+ * baseline memo) against a scan-based reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <random>
 
 #include "core/shadow_validator.hh"
 
@@ -246,6 +251,448 @@ TEST_F(ShadowFixture, PartitionBusyUntilDelaysEverything)
     // after the candidate's deadline.
     EXPECT_FALSE(validator->canAdmit(*part, &inst, r, 0.0, /*busy=*/3.0));
     EXPECT_TRUE(validator->canAdmit(*part, &inst, r, 0.0, 0.0));
+}
+
+/**
+ * Reference validator: the straightforward scan the fast path replaced.
+ * Every step rescans every instance and every deadline, each estimate
+ * looks its profile table up by name, and both passes always run. It
+ * shares nothing with ShadowValidator but the case-3 check, which the
+ * fast path left alone.
+ */
+class ScanValidator
+{
+  public:
+    ScanValidator(const Quantifier &quant, ShadowConfig cfg)
+        : quant_(quant), cfg_(cfg), aggregate_(quant, cfg)
+    {
+    }
+
+    bool
+    canAdmit(const Partition &part, const Instance *target,
+             const Request &req, Seconds now, Seconds partBusyUntil,
+             const std::set<const Instance *> &exclude) const
+    {
+        if (!aggregate_.aggregateDecodeFits(part, target, 1,
+                                            req.contextLen(), exclude))
+            return false;
+        std::vector<SimInst> state;
+        int next_id = 0;
+        for (const Instance *inst : part.instances) {
+            if (!live(inst, exclude))
+                continue;
+            state.push_back(build(*inst, now, next_id));
+            if (inst == target) {
+                state.back().prefills.push_back(
+                    {req.deadlineForNextToken(), req.contextLen(), true,
+                     -1});
+            }
+        }
+        return twoPass(state, std::max(now, partBusyUntil), now);
+    }
+
+    bool
+    canAdmitNew(const Partition &part, const ModelSpec &model,
+                const HardwareSpec &execSpec, const Request &req,
+                Seconds now, Seconds partBusyUntil, Seconds readyAt) const
+    {
+        if (!aggregate_.aggregateDecodeFits(part, nullptr, 0, 0))
+            return false;
+        Seconds own = quant_.decodeEstimate(execSpec, model, 1,
+                                            req.contextLen()) *
+                      cfg_.overestimate;
+        Seconds others = 0.0;
+        for (const Instance *inst : part.instances) {
+            if (inst->state == InstanceState::Reclaimed ||
+                inst->state == InstanceState::Unloading)
+                continue;
+            int batch = inst->loadSize();
+            if (batch == 0)
+                continue;
+            others += quant_.decodeEstimate(inst->execSpec, inst->model,
+                                            batch, inst->avgContextLen()) *
+                      cfg_.overestimate;
+        }
+        if (own + others > cfg_.tpotSlo)
+            return false;
+        std::vector<SimInst> state;
+        int next_id = 0;
+        for (const Instance *inst : part.instances) {
+            if (live(inst, {}))
+                state.push_back(build(*inst, now, next_id));
+        }
+        SimInst cand;
+        cand.model = &model;
+        cand.hw = &execSpec;
+        cand.availAt = readyAt;
+        Seconds grace = std::max<Seconds>(0.0, readyAt - now);
+        cand.prefills.push_back({req.deadlineForNextToken() + grace,
+                                 req.contextLen(), true, -1});
+        cand.avgLen = static_cast<double>(req.contextLen());
+        state.push_back(cand);
+        return twoPass(state, std::max(now, partBusyUntil), now);
+    }
+
+  private:
+    struct SimReq
+    {
+        Seconds deadline;
+        Tokens ctx;
+        bool isCandidate;
+        int id;
+    };
+    struct SimDecode
+    {
+        Seconds deadline;
+        int id;
+    };
+    struct SimInst
+    {
+        const ModelSpec *model = nullptr;
+        const HardwareSpec *hw = nullptr;
+        Seconds availAt = 0.0;
+        std::vector<SimReq> prefills;
+        std::vector<SimDecode> decodeDeadlines;
+        double avgLen = 1.0;
+        bool decodedSinceCandidate = false;
+    };
+
+    static bool
+    live(const Instance *inst, const std::set<const Instance *> &exclude)
+    {
+        return !exclude.count(inst) &&
+               inst->state != InstanceState::Reclaimed &&
+               inst->state != InstanceState::Unloading &&
+               inst->state != InstanceState::Draining;
+    }
+
+    static SimInst
+    build(const Instance &inst, Seconds now, int &next_id)
+    {
+        SimInst s;
+        s.model = &inst.model;
+        s.hw = &inst.execSpec;
+        s.availAt = inst.state == InstanceState::Loading
+                        ? inst.createdAt + inst.loadDuration
+                        : now;
+        for (const Request *r : inst.prefillQueue)
+            s.prefills.push_back({r->deadlineForNextToken(),
+                                  r->contextLen(), false, next_id++});
+        for (const Request *r : inst.decodeBatch)
+            s.decodeDeadlines.push_back(
+                {r->deadlineForNextToken(), next_id++});
+        s.avgLen = static_cast<double>(inst.avgContextLen());
+        return s;
+    }
+
+    bool
+    twoPass(const std::vector<SimInst> &state, Seconds start,
+            Seconds now) const
+    {
+        std::vector<SimInst> baseline = state;
+        for (SimInst &si : baseline)
+            si.prefills.erase(std::remove_if(si.prefills.begin(),
+                                             si.prefills.end(),
+                                             [](const SimReq &p) {
+                                                 return p.isCandidate;
+                                             }),
+                              si.prefills.end());
+        std::vector<int> doomed;
+        simulate(baseline, start, true, doomed);
+        for (const SimInst &si : state)
+            for (const SimReq &p : si.prefills)
+                if (p.isCandidate && p.deadline < now)
+                    doomed.push_back(p.id);
+        std::sort(doomed.begin(), doomed.end());
+        std::vector<SimInst> real = state;
+        return simulate(real, start, false, doomed);
+    }
+
+    bool
+    simulate(std::vector<SimInst> &v, Seconds start, bool collectDoomed,
+             std::vector<int> &doomed) const
+    {
+        const Seconds inf = std::numeric_limits<Seconds>::infinity();
+        Seconds t = start;
+        bool candidate_prefilled = true;
+        for (const SimInst &si : v)
+            for (const SimReq &p : si.prefills)
+                if (p.isCandidate)
+                    candidate_prefilled = false;
+        auto violate = [&](int id) {
+            if (collectDoomed) {
+                doomed.push_back(id);
+                return false;
+            }
+            return !std::binary_search(doomed.begin(), doomed.end(), id);
+        };
+        for (int step = 0; step < cfg_.maxSteps; ++step) {
+            if (candidate_prefilled) {
+                bool all_ok = true;
+                for (const SimInst &si : v)
+                    if (!si.prefills.empty() ||
+                        (!si.decodeDeadlines.empty() &&
+                         !si.decodedSinceCandidate))
+                        all_ok = false;
+                if (all_ok)
+                    return true;
+            }
+            SimInst *chosen = nullptr;
+            Seconds best = inf;
+            Seconds min_avail = inf;
+            bool any_work = false;
+            for (SimInst &si : v) {
+                if (si.prefills.empty() && si.decodeDeadlines.empty())
+                    continue;
+                any_work = true;
+                min_avail = std::min(min_avail, si.availAt);
+                if (si.availAt > t)
+                    continue;
+                Seconds d = inf;
+                for (const SimReq &p : si.prefills)
+                    d = std::min(d, p.deadline);
+                for (const SimDecode &dd : si.decodeDeadlines)
+                    d = std::min(d, dd.deadline);
+                if (d < best) {
+                    best = d;
+                    chosen = &si;
+                }
+            }
+            if (!any_work)
+                return true;
+            if (!chosen) {
+                t = std::max(t, min_avail);
+                continue;
+            }
+            std::size_t pf_idx = 0;
+            Seconds pf_best = inf;
+            for (std::size_t i = 0; i < chosen->prefills.size(); ++i) {
+                if (chosen->prefills[i].deadline < pf_best) {
+                    pf_best = chosen->prefills[i].deadline;
+                    pf_idx = i;
+                }
+            }
+            Seconds dec_best = inf;
+            for (const SimDecode &dd : chosen->decodeDeadlines)
+                dec_best = std::min(dec_best, dd.deadline);
+            if (pf_best <= dec_best) {
+                SimReq req = chosen->prefills[pf_idx];
+                t += quant_.prefillEstimate(*chosen->hw, *chosen->model,
+                                            req.ctx) *
+                     cfg_.overestimate;
+                if (t > req.deadline && violate(req.id))
+                    return false;
+                chosen->prefills.erase(chosen->prefills.begin() +
+                                       static_cast<std::ptrdiff_t>(pf_idx));
+                if (req.isCandidate)
+                    candidate_prefilled = true;
+                double n =
+                    static_cast<double>(chosen->decodeDeadlines.size());
+                chosen->avgLen = (chosen->avgLen * n +
+                                  static_cast<double>(req.ctx)) /
+                                 (n + 1.0);
+                chosen->decodeDeadlines.push_back(
+                    {std::max(req.deadline, t) + cfg_.tpotSlo, req.id});
+            } else {
+                int batch = static_cast<int>(chosen->decodeDeadlines.size());
+                t += quant_.decodeEstimate(
+                         *chosen->hw, *chosen->model, batch,
+                         static_cast<Tokens>(chosen->avgLen)) *
+                     cfg_.overestimate;
+                for (SimDecode &dd : chosen->decodeDeadlines) {
+                    if (t > dd.deadline && violate(dd.id))
+                        return false;
+                    dd.deadline += cfg_.tpotSlo;
+                }
+                chosen->avgLen += 1.0;
+                chosen->decodedSinceCandidate = true;
+            }
+        }
+        return true;
+    }
+
+    const Quantifier &quant_;
+    ShadowConfig cfg_;
+    ShadowValidator aggregate_;
+};
+
+std::uint64_t
+shadowRejections(const obs::Counters &c)
+{
+    return c.v[obs::kShadowRejectAggregate] +
+           c.v[obs::kShadowRejectPrefillLate] +
+           c.v[obs::kShadowRejectDecodeDelayed];
+}
+
+TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
+{
+    // Random partitions: mixed CPU/GPU tables and two models, loading
+    // instances not yet available, draining/unloading ones skipped,
+    // exclude sets, and deadlines drawn from a coarse grid so ties
+    // between instances, prefills and decodes are common. Each state
+    // is queried several times so the warm validator's memo answers
+    // baselines it has seen; the fresh one always simulates.
+    const std::vector<ModelSpec> models = {llama2_7b(), llama32_3b()};
+    const std::vector<HardwareSpec> hws = {xeon6462c(), a100_80g()};
+    for (const ModelSpec &m : models)
+        for (const HardwareSpec &hw : hws)
+            quant.profile(hw, m);
+    const ShadowConfig cfg{1.10, 0.25, 500};
+    ScanValidator reference(quant, cfg);
+    ShadowValidator warm(quant, cfg);
+    obs::Counters counters;
+    warm.attachCounters(&counters);
+    std::uint64_t rejected = 0;
+    std::uint64_t verdicts[2] = {0, 0};
+    const Tokens lens[] = {64, 256, 512, 1024, 2048, 3000};
+    Node gpu_node(1, a100_80g(), 1);
+
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        std::mt19937_64 rng(seed);
+        auto pick = [&rng](std::size_t n) {
+            return static_cast<std::size_t>(rng() % n);
+        };
+        auto coin = [&rng](int pct) {
+            return static_cast<int>(rng() % 100) < pct;
+        };
+        auto request = [&](Seconds now, Tokens generated) -> Request & {
+            Request &r = makeRequest(now - 0.25 * static_cast<double>(
+                                                   pick(9)),
+                                     lens[pick(6)], 400, generated);
+            r.ttftSlo = 0.5 * static_cast<double>(1 + pick(4));
+            return r;
+        };
+
+        Partition *p = coin(50) ? part : gpu_node.partitions()[0].get();
+        p->instances.clear();
+        const Seconds now = 100.0;
+        std::size_t n_inst = 1 + pick(8);
+        std::vector<Instance *> insts;
+        for (std::size_t i = 0; i < n_inst; ++i) {
+            std::size_t mi = pick(models.size());
+            auto inst = std::make_unique<Instance>(
+                nextId++, static_cast<ModelId>(mi), models[mi], p,
+                hws[pick(hws.size())], 32ULL << 30);
+            int roll = static_cast<int>(pick(100));
+            inst->state = roll < 70   ? InstanceState::Active
+                          : roll < 88 ? InstanceState::Loading
+                          : roll < 94 ? InstanceState::Draining
+                                      : InstanceState::Unloading;
+            inst->createdAt = now - 0.5 * static_cast<double>(pick(4));
+            inst->loadDuration = 0.5 * static_cast<double>(1 + pick(6));
+            for (std::size_t k = pick(5); k > 0; --k)
+                inst->prefillQueue.push_back(&request(now, 0));
+            for (std::size_t k = pick(14); k > 0; --k) {
+                Request &r =
+                    request(now, static_cast<Tokens>(1 + pick(20)));
+                r.state = RequestState::Decode;
+                inst->decodeBatch.push_back(&r);
+            }
+            p->instances.push_back(inst.get());
+            insts.push_back(inst.get());
+            pool.push_back(std::move(inst));
+        }
+        std::set<const Instance *> exclude;
+        for (Instance *inst : insts)
+            if (coin(15))
+                exclude.insert(inst);
+        Seconds busy = coin(50) ? now : now + 0.1 * static_cast<double>(
+                                                      pick(6));
+
+        for (int q = 0; q < 6; ++q) {
+            ShadowValidator fresh(quant, cfg);
+            Request &cand = request(now, coin(20) ? 30 : 0);
+            bool expect, got_fresh, got_warm;
+            if (q % 3 == 2) {
+                std::size_t mi = pick(models.size());
+                const HardwareSpec &hw = hws[pick(hws.size())];
+                Seconds ready = now + 0.5 * static_cast<double>(pick(6));
+                expect = reference.canAdmitNew(*p, models[mi], hw, cand,
+                                               now, busy, ready);
+                got_fresh = fresh.canAdmitNew(*p, models[mi], hw, cand,
+                                              now, busy, ready);
+                got_warm = warm.canAdmitNew(*p, models[mi], hw, cand, now,
+                                            busy, ready);
+            } else {
+                const Instance *target = insts[pick(insts.size())];
+                expect = reference.canAdmit(*p, target, cand, now, busy,
+                                            exclude);
+                got_fresh =
+                    fresh.canAdmit(*p, target, cand, now, busy, exclude);
+                got_warm =
+                    warm.canAdmit(*p, target, cand, now, busy, exclude);
+            }
+            ASSERT_EQ(got_fresh, expect) << "seed " << seed << " q " << q;
+            ASSERT_EQ(got_warm, expect) << "seed " << seed << " q " << q;
+            rejected += expect ? 0 : 1;
+            ++verdicts[expect ? 1 : 0];
+        }
+        p->instances.clear();
+    }
+    // Both verdicts occur, repeats were served from the memo, and every
+    // rejection was counted under exactly one reason.
+    EXPECT_GT(verdicts[0], 50u);
+    EXPECT_GT(verdicts[1], 50u);
+    EXPECT_GT(counters.v[obs::kShadowMemoHits], 100u);
+    EXPECT_EQ(shadowRejections(counters), rejected);
+}
+
+TEST_F(ShadowFixture, MemoHitsIdenticalStateAndMissesOneUlp)
+{
+    obs::Counters counters;
+    validator->attachCounters(&counters);
+    Instance &inst = addInstance(xeon6462c());
+    Request &decoding = makeRequest(99.0, 1024, 200, 4);
+    decoding.state = RequestState::Decode;
+    inst.decodeBatch.push_back(&decoding);
+    Request &a = makeRequest(100.0, 512, 50);
+    Request &b = makeRequest(100.0, 256, 50);
+    const Seconds now = 100.0;
+
+    bool first = validator->canAdmit(*part, &inst, a, now, now);
+    EXPECT_EQ(counters.v[obs::kShadowMemoHits], 0u);
+    // Same partition, different candidate: the baseline is unchanged.
+    EXPECT_EQ(validator->canAdmit(*part, &inst, a, now, now), first);
+    validator->canAdmit(*part, &inst, b, now, now);
+    EXPECT_EQ(counters.v[obs::kShadowMemoHits], 2u);
+
+    // Nudge the decoding request's deadline by exactly one ulp.
+    const Seconds d0 = decoding.deadlineForNextToken();
+    while (decoding.deadlineForNextToken() == d0)
+        decoding.arrival = std::nextafter(
+            decoding.arrival, std::numeric_limits<double>::infinity());
+    ASSERT_EQ(decoding.deadlineForNextToken(),
+              std::nextafter(d0, std::numeric_limits<double>::infinity()));
+    validator->canAdmit(*part, &inst, a, now, now);
+    EXPECT_EQ(counters.v[obs::kShadowMemoHits], 2u);
+    EXPECT_EQ(validator->evaluations(), 4u);
+}
+
+TEST_F(ShadowFixture, RejectionReasonsAreCounted)
+{
+    obs::Counters counters;
+    validator->attachCounters(&counters);
+    // Case 3: four busy CPU instances saturate the TPOT budget.
+    for (int i = 0; i < 4; ++i) {
+        Instance &inst = addInstance(xeon6462c());
+        for (int j = 0; j < 12; ++j) {
+            Request &r = makeRequest(0.0, 1024, 200, 5);
+            r.state = RequestState::Decode;
+            inst.decodeBatch.push_back(&r);
+        }
+    }
+    Request &incoming = makeRequest(10.0, 512, 50);
+    EXPECT_FALSE(validator->canAdmit(*part, part->instances[0], incoming,
+                                     10.0, 10.0));
+    EXPECT_EQ(counters.v[obs::kShadowRejectAggregate], 1u);
+
+    // Case 1: the partition is busy past the candidate's TTFT deadline.
+    part->instances.clear();
+    Instance &idle = addInstance(xeon6462c());
+    Request &r = makeRequest(0.0, 256, 50);
+    EXPECT_FALSE(validator->canAdmit(*part, &idle, r, 0.0, 3.0));
+    EXPECT_EQ(counters.v[obs::kShadowRejectPrefillLate], 1u);
+    EXPECT_EQ(counters.v[obs::kShadowRejectDecodeDelayed], 0u);
 }
 
 } // namespace
