@@ -1,6 +1,7 @@
 #include "core/quantifier.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/log.hh"
 
@@ -113,6 +114,36 @@ bracket(const std::vector<T> &grid, double x, std::size_t &lo,
     w = (x - g_lo) / (g_hi - g_lo);
 }
 
+/**
+ * Bilinear interpolation of the decode grid on brackets (bl, bh, wb)
+ * over batch sizes and (ll, lh, wl) over lengths.
+ */
+Seconds
+interpolateDecode(const Quantifier::ProfileTable &t, int batchSize,
+                  std::size_t bl, std::size_t bh, double wb,
+                  std::size_t ll, std::size_t lh, double wl)
+{
+    double v00 = t.decode[bl][ll];
+    double v01 = t.decode[bl][lh];
+    double v10 = t.decode[bh][ll];
+    double v11 = t.decode[bh][lh];
+    double v0 = v00 * (1.0 - wl) + v01 * wl;
+    double v1 = v10 * (1.0 - wl) + v11 * wl;
+    double est = v0 * (1.0 - wb) + v1 * wb;
+    // Batch sizes beyond the profiled grid extrapolate linearly on the
+    // per-request marginal cost of the last grid interval.
+    if (batchSize > t.batchGrid.back() && t.batchGrid.size() >= 2) {
+        int top = t.batchGrid.back();
+        int prev = t.batchGrid[t.batchGrid.size() - 2];
+        double slope =
+            (t.decode[t.batchGrid.size() - 1][ll] -
+             t.decode[t.batchGrid.size() - 2][ll]) /
+            static_cast<double>(top - prev);
+        est += slope * static_cast<double>(batchSize - top);
+    }
+    return est;
+}
+
 } // namespace
 
 Seconds
@@ -146,25 +177,42 @@ Quantifier::decodeEstimate(const ProfileTable &t, int batchSize,
     double wb, wl;
     bracket(t.batchGrid, static_cast<double>(batchSize), bl, bh, wb);
     bracket(t.lenGrid, static_cast<double>(avgLen), ll, lh, wl);
-    double v00 = t.decode[bl][ll];
-    double v01 = t.decode[bl][lh];
-    double v10 = t.decode[bh][ll];
-    double v11 = t.decode[bh][lh];
-    double v0 = v00 * (1.0 - wl) + v01 * wl;
-    double v1 = v10 * (1.0 - wl) + v11 * wl;
-    double est = v0 * (1.0 - wb) + v1 * wb;
-    // Batch sizes beyond the profiled grid extrapolate linearly on the
-    // per-request marginal cost of the last grid interval.
-    if (batchSize > t.batchGrid.back() && t.batchGrid.size() >= 2) {
-        int top = t.batchGrid.back();
-        int prev = t.batchGrid[t.batchGrid.size() - 2];
-        double slope =
-            (t.decode[t.batchGrid.size() - 1][ll] -
-             t.decode[t.batchGrid.size() - 2][ll]) /
-            static_cast<double>(top - prev);
-        est += slope * static_cast<double>(batchSize - top);
+    return interpolateDecode(t, batchSize, bl, bh, wb, ll, lh, wl);
+}
+
+void
+Quantifier::DecodeCursor::reset(const ProfileTable &t)
+{
+    *this = DecodeCursor();
+    t_ = &t;
+}
+
+Seconds
+Quantifier::DecodeCursor::estimate(int batchSize, Tokens avgLen)
+{
+    const ProfileTable &t = *t_;
+    if (batchSize != batch_) {
+        bracket(t.batchGrid, static_cast<double>(batchSize), bl_, bh_,
+                wb_);
+        batch_ = batchSize;
     }
-    return est;
+    double x = static_cast<double>(avgLen);
+    double wl;
+    if (x > gLo_ && x <= lenMax_) {
+        // bracket()'s interior case, on the cached interval.
+        wl = (x - gLo_) / (gHi_ - gLo_);
+    } else {
+        bracket(t.lenGrid, x, ll_, lh_, wl);
+        gLo_ = static_cast<double>(t.lenGrid[ll_]);
+        gHi_ = static_cast<double>(t.lenGrid[lh_]);
+        // A clamped length (ll_ == lh_) caches nothing. The top
+        // interval excludes the grid top, which clamps.
+        lenMax_ = ll_ == lh_ ? gLo_
+                  : lh_ + 1 == t.lenGrid.size()
+                      ? std::nextafter(gHi_, gLo_)
+                      : gHi_;
+    }
+    return interpolateDecode(t, batchSize, bl_, bh_, wb_, ll_, lh_, wl);
 }
 
 std::size_t

@@ -80,6 +80,40 @@ class Quantifier
     static Seconds decodeEstimate(const ProfileTable &t, int batchSize,
                                   Tokens avgLen);
 
+    /**
+     * decodeEstimate over one table for a caller whose queries move
+     * slowly. A shadow fast-forward changes the batch size only when a
+     * prefill joins, and grows the mean length by one token per decode
+     * step, so the cursor keeps its last two brackets: the batch
+     * bracket until the batch size changes, and the length bracket
+     * while the length stays inside the grid interval (g_lo, g_hi]
+     * below the grid top. Any other query takes the full bracket
+     * search. estimate() returns exactly decodeEstimate(table, batch,
+     * len): both run the same interpolation on the same brackets.
+     */
+    class DecodeCursor
+    {
+      public:
+        /** Point at `t`, forgetting any cached bracket. */
+        void reset(const ProfileTable &t);
+
+        Seconds estimate(int batchSize, Tokens avgLen);
+
+      private:
+        const ProfileTable *t_ = nullptr;
+        /** Batch bracket of batch_. The zero state is bracket(0): a
+         *  batch at or below the grid front clamps to index 0. */
+        int batch_ = 0;
+        std::size_t bl_ = 0, bh_ = 0;
+        double wb_ = 0.0;
+        /** Length bracket: indices and grid values of the interval a
+         *  length in (gLo_, lenMax_] falls in. The zero state holds no
+         *  length; lenMax_ is just below gHi_ for the top interval,
+         *  where the grid top itself clamps. */
+        std::size_t ll_ = 0, lh_ = 0;
+        double gLo_ = 0.0, gHi_ = 0.0, lenMax_ = 0.0;
+    };
+
     /** Bumped by every profile() call: results cached against table
      *  contents are stale once it moves. */
     std::uint64_t generation() const { return generation_; }

@@ -97,6 +97,12 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
 {
     Seconds t = start;
     bool candidate_prefilled = true;
+    // Work never leaves an instance (a prefill becomes a decode, and
+    // decodes stay), so whether there is any is fixed up front, and
+    // the count of unsettled instances changes only for the one that
+    // steps.
+    bool any_work = false;
+    int pending = 0;
     for (std::size_t i = 0; i < count; ++i) {
         SimInst &si = v[i];
         si.scanPrefills();
@@ -106,7 +112,13 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
         si.decMin = kInf;
         for (const SimDecode &dd : si.decodeDeadlines)
             si.decMin = std::min(si.decMin, dd.deadline);
+        si.decodeSteps = 0;
+        si.cursor.reset(*si.table);
+        any_work = any_work || si.hasWork();
+        pending += si.unsettled() ? 1 : 0;
     }
+    if (!any_work)
+        return true;
 
     auto is_exempt = [this](int id) {
         return std::binary_search(doomed_.begin(), doomed_.end(), id);
@@ -119,27 +131,27 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
         }
         return !is_exempt(id);
     };
+    auto finish = [this](bool verdict, int steps, bool horizon) {
+        if (ctr_) {
+            ctr_->v[obs::kShadowSteps] += static_cast<std::uint64_t>(steps);
+            ctr_->v[obs::kShadowHorizonHits] += horizon ? 1 : 0;
+        }
+        return verdict;
+    };
 
-    for (int step = 0; step < cfg_.maxSteps; ++step) {
-        // One pass over the instances both tests termination
-        // (candidate prefilled, every prefill drained, every busy
-        // instance decoded at least once) and selects the runnable
-        // instance with the most urgent request.
-        bool settled = candidate_prefilled;
-        bool any_work = false;
+    int step = 0;
+    for (; step < cfg_.maxSteps; ++step) {
+        // Settled: the candidate prefilled, every prefill drained and
+        // every busy instance decoded at least once.
+        if (candidate_prefilled && pending == 0)
+            return finish(true, step, false);
+        // The runnable instance with the most urgent request. An
+        // instance without work has both minima at infinity and never
+        // wins the strict `<`.
         SimInst *chosen = nullptr;
         Seconds best = kInf;
-        Seconds min_avail = kInf;
         for (std::size_t i = 0; i < count; ++i) {
             SimInst &si = v[i];
-            bool has_prefill = !si.prefills.empty();
-            bool has_decode = !si.decodeDeadlines.empty();
-            if (has_prefill || (has_decode && !si.decodedSinceCandidate))
-                settled = false;
-            if (!has_prefill && !has_decode)
-                continue;
-            any_work = true;
-            min_avail = std::min(min_avail, si.availAt);
             if (si.availAt > t)
                 continue;
             Seconds d = std::min(si.pfMin, si.decMin);
@@ -148,13 +160,17 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
                 chosen = &si;
             }
         }
-        if (settled || !any_work)
-            return true;
         if (!chosen) {
-            t = std::max(t, min_avail); // wait for a load to finish
+            // Wait for a load to finish.
+            Seconds min_avail = kInf;
+            for (std::size_t i = 0; i < count; ++i)
+                if (v[i].hasWork())
+                    min_avail = std::min(min_avail, v[i].availAt);
+            t = std::max(t, min_avail);
             continue;
         }
 
+        const bool was_unsettled = chosen->unsettled();
         if (chosen->pfMin <= chosen->decMin) {
             SimReq req = chosen->prefills[chosen->pfIdx];
             Seconds dur =
@@ -163,7 +179,8 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             t += dur;
             if (t > req.deadline && violate(req.id)) {
                 obs::bump(ctr_, obs::kShadowRejectPrefillLate);
-                return false; // cases 1 / 2: prefill lands too late
+                // cases 1 / 2: prefill lands too late
+                return finish(false, step + 1, false);
             }
             chosen->prefills.erase(chosen->prefills.begin() +
                                    static_cast<std::ptrdiff_t>(
@@ -171,39 +188,54 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             chosen->scanPrefills();
             if (req.isCandidate)
                 candidate_prefilled = true;
-            // Joins the decode batch with the cumulative deadline.
+            // Joins the decode batch with the cumulative deadline,
+            // current as of this instance's decode steps so far.
             double n = static_cast<double>(chosen->decodeDeadlines.size());
             chosen->avgLen = (chosen->avgLen * n +
                               static_cast<double>(req.ctx)) /
                              (n + 1.0);
             Seconds deadline = std::max(req.deadline, t) + cfg_.tpotSlo;
-            chosen->decodeDeadlines.push_back({deadline, req.id});
+            chosen->decodeDeadlines.push_back(
+                {deadline, req.id, chosen->decodeSteps});
             chosen->decMin = std::min(chosen->decMin, deadline);
         } else {
             int batch = static_cast<int>(chosen->decodeDeadlines.size());
-            Seconds dur = Quantifier::decodeEstimate(
-                              *chosen->table, batch,
-                              static_cast<Tokens>(chosen->avgLen)) *
+            Seconds dur = chosen->cursor.estimate(
+                              batch, static_cast<Tokens>(chosen->avgLen)) *
                           cfg_.overestimate;
             t += dur;
-            // Every deadline moves by the same tpotSlo; the minimum is
-            // rebuilt from the rounded sums in the same loop.
-            Seconds dec_min = kInf;
-            for (SimDecode &dd : chosen->decodeDeadlines) {
-                if (t > dd.deadline && violate(dd.id)) {
-                    obs::bump(ctr_, obs::kShadowRejectDecodeDelayed);
-                    return false; // case 2: existing request delayed
+            // Every deadline moves by the same tpotSlo. Rounding is
+            // monotone, so fl(min + tpotSlo) is the minimum of the
+            // rounded sums, and when t <= decMin no deadline is
+            // violated: the step only advances decMin, and the entries
+            // fall one epoch behind. Otherwise each entry first replays
+            // the adds it missed, then the step checks and advances it.
+            const int epoch = chosen->decodeSteps++;
+            if (t <= chosen->decMin) {
+                chosen->decMin += cfg_.tpotSlo;
+            } else {
+                Seconds dec_min = kInf;
+                for (SimDecode &dd : chosen->decodeDeadlines) {
+                    for (; dd.epoch < epoch; ++dd.epoch)
+                        dd.deadline += cfg_.tpotSlo;
+                    if (t > dd.deadline && violate(dd.id)) {
+                        obs::bump(ctr_, obs::kShadowRejectDecodeDelayed);
+                        // case 2: existing request delayed
+                        return finish(false, step + 1, false);
+                    }
+                    dd.deadline += cfg_.tpotSlo;
+                    ++dd.epoch;
+                    dec_min = std::min(dec_min, dd.deadline);
                 }
-                dd.deadline += cfg_.tpotSlo;
-                dec_min = std::min(dec_min, dd.deadline);
+                chosen->decMin = dec_min;
             }
-            chosen->decMin = dec_min;
             chosen->avgLen += 1.0;
             chosen->decodedSinceCandidate = true;
         }
+        pending += (chosen->unsettled() ? 1 : 0) - (was_unsettled ? 1 : 0);
     }
     // Horizon exhausted with no (rejecting) violation observed.
-    return true;
+    return finish(true, step, true);
 }
 
 void

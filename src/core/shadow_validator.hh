@@ -90,8 +90,11 @@ class ShadowValidator
     };
     struct SimDecode
     {
+        /** Current as of decode step `epoch` of its instance; each
+         *  later step adds one tpotSlo (see simulate). */
         Seconds deadline;
         int id;
+        int epoch = 0;
     };
     struct SimInst
     {
@@ -109,9 +112,28 @@ class ShadowValidator
         Seconds pfMin = 0.0;
         std::size_t pfIdx = 0;
         Seconds decMin = 0.0;
+        /** simulate()'s decode steps so far (the current epoch). */
+        int decodeSteps = 0;
+        /** simulate()'s decode estimates over `table`. */
+        Quantifier::DecodeCursor cursor;
 
         /** Recompute pfMin / pfIdx over `prefills`. */
         void scanPrefills();
+
+        bool
+        hasWork() const
+        {
+            return !prefills.empty() || !decodeDeadlines.empty();
+        }
+
+        /** Still keeps simulate() from settling: a prefill to run, or
+         *  a batch not yet decoded. */
+        bool
+        unsettled() const
+        {
+            return !prefills.empty() ||
+                   (!decodeDeadlines.empty() && !decodedSinceCandidate);
+        }
     };
 
     /**
@@ -141,7 +163,7 @@ class ShadowValidator
      * instead it records the ids of requests that violate into
      * `doomed_` (used as the baseline pass: requests that are late
      * even without the candidate cannot be protected and must not
-     * veto admissions).
+     * veto admissions). Every decode entry of `v` must be at epoch 0.
      */
     bool simulate(std::vector<SimInst> &v, std::size_t count,
                   Seconds start, bool collectDoomed) const;

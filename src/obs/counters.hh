@@ -47,6 +47,8 @@ enum Counter : std::size_t
     kShadowRejectAggregate,     ///< shadow rejections: case 3 (TPOT sum)
     kShadowRejectPrefillLate,   ///< shadow rejections: a prefill too late
     kShadowRejectDecodeDelayed, ///< shadow rejections: a decode delayed
+    kShadowSteps,       ///< shadow fast-forward steps, all passes
+    kShadowHorizonHits, ///< shadow passes that ran out maxSteps
     kNumCounters
 };
 
@@ -62,6 +64,7 @@ counterName(std::size_t i)
         "shadow_runs",       "shadow_memo_hits",
         "shadow_reject_aggregate",   "shadow_reject_prefill_late",
         "shadow_reject_decode_delayed",
+        "shadow_steps",      "shadow_horizon_hits",
     };
     return i < kNumCounters ? kNames[i] : "?";
 }

@@ -3,12 +3,16 @@
  * Quantifier tests (§VI-B): power-of-two profiling grids, interpolation
  * exactness on grid points, and — the paper's headline accuracy claim —
  * interpolated estimates within a few percent of the (noisy) ground
- * truth across random workloads.
+ * truth across random workloads. The decode cursor must return the
+ * table estimate bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/quantifier.hh"
@@ -168,6 +172,94 @@ TEST(Quantifier, LongContextModelGridReaches32K)
     EXPECT_GT(quant.prefillEstimate(cpu, m8, 32768), 20.0);
     // And ~8.4K inputs fit inside the 8 s TTFT ceiling.
     EXPECT_LT(quant.prefillEstimate(cpu, m8, 8400), 8.0);
+}
+
+/** Bitwise equality: a cursor estimate must be the table estimate. */
+::testing::AssertionResult
+sameBits(Seconds got, Seconds want)
+{
+    if (std::memcmp(&got, &want, sizeof got) == 0)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << got << " vs " << want << " (diff " << got - want << ")";
+}
+
+/** Every pair this file profiles: the 4K-context fixture pairs and
+ *  the 32K-context model. */
+class DecodeCursorTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        pairs = {{xeon6462c(), llama2_7b()},
+                 {a100_80g(), llama2_7b()},
+                 {xeon6462c(), llama2_13b()},
+                 {xeon6462c(), llama31_8b()}};
+        for (const auto &[hw, m] : pairs)
+            quant.profile(hw, m);
+    }
+
+    std::vector<std::pair<HardwareSpec, ModelSpec>> pairs;
+    Quantifier quant;
+};
+
+TEST_F(DecodeCursorTest, LengthWalkMatchesTableEstimate)
+{
+    // Each batch size from 1 to past the 256 grid top (extrapolation),
+    // with the length stepping by one from below the grid front to
+    // past maxContext: every grid point (w == 1 from below), both
+    // clamps, and every interval of the length grid.
+    for (const auto &[hw, m] : pairs) {
+        const Quantifier::ProfileTable &t = quant.tableFor(hw, m);
+        Quantifier::DecodeCursor cursor;
+        cursor.reset(t);
+        for (int batch = 1; batch <= 600; ++batch) {
+            for (Tokens len = 1; len <= m.maxContext + 64; ++len) {
+                ASSERT_TRUE(sameBits(cursor.estimate(batch, len),
+                                     Quantifier::decodeEstimate(t, batch,
+                                                                len)))
+                    << hw.name << " " << m.name << " batch " << batch
+                    << " len " << len;
+            }
+        }
+    }
+}
+
+TEST_F(DecodeCursorTest, JumpsAndBatchChangesMatchTableEstimate)
+{
+    // A shadow fast-forward's query sequence: mostly +1 length steps,
+    // with prefills joining (the batch grows and the mean length jumps,
+    // often backwards), and the cursor re-pointed between tables.
+    std::mt19937_64 rng(42);
+    Quantifier::DecodeCursor cursor;
+    for (int round = 0; round < 400; ++round) {
+        const auto &[hw, m] = pairs[rng() % pairs.size()];
+        const Quantifier::ProfileTable &t = quant.tableFor(hw, m);
+        cursor.reset(t);
+        const Tokens top = m.maxContext + 64;
+        int batch = 1 + static_cast<int>(rng() % 600);
+        double avg = static_cast<double>(1 + rng() % top);
+        for (int step = 0; step < 300; ++step) {
+            int roll = static_cast<int>(rng() % 100);
+            if (roll < 8) {
+                // A prefill joins the batch.
+                double ctx = static_cast<double>(1 + rng() % top);
+                avg = (avg * batch + ctx) / (batch + 1.0);
+                ++batch;
+            } else if (roll < 12) {
+                // A jump anywhere, backwards included.
+                avg = static_cast<double>(1 + rng() % top);
+                batch = 1 + static_cast<int>(rng() % 600);
+            } else {
+                avg += 1.0;
+            }
+            Tokens len = static_cast<Tokens>(avg);
+            ASSERT_TRUE(sameBits(cursor.estimate(batch, len),
+                                 Quantifier::decodeEstimate(t, batch, len)))
+                << hw.name << " " << m.name << " round " << round
+                << " batch " << batch << " len " << len;
+        }
+    }
 }
 
 } // namespace

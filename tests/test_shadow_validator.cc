@@ -3,7 +3,7 @@
  * Shadow-validation tests (§VI-C): the three rejection cases, the
  * doomed-request exemption, loading-instance availability, the
  * aggregate (case 3) decode check, and the fast path (running minima,
- * baseline memo) against a scan-based reference.
+ * lazy decode deadlines, baseline memo) against a scan-based reference.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <string>
 
 #include "core/shadow_validator.hh"
 
@@ -532,108 +533,147 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
     // between instances, prefills and decodes are common. Each state
     // is queried several times so the warm validator's memo answers
     // baselines it has seen; the fresh one always simulates.
+    //
+    // Two more regimes stress the lazy decode deadlines: prefills due
+    // 30-60 s ahead, so the decode batches step for the whole horizon
+    // before any prefill is urgent, and decodes already far past their
+    // deadlines, so every decode step of both passes catches its batch
+    // up. Every regime runs at three horizons; the short ones cut the
+    // fast-forward between decode epochs.
+    enum class Regime { Mixed, FarPrefills, LateDecodes };
     const std::vector<ModelSpec> models = {llama2_7b(), llama32_3b()};
     const std::vector<HardwareSpec> hws = {xeon6462c(), a100_80g()};
     for (const ModelSpec &m : models)
         for (const HardwareSpec &hw : hws)
             quant.profile(hw, m);
-    const ShadowConfig cfg{1.10, 0.25, 500};
-    ScanValidator reference(quant, cfg);
-    ShadowValidator warm(quant, cfg);
     obs::Counters counters;
-    warm.attachCounters(&counters);
     std::uint64_t rejected = 0;
     std::uint64_t verdicts[2] = {0, 0};
     const Tokens lens[] = {64, 256, 512, 1024, 2048, 3000};
     Node gpu_node(1, a100_80g(), 1);
 
-    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-        std::mt19937_64 rng(seed);
-        auto pick = [&rng](std::size_t n) {
-            return static_cast<std::size_t>(rng() % n);
-        };
-        auto coin = [&rng](int pct) {
-            return static_cast<int>(rng() % 100) < pct;
-        };
-        auto request = [&](Seconds now, Tokens generated) -> Request & {
-            Request &r = makeRequest(now - 0.25 * static_cast<double>(
-                                                   pick(9)),
-                                     lens[pick(6)], 400, generated);
-            r.ttftSlo = 0.5 * static_cast<double>(1 + pick(4));
-            return r;
-        };
+    // One regime at one horizon: `seeds` random partitions, six
+    // queries each, verdicts compared against the scan reference.
+    auto fuzz = [&](Regime regime, int max_steps, std::uint64_t seeds) {
+        const ShadowConfig cfg{1.10, 0.25, max_steps};
+        const std::string where = "regime " +
+                                  std::to_string(static_cast<int>(regime)) +
+                                  " maxSteps " + std::to_string(max_steps);
+        ScanValidator reference(quant, cfg);
+        ShadowValidator warm(quant, cfg);
+        warm.attachCounters(&counters);
+        std::uint64_t regime_verdicts[2] = {0, 0};
+        for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+            std::mt19937_64 rng(seed);
+            auto pick = [&rng](std::size_t n) {
+                return static_cast<std::size_t>(rng() % n);
+            };
+            auto coin = [&rng](int pct) {
+                return static_cast<int>(rng() % 100) < pct;
+            };
+            auto request = [&](Seconds now, Tokens generated) -> Request & {
+                Request &r = makeRequest(now - 0.25 * static_cast<double>(
+                                                       pick(9)),
+                                         lens[pick(6)], 400, generated);
+                r.ttftSlo = 0.5 * static_cast<double>(1 + pick(4));
+                if (regime == Regime::FarPrefills && generated == 0)
+                    r.ttftSlo = 30.0 + static_cast<double>(pick(31));
+                return r;
+            };
 
-        Partition *p = coin(50) ? part : gpu_node.partitions()[0].get();
-        p->instances.clear();
-        const Seconds now = 100.0;
-        std::size_t n_inst = 1 + pick(8);
-        std::vector<Instance *> insts;
-        for (std::size_t i = 0; i < n_inst; ++i) {
-            std::size_t mi = pick(models.size());
-            auto inst = std::make_unique<Instance>(
-                nextId++, static_cast<ModelId>(mi), models[mi], p,
-                hws[pick(hws.size())], 32ULL << 30);
-            int roll = static_cast<int>(pick(100));
-            inst->state = roll < 70   ? InstanceState::Active
-                          : roll < 88 ? InstanceState::Loading
-                          : roll < 94 ? InstanceState::Draining
-                                      : InstanceState::Unloading;
-            inst->createdAt = now - 0.5 * static_cast<double>(pick(4));
-            inst->loadDuration = 0.5 * static_cast<double>(1 + pick(6));
-            for (std::size_t k = pick(5); k > 0; --k)
-                inst->prefillQueue.push_back(&request(now, 0));
-            for (std::size_t k = pick(14); k > 0; --k) {
-                Request &r =
-                    request(now, static_cast<Tokens>(1 + pick(20)));
-                r.state = RequestState::Decode;
-                inst->decodeBatch.push_back(&r);
-            }
-            p->instances.push_back(inst.get());
-            insts.push_back(inst.get());
-            pool.push_back(std::move(inst));
-        }
-        std::set<const Instance *> exclude;
-        for (Instance *inst : insts)
-            if (coin(15))
-                exclude.insert(inst);
-        Seconds busy = coin(50) ? now : now + 0.1 * static_cast<double>(
-                                                      pick(6));
-
-        for (int q = 0; q < 6; ++q) {
-            ShadowValidator fresh(quant, cfg);
-            Request &cand = request(now, coin(20) ? 30 : 0);
-            bool expect, got_fresh, got_warm;
-            if (q % 3 == 2) {
+            Partition *p = coin(50) ? part : gpu_node.partitions()[0].get();
+            p->instances.clear();
+            const Seconds now = 100.0;
+            std::size_t n_inst = 1 + pick(8);
+            std::vector<Instance *> insts;
+            for (std::size_t i = 0; i < n_inst; ++i) {
                 std::size_t mi = pick(models.size());
-                const HardwareSpec &hw = hws[pick(hws.size())];
-                Seconds ready = now + 0.5 * static_cast<double>(pick(6));
-                expect = reference.canAdmitNew(*p, models[mi], hw, cand,
-                                               now, busy, ready);
-                got_fresh = fresh.canAdmitNew(*p, models[mi], hw, cand,
-                                              now, busy, ready);
-                got_warm = warm.canAdmitNew(*p, models[mi], hw, cand, now,
-                                            busy, ready);
-            } else {
-                const Instance *target = insts[pick(insts.size())];
-                expect = reference.canAdmit(*p, target, cand, now, busy,
-                                            exclude);
-                got_fresh =
-                    fresh.canAdmit(*p, target, cand, now, busy, exclude);
-                got_warm =
-                    warm.canAdmit(*p, target, cand, now, busy, exclude);
+                auto inst = std::make_unique<Instance>(
+                    nextId++, static_cast<ModelId>(mi), models[mi], p,
+                    hws[pick(hws.size())], 32ULL << 30);
+                int roll = static_cast<int>(pick(100));
+                inst->state = roll < 70   ? InstanceState::Active
+                              : roll < 88 ? InstanceState::Loading
+                              : roll < 94 ? InstanceState::Draining
+                                          : InstanceState::Unloading;
+                inst->createdAt = now - 0.5 * static_cast<double>(pick(4));
+                inst->loadDuration = 0.5 * static_cast<double>(1 + pick(6));
+                for (std::size_t k = pick(5); k > 0; --k)
+                    inst->prefillQueue.push_back(&request(now, 0));
+                for (std::size_t k = pick(14); k > 0; --k) {
+                    Request &r =
+                        request(now, static_cast<Tokens>(1 + pick(20)));
+                    r.state = RequestState::Decode;
+                    if (regime == Regime::LateDecodes)
+                        r.arrival -= 60.0;
+                    inst->decodeBatch.push_back(&r);
+                }
+                p->instances.push_back(inst.get());
+                insts.push_back(inst.get());
+                pool.push_back(std::move(inst));
             }
-            ASSERT_EQ(got_fresh, expect) << "seed " << seed << " q " << q;
-            ASSERT_EQ(got_warm, expect) << "seed " << seed << " q " << q;
-            rejected += expect ? 0 : 1;
-            ++verdicts[expect ? 1 : 0];
+            std::set<const Instance *> exclude;
+            for (Instance *inst : insts)
+                if (coin(15))
+                    exclude.insert(inst);
+            Seconds busy = coin(50) ? now : now + 0.1 * static_cast<double>(
+                                                          pick(6));
+
+            for (int q = 0; q < 6; ++q) {
+                ShadowValidator fresh(quant, cfg);
+                Request &cand = request(now, coin(20) ? 30 : 0);
+                bool expect, got_fresh, got_warm;
+                if (q % 3 == 2) {
+                    std::size_t mi = pick(models.size());
+                    const HardwareSpec &hw = hws[pick(hws.size())];
+                    Seconds ready = now + 0.5 * static_cast<double>(pick(6));
+                    expect = reference.canAdmitNew(*p, models[mi], hw, cand,
+                                                   now, busy, ready);
+                    got_fresh = fresh.canAdmitNew(*p, models[mi], hw, cand,
+                                                  now, busy, ready);
+                    got_warm = warm.canAdmitNew(*p, models[mi], hw, cand, now,
+                                                busy, ready);
+                } else {
+                    const Instance *target = insts[pick(insts.size())];
+                    expect = reference.canAdmit(*p, target, cand, now, busy,
+                                                exclude);
+                    got_fresh =
+                        fresh.canAdmit(*p, target, cand, now, busy, exclude);
+                    got_warm =
+                        warm.canAdmit(*p, target, cand, now, busy, exclude);
+                }
+                ASSERT_EQ(got_fresh, expect)
+                    << where << " seed " << seed << " q " << q;
+                ASSERT_EQ(got_warm, expect)
+                    << where << " seed " << seed << " q " << q;
+                rejected += expect ? 0 : 1;
+                ++verdicts[expect ? 1 : 0];
+                ++regime_verdicts[expect ? 1 : 0];
+            }
+            p->instances.clear();
         }
-        p->instances.clear();
+        // Every regime and horizon sees both verdicts.
+        EXPECT_GT(regime_verdicts[0], 0u) << where;
+        EXPECT_GT(regime_verdicts[1], 0u) << where;
+    };
+    for (Regime regime :
+         {Regime::Mixed, Regime::FarPrefills, Regime::LateDecodes}) {
+        for (int max_steps : {500, 60, 7}) {
+            fuzz(regime, max_steps,
+                 regime == Regime::Mixed && max_steps == 500 ? 200 : 60);
+            if (HasFatalFailure())
+                return;
+        }
     }
-    // Both verdicts occur, repeats were served from the memo, and every
-    // rejection was counted under exactly one reason.
+    // Both verdicts occur, repeats were served from the memo, passes
+    // ran out the horizon, and every rejection was counted under
+    // exactly one reason.
     EXPECT_GT(verdicts[0], 50u);
     EXPECT_GT(verdicts[1], 50u);
     EXPECT_GT(counters.v[obs::kShadowMemoHits], 100u);
+    EXPECT_GT(counters.v[obs::kShadowHorizonHits], 0u);
+    EXPECT_GT(counters.v[obs::kShadowSteps],
+              counters.v[obs::kShadowHorizonHits] * 7);
     EXPECT_EQ(shadowRejections(counters), rejected);
 }
 
