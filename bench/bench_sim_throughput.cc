@@ -15,10 +15,6 @@
  *  2. **requests/sec** — wall-clock of a real catalog experiment
  *     (`azure-64`, the paper's mid-scale evaluation), i.e. what the
  *     event-engine rebuild buys end-to-end.
- *  3. **parallel-sim speedup** — the same experiment under the
- *     lockstep engine (sim/lockstep.hh) at 1 thread vs one thread per
- *     core; both sides share the δ-quantized semantics, so the ratio
- *     isolates the parallel node phase.
  *
  * Output: a human table on stdout, optionally
  *   --json=<file>            freeform trajectory doc (BENCH_*.json)
@@ -47,7 +43,6 @@
 #include "sim/event_queue.hh"
 #include "sim/legacy_event_queue.hh"
 #include "sweep/compare.hh"
-#include "sweep/pool.hh"
 #include "sweep/summary.hh"
 
 using namespace slinfer;
@@ -259,24 +254,6 @@ main(int argc, char **argv)
     double attribution_ratio =
         req_per_sec > 0 ? attr_req_per_sec / req_per_sec : 0.0;
 
-    // The lockstep point (sim/lockstep.hh): the same azure-64 run
-    // under the δ-quantized engine at 1 thread (inline oracle) vs one
-    // node-phase worker per core. Both sides share the quantized
-    // semantics, so the ratio isolates what the parallel node phase
-    // buys; on a single-core host it is ~1.0 by construction.
-    int par_jobs = sweep::defaultJobs();
-    ExperimentConfig ls_cfg =
-        sc->toExperiment(SystemKind::Slinfer, sc->seed);
-    ls_cfg.simThreads = 1;
-    t0 = std::chrono::steady_clock::now();
-    runExperiment(ls_cfg);
-    double ls1_wall = wallSeconds(t0);
-    ls_cfg.simThreads = par_jobs;
-    t0 = std::chrono::steady_clock::now();
-    runExperiment(ls_cfg);
-    double lsn_wall = wallSeconds(t0);
-    double parallel_speedup = lsn_wall > 0 ? ls1_wall / lsn_wall : 0.0;
-
     Table t({"metric", "value"});
     t.addRow({"events/sec (arena)", Table::num(arena, 0)});
     t.addRow({"events/sec (legacy)", Table::num(legacy, 0)});
@@ -293,11 +270,6 @@ main(int argc, char **argv)
               Table::num(attr_req_per_sec, 0)});
     t.addRow({"attribution-on/off ratio",
               Table::num(attribution_ratio, 2) + "x"});
-    t.addRow({"azure-64 lockstep@1 wall (s)", Table::num(ls1_wall, 3)});
-    t.addRow({"azure-64 lockstep@" + std::to_string(par_jobs) +
-                  " wall (s)",
-              Table::num(lsn_wall, 3)});
-    t.addRow({"parallel-sim speedup", Table::num(parallel_speedup, 2) + "x"});
     std::printf("sim hot-path throughput (%zu events, best of %d)\n",
                 events, repeat);
     t.print();
@@ -319,9 +291,6 @@ main(int argc, char **argv)
         {"exp_requests_per_sec", point(req_per_sec)},
         {"exp_requests_per_sec_attribution", point(attr_req_per_sec)},
         {"attribution_on_off_ratio", point(attribution_ratio)},
-        {"lockstep1_wall_s", point(ls1_wall)},
-        {"lockstepN_wall_s", point(lsn_wall)},
-        {"parallel_speedup", point(parallel_speedup)},
     };
     std::vector<sweep::SummaryRow> rows = {row};
 
@@ -348,16 +317,11 @@ main(int argc, char **argv)
             "  \"azure64_wall_s\": %.3f,\n"
             "  \"azure64_requests_per_sec\": %.0f,\n"
             "  \"azure64_requests_per_sec_attribution\": %.0f,\n"
-            "  \"attribution_on_off_ratio\": %.2f,\n"
-            "  \"azure64_lockstep1_wall_s\": %.3f,\n"
-            "  \"azure64_lockstepN_wall_s\": %.3f,\n"
-            "  \"parallel_sim_jobs\": %d,\n"
-            "  \"parallel_speedup\": %.2f\n"
+            "  \"attribution_on_off_ratio\": %.2f\n"
             "}\n",
             events, repeat, arena, legacy, speedup, arena_fleet,
             legacy_fleet, speedup_fleet, arena_counters, counters_ratio,
-            exp_wall, req_per_sec, attr_req_per_sec, attribution_ratio,
-            ls1_wall, lsn_wall, par_jobs, parallel_speedup);
+            exp_wall, req_per_sec, attr_req_per_sec, attribution_ratio);
         if (!writeFile(json_path, buf))
             fatal("cannot write " + json_path);
     }
@@ -391,17 +355,11 @@ main(int argc, char **argv)
         // counters must not crater the dispatch loop, and
         // attribution_on_off_ratio does the same for the anatomy
         // ledger on a whole experiment.
-        // parallel_speedup is gated one-sidedly too: the baseline was
-        // recorded on a single-core host (ratio ~1.0), so multi-core
-        // CI measuring a real speedup can only pass by a larger
-        // margin, while a regression that makes the parallel engine
-        // *slower* than its own 1-thread oracle fails the gate.
         opts.metrics = {
             {"speedup_vs_legacy", true, 0.5},
             {"speedup_vs_legacy_fleet", true, 0.5},
             {"counters_on_off_ratio", true, 0.5},
             {"attribution_on_off_ratio", true, 0.5},
-            {"parallel_speedup", true, 0.5},
         };
         sweep::CompareResult res = sweep::compare(rows, base, opts);
         std::fputs(res.table.c_str(), stdout);

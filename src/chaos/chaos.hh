@@ -9,9 +9,8 @@
  * brownouts. generateChaosTimeline() expands a ChaosConfig into a
  * plain Timeline (harness/intervention.hh) *before the run starts*,
  * seeded from the experiment seed: same seed ⇒ the same fault schedule
- * at any sweep `--jobs` and any `--parallel-sim` thread count, because
- * the events ride the ordinary Session timeline/inject path (lockstep
- * staging rules are reused, not duplicated).
+ * at any sweep `--jobs`, because the events ride the ordinary Session
+ * timeline/inject path.
  *
  * The generated timeline is validated like any hand-written one
  * (ExperimentConfig::validate), so processes whose node ranges overlap

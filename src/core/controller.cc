@@ -8,7 +8,6 @@
 #include "core/headroom.hh"
 #include "engine/loader.hh"
 #include "hw/memcost_model.hh"
-#include "sim/lockstep.hh"
 
 namespace slinfer
 {
@@ -440,12 +439,6 @@ ControllerBase::schedulerFor(Partition *part)
         sim_, *part, schedPolicy(), cfg_.noiseSigma,
         rng_.fork(0x5C4ED + part->node * 16 + part->index), std::move(cbs),
         stats_, &index_, trace_, anat_);
-    // Lockstep mode: the new scheduler becomes the partition's chain,
-    // ranked by viewPos — the canonical boundary-merge order. The RNG
-    // fork above is keyed the same way, so a lane draws an identical
-    // noise stream no matter which worker thread runs it.
-    if (LockstepEngine *engine = sim_.lockstep())
-        engine->registerLane(part->viewPos, slot.get());
     return *slot;
 }
 

@@ -66,7 +66,7 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
 
         if (policy_ == SchedPolicy::Headroom) {
             bool is_prefill = false;
-            Request *urgent = inst->mostUrgent(timeNow(), is_prefill);
+            Request *urgent = inst->mostUrgent(sim_.now(), is_prefill);
             if (!urgent)
                 continue;
             if (is_prefill) {
@@ -74,20 +74,20 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
                     PagedKvCache::roundedTokens(urgent->contextLen());
                 if (inst->kv.canFit(need)) {
                     cand = {inst, urgent};
-                    key = urgent->headroom(timeNow());
+                    key = urgent->headroom(sim_.now());
                 } else {
                     shortages.push_back(inst);
                     // Fall back to decoding the existing batch.
                     if (!inst->decodeBatch.empty() &&
                         inst->kv.canFit(decodeGrowth(*inst))) {
                         cand = {inst, nullptr};
-                        key = inst->minHeadroom(timeNow());
+                        key = inst->minHeadroom(sim_.now());
                     }
                 }
             } else {
                 if (inst->kv.canFit(decodeGrowth(*inst))) {
                     cand = {inst, nullptr};
-                    key = urgent->headroom(timeNow());
+                    key = urgent->headroom(sim_.now());
                 } else {
                     shortages.push_back(inst);
                 }
@@ -108,7 +108,7 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
                     shortages.push_back(inst);
                 if (inst->kv.canFit(decodeGrowth(*inst))) {
                     cand = {inst, nullptr};
-                    key = inst->minHeadroom(timeNow());
+                    key = inst->minHeadroom(sim_.now());
                 } else {
                     shortages.push_back(inst);
                     cand = {};
@@ -131,12 +131,6 @@ TokenScheduler::kick()
 {
     if (part_.busy)
         return;
-    // A kick from controller context (boundary replay, intervention,
-    // memory-op completion) starts the chain at the engine's control
-    // anchor — the covering grid boundary — so everything it stages
-    // is stamped at or after every record already replayed.
-    if (lane_ && !lane_->running)
-        lane_->localNow = lane_->engine->controlTime();
     std::vector<Instance *> shortages;
     Pick pick = pickNext(shortages);
     if (pick.inst) {
@@ -148,13 +142,8 @@ TokenScheduler::kick()
     // Report KV-starved instances after the scheduling decision so the
     // controller can grow or evict; callbacks may re-enter kick().
     for (Instance *inst : shortages) {
-        if (lane_) {
-            StagedRec rec = baseRec(StagedRec::Kind::KvShortage);
-            rec.inst = inst;
-            lane_->stage(rec);
-        } else if (cbs_.onKvShortage) {
+        if (cbs_.onKvShortage)
             cbs_.onKvShortage(inst);
-        }
     }
 }
 
@@ -167,44 +156,24 @@ TokenScheduler::runPrefill(Instance *inst, Request *req)
     req->kvReserved = need;
 
     // perfFactor is the straggler-degradation multiplier (1.0 when
-    // healthy — bit-exact); set in the global phase (degradeNode), so
-    // reading it inside a lane is thread-count invariant.
+    // healthy — bit-exact), set by degradeNode.
     Seconds dur = PerfModel::prefillTime(inst->execSpec, inst->model,
                                          req->contextLen()) *
                   noise() * part_.perfFactor;
-    if (trace_) {
-        if (lane_) {
-            StagedRec rec = baseRec(StagedRec::Kind::TraceSpan);
-            rec.name = "prefill";
-            rec.argName = "request";
-            rec.dur = dur;
-            rec.arg = static_cast<double>(req->id);
-            lane_->stage(rec);
-        } else {
-            trace_->complete(obs::kCatExec, "prefill", timeNow(), dur,
-                             obs::kPidCluster,
-                             static_cast<int>(part_.viewPos), "request",
-                             static_cast<double>(req->id));
-        }
-    }
+    if (trace_)
+        trace_->complete(obs::kCatExec, "prefill", sim_.now(), dur,
+                         obs::kPidCluster, static_cast<int>(part_.viewPos),
+                         "request", static_cast<double>(req->id));
     if (anat_)
-        stageAnat(StagedRec::Kind::AnatPrefillStart, req, false);
+        anat_->onPrefillStart(*req, sim_.now());
     part_.busy = true;
-    busyUntil_ = timeNow() + dur;
+    busyUntil_ = sim_.now() + dur;
     inst->busyTime += dur;
-    if (index_) {
-        if (lane_) {
-            StagedRec rec = baseRec(StagedRec::Kind::BusySeconds);
-            rec.hw = static_cast<int>(inst->execSpec.kind);
-            rec.dur = dur;
-            lane_->stage(rec);
-        } else {
-            index_->addBusySeconds(inst->execSpec.kind, dur);
-        }
-    }
+    if (index_)
+        index_->addBusySeconds(inst->execSpec.kind, dur);
     curInst_ = inst;
     curPrefill_ = req;
-    scheduleFinish(dur);
+    sim_.schedule(dur, [this] { finishIteration(); });
 }
 
 void
@@ -216,42 +185,23 @@ TokenScheduler::runDecode(Instance *inst)
     Seconds dur = PerfModel::decodeTime(inst->execSpec, inst->model, batch,
                                         inst->avgContextLen()) *
                   noise() * part_.perfFactor;
-    if (trace_) {
-        if (lane_) {
-            StagedRec rec = baseRec(StagedRec::Kind::TraceSpan);
-            rec.name = "decode";
-            rec.argName = "batch";
-            rec.dur = dur;
-            rec.arg = static_cast<double>(batch);
-            lane_->stage(rec);
-        } else {
-            trace_->complete(obs::kCatExec, "decode", timeNow(), dur,
-                             obs::kPidCluster,
-                             static_cast<int>(part_.viewPos), "batch",
-                             static_cast<double>(batch));
-        }
-    }
+    if (trace_)
+        trace_->complete(obs::kCatExec, "decode", sim_.now(), dur,
+                         obs::kPidCluster, static_cast<int>(part_.viewPos),
+                         "batch", static_cast<double>(batch));
     if (anat_) {
         for (Request *r : inst->decodeBatch)
-            stageAnat(StagedRec::Kind::AnatDecodeIterStart, r, false);
+            anat_->onDecodeIterStart(*r, sim_.now());
     }
     part_.busy = true;
-    busyUntil_ = timeNow() + dur;
+    busyUntil_ = sim_.now() + dur;
     inst->busyTime += dur;
-    if (index_) {
-        if (lane_) {
-            StagedRec rec = baseRec(StagedRec::Kind::BusySeconds);
-            rec.hw = static_cast<int>(inst->execSpec.kind);
-            rec.dur = dur;
-            lane_->stage(rec);
-        } else {
-            index_->addBusySeconds(inst->execSpec.kind, dur);
-        }
-    }
+    if (index_)
+        index_->addBusySeconds(inst->execSpec.kind, dur);
     curInst_ = inst;
     curPrefill_ = nullptr;
     curBatch_ = inst->decodeBatch;
-    scheduleFinish(dur);
+    sim_.schedule(dur, [this] { finishIteration(); });
 }
 
 void
@@ -267,7 +217,7 @@ TokenScheduler::finishIteration()
     curPrefill_ = nullptr;
     curBatch_.clear();
     part_.busy = false;
-    busyUntil_ = timeNow();
+    busyUntil_ = sim_.now();
 
     finished_.clear();
     std::vector<Request *> &done = finished_;
@@ -280,42 +230,22 @@ TokenScheduler::finishIteration()
                                     inst->prefillQueue.end(),
                                     prefill) != inst->prefillQueue.end();
         if (still_ours) {
-            prefill->noteToken(timeNow());
-            if (cbs_.onFirstToken) {
-                if (lane_) {
-                    StagedRec rec = baseRec(StagedRec::Kind::FirstToken);
-                    rec.req = prefill;
-                    rec.inst = inst;
-                    lane_->stage(rec);
-                } else {
-                    cbs_.onFirstToken(prefill, inst);
-                }
-            }
+            prefill->noteToken(sim_.now());
+            if (cbs_.onFirstToken)
+                cbs_.onFirstToken(prefill, inst);
             inst->removeRequest(prefill);
             if (prefill->finishedGenerating()) {
                 inst->kv.release(prefill->kvReserved);
                 prefill->kvReserved = 0;
                 prefill->state = RequestState::Completed;
                 done.push_back(prefill);
-            } else if (lane_ && cbs_.routeAfterPrefill &&
-                       inst->role == InstanceRole::PrefillOnly) {
-                // PD disaggregation, lockstep form: the controller
-                // takes the request at the boundary (a δ-quantized
-                // handoff); until then it is off every queue and its
-                // KV stays held, exactly like the in-flight transfer
-                // the serial path starts immediately.
-                StagedRec rec = baseRec(StagedRec::Kind::AfterPrefill);
-                rec.req = prefill;
-                rec.inst = inst;
-                lane_->stage(rec);
-            } else if (!lane_ && cbs_.routeAfterPrefill &&
+            } else if (cbs_.routeAfterPrefill &&
                        cbs_.routeAfterPrefill(prefill, inst)) {
                 // Controller took the request (PD disaggregation).
             } else {
                 prefill->state = RequestState::Decode;
                 if (anat_)
-                    stageAnat(StagedRec::Kind::AnatPrefillEnd, prefill,
-                              false);
+                    anat_->onPrefillEnd(*prefill, sim_.now());
                 inst->decodeBatch.push_back(prefill);
             }
         }
@@ -334,14 +264,14 @@ TokenScheduler::finishIteration()
                     // Underestimation: this request cannot grow; it
                     // stalls until the controller grows or evicts.
                     if (anat_)
-                        stageAnat(StagedRec::Kind::AnatDecodeIterEnd, r,
-                                  /*stalled=*/true);
+                        anat_->onDecodeIterEnd(*r, /*stalled=*/true,
+                                               sim_.now());
                     shortages.push_back(inst);
                     continue;
                 }
                 r->kvReserved = need;
             }
-            r->noteToken(timeNow());
+            r->noteToken(sim_.now());
             ++inst->decodedTokens;
             ++emitted;
             if (r->finishedGenerating()) {
@@ -351,176 +281,25 @@ TokenScheduler::finishIteration()
                 r->state = RequestState::Completed;
                 done.push_back(r);
             } else if (anat_) {
-                stageAnat(StagedRec::Kind::AnatDecodeIterEnd, r,
-                          inst->resizeInFlight);
+                anat_->onDecodeIterEnd(*r, inst->resizeInFlight,
+                                       sim_.now());
             }
         }
-        if (stats_) {
-            if (lane_) {
-                StagedRec rec = baseRec(StagedRec::Kind::DecodeIterStats);
-                rec.hw = static_cast<int>(inst->execSpec.kind);
-                rec.count = static_cast<int>(batch.size());
-                rec.tokens = emitted;
-                lane_->stage(rec);
-            } else {
-                stats_->onDecodeIteration(inst->execSpec.kind,
-                                          static_cast<int>(batch.size()),
-                                          emitted);
-            }
-        }
+        if (stats_)
+            stats_->onDecodeIteration(inst->execSpec.kind,
+                                      static_cast<int>(batch.size()),
+                                      emitted);
     }
 
     for (Request *r : done) {
-        if (lane_) {
-            StagedRec rec = baseRec(StagedRec::Kind::RequestDone);
-            rec.req = r;
-            rec.inst = inst;
-            lane_->stage(rec);
-        } else if (cbs_.onRequestDone) {
+        if (cbs_.onRequestDone)
             cbs_.onRequestDone(r, inst);
-        }
     }
     for (Instance *s : shortages) {
-        if (lane_) {
-            StagedRec rec = baseRec(StagedRec::Kind::KvShortage);
-            rec.inst = s;
-            lane_->stage(rec);
-        } else if (cbs_.onKvShortage) {
+        if (cbs_.onKvShortage)
             cbs_.onKvShortage(s);
-        }
     }
     kick();
-}
-
-// --------------------------------------------------------------------
-// Lockstep mode (sim/lockstep.hh)
-// --------------------------------------------------------------------
-
-void
-TokenScheduler::scheduleFinish(Seconds dur)
-{
-    if (lane_)
-        lane_->nextAt = lane_->localNow + dur;
-    else
-        sim_.schedule(dur, [this] { finishIteration(); });
-}
-
-StagedRec
-TokenScheduler::baseRec(StagedRec::Kind kind) const
-{
-    StagedRec rec;
-    rec.kind = kind;
-    rec.time = lane_->localNow;
-    return rec;
-}
-
-void
-TokenScheduler::stageAnat(StagedRec::Kind kind, Request *req, bool flag)
-{
-    if (!lane_) {
-        Seconds t = timeNow();
-        switch (kind) {
-          case StagedRec::Kind::AnatPrefillStart:
-            anat_->onPrefillStart(*req, t);
-            break;
-          case StagedRec::Kind::AnatPrefillEnd:
-            anat_->onPrefillEnd(*req, t);
-            break;
-          case StagedRec::Kind::AnatDecodeIterStart:
-            anat_->onDecodeIterStart(*req, t);
-            break;
-          case StagedRec::Kind::AnatDecodeIterEnd:
-            anat_->onDecodeIterEnd(*req, flag, t);
-            break;
-          default:
-            panic("TokenScheduler::stageAnat: not an anatomy record");
-        }
-        return;
-    }
-    StagedRec rec = baseRec(kind);
-    rec.req = req;
-    rec.flag = flag;
-    lane_->stage(rec);
-}
-
-void
-TokenScheduler::runPending(Seconds upTo)
-{
-    // The chain: a partition runs at most one iteration at a time, so
-    // the lane's single nextAt slot is its whole event queue. Each
-    // finishIteration() re-kicks (in chain context, so localNow is
-    // preserved) and either re-arms nextAt or leaves the lane idle.
-    while (lane_->nextAt <= upTo) {
-        lane_->localNow = lane_->nextAt;
-        lane_->nextAt = std::numeric_limits<Seconds>::infinity();
-        ++lane_->eventsRun;
-        finishIteration();
-    }
-}
-
-void
-TokenScheduler::replayRecord(const StagedRec &rec)
-{
-    switch (rec.kind) {
-      case StagedRec::Kind::TraceSpan:
-        if (trace_)
-            trace_->complete(obs::kCatExec, rec.name, rec.time, rec.dur,
-                             obs::kPidCluster,
-                             static_cast<int>(part_.viewPos),
-                             rec.argName, rec.arg);
-        break;
-      case StagedRec::Kind::AnatPrefillStart:
-        if (anat_)
-            anat_->onPrefillStart(*rec.req, rec.time);
-        break;
-      case StagedRec::Kind::AnatPrefillEnd:
-        if (anat_)
-            anat_->onPrefillEnd(*rec.req, rec.time);
-        break;
-      case StagedRec::Kind::AnatDecodeIterStart:
-        if (anat_)
-            anat_->onDecodeIterStart(*rec.req, rec.time);
-        break;
-      case StagedRec::Kind::AnatDecodeIterEnd:
-        if (anat_)
-            anat_->onDecodeIterEnd(*rec.req, rec.flag, rec.time);
-        break;
-      case StagedRec::Kind::DecodeIterStats:
-        if (stats_)
-            stats_->onDecodeIteration(static_cast<HwKind>(rec.hw),
-                                      rec.count, rec.tokens);
-        break;
-      case StagedRec::Kind::BusySeconds:
-        if (index_)
-            index_->addBusySeconds(static_cast<HwKind>(rec.hw), rec.dur);
-        break;
-      case StagedRec::Kind::FirstToken:
-        if (cbs_.onFirstToken)
-            cbs_.onFirstToken(rec.req, rec.inst);
-        break;
-      case StagedRec::Kind::RequestDone:
-        if (cbs_.onRequestDone)
-            cbs_.onRequestDone(rec.req, rec.inst);
-        break;
-      case StagedRec::Kind::KvShortage:
-        if (cbs_.onKvShortage)
-            cbs_.onKvShortage(rec.inst);
-        break;
-      case StagedRec::Kind::AfterPrefill: {
-        bool taken = cbs_.routeAfterPrefill &&
-                     cbs_.routeAfterPrefill(rec.req, rec.inst);
-        if (!taken) {
-            // The controller declined (e.g. PD was toggled off or the
-            // instance changed role); the request joins the local
-            // batch exactly as the serial else-branch would have.
-            rec.req->state = RequestState::Decode;
-            if (anat_)
-                anat_->onPrefillEnd(*rec.req, rec.time);
-            rec.inst->decodeBatch.push_back(rec.req);
-        }
-        break;
-      }
-    }
 }
 
 } // namespace slinfer

@@ -17,15 +17,6 @@
  * Ground-truth iteration latency is the roofline model times lognormal
  * noise; SLINFER's *decisions* elsewhere only ever see the quantifier's
  * interpolated estimates.
- *
- * Lockstep mode (sim/lockstep.hh): when the simulator runs the
- * δ-quantized parallel engine, each scheduler is bound to a lane and
- * becomes that lane's chain. Iterations then advance on the lane's
- * private clock instead of global events, and every externally
- * visible side effect — stats, busy-seconds, trace spans, anatomy
- * hooks, completion/shortage/PD callbacks — is staged into the lane
- * buffer and replayed at the window boundary (replayRecord). The
- * serial code path is byte-for-byte untouched when no lane is bound.
  */
 
 #ifndef SLINFER_CORE_TOKEN_SCHEDULER_HH
@@ -40,7 +31,6 @@
 #include "metrics/cluster_stats.hh"
 #include "obs/anatomy.hh"
 #include "obs/trace.hh"
-#include "sim/lockstep.hh"
 #include "sim/simulator.hh"
 
 namespace slinfer
@@ -48,7 +38,7 @@ namespace slinfer
 
 enum class SchedPolicy { Headroom, FifoPrefillFirst };
 
-class TokenScheduler : public LockstepClient
+class TokenScheduler
 {
   public:
     struct Callbacks
@@ -79,15 +69,6 @@ class TokenScheduler : public LockstepClient
     /** Time the in-flight iteration finishes (== now when idle). */
     Seconds busyUntil() const { return busyUntil_; }
 
-    // ---- LockstepClient (sim/lockstep.hh) --------------------------
-
-    void bindLane(LockstepLane *lane) override { lane_ = lane; }
-    void runPending(Seconds upTo) override;
-    void replayRecord(const StagedRec &rec) override;
-
-    /** True when bound to a lockstep lane. */
-    bool lockstep() const { return lane_ != nullptr; }
-
   private:
     struct Pick
     {
@@ -100,19 +81,6 @@ class TokenScheduler : public LockstepClient
     void runDecode(Instance *inst);
     void finishIteration();
     double noise();
-
-    /** The scheduler's clock: the lane's private time in lockstep
-     *  mode, the global simulator clock otherwise. */
-    Seconds timeNow() const
-    {
-        return lane_ ? lane_->localNow : sim_.now();
-    }
-    /** Arm finishIteration() after `dur`: the lane's single pending
-     *  slot in lockstep mode, a simulator event otherwise. */
-    void scheduleFinish(Seconds dur);
-    /** Staging shorthands (lockstep mode only). */
-    StagedRec baseRec(StagedRec::Kind kind) const;
-    void stageAnat(StagedRec::Kind kind, Request *req, bool flag);
 
     Simulator &sim_;
     Partition &part_;
@@ -127,8 +95,6 @@ class TokenScheduler : public LockstepClient
     obs::TraceRecorder *trace_;
     /** Latency-anatomy ledger (null = attribution off). */
     obs::AnatomyLedger *anat_;
-    /** Lockstep lane (null = serial mode). */
-    LockstepLane *lane_ = nullptr;
     Seconds busyUntil_ = 0.0;
 
     // In-flight iteration state (one iteration per partition at a time).

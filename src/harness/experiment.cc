@@ -74,11 +74,6 @@ ExperimentConfig::validate() const
               "per model");
     if (windows < 0)
         fatal("ExperimentConfig: negative `windows`");
-    if (simThreads < 0)
-        fatal("ExperimentConfig: negative `simThreads`");
-    if (simThreads > 0 && !(simWindow > 0))
-        fatal("ExperimentConfig: lockstep mode needs a positive "
-              "`simWindow`");
 
     // Timeline well-formedness. Events past the metrics window would
     // silently never fire ("dead events"), so they are rejected too.

@@ -98,19 +98,6 @@ struct ExperimentConfig
      */
     obs::ObsConfig obs;
     /**
-     * Time-windowed lockstep execution (sim/lockstep.hh): 0 (the
-     * default) keeps the serial engine; N >= 1 runs the δ-quantized
-     * lockstep engine with N node-phase threads. Lockstep results are
-     * byte-identical across every thread count (`simThreads=1` is the
-     * inline serial oracle) but intentionally differ from the default
-     * engine: the control plane acts at `simWindow` boundaries rather
-     * than instantaneously.
-     */
-    int simThreads = 0;
-    /** Lockstep control-plane period δ in seconds (grid anchored at
-     *  t=0). Only read when simThreads >= 1. */
-    Seconds simWindow = 0.05;
-    /**
      * Streaming replay (stream/source.hh): pull arrivals incrementally
      * through a bounded lookahead window and recycle settled request
      * storage, instead of materializing the whole request vector up

@@ -21,8 +21,7 @@ Session::Session(const ExperimentConfig &cfg)
     // so generated schedules obey the same well-formedness rules as
     // hand-written ones (and overlapping fail ranges are rejected, not
     // silently no-op'd). Generation is a pure function of (config,
-    // duration, seed): the same faults fire at any --jobs or
-    // --parallel-sim thread count.
+    // duration, seed): the same faults fire at any sweep --jobs.
     if (cfg_.chaos.enabled()) {
         Seconds dur =
             cfg_.arrivals ? cfg_.arrivals->duration() : cfg_.trace.duration;
@@ -44,14 +43,6 @@ Session::Session(const ExperimentConfig &cfg)
     if (cfg_.obs.any()) {
         obs_ = std::make_unique<obs::FlightRecorder>(cfg_.obs);
         sim_.attachObs(obs_->counters(), obs_->profiler());
-    }
-
-    // Lockstep mode: attach the engine before the controller exists
-    // so every lazily created token scheduler registers its lane.
-    if (cfg_.simThreads > 0) {
-        lockstep_ = std::make_unique<LockstepEngine>(
-            sim_, cfg_.simWindow, cfg_.simThreads);
-        sim_.setLockstep(lockstep_.get());
     }
 
     // The arrival source. Generators remain inherently materialized
@@ -445,12 +436,6 @@ Session::inject(const Intervention &iv)
 {
     if (finished_)
         fatal("Session::inject after finish()");
-    // Lockstep: replay everything staged up to now before the
-    // intervention acts, so the controller decides on a synchronized
-    // cluster and the trace stays time-monotone. Runs that never
-    // inject never replay off-grid.
-    if (lockstep_)
-        lockstep_->flushStaged();
     applyIntervention(iv);
 }
 

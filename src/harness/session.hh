@@ -36,7 +36,6 @@
 
 #include "harness/experiment.hh"
 #include "obs/obs.hh"
-#include "sim/lockstep.hh"
 #include "stream/feed.hh"
 
 namespace slinfer
@@ -173,10 +172,6 @@ class Session
     ExperimentConfig cfg_;
     Seconds duration_ = 0.0;
     Simulator sim_;
-    /** Lockstep engine (null unless cfg.simThreads >= 1). Declared
-     *  right after sim_: it must outlive the controller's schedulers,
-     *  which hold pointers into its lanes. */
-    std::unique_ptr<LockstepEngine> lockstep_;
     ClusterHandle cluster_;
     Recorder recorder_;
     std::unique_ptr<ClusterStats> stats_;

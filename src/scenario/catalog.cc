@@ -305,24 +305,6 @@ fleet6400()
 }
 
 Scenario
-fleet64000()
-{
-    Scenario sc;
-    sc.name = "fleet-64000";
-    sc.summary = "1000x scale: 64000 7B models on a 4000+4000 cluster "
-                 "(sized for the lockstep engine; --parallel-sim "
-                 "brings it to minutes on a multi-core host)";
-    AzureTraceConfig tc;
-    tc.numModels = 64000;
-    tc.duration = 1800.0;
-    sc.arrivals = makeAzure(tc);
-    sc.models = fleet({{llama2_7b(), 64000}});
-    sc.cluster.cpuNodes = 4000;
-    sc.cluster.gpuNodes = 4000;
-    return sc;
-}
-
-Scenario
 fleetDiurnalSurge()
 {
     Scenario sc;
@@ -542,7 +524,7 @@ all()
         rampUp(),       stepSurge(),   zipfMultitenant(),
         mixedFleet(),   burstGptSteady(), longContextHub(),
         tightSloFlash(), fleet640(),   fleet6400(),
-        fleet64000(),   fleetDiurnalSurge(),
+        fleetDiurnalSurge(),
         fleetNodeFailure(), fleetRollingDeploy(), fleetSurgeScale(),
         fleetChaosFlaky(), fleetChaosCorrelated(),
         fleetChaosStraggler(),

@@ -1,15 +1,11 @@
 #include "sim/simulator.hh"
 
-#include "sim/lockstep.hh"
-
 namespace slinfer
 {
 
 Seconds
 Simulator::run()
 {
-    if (lockstep_)
-        return lockstep_->run();
     obs::ScopedPhase phase(prof_, obs::kPhaseEventDispatch);
     while (!queue_.empty()) {
         // Advance the clock before running the callback so that now()
@@ -24,8 +20,6 @@ Simulator::run()
 Seconds
 Simulator::runUntil(Seconds until)
 {
-    if (lockstep_)
-        return lockstep_->runUntil(until);
     obs::ScopedPhase phase(prof_, obs::kPhaseEventDispatch);
     while (!queue_.empty() && queue_.nextTime() <= until) {
         now_ = queue_.nextTime();

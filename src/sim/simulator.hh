@@ -12,16 +12,12 @@
 #ifndef SLINFER_SIM_SIMULATOR_HH
 #define SLINFER_SIM_SIMULATOR_HH
 
-#include <limits>
-
 #include "common/log.hh"
 #include "obs/phase.hh"
 #include "sim/event_queue.hh"
 
 namespace slinfer
 {
-
-class LockstepEngine;
 
 class Simulator
 {
@@ -68,51 +64,14 @@ class Simulator
         return queue_.scheduleAtSeq(when, seq, std::forward<F>(cb));
     }
 
-    /** Run until the queue drains. Returns the final time. In
-     *  lockstep mode, the attached engine drives the loop instead. */
+    /** Run until the queue drains. Returns the final time. */
     Seconds run();
 
     /**
      * Run events with time <= `until`, then set the clock to `until`.
-     * Events scheduled beyond `until` stay queued. In lockstep mode,
-     * the attached engine drives the loop instead.
+     * Events scheduled beyond `until` stay queued.
      */
     Seconds runUntil(Seconds until);
-
-    /**
-     * Attach the lockstep engine (sim/lockstep.hh): run()/runUntil()
-     * delegate to its window loop, and the engine drives the global
-     * queue itself through the plumbing below. Null detaches (the
-     * default serial dispatch).
-     */
-    void setLockstep(LockstepEngine *engine) { lockstep_ = engine; }
-    LockstepEngine *lockstep() const { return lockstep_; }
-
-    // ---- Lockstep plumbing (LockstepEngine only) -------------------
-
-    /** Time of the next queued event, or +inf when empty. */
-    Seconds
-    nextEventTime() const
-    {
-        return queue_.empty()
-                   ? std::numeric_limits<Seconds>::infinity()
-                   : queue_.nextTime();
-    }
-
-    /** Advance the clock to the next event and run it. */
-    void
-    runNextEvent()
-    {
-        now_ = queue_.nextTime();
-        queue_.popAndRun();
-        ++eventsRun_;
-    }
-
-    /** Pin the clock (boundary replay / window-end advancement). */
-    void setNow(Seconds t) { now_ = t; }
-
-    /** Fold a node phase's chain-event count into eventsRun(). */
-    void addEventsRun(std::uint64_t n) { eventsRun_ += n; }
 
     /** True if no events remain. */
     bool idle() const { return queue_.empty(); }
@@ -140,7 +99,6 @@ class Simulator
     Seconds now_ = 0.0;
     std::uint64_t eventsRun_ = 0;
     obs::PhaseProfiler *prof_ = nullptr;
-    LockstepEngine *lockstep_ = nullptr;
 };
 
 } // namespace slinfer

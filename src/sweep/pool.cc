@@ -100,149 +100,5 @@ parallelFor(std::size_t n, int threads,
         t.join();
 }
 
-/** One TaskPool participant's deque, same shape as WorkerQueue above
- *  but long-lived across batches. */
-struct TaskPool::Shard
-{
-    std::mutex mutex;
-    std::deque<std::size_t> tasks;
-
-    bool
-    popFront(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (tasks.empty())
-            return false;
-        out = tasks.front();
-        tasks.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (tasks.empty())
-            return false;
-        out = tasks.back();
-        tasks.pop_back();
-        return true;
-    }
-};
-
-TaskPool::TaskPool(int threads)
-{
-    std::size_t count =
-        threads < 1 ? 1 : static_cast<std::size_t>(threads);
-    shards_.reserve(count);
-    for (std::size_t s = 0; s < count; ++s)
-        shards_.push_back(std::make_unique<Shard>());
-    workers_.reserve(count - 1);
-    for (std::size_t w = 1; w < count; ++w)
-        workers_.emplace_back([this, w] { workerMain(w); });
-}
-
-TaskPool::~TaskPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
-}
-
-void
-TaskPool::finishOne()
-{
-    // acq_rel: release-publish this task's writes to whoever observes
-    // the count, acquire-chain the writes of tasks finished before it.
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        done_.notify_all();
-    }
-}
-
-void
-TaskPool::participate(std::size_t self,
-                      const std::function<void(std::size_t)> &fn)
-{
-    std::size_t task;
-    for (;;) {
-        if (shards_[self]->popFront(task)) {
-            fn(task);
-            finishOne();
-            continue;
-        }
-        bool stole = false;
-        for (std::size_t k = 1; k < shards_.size() && !stole; ++k) {
-            std::size_t victim = (self + k) % shards_.size();
-            stole = shards_[victim]->stealBack(task);
-        }
-        if (!stole)
-            return; // every shard dry; stragglers may still be running
-        fn(task);
-        finishOne();
-    }
-}
-
-void
-TaskPool::workerMain(std::size_t self)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        const std::function<void(std::size_t)> *fn = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            ++idle_;
-            // run() waits for every worker to park before admitting
-            // the next batch; parking is what makes fn_ safe to read.
-            wake_.notify_all();
-            wake_.wait(lock, [this, seen] {
-                return stop_ || generation_ != seen;
-            });
-            if (stop_)
-                return;
-            seen = generation_;
-            fn = fn_;
-            --idle_;
-        }
-        participate(self, *fn);
-    }
-}
-
-void
-TaskPool::run(std::size_t n, const std::function<void(std::size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (workers_.empty()) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    const std::size_t participants = workers_.size() + 1;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        // Rendezvous: no worker may still be scanning the previous
-        // batch's shards when the new tasks appear, or it would run
-        // them against the previous batch's function.
-        wake_.wait(lock,
-                   [this] { return idle_ == workers_.size(); });
-        fn_ = &fn;
-        remaining_.store(n, std::memory_order_relaxed);
-        for (std::size_t i = 0; i < n; ++i)
-            shards_[i * participants / n]->tasks.push_back(i);
-        ++generation_;
-    }
-    wake_.notify_all();
-    participate(0, fn);
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [this] {
-        return remaining_.load(std::memory_order_acquire) == 0;
-    });
-}
-
 } // namespace sweep
 } // namespace slinfer

@@ -19,15 +19,8 @@
 #ifndef SLINFER_SWEEP_POOL_HH
 #define SLINFER_SWEEP_POOL_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace slinfer
 {
@@ -49,60 +42,6 @@ int defaultJobs();
  */
 void parallelFor(std::size_t n, int threads,
                  const std::function<void(std::size_t)> &fn);
-
-/**
- * The persistent form of parallelFor: the same sharded-deque,
- * steal-from-the-back execution, but with workers parked between
- * batches instead of spawned per call. The lockstep simulation engine
- * (sim/lockstep.hh) dispatches tens of thousands of small node-phase
- * batches per run — per-call thread spawn would dominate the work.
- *
- * run() is strictly serialized: a new batch is only admitted once
- * every worker has parked after the previous one, so a worker can
- * never observe a stale batch function while scanning for steals.
- * The join edge (remaining -> 0, observed under the pool mutex)
- * orders every task's writes before run() returns — callers may read
- * task results without further synchronization.
- *
- * Tasks must not throw (same contract as parallelFor). `threads <= 1`
- * spawns nothing and runs batches inline in index order.
- */
-class TaskPool
-{
-  public:
-    explicit TaskPool(int threads);
-    ~TaskPool();
-
-    TaskPool(const TaskPool &) = delete;
-    TaskPool &operator=(const TaskPool &) = delete;
-
-    /** Workers plus the calling thread; >= 1. */
-    int threads() const { return static_cast<int>(workers_.size()) + 1; }
-
-    /** Run fn(0) .. fn(n-1), each exactly once; blocks until done. */
-    void run(std::size_t n, const std::function<void(std::size_t)> &fn);
-
-  private:
-    struct Shard;
-
-    void workerMain(std::size_t self);
-    /** Drain own shard from the front, then steal from the back of
-     *  the others; returns when every shard is dry. */
-    void participate(std::size_t self,
-                     const std::function<void(std::size_t)> &fn);
-    void finishOne();
-
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    const std::function<void(std::size_t)> *fn_ = nullptr;
-    std::uint64_t generation_ = 0;
-    std::size_t idle_ = 0;
-    std::atomic<std::size_t> remaining_{0};
-    bool stop_ = false;
-};
 
 } // namespace sweep
 } // namespace slinfer

@@ -367,53 +367,5 @@ TEST(ObsPhase, ParallelSweepAggregatesAcrossWorkerThreads)
     EXPECT_GT(gained, 0.0);
 }
 
-// ------------------------------------------------------------------
-// Lockstep parallel mode: the anatomy ledger is fed from staged
-// records replayed in canonical merge order, so the attribution
-// block — windows, per-model blame, segment sums — must come out
-// byte-identical at every node-phase thread count.
-// ------------------------------------------------------------------
-
-TEST(AnatomyParallel, AttributionByteIdenticalAcrossThreadCounts)
-{
-    for (std::uint64_t seed : {4u, 23u}) {
-        ExperimentConfig cfg = smallConfig(seed);
-        cfg.obs.anatomy = true;
-        cfg.windows = 4;
-        cfg.simThreads = 1;
-        const std::string oracle = toJson(runExperiment(cfg));
-        for (int n : {2, 3}) {
-            cfg.simThreads = n;
-            EXPECT_EQ(oracle, toJson(runExperiment(cfg)))
-                << "seed " << seed << ", threads " << n;
-        }
-    }
-}
-
-// The segment-sum exactness invariant must survive the lockstep
-// engine: staged anatomy hooks replay with their original stamps, so
-// the segments still telescope to the end-to-end latency exactly.
-TEST(AnatomyParallel, SegmentSumStaysExactUnderLockstep)
-{
-    ExperimentConfig cfg = smallConfig(9);
-    cfg.obs.anatomy = true;
-    cfg.simThreads = 3;
-    Session s(cfg);
-    obs::AnatomyLedger *led = s.flightRecorder()->anatomy();
-    ASSERT_NE(led, nullptr);
-    led->retainRecords(true);
-    s.advanceTo(s.duration());
-    Report r = s.finish();
-    ASSERT_TRUE(r.attribution.enabled);
-    const std::vector<obs::AnatomyRecord> &recs = led->records();
-    EXPECT_GT(recs.size(), 0u);
-    for (const obs::AnatomyRecord &rec : recs) {
-        std::int64_t sum = 0;
-        for (std::size_t seg = 0; seg < obs::kNumSegs; ++seg)
-            sum += rec.segNs[seg];
-        ASSERT_EQ(sum, rec.e2eNs()) << "req " << rec.id;
-    }
-}
-
 } // namespace
 } // namespace slinfer

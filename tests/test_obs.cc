@@ -303,65 +303,5 @@ TEST(LogTagScope, SweepWorkerLeavesNoStaleTag)
     EXPECT_EQ(logThreadTag(), "") << "sweep worker leaked its job tag";
 }
 
-// ------------------------------------------------------------------
-// Lockstep parallel mode (sim/lockstep.hh): every flight-recorder
-// export must be byte-identical across node-phase thread counts —
-// the trace ring records staged spans in the canonical merge order,
-// so even event *ordering* may not wiggle with the worker count.
-// ------------------------------------------------------------------
-
-/** Run `cfg` under lockstep with `threads` workers and export every
- *  enabled recorder component into one comparable blob. */
-std::string
-obsBlob(ExperimentConfig cfg, int threads)
-{
-    cfg.simThreads = threads;
-    Session s(cfg);
-    s.advanceTo(s.duration());
-    Report r = s.finish();
-
-    std::ostringstream os;
-    os << toJson(r) << '\n';
-    const obs::FlightRecorder *fr = s.flightRecorder();
-    if (fr->trace())
-        fr->trace()->writeChromeJson(os);
-    if (fr->timeseries())
-        os << fr->timeseries()->toCsv();
-    return os.str();
-}
-
-TEST(ObsParallel, RecorderExportsByteIdenticalAcrossThreadCounts)
-{
-    for (std::uint64_t seed : {3u, 11u}) {
-        ExperimentConfig cfg = smallConfig(seed);
-        cfg.obs.counters = true;
-        cfg.obs.trace = true;
-        cfg.obs.sampleEvery = 1.0;
-        const std::string oracle = obsBlob(cfg, 1);
-        for (int n : {2, 3})
-            EXPECT_EQ(oracle, obsBlob(cfg, n))
-                << "seed " << seed << ", threads " << n;
-    }
-}
-
-// Enabling the recorder may not perturb a lockstep run, exactly as
-// it may not perturb a serial one (the PR 6 free-observation rule).
-TEST(ObsParallel, RecorderIsFreeUnderLockstep)
-{
-    ExperimentConfig plain = smallConfig(17);
-    plain.simThreads = 3;
-    const std::string bare = toJson(runExperiment(plain));
-
-    ExperimentConfig instrumented = smallConfig(17);
-    instrumented.obs.counters = true;
-    instrumented.obs.trace = true;
-    instrumented.obs.sampleEvery = 1.0;
-    instrumented.simThreads = 3;
-    Report on = runExperiment(instrumented);
-    EXPECT_FALSE(on.counters.empty());
-    on.counters.clear(); // opted-in block; the rest must match
-    EXPECT_EQ(bare, toJson(on));
-}
-
 } // namespace
 } // namespace slinfer

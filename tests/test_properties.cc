@@ -9,10 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
 
 #include "harness/experiment.hh"
-#include "sim/lockstep.hh"
 
 namespace slinfer
 {
@@ -220,70 +218,6 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, MemorySafety,
                                            SystemKind::Slinfer,
                                            SystemKind::SlinferNoCpu,
                                            SystemKind::SlinferPD));
-
-// ------------------------------------------------------------------
-// Lockstep boundary merge (sim/lockstep.hh): the canonical replay
-// order is a pure function of the staged batches' (time, lane order,
-// intra-lane index) keys. Node-phase workers may finish lanes in any
-// order, so the property that makes the engine thread-count invariant
-// is exactly this: however the per-lane views are permuted, the merge
-// reconstructs one identical global sequence.
-// ------------------------------------------------------------------
-
-TEST(LockstepMergeProperty, AnyLanePermutationYieldsTheSameSequence)
-{
-    std::mt19937_64 rng(0xC0FFEE);
-    for (int trial = 0; trial < 200; ++trial) {
-        // Random per-lane batches: lane-local times are sorted (a
-        // lane stages in its own causal order) with deliberate
-        // duplicates, and ties *across* lanes are common.
-        const std::size_t lanes = 1 + rng() % 6;
-        std::vector<std::vector<StagedRec>> batches(lanes);
-        for (std::vector<StagedRec> &b : batches) {
-            const std::size_t n = rng() % 8;
-            double t = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                t += 0.05 * static_cast<double>(rng() % 3); // dup-friendly
-                StagedRec rec;
-                rec.time = t;
-                b.push_back(rec);
-            }
-        }
-
-        std::vector<LaneBatchView> views(lanes);
-        for (std::size_t i = 0; i < lanes; ++i)
-            views[i] = {i, &batches[i]};
-        const auto canonical = lockstepMergeOrder(views);
-
-        std::size_t total = 0;
-        for (const std::vector<StagedRec> &b : batches)
-            total += b.size();
-        ASSERT_EQ(canonical.size(), total);
-
-        // The merged sequence is globally time-sorted with lane order
-        // then staging index breaking ties — the determinism key.
-        for (std::size_t i = 1; i < canonical.size(); ++i) {
-            const auto &[pl, pi] = canonical[i - 1];
-            const auto &[cl, ci] = canonical[i];
-            const double pt = (*views[pl].recs)[pi].time;
-            const double ct = (*views[cl].recs)[ci].time;
-            ASSERT_LE(pt, ct);
-            if (pt == ct) {
-                ASSERT_TRUE(pl < cl || (pl == cl && pi < ci));
-            }
-        }
-
-        // The property: present the same batches in any worker
-        // completion order (views shuffled), the merge must emit the
-        // byte-identical (lane, index) sequence.
-        for (int perm = 0; perm < 8; ++perm) {
-            std::vector<LaneBatchView> shuffled = views;
-            std::shuffle(shuffled.begin(), shuffled.end(), rng);
-            EXPECT_EQ(lockstepMergeOrder(shuffled), canonical)
-                << "trial " << trial << " perm " << perm;
-        }
-    }
-}
 
 } // namespace
 } // namespace slinfer

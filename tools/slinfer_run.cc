@@ -39,7 +39,6 @@
 #include "harness/session.hh"
 #include "scenario/scenario.hh"
 #include "scenario/timeline.hh"
-#include "sweep/pool.hh"
 #include "sweep/sweep.hh"
 
 using namespace slinfer;
@@ -109,13 +108,6 @@ usage(std::FILE *to)
         "  --progress             live progress on stderr: sim-time %%, "
         "requests\n"
         "                         replayed, RSS, ETA\n"
-        "  --parallel-sim[=<n>]   time-windowed lockstep engine with n\n"
-        "                         node-phase threads (default: one per\n"
-        "                         core); results are byte-identical at\n"
-        "                         every n but differ from the serial\n"
-        "                         engine (see docs/ARCHITECTURE.md)\n"
-        "  --sim-window=<sec>     lockstep control period (default: "
-        "0.05s)\n"
         "  --format=json|csv      output format (default: json)\n"
         "  --out=<path>           write the report there instead of "
         "stdout\n"
@@ -269,8 +261,6 @@ main(int argc, char **argv)
     unsigned trace_cats = obs::kAllTraceCats;
     std::string timeseries_path;
     double sample_every = 1.0;
-    int sim_threads = 0;
-    double sim_window = 0.0;
     bool stream = false;
     bool materialized = false;
     std::uint64_t lookahead = 0;
@@ -351,18 +341,6 @@ main(int argc, char **argv)
             materialized = true;
         } else if (arg == "--progress") {
             progress = true;
-        } else if (arg == "--parallel-sim") {
-            sim_threads = sweep::defaultJobs();
-        } else if (arg.rfind("--parallel-sim=", 0) == 0) {
-            std::uint64_t n = parseCount(value(), "--parallel-sim");
-            if (n == 0 || n > 4096) {
-                std::fprintf(stderr,
-                             "--parallel-sim must be in [1, 4096]\n");
-                return 2;
-            }
-            sim_threads = static_cast<int>(n);
-        } else if (arg.rfind("--sim-window=", 0) == 0) {
-            sim_window = parseSeconds(value(), "--sim-window");
         } else if (arg.rfind("--format=", 0) == 0) {
             format = value();
         } else if (arg.rfind("--out=", 0) == 0) {
@@ -489,9 +467,6 @@ main(int argc, char **argv)
             cfg.obs.traceCats = trace_cats;
             if (!timeseries_path.empty())
                 cfg.obs.sampleEvery = sample_every;
-            cfg.simThreads = sim_threads;
-            if (sim_window > 0)
-                cfg.simWindow = sim_window;
             cfg.stream.enabled = stream && !materialized;
             if (lookahead > 0)
                 cfg.stream.lookahead =
