@@ -1,6 +1,8 @@
 #include "sweep/sweep.hh"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -77,18 +79,6 @@ parsePositiveInt(const std::string &key, const std::string &value)
     return i;
 }
 
-/** Strict nonnegative integer: digits only, fully consumed. */
-bool
-parseSeedToken(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty() || tok[0] == '-' || tok[0] == '+')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return errno != ERANGE && end == tok.c_str() + tok.size();
-}
-
 } // namespace
 
 std::string
@@ -132,6 +122,29 @@ tryParseOverrideSettings(
 }
 
 bool
+parseCount(const std::string &tok, std::uint64_t &out)
+{
+    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(tok.c_str(), &end, 10);
+    return errno != ERANGE && end == tok.c_str() + tok.size();
+}
+
+bool
+parseReal(const std::string &tok, double &out)
+{
+    if (tok.empty() || std::isspace(static_cast<unsigned char>(tok[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(tok.c_str(), &end);
+    return errno != ERANGE && end == tok.c_str() + tok.size() &&
+           std::isfinite(out);
+}
+
+bool
 parseSeedList(const std::string &text, std::vector<std::uint64_t> &out,
               std::string *err)
 {
@@ -144,8 +157,8 @@ parseSeedList(const std::string &text, std::vector<std::uint64_t> &out,
     if (dots != std::string::npos) {
         std::uint64_t lo = 0;
         std::uint64_t hi = 0;
-        if (!parseSeedToken(trim(text.substr(0, dots)), lo) ||
-            !parseSeedToken(trim(text.substr(dots + 2)), hi))
+        if (!parseCount(trim(text.substr(0, dots)), lo) ||
+            !parseCount(trim(text.substr(dots + 2)), hi))
             return fail("malformed range endpoint");
         if (hi < lo || hi - lo >= 100000)
             return fail("bad range");
@@ -156,7 +169,7 @@ parseSeedList(const std::string &text, std::vector<std::uint64_t> &out,
     bool any = false;
     for (const std::string &tok : splitList(text, ',')) {
         std::uint64_t v = 0;
-        if (!parseSeedToken(tok, v))
+        if (!parseCount(tok, v))
             return fail("malformed seed '" + tok + "'");
         out.push_back(v);
         any = true;

@@ -74,6 +74,16 @@ bool parseOverrideSpec(const std::string &spec, OverrideSet &out,
 std::uint64_t fnv1aHash(const std::string &s);
 
 /**
+ * Strict numeric parsing shared by the manifest and both tools' flags:
+ * the whole token must be consumed. parseCount takes plain decimal
+ * digits only (no sign, no whitespace) and rejects values that
+ * overflow 64 bits; parseReal takes a finite decimal number that does
+ * not over- or underflow. False on anything else (`out` unspecified).
+ */
+bool parseCount(const std::string &tok, std::uint64_t &out);
+bool parseReal(const std::string &tok, double &out);
+
+/**
  * Parse a seed list — "1,2,3" or a range "1..5" — strictly: every
  * token must be a plain nonnegative integer and a range must be
  * ascending and < 100000 wide. Shared by the manifest and the CLI
