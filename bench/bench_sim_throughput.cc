@@ -8,18 +8,16 @@
  *  1. **events/sec** — a synthetic schedule/fire/cancel program (a
  *     rolling window of pending timers, nested rescheduling from
  *     callbacks, periodic cancellations: the same shape the serving
- *     simulation produces) run identically against the production
- *     arena `EventQueue` and the preserved pre-arena
- *     `LegacyEventQueue`, so the speedup is an apples-to-apples
- *     number on any host.
+ *     simulation produces) on the arena `EventQueue`, with and
+ *     without hot-path counters attached.
  *  2. **requests/sec** — wall-clock of a real catalog experiment
- *     (`azure-64`, the paper's mid-scale evaluation), i.e. what the
- *     event-engine rebuild buys end-to-end.
+ *     (`azure-64`, the paper's mid-scale evaluation), with and
+ *     without the latency-anatomy ledger.
  *
  * Output: a human table on stdout, optionally
  *   --json=<file>            freeform trajectory doc (BENCH_*.json)
  *   --write-baseline=<file>  machine summary for the CI gate
- *   --compare=<file>         gate the speedup ratios against a
+ *   --compare=<file>         gate the on/off ratios against a
  *                            baseline via sweep::compare (ratios are
  *                            host-comparable; absolute events/sec is
  *                            recorded but not gated)
@@ -41,7 +39,6 @@
 #include "obs/counters.hh"
 #include "scenario/scenario.hh"
 #include "sim/event_queue.hh"
-#include "sim/legacy_event_queue.hh"
 #include "sweep/compare.hh"
 #include "sweep/summary.hh"
 
@@ -59,13 +56,12 @@ wallSeconds(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * The synthetic event program, identical for both queue types: a
- * rolling window of pending timers. Every pop schedules a successor
+ * The synthetic event program: a rolling window of pending timers. Every pop schedules a successor
  * at a pseudo-random offset; periodically a recently parked handle is
  * cancelled and replaced — the keep-alive / proactive-drop pattern
  * the controller produces. Callbacks carry a one-pointer capture, the
  * dominant shape in the simulator (`[this]` iteration callbacks), so
- * both queues use their small-buffer path.
+ * the queue uses its small-buffer path.
  *
  * The profile is calibrated against instrumented catalog runs (see
  * DESIGN.md, "The event arena"): peak pending events are 62
@@ -76,18 +72,17 @@ wallSeconds(std::chrono::steady_clock::time_point t0)
  * still-conservative cancel rate; the fleet window (65536) models the
  * 10x fleet scenarios' backlog.
  */
-template <typename Queue, typename Handle>
 double
 eventsPerSec(std::size_t total, std::size_t window,
-             const std::function<void(Queue &)> &setup = {})
+             const std::function<void(EventQueue &)> &setup)
 {
     constexpr std::size_t kRing = 64;
     constexpr std::size_t kCancelEvery = 512;
 
-    Queue q;
+    EventQueue q;
     if (setup)
         setup(q);
-    std::vector<Handle> ring(kRing);
+    std::vector<EventHandle> ring(kRing);
     std::size_t ringHead = 0;
     std::size_t scheduled = 0;
     std::size_t fired = 0;
@@ -108,7 +103,7 @@ eventsPerSec(std::size_t total, std::size_t window,
         Seconds when = q.popAndRun();
         ++pops;
         if (scheduled < total) {
-            Handle h = q.schedule(when + 1e-4 + next() * 1e-2, cb);
+            EventHandle h = q.schedule(when + 1e-4 + next() * 1e-2, cb);
             if (++scheduled % 8 == 0) {
                 ring[ringHead] = h;
                 ringHead = (ringHead + 1) % kRing;
@@ -130,15 +125,13 @@ eventsPerSec(std::size_t total, std::size_t window,
     return wall > 0 ? static_cast<double>(fired) / wall : 0.0;
 }
 
-template <typename Queue, typename Handle>
 double
 bestOf(int repeat, std::size_t total, std::size_t window,
-       const std::function<void(Queue &)> &setup = {})
+       const std::function<void(EventQueue &)> &setup = {})
 {
     double best = 0.0;
     for (int r = 0; r < repeat; ++r)
-        best = std::max(best,
-                        eventsPerSec<Queue, Handle>(total, window, setup));
+        best = std::max(best, eventsPerSec(total, window, setup));
     return best;
 }
 
@@ -207,23 +200,14 @@ main(int argc, char **argv)
     // the 10x scenarios' backlog (see the eventsPerSec comment).
     constexpr std::size_t kSteadyWindow = 4096;
     constexpr std::size_t kFleetWindow = 65536;
-    double arena =
-        bestOf<EventQueue, EventHandle>(repeat, events, kSteadyWindow);
-    double legacy = bestOf<LegacyEventQueue, LegacyEventHandle>(
-        repeat, events, kSteadyWindow);
-    double speedup = legacy > 0 ? arena / legacy : 0.0;
-    double arena_fleet =
-        bestOf<EventQueue, EventHandle>(repeat, events, kFleetWindow);
-    double legacy_fleet = bestOf<LegacyEventQueue, LegacyEventHandle>(
-        repeat, events, kFleetWindow);
-    double speedup_fleet =
-        legacy_fleet > 0 ? arena_fleet / legacy_fleet : 0.0;
+    double arena = bestOf(repeat, events, kSteadyWindow);
+    double arena_fleet = bestOf(repeat, events, kFleetWindow);
     // The flight-recorder point: the same arena program with hot-path
     // counters attached (obs/counters.hh). `arena` above IS the
     // tracing-off measurement; the ratio bounds what enabling
     // --counters costs on the dispatch loop.
     obs::Counters ctr;
-    double arena_counters = bestOf<EventQueue, EventHandle>(
+    double arena_counters = bestOf(
         repeat, events, kSteadyWindow,
         [&ctr](EventQueue &q) { q.attachCounters(&ctr); });
     double counters_ratio = arena > 0 ? arena_counters / arena : 0.0;
@@ -256,12 +240,7 @@ main(int argc, char **argv)
 
     Table t({"metric", "value"});
     t.addRow({"events/sec (arena)", Table::num(arena, 0)});
-    t.addRow({"events/sec (legacy)", Table::num(legacy, 0)});
-    t.addRow({"speedup vs legacy", Table::num(speedup, 2) + "x"});
     t.addRow({"fleet events/sec (arena)", Table::num(arena_fleet, 0)});
-    t.addRow({"fleet events/sec (legacy)",
-              Table::num(legacy_fleet, 0)});
-    t.addRow({"fleet speedup", Table::num(speedup_fleet, 2) + "x"});
     t.addRow({"events/sec (counters on)", Table::num(arena_counters, 0)});
     t.addRow({"counters-on/off ratio", Table::num(counters_ratio, 2) + "x"});
     t.addRow({"azure-64 wall (s)", Table::num(exp_wall, 3)});
@@ -281,11 +260,7 @@ main(int argc, char **argv)
     row.duration = 0.0;
     row.metrics = {
         {"events_per_sec", point(arena)},
-        {"events_per_sec_legacy", point(legacy)},
-        {"speedup_vs_legacy", point(speedup)},
         {"events_per_sec_fleet", point(arena_fleet)},
-        {"events_per_sec_fleet_legacy", point(legacy_fleet)},
-        {"speedup_vs_legacy_fleet", point(speedup_fleet)},
         {"events_per_sec_counters", point(arena_counters)},
         {"counters_on_off_ratio", point(counters_ratio)},
         {"exp_requests_per_sec", point(req_per_sec)},
@@ -302,16 +277,12 @@ main(int argc, char **argv)
             "  \"bench\": \"sim_throughput\",\n"
             "  \"description\": \"Discrete-event hot path: synthetic "
             "schedule/fire/cancel program (%zu events, best of %d) on "
-            "the arena EventQueue vs the pre-arena LegacyEventQueue, "
-            "plus wall-clock of the azure-64 catalog experiment. "
-            "Regenerate with: ./build/bench/bench_sim_throughput "
+            "the arena EventQueue, plus wall-clock of the azure-64 "
+            "catalog experiment. Regenerate with: "
+            "./build/bench/bench_sim_throughput "
             "--json=BENCH_sim_throughput.json\",\n"
             "  \"events_per_sec\": %.0f,\n"
-            "  \"events_per_sec_legacy\": %.0f,\n"
-            "  \"speedup_vs_legacy\": %.2f,\n"
             "  \"events_per_sec_fleet\": %.0f,\n"
-            "  \"events_per_sec_fleet_legacy\": %.0f,\n"
-            "  \"speedup_vs_legacy_fleet\": %.2f,\n"
             "  \"events_per_sec_counters\": %.0f,\n"
             "  \"counters_on_off_ratio\": %.2f,\n"
             "  \"azure64_wall_s\": %.3f,\n"
@@ -319,8 +290,8 @@ main(int argc, char **argv)
             "  \"azure64_requests_per_sec_attribution\": %.0f,\n"
             "  \"attribution_on_off_ratio\": %.2f\n"
             "}\n",
-            events, repeat, arena, legacy, speedup, arena_fleet,
-            legacy_fleet, speedup_fleet, arena_counters, counters_ratio,
+            events, repeat, arena, arena_fleet, arena_counters,
+            counters_ratio,
             exp_wall, req_per_sec, attr_req_per_sec, attribution_ratio);
         if (!writeFile(json_path, buf))
             fatal("cannot write " + json_path);
@@ -356,8 +327,6 @@ main(int argc, char **argv)
         // attribution_on_off_ratio does the same for the anatomy
         // ledger on a whole experiment.
         opts.metrics = {
-            {"speedup_vs_legacy", true, 0.5},
-            {"speedup_vs_legacy_fleet", true, 0.5},
             {"counters_on_off_ratio", true, 0.5},
             {"attribution_on_off_ratio", true, 0.5},
         };

@@ -113,7 +113,7 @@ ClusterIndex::onInstanceActivated(Instance &inst)
     ++liveCount_;
     liveActiveAtSum_ += inst.activeAt;
     // Resizes can execute while the load streams (admissions during
-    // the load raise the target); the oracle's scaling sum only sees
+    // the load raise the target); the report's scaling sum only sees
     // an instance once activeAt >= 0, so fold pre-activation accruals
     // in here.
     scalingSeconds_ += inst.scalingTime;

@@ -24,25 +24,24 @@
  *    Placement candidate selection becomes an ordered lower_bound
  *    plus a short ascending walk instead of a full cluster scan; the
  *    (free, viewPos) ordering makes the walk visit candidates in
- *    exactly the order the oracle scan's best-fit comparison would
- *    have selected them (see selectPlacement in controller.cc).
+ *    exactly the order a best-fit scan's comparison would select
+ *    them (see selectPlacement in controller.cc).
  *  - **Active-instance registry**: the id-ordered set of Active
  *    instances. KV-utilization sampling walks this set in id order —
- *    the same elements in the same order as the oracle's pool scan,
- *    so the sampled double is bit-identical — at O(live) instead of
- *    O(ever-created).
+ *    the same elements in the same order as a scan of the instance
+ *    pool, so the sampled double is bit-identical — at O(live)
+ *    instead of O(ever-created).
  *  - **Running aggregates**: busy seconds per hardware kind, scaling
  *    seconds, and the uptime components (retired uptime, live count,
  *    sum of live activation times), making busy/scaling-overhead
  *    queries O(1).
  *
- * The pre-index scan implementations stay alive as `*Oracle`
- * methods on the controller / memory subsystem (the same pattern as
- * sim/legacy_event_queue.hh): `ControllerConfig::oracleScans` routes
- * the decision paths through them for A/B benchmarking
- * (bench/bench_controller_throughput.cc), and the fuzz test
- * (tests/test_cluster_index.cc) asserts index == oracle after every
- * transition. The index itself is maintained in both modes.
+ * The index is the only implementation of these queries. Two checks
+ * keep it honest: `auditAgainst` plus pool-walk references in the
+ * fuzz test (tests/test_cluster_index.cc) after every transition of
+ * a randomized churn, and the golden report digests
+ * (tests/golden/reports.txt), which pin every placement decision's
+ * effect on the catalog reports.
  */
 
 #ifndef SLINFER_CORE_CLUSTER_INDEX_HH
@@ -85,7 +84,7 @@ class ClusterIndex
 
     // --- free-capacity placement index ------------------------------
     /** (free bytes, viewPos) — ordered so an ascending walk is the
-     *  oracle best-fit order. */
+     *  best-fit order. */
     using FreeKey = std::pair<Bytes, std::uint32_t>;
 
     const std::set<FreeKey> &
@@ -142,12 +141,13 @@ class ClusterIndex
     }
 
     /** Fraction of total instance uptime spent blocked on resizes
-     *  (the running-aggregate form of the oracle's pool scan). */
+     *  (the running-aggregate form of the report's pool scan,
+     *  ControllerBase::scalingOverheadFraction). */
     double scalingOverheadFraction(Seconds now) const;
 
     /** Mean KV allocation utilization across live loaded instances,
      *  walking the id-ordered active registry — element-for-element
-     *  the oracle pool scan, so the result is bit-identical. */
+     *  a pool scan, so the result is bit-identical. */
     double kvUtilizationNow() const;
 
     /** Id-ordered Active instances (tests / stats). */
@@ -160,7 +160,7 @@ class ClusterIndex
 
     // --- consistency audit (fuzz test / debugging) ------------------
     /**
-     * Cross-check every index against the oracle scans over `pool`:
+     * Cross-check every index against scans over `pool`:
      * per-partition committed totals, free-set membership and keys,
      * and the active registry. Returns an empty string when
      * consistent, else a description of the first mismatch.

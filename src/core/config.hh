@@ -79,15 +79,6 @@ struct ControllerConfig
     bool enableConsolidation = true;
     /** Prefill-decode disaggregation mode (Table III). */
     bool pdDisaggregation = false;
-    /**
-     * Route placement/aggregate decisions through the pre-index full
-     * cluster scans instead of the incremental cluster indices
-     * (DESIGN.md, "Cluster indices"). Decision *results* are
-     * identical either way — the flag exists so
-     * bench_controller_throughput can A/B the two paths and tests can
-     * cross-check them; the indices are maintained in both modes.
-     */
-    bool oracleScans = false;
     /** Retry/backoff/failover/degradation policies. */
     ResilienceConfig resilience;
     /** SLO definition. */

@@ -788,10 +788,6 @@ ControllerBase::retryDecodePending()
 {
     if (decodePendingCount_ == 0)
         return;
-    if (cfg_.oracleScans) {
-        // Oracle behavior: re-validate every queue on every round.
-        std::fill(decodeDirty_.begin(), decodeDirty_.end(), char(1));
-    }
     // Collect the dirty models' entries and replay them in global
     // arrival order. Clean queues are skipped entirely: decode
     // admission has no deadline term, so an entry that failed stays
@@ -932,22 +928,6 @@ ControllerBase::takeAfterPrefill(Request *req, Instance *inst)
     return true;
 }
 
-std::vector<Partition *>
-ControllerBase::allPartitionsOracle(bool cpuFirst) const
-{
-    std::vector<Partition *> cpu, gpu;
-    for (const auto &node : nodes_) {
-        for (const auto &part : node->partitions()) {
-            (node->isCpu() ? cpu : gpu).push_back(part.get());
-        }
-    }
-    if (!cpuFirst)
-        cpu.clear();
-    std::vector<Partition *> out = std::move(cpu);
-    out.insert(out.end(), gpu.begin(), gpu.end());
-    return out;
-}
-
 double
 ControllerBase::scalingOverheadFraction() const
 {
@@ -955,15 +935,9 @@ ControllerBase::scalingOverheadFraction() const
     // report, and the running aggregate accumulates in event order,
     // whose last-ulp rounding can differ from the pool-order sum the
     // reports have always carried. The scan runs once per experiment;
-    // policy/bench-time consumers needing O(1) read
+    // the timeseries sampler needs O(1) and reads
     // clusterIndex().scalingOverheadFraction(now) instead (the fuzz
     // test keeps the two within 1e-9 of each other).
-    return scalingOverheadFractionOracle();
-}
-
-double
-ControllerBase::scalingOverheadFractionOracle() const
-{
     double scaling = 0.0;
     double uptime = 0.0;
     for (const auto &inst : instancePool_) {
@@ -982,42 +956,13 @@ ControllerBase::scalingOverheadFractionOracle() const
 double
 ControllerBase::totalBusySeconds(HwKind kind) const
 {
-    if (cfg_.oracleScans)
-        return totalBusySecondsOracle(kind);
     return index_.busySeconds(kind);
-}
-
-double
-ControllerBase::totalBusySecondsOracle(HwKind kind) const
-{
-    double total = 0.0;
-    for (const auto &inst : instancePool_) {
-        if (inst->execSpec.kind == kind)
-            total += inst->busyTime;
-    }
-    return total;
 }
 
 double
 ControllerBase::kvUtilizationNow() const
 {
-    if (cfg_.oracleScans)
-        return kvUtilizationNowOracle();
     return index_.kvUtilizationNow();
-}
-
-double
-ControllerBase::kvUtilizationNowOracle() const
-{
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const auto &inst : instancePool_) {
-        if (inst->state != InstanceState::Active || inst->loadSize() == 0)
-            continue;
-        sum += inst->kv.utilization();
-        ++n;
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
 }
 
 // ====================================================================
@@ -1076,7 +1021,7 @@ SlinferController::subsystemFor(Partition *part)
             kickPartition(part);
             retryPending();
         },
-        &index_, cfg_.oracleScans, ctr_, trace_, prof_, anat_);
+        &index_, ctr_, trace_, prof_, anat_);
     return *slot;
 }
 
@@ -1215,9 +1160,9 @@ SlinferController::placementCandidateOk(Partition *p, const Request &req,
     if (!cfg_.enableSharing && !p->instances.empty())
         return false;
     MemorySubsystem &sub = subsystemFor(p);
-    if (sub.canPlaceIndexed(d.weights, d.recommend))
+    if (sub.canPlace(d.weights, d.recommend))
         kvInit = d.recommend;
-    else if (sub.canPlaceIndexed(d.weights, d.require))
+    else if (sub.canPlace(d.weights, d.require))
         kvInit = d.require; // compromise (§VII-D)
     else
         return false;
@@ -1232,11 +1177,12 @@ SlinferController::placementCandidateOk(Partition *p, const Request &req,
  * hardware kind's partitions by (free optimistic bytes, view
  * position); walking ascending from the first possibly-sufficient
  * key and returning the first candidate that passes eligibility +
- * shadow validation selects exactly the partition the oracle's
- * best-fit scan would: the oracle keeps the minimum (free, id-order)
- * among shadow-passing candidates, which is the first passing element
- * of this walk (shadow validation is pure, so evaluating candidates
- * in a different order cannot change any verdict).
+ * shadow validation selects exactly the partition a best-fit scan
+ * over every partition would: that scan keeps the minimum (free,
+ * id-order) among shadow-passing candidates, which is the first
+ * passing element of this walk (shadow validation is pure, so
+ * evaluating candidates in a different order cannot change any
+ * verdict).
  */
 SlinferController::PlacementChoice
 SlinferController::selectPlacement(const Request &req,
@@ -1267,62 +1213,6 @@ SlinferController::selectPlacement(const Request &req,
     return tryKind(HwKind::Gpu);
 }
 
-/** The pre-index full scan: best fit over every partition, CPU
- *  strictly preferred, shadow-checked whenever a candidate improves
- *  on the current best. */
-SlinferController::PlacementChoice
-SlinferController::selectPlacementOracle(const Request &req,
-                                         const PlacementDemand &d)
-{
-    const ModelSpec &spec = models_[req.model].spec;
-    Partition *best = nullptr;
-    Bytes best_free = std::numeric_limits<Bytes>::max();
-    Bytes best_kv = 0;
-    for (Partition *p : allPartitionsOracle(d.cpuOk)) {
-        bool is_cpu = p->spec.kind == HwKind::Cpu;
-        if (is_cpu && !d.cpuOk)
-            continue;
-        if (!p->openForPlacement() || placementExcluded(p))
-            continue;
-        if (!cfg_.enableSharing && !p->instances.empty())
-            continue;
-        MemorySubsystem &sub = subsystemFor(p);
-        Bytes kv_init = 0;
-        if (sub.canPlaceScan(d.weights, d.recommend))
-            kv_init = d.recommend;
-        else if (sub.canPlaceScan(d.weights, d.require))
-            kv_init = d.require; // compromise (§VII-D)
-        else
-            continue;
-        Bytes committed = sub.committedScan();
-        Bytes free = p->mem.capacity() - committed;
-        // Prefer CPU over GPU strictly; then best fit.
-        bool better;
-        if (best && (best->spec.kind == HwKind::Cpu) != is_cpu)
-            better = is_cpu;
-        else
-            better = free < best_free;
-        if (!better && best)
-            continue;
-        Seconds ready = sim_.now() + Loader::loadTime(p->spec, spec);
-        if (!shadow_.canAdmitNew(*p, spec, p->spec, req, sim_.now(),
-                                 partBusyUntil(p), ready))
-            continue;
-        best = p;
-        best_free = free;
-        best_kv = kv_init;
-    }
-    return {best, best_kv};
-}
-
-SlinferController::PlacementChoice
-SlinferController::probePlacement(const Request &req, bool oracle)
-{
-    PlacementDemand d = placementDemand(req);
-    return oracle ? selectPlacementOracle(req, d)
-                  : selectPlacement(req, d);
-}
-
 bool
 SlinferController::tryNewInstance(Request *req)
 {
@@ -1331,9 +1221,7 @@ SlinferController::tryNewInstance(Request *req)
         return tryExclusivePlacement(req);
 
     PlacementDemand d = placementDemand(*req);
-    PlacementChoice choice = cfg_.oracleScans
-                                 ? selectPlacementOracle(*req, d)
-                                 : selectPlacement(*req, d);
+    PlacementChoice choice = selectPlacement(*req, d);
     if (!choice.part) {
         ++dispatchStats_.rejectNoPlacement;
         return false;

@@ -9,10 +9,7 @@
  * accounting, eviction, and the optional prefill-decode disaggregation
  * plumbing (Table III). It also owns the incrementally maintained
  * cluster indices (core/cluster_index.hh) that keep placement and
- * report/policy queries off the scan-per-decision path; the pre-index
- * scans survive as the `*Oracle` methods for cross-checking and
- * benchmarking (ControllerConfig::oracleScans routes decisions through
- * them).
+ * report/policy queries off the scan-per-decision path.
  *
  * SlinferController implements the paper's scheme: CPU-first routing
  * with profile-based fallback, shadow-validated admission, the
@@ -158,7 +155,7 @@ class ControllerBase
 
     /** The incremental cluster indices (tests / benches). */
     const ClusterIndex &clusterIndex() const { return index_; }
-    /** Stable-storage instance pool (oracle audits in tests). */
+    /** Stable-storage instance pool (index audits in tests). */
     const std::vector<std::unique_ptr<Instance>> &
     instancePool() const
     {
@@ -178,9 +175,8 @@ class ControllerBase
     const DispatchStats &dispatchStats() const { return dispatchStats_; }
 
     /** Total iteration-execution seconds on nodes of `kind` (tests).
-     *  O(1) running aggregate; the oracle variant walks the pool. */
+     *  O(1) running aggregate. */
     double totalBusySeconds(HwKind kind) const;
-    double totalBusySecondsOracle(HwKind kind) const;
 
     /** Fraction of total instance uptime spent blocked on KV resizes
      *  (Fig. 31), across all instances ever created. Exact pool scan
@@ -188,13 +184,11 @@ class ControllerBase
      *  once-per-run query); clusterIndex().scalingOverheadFraction()
      *  is the O(1) running-aggregate form. */
     double scalingOverheadFraction() const;
-    double scalingOverheadFractionOracle() const;
 
     /** Mean KV allocation utilization across live instances, sampled
      *  now (Fig. 31). O(live) over the id-ordered active registry —
-     *  bit-identical to the oracle's pool walk. */
+     *  bit-identical to a walk of the instance pool. */
     double kvUtilizationNow() const;
-    double kvUtilizationNowOracle() const;
 
   protected:
     /** Dispatch a fresh (or re-queued) request; false leaves it queued. */
@@ -310,14 +304,12 @@ class ControllerBase
     void markAllDecodeDirty();
 
     /** All partitions, CPU nodes first then GPU, in id order — the
-     *  index's cached view. The oracle variant materializes fresh
-     *  vectors per call, as the pre-index code did. */
+     *  index's cached view. */
     const std::vector<Partition *> &
     allPartitions(bool cpuFirst) const
     {
         return index_.partitions(cpuFirst);
     }
-    std::vector<Partition *> allPartitionsOracle(bool cpuFirst) const;
 
     Simulator &sim_;
     std::vector<std::unique_ptr<Node>> &nodes_;
@@ -412,31 +404,6 @@ class SlinferController : public ControllerBase
     /** Total resize operations issued (Fig. 31). */
     std::uint64_t resizeOps() const;
 
-    /** A shared-placement candidate for a new instance. */
-    struct PlacementChoice
-    {
-        Partition *part = nullptr;
-        Bytes kvInit = 0;
-    };
-
-    /**
-     * Candidate selection for placing a new instance of `req`'s model,
-     * with no commitment — the decision the throughput bench measures
-     * and the fuzz test cross-checks. `oracle` selects the pre-index
-     * full-cluster best-fit scan; otherwise the free-capacity index
-     * answers with an ordered lookup plus a short ascending walk.
-     * Both return the same choice (see DESIGN.md, "Cluster indices"
-     * for the equivalence argument).
-     */
-    PlacementChoice probePlacement(const Request &req, bool oracle);
-
-    /** Full shadow validations run so far (bench observability). */
-    std::uint64_t
-    shadowEvaluations() const
-    {
-        return shadow_.evaluations();
-    }
-
   protected:
     bool tryDispatch(Request *req) override;
     bool tryDispatchDecode(Request *req) override;
@@ -461,10 +428,18 @@ class SlinferController : public ControllerBase
     };
     PlacementDemand placementDemand(const Request &req) const;
 
+    /** A shared-placement candidate for a new instance. */
+    struct PlacementChoice
+    {
+        Partition *part = nullptr;
+        Bytes kvInit = 0;
+    };
+    /** Candidate selection for a new instance of `req`'s model, with
+     *  no commitment: an ordered free-capacity lookup plus a short
+     *  ascending walk, equivalent to a best-fit scan of every
+     *  partition (DESIGN.md, "Cluster indices"). */
     PlacementChoice selectPlacement(const Request &req,
                                     const PlacementDemand &d);
-    PlacementChoice selectPlacementOracle(const Request &req,
-                                          const PlacementDemand &d);
     /** Shared eligibility+shadow check; fills `kvInit` on success. */
     bool placementCandidateOk(Partition *p, const Request &req,
                               const PlacementDemand &d, Bytes &kvInit);

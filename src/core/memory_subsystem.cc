@@ -13,20 +13,22 @@ namespace slinfer
 MemorySubsystem::MemorySubsystem(Simulator &sim, Partition &partition,
                                  double watermark,
                                  std::function<void()> notify,
-                                 ClusterIndex *index, bool oracleScans,
+                                 ClusterIndex *index,
                                  obs::Counters *ctr,
                                  obs::TraceRecorder *trace,
                                  obs::PhaseProfiler *prof,
                                  obs::AnatomyLedger *anatomy)
     : sim_(sim), part_(partition), watermark_(watermark),
-      notify_(std::move(notify)), index_(index), oracle_(oracleScans),
+      notify_(std::move(notify)), index_(index),
       ctr_(ctr), trace_(trace), prof_(prof), anat_(anatomy)
 {
 }
 
 Bytes
-MemorySubsystem::committedScan() const
+MemorySubsystem::committed() const
 {
+    if (index_)
+        return part_.committedBytes;
     Bytes total = 0;
     for (const Instance *inst : part_.instances) {
         // Optimistic semantics: an unloading instance's final footprint
@@ -115,7 +117,9 @@ MemorySubsystem::commitPlan(Instance &inst, const Plan &plan)
 bool
 MemorySubsystem::canPlace(Bytes weights, Bytes kvInit) const
 {
-    return canPlaceWith(committed(), weights, kvInit);
+    Bytes limit = static_cast<Bytes>(static_cast<double>(capacity()) *
+                                     (1.0 - kPlacementReserve));
+    return committed() + weights + kvInit <= limit;
 }
 
 void
@@ -244,7 +248,7 @@ MemorySubsystem::finishResize(Instance &inst, Bytes oldAlloc,
         for (Request *r : inst.decodeBatch)
             anat_->onResizeEnd(*r, sim_.now());
     }
-    // The oracle scaling sum only sees instances with activeAt >= 0;
+    // The report's scaling sum only sees instances with activeAt >= 0;
     // pre-activation accruals are folded in at activation.
     if (index_ && inst.activeAt >= 0)
         index_->addScalingSeconds(blocked);

@@ -22,9 +22,8 @@
  * mutation and load/unload transition goes through this class, which
  * updates `Partition::committedBytes` and the controller's
  * free-capacity index (core/cluster_index.hh), so `committed()` is
- * O(1) on the admission hot path. `committedScan()` keeps the
- * pre-index full walk alive as the oracle the fuzz test and the
- * throughput bench compare against.
+ * O(1) on the admission hot path. A subsystem built without an index
+ * (unit tests) walks the partition's instances instead.
  *
  * Per-op callbacks (`beginLoad`/`beginUnload`) are stored in a
  * small-buffer `DoneFn` (the 16-byte instantiation of the event
@@ -64,7 +63,6 @@ class MemorySubsystem
     MemorySubsystem(Simulator &sim, Partition &partition, double watermark,
                     std::function<void()> notify,
                     ClusterIndex *index = nullptr,
-                    bool oracleScans = false,
                     obs::Counters *ctr = nullptr,
                     obs::TraceRecorder *trace = nullptr,
                     obs::PhaseProfiler *prof = nullptr,
@@ -72,18 +70,9 @@ class MemorySubsystem
 
     /** Optimistic budget: weights + committed KV target of every
      *  non-reclaimed instance on the partition. O(1) via the running
-     *  partition total when an index is attached (scan otherwise, or
-     *  when the controller runs in oracle mode). */
-    Bytes
-    committed() const
-    {
-        if (index_ && !oracle_)
-            return part_.committedBytes;
-        return committedScan();
-    }
-
-    /** The pre-index oracle: walk the partition's instances. */
-    Bytes committedScan() const;
+     *  partition total when an index is attached, a walk of the
+     *  partition's instances otherwise. */
+    Bytes committed() const;
 
     Bytes capacity() const { return part_.mem.capacity(); }
 
@@ -113,20 +102,6 @@ class MemorySubsystem
      * the full capacity.
      */
     bool canPlace(Bytes weights, Bytes kvInit) const;
-    /** canPlace pinned to the running total / the oracle scan — the
-     *  two placement selectors use these explicitly so each path's
-     *  cost profile is measured faithfully regardless of mode (the
-     *  verdicts are identical; the fuzz test checks the totals). */
-    bool
-    canPlaceIndexed(Bytes weights, Bytes kvInit) const
-    {
-        return canPlaceWith(part_.committedBytes, weights, kvInit);
-    }
-    bool
-    canPlaceScan(Bytes weights, Bytes kvInit) const
-    {
-        return canPlaceWith(committedScan(), weights, kvInit);
-    }
 
     /** Fraction of capacity new placements may pledge. */
     static constexpr double kPlacementReserve = 0.08;
@@ -194,15 +169,6 @@ class MemorySubsystem
      *  running committed total and the free-capacity index honest. */
     void setKvTarget(Instance &inst, Bytes target);
 
-    bool
-    canPlaceWith(Bytes committedNow, Bytes weights, Bytes kvInit) const
-    {
-        Bytes limit =
-            static_cast<Bytes>(static_cast<double>(capacity()) *
-                               (1.0 - kPlacementReserve));
-        return committedNow + weights + kvInit <= limit;
-    }
-
     void issueResize(Instance &inst);
     bool tryExecute(Op &op);
     void finishResize(Instance &inst, Bytes oldAlloc, Seconds started);
@@ -213,7 +179,6 @@ class MemorySubsystem
     double watermark_;
     std::function<void()> notify_;
     ClusterIndex *index_;
-    bool oracle_;
     /** Flight-recorder sinks (any may be null = off). */
     obs::Counters *ctr_;
     obs::TraceRecorder *trace_;

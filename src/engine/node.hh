@@ -67,15 +67,15 @@ struct Partition
      * Running optimistic budget: weights + committed KV target of
      * every non-Unloading/non-Reclaimed resident, maintained
      * incrementally by ClusterIndex at instance registration, KV
-     * target changes and unload transitions (the oracle scan it
-     * mirrors is MemorySubsystem::committedScan). Integer arithmetic,
-     * so the running value is exactly the scan's value.
+     * target changes and unload transitions. Integer arithmetic, so
+     * the running value is exactly a scan of the residents
+     * (ClusterIndex::auditAgainst checks it).
      */
     Bytes committedBytes = 0;
     /** Position in the controller's canonical cpu-first partition
      *  view; doubles as the free-capacity index tie-breaker so the
      *  indexed placement walk visits equal-free partitions in the
-     *  same order as the oracle scan. */
+     *  same order as a best-fit scan in view order. */
     std::uint32_t viewPos = 0;
 
     /** Whether a new instance of another model may be placed here. */

@@ -233,7 +233,7 @@ EventQueue::popAndRun()
     // Move the callback out and release the slot *before* invoking:
     // the callback may schedule (growing the arena and invalidating
     // payload references) or cancel, and must see its own handle as
-    // already non-pending — same semantics as the legacy queue.
+    // already non-pending.
     InlineCallback cb = std::move(cbs_[slot]);
     freeSlot(slot);
     --live_;

@@ -20,7 +20,7 @@
  *    one heap allocation.
  *  - Ordering entries are 24 bytes of plain data — (when, seq, slot,
  *    generation) — so compares and moves are local and never
- *    dereference the arena, where the legacy queue sifted 64-byte
+ *    dereference the arena, where the original queue sifted 64-byte
  *    entries dragging a `std::function` and a `shared_ptr` along.
  *  - Entries live in one of three places: a small **near heap**
  *    (4-ary, key-inline) holding every pending event below the
@@ -44,14 +44,14 @@
  *    detected in O(1) with no shared ownership.
  *
  * Determinism: the global fire order is exactly ascending (when, seq),
- * byte-identical to the legacy queue. Buckets partition by time, equal
+ * ties FIFO by schedule order. Buckets partition by time, equal
  * times always classify to the same level (strictly-below-horizon =>
  * near), and the near heap breaks ties by sequence number.
  *
- * The performance methodology and the measured speedup over the
- * previous `shared_ptr`-based queue (kept as
- * `sim/legacy_event_queue.hh`) are documented in DESIGN.md ("The
- * event arena"); `bench/bench_sim_throughput.cc` measures both.
+ * The design and its performance methodology are documented in
+ * DESIGN.md ("The event arena"); `bench/bench_sim_throughput.cc`
+ * measures the queue, and `tests/test_sim.cc` fuzzes it against a
+ * sorted-vector reference of the (when, seq) order.
  *
  * Lifetime contract: an EventHandle must not be used after its
  * EventQueue is destroyed. Every handle in this codebase lives inside
@@ -242,8 +242,8 @@ const typename BasicInlineCallback<N>::Ops
 /** The event arena's payload type. Sized for the engine's largest
  *  real capture — the memory subsystem's `[this, &inst, footprint,
  *  done]` completion callbacks carry a 32 B inline done-callback plus
- *  three words (56 B) — which the legacy queue's 16 B std::function
- *  SBO spilled to the heap on every load/unload/resize event. */
+ *  three words (56 B) — which a 16 B std::function SBO would spill
+ *  to the heap on every load/unload/resize event. */
 using InlineCallback = BasicInlineCallback<64>;
 
 class EventQueue;
@@ -287,9 +287,6 @@ class EventHandle
 class EventQueue
 {
   public:
-    /** Legacy alias; schedule() accepts any nullary callable. */
-    using Callback = InlineCallback;
-
     /** Schedule `cb` at absolute time `when`. */
     template <typename F>
     EventHandle

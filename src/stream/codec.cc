@@ -651,191 +651,5 @@ StrcReader::next(TraceRecord &rec)
     return true;
 }
 
-// --------------------------------------------------------------------
-// .strz byte streams
-// --------------------------------------------------------------------
-
-namespace
-{
-
-constexpr char kStrzMagic[6] = {'S', 'T', 'R', 'Z', '1', '\n'};
-constexpr std::uint8_t kStrzVersion = 1;
-constexpr std::uint32_t kStrzChunkMagic = 0x4B435A53u; // "SZCK"
-constexpr std::size_t kStrzHeaderBytes = 8;
-constexpr std::size_t kStrzChunkHeaderBytes = 16;
-
-std::string
-strzHeaderBytes()
-{
-    std::string out;
-    out.append(kStrzMagic, sizeof(kStrzMagic));
-    out.push_back(static_cast<char>(kStrzVersion));
-    out.push_back('\0');
-    return out;
-}
-
-/** Order-1 adaptive byte models (128 KB, heap-allocated per block). */
-struct StrzModels
-{
-    ByteModel byCtx[256];
-};
-
-std::string
-strzCompress(const std::string &bytes)
-{
-    auto m = std::make_unique<StrzModels>();
-    std::string out;
-    out.reserve(bytes.size() / 2 + 16);
-    RangeEncoder enc(out);
-    std::uint8_t prev = 0;
-    for (char c : bytes) {
-        std::uint8_t b = static_cast<std::uint8_t>(c);
-        m->byCtx[prev].encode(enc, b);
-        prev = b;
-    }
-    enc.finish();
-    return out;
-}
-
-void
-strzDecompress(const std::uint8_t *payload, std::size_t n,
-               std::uint32_t rawSize, std::string &out)
-{
-    auto m = std::make_unique<StrzModels>();
-    RangeDecoder dec(payload, n);
-    std::uint8_t prev = 0;
-    for (std::uint32_t i = 0; i < rawSize; ++i) {
-        std::uint8_t b = m->byCtx[prev].decode(dec);
-        out.push_back(static_cast<char>(b));
-        prev = b;
-    }
-}
-
-} // namespace
-
-StrzWriter::~StrzWriter() { close(); }
-
-void
-StrzWriter::close()
-{
-    if (file_) {
-        std::fclose(file_);
-        file_ = nullptr;
-    }
-}
-
-bool
-StrzWriter::open(const std::string &path, bool truncate,
-                 std::string *err)
-{
-    if (file_)
-        fatal("StrzWriter::open: already open");
-    if (!truncate) {
-        if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
-            std::uint8_t hdr[kStrzHeaderBytes];
-            bool have = readExact(in, hdr, sizeof(hdr));
-            std::fclose(in);
-            if (have) {
-                if (std::memcmp(hdr, kStrzMagic, sizeof(kStrzMagic)) !=
-                        0 ||
-                    hdr[6] != kStrzVersion)
-                    return fail(err,
-                                path + ": not a .strz store");
-                file_ = std::fopen(path.c_str(), "ab");
-                if (!file_)
-                    return fail(err, "cannot append to " + path);
-                return true;
-            }
-            // Empty or sub-header file: rewrite it from scratch.
-        }
-    }
-    file_ = std::fopen(path.c_str(), "wb");
-    if (!file_)
-        return fail(err, "cannot create " + path);
-    if (!writeAll(file_, strzHeaderBytes()))
-        return fail(err, "write error on " + path);
-    std::fflush(file_);
-    return true;
-}
-
-bool
-StrzWriter::appendBlock(const std::string &bytes, std::string *err)
-{
-    if (!file_)
-        fatal("StrzWriter::appendBlock before open");
-    std::string payload = strzCompress(bytes);
-    std::string frame;
-    put32(frame, kStrzChunkMagic);
-    put32(frame, static_cast<std::uint32_t>(bytes.size()));
-    put32(frame, static_cast<std::uint32_t>(payload.size()));
-    put32(frame, crc32(payload.data(), payload.size()));
-    if (!writeAll(file_, frame) || !writeAll(file_, payload))
-        return fail(err, "write error on .strz store");
-    std::fflush(file_);
-    return true;
-}
-
-bool
-strzReadAll(const std::string &path, std::string &out,
-            std::string *err, bool *torn)
-{
-    out.clear();
-    if (torn)
-        *torn = false;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return true; // absent store == empty store
-    std::uint8_t hdr[kStrzHeaderBytes];
-    if (!readExact(f, hdr, sizeof(hdr))) {
-        // Sub-header file: a create interrupted before the header
-        // landed. Treat as torn-empty.
-        std::fclose(f);
-        if (torn)
-            *torn = true;
-        return true;
-    }
-    if (std::memcmp(hdr, kStrzMagic, sizeof(kStrzMagic)) != 0 ||
-        hdr[6] != kStrzVersion) {
-        std::fclose(f);
-        return fail(err, path + ": not a .strz store");
-    }
-    std::vector<std::uint8_t> payload;
-    for (;;) {
-        std::uint8_t ch[kStrzChunkHeaderBytes];
-        std::size_t got = std::fread(ch, 1, sizeof(ch), f);
-        if (got == 0)
-            break; // clean EOF
-        if (got < sizeof(ch)) {
-            if (torn)
-                *torn = true; // torn mid-chunk-header
-            break;
-        }
-        if (get32(ch) != kStrzChunkMagic) {
-            std::fclose(f);
-            return fail(err, path + ": corrupt chunk magic");
-        }
-        std::uint32_t rawSize = get32(ch + 4);
-        std::uint32_t compSize = get32(ch + 8);
-        std::uint32_t crc = get32(ch + 12);
-        if (rawSize > kMaxPayload || compSize > kMaxPayload) {
-            std::fclose(f);
-            return fail(err, path + ": chunk size out of range");
-        }
-        payload.resize(compSize);
-        if (!readExact(f, payload.data(), compSize)) {
-            if (torn)
-                *torn = true; // torn mid-payload
-            break;
-        }
-        if (crc32(payload.data(), payload.size()) != crc) {
-            std::fclose(f);
-            return fail(err, path + ": chunk checksum mismatch");
-        }
-        strzDecompress(payload.data(), payload.size(), rawSize, out);
-    }
-    std::fclose(f);
-    return true;
-}
-
 } // namespace stream
 } // namespace slinfer

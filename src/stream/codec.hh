@@ -24,10 +24,6 @@
  * truncated copy) degrades, never traps: the reader falls back to a
  * sequential scan and recovers every complete, checksummed chunk
  * before the damage (StrcReader::recovered()).
- *
- * StrzWriter/strzReadAll are the general-purpose byte-stream variant
- * of the same chunk framing (order-1 context model over raw bytes),
- * used by the sweep result store for compressed JSONL (`.strz`).
  */
 
 #ifndef SLINFER_STREAM_CODEC_HH
@@ -327,47 +323,6 @@ class StrcReader
     std::size_t curChunk_ = 0; ///< next chunk to decode
     std::size_t curPos_ = 0;
 };
-
-// --------------------------------------------------------------------
-// .strz byte streams (compressed JSONL stores)
-// --------------------------------------------------------------------
-
-/**
- * Append-oriented compressed byte-stream: each appendBlock() call
- * lands as one independently decodable, checksummed chunk, flushed
- * before returning — the same per-record durability as the JSONL
- * store, at order-1-context-model compression.
- */
-class StrzWriter
-{
-  public:
-    StrzWriter() = default;
-    ~StrzWriter();
-
-    StrzWriter(const StrzWriter &) = delete;
-    StrzWriter &operator=(const StrzWriter &) = delete;
-
-    /** Open for append, writing the header iff the file is new (or
-     *  `truncate` rewrites it from scratch). */
-    bool open(const std::string &path, bool truncate, std::string *err);
-
-    /** Compress + append + flush one chunk. */
-    bool appendBlock(const std::string &bytes, std::string *err);
-
-    void close();
-
-  private:
-    std::FILE *file_ = nullptr;
-};
-
-/**
- * Decompress every complete chunk of an .strz file into `out`. A torn
- * tail chunk (mid-append crash) sets *torn and is dropped; a missing
- * file yields empty output. Returns false only on real corruption or
- * unreadable headers.
- */
-bool strzReadAll(const std::string &path, std::string &out,
-                 std::string *err, bool *torn);
 
 } // namespace stream
 } // namespace slinfer

@@ -4,7 +4,8 @@
  *
  * A RequestSource yields trace records one at a time in nondecreasing
  * time order. The Session consumes it either fully up front (the
- * classic materialized path, which stays the byte-identity oracle) or
+ * classic materialized path, which `--materialized` replays for
+ * byte-identity diffs) or
  * through a StreamingArrivalFeed (stream/feed.hh) that keeps only a
  * bounded lookahead window of future arrivals alive — the whole point
  * of the subsystem: peak memory independent of trace length.

@@ -181,7 +181,7 @@ ResultStore::parseRecordLine(const std::string &line, JobSpec &job,
 }
 
 std::vector<std::string>
-ResultStore::loadLines(const std::string &content, bool dropTorn)
+ResultStore::loadLines(const std::string &content)
 {
     std::vector<std::string> valid_lines;
     std::string line;
@@ -199,7 +199,7 @@ ResultStore::loadLines(const std::string &content, bool dropTorn)
         Report report;
         std::string err;
         if (!parseRecordLine(line, job, report, &err)) {
-            if (!complete && dropTorn) {
+            if (!complete) {
                 logf(LogLevel::Warn, "result store ", path_,
                      ": dropping torn final record (interrupted "
                      "write); the job will re-run");
@@ -228,43 +228,7 @@ ResultStore::ResultStore(const std::string &path) : path_(path)
 {
     if (path_.empty())
         return;
-    compressed_ = path_.size() >= 5 &&
-                  path_.compare(path_.size() - 5, 5, ".strz") == 0;
-
     // Load whatever a previous (possibly interrupted) sweep persisted.
-    std::string err;
-    if (compressed_) {
-        std::string content;
-        bool torn = false;
-        if (!stream::strzReadAll(path_, content, &err, &torn))
-            fatal("result store " + path_ + ": " + err);
-        // Chunk CRCs already vouch for the content, so any parse
-        // failure in it is real corruption — no torn-line tolerance.
-        std::vector<std::string> valid_lines =
-            loadLines(content, /*dropTorn=*/false);
-        loaded_ = byHash_.size();
-        if (torn) {
-            logf(LogLevel::Warn, "result store ", path_, ": dropping "
-                 "torn tail chunk (interrupted write); the affected "
-                 "job will re-run");
-            // The torn bytes must come off disk before appending.
-            stream::StrzWriter rw;
-            if (!rw.open(path_, /*truncate=*/true, &err))
-                fatal("result store: cannot rewrite " + path_ + ": " +
-                      err);
-            std::string batch;
-            for (const std::string &l : valid_lines)
-                batch += l + "\n";
-            if (!batch.empty() && !rw.appendBlock(batch, &err))
-                fatal("result store: cannot rewrite " + path_ + ": " +
-                      err);
-        }
-        if (!zwriter_.open(path_, /*truncate=*/false, &err))
-            fatal("result store: cannot open " + path_ +
-                  " for append: " + err);
-        return;
-    }
-
     bool needs_rewrite = false;
     std::vector<std::string> valid_lines;
     if (std::FILE *in = std::fopen(path_.c_str(), "r")) {
@@ -273,7 +237,7 @@ ResultStore::ResultStore(const std::string &path) : path_(path)
         while ((c = std::fgetc(in)) != EOF)
             content += static_cast<char>(c);
         std::fclose(in);
-        valid_lines = loadLines(content, /*dropTorn=*/true);
+        valid_lines = loadLines(content);
         loaded_ = byHash_.size();
         // Any unterminated tail — torn mid-record (dropped above) or a
         // record that parsed but lost its newline — must come off the
@@ -300,7 +264,6 @@ ResultStore::~ResultStore()
 {
     if (file_)
         std::fclose(file_);
-    zwriter_.close();
 }
 
 const Report *
@@ -320,12 +283,6 @@ ResultStore::append(const JobSpec &job, const Report &report)
     if (path_.empty())
         return;
     std::string line = recordLine(job, report);
-    if (compressed_) {
-        std::string err;
-        if (!zwriter_.appendBlock(line + "\n", &err))
-            fatal("result store " + path_ + ": " + err);
-        return;
-    }
     std::fprintf(file_, "%s\n", line.c_str());
     std::fflush(file_);
 }
@@ -353,32 +310,6 @@ ResultStore::compact(const std::vector<Record> &ordered)
         logf(LogLevel::Info, "result store ", path_, ": holds "
              "records outside this grid; skipping grid-order "
              "compaction");
-        return;
-    }
-    if (compressed_) {
-        zwriter_.close();
-        std::string err;
-        stream::StrzWriter rw;
-        if (!rw.open(path_, /*truncate=*/true, &err))
-            fatal("result store: cannot rewrite " + path_ + ": " + err);
-        // Re-batch the per-append one-line chunks into big blocks: the
-        // context model warms up over a whole batch instead of
-        // restarting per record, which is where most of the ratio
-        // comes from.
-        std::string batch;
-        for (const Record &rec : ordered) {
-            batch += recordLine(rec.job, rec.report) + "\n";
-            if (batch.size() >= (1u << 20)) {
-                if (!rw.appendBlock(batch, &err))
-                    fatal("result store " + path_ + ": " + err);
-                batch.clear();
-            }
-        }
-        if (!batch.empty() && !rw.appendBlock(batch, &err))
-            fatal("result store " + path_ + ": " + err);
-        rw.close();
-        if (!zwriter_.open(path_, /*truncate=*/false, &err))
-            fatal("result store: cannot reopen " + path_ + ": " + err);
         return;
     }
     if (file_) {

@@ -3,21 +3,16 @@
  * On-disk sweep result store: one record per finished job, keyed by
  * the job's config hash.
  *
- * Two layouts, chosen by the path's suffix:
- *  - plain JSONL (the default): one line per record, greppable;
- *  - `.strz` (stream/codec.hh): the same logical lines framed into
- *    checksummed context-model-compressed chunks, one chunk per
- *    append. Large sweeps shrink ~5-10x; compact() additionally
- *    re-batches the lines into big chunks for the best ratio.
+ * The layout is plain JSONL: one line per record, greppable.
  *
  * Opening a store loads every existing record, so a re-run of the same
  * grid skips completed jobs (resume-from-partial after an interrupt).
  * append() is thread-safe and flushes per record — a job that finished
  * is durable even if the process dies mid-sweep; a record torn by the
- * crash (unterminated line / torn tail chunk) is dropped with a
- * warning and the job simply re-runs. compact() rewrites the file in
- * grid order once a sweep completes, making the bytes independent of
- * worker count and completion order.
+ * crash (unterminated line) is dropped with a warning and the job
+ * simply re-runs. compact() rewrites the file in grid order once a
+ * sweep completes, making the bytes independent of worker count and
+ * completion order.
  */
 
 #ifndef SLINFER_SWEEP_STORE_HH
@@ -30,7 +25,6 @@
 #include <vector>
 
 #include "common/flat_hash.hh"
-#include "stream/codec.hh"
 #include "sweep/sweep.hh"
 
 namespace slinfer
@@ -71,18 +65,14 @@ class ResultStore
                                 Report &report, std::string *err);
 
   private:
-    /** Load `lines` (split on '\n') into byHash_; fatal on a complete
-     *  line that fails to parse. Returns the kept lines. */
-    std::vector<std::string> loadLines(const std::string &content,
-                                       bool dropTorn);
+    /** Load `content` (split on '\n') into byHash_, dropping a torn
+     *  final line; fatal on a complete line that fails to parse.
+     *  Returns the kept lines. */
+    std::vector<std::string> loadLines(const std::string &content);
 
     std::string path_;
-    /** True when `path_` ends in ".strz" (compressed layout). */
-    bool compressed_ = false;
-    /** JSONL append handle (null in compressed / in-memory mode). */
+    /** JSONL append handle (null in in-memory mode). */
     std::FILE *file_ = nullptr;
-    /** Compressed append handle (closed in JSONL / in-memory mode). */
-    stream::StrzWriter zwriter_;
     mutable std::mutex mutex_;
     /** Reports live behind unique_ptr: find() hands out raw pointers
      *  that must survive the flat map's rehashes. */

@@ -149,6 +149,67 @@ TEST(Rng, ChanceProbability)
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
 }
 
+/**
+ * The first raw outputs of every sampler at two fixed seeds. Every
+ * report byte (and so every golden digest) flows from these; when a
+ * toolchain or library change moves them, this test names the sampler
+ * that moved before any digest does. Each sampler draws from a fresh
+ * Rng, so one moved sampler fails alone.
+ */
+TEST(Rng, RawOutputsArePinned)
+{
+    struct Pin
+    {
+        const char *sampler;
+        double (*draw)(Rng &);
+        std::uint64_t seed;
+        double want[3];
+    };
+    const Pin pins[] = {
+        {"uniform", [](Rng &r) { return r.uniform(); }, 1,
+         {0.53246524338255163, 0.89269856320577556, 0.89049588741896235}},
+        {"uniform", [](Rng &r) { return r.uniform(); }, 42,
+         {0.13967200376411759, 0.9693205787161252, 0.97019593185647635}},
+        {"uniformInt",
+         [](Rng &r) { return static_cast<double>(r.uniformInt(0, 1000000)); },
+         1, {532465, 892699, 890496}},
+        {"uniformInt",
+         [](Rng &r) { return static_cast<double>(r.uniformInt(0, 1000000)); },
+         42, {139672, 969321, 970196}},
+        {"exponential", [](Rng &r) { return r.exponential(2.0); }, 1,
+         {0.38014079365556425, 1.1160566194975097, 1.1058965863065817}},
+        {"exponential", [](Rng &r) { return r.exponential(2.0); }, 42,
+         {0.075220785736838561, 1.7420815828188456, 1.7565551899523715}},
+        {"normal", [](Rng &r) { return r.normal(); }, 1,
+         {0.97271450413705207, 0.13664146052180318, -0.26682120985274072}},
+        {"normal", [](Rng &r) { return r.normal(); }, 42,
+         {0.93292995073422891, -0.55873942163976853, -2.3199751866631542}},
+        {"logNormalMedian",
+         [](Rng &r) { return r.logNormalMedian(100.0, 0.5); }, 1,
+         {162.6380920385001, 107.07086620824252, 87.510569561912078}},
+        {"logNormalMedian",
+         [](Rng &r) { return r.logNormalMedian(100.0, 0.5); }, 42,
+         {159.43481596453307, 75.62602539250247, 31.349007022583372}},
+        {"gamma", [](Rng &r) { return r.gamma(0.7, 2.0); }, 1,
+         {2.4585909485162243, 1.2725470653383077, 0.93680263046175849}},
+        {"gamma", [](Rng &r) { return r.gamma(0.7, 2.0); }, 42,
+         {1.9160715390815226, 0.047545017782905832, 0.16651148566013202}},
+        {"boundedPareto",
+         [](Rng &r) { return r.boundedPareto(1.0, 1000.0, 1.2); }, 1,
+         {1.8838727456134177, 6.4131765172953186, 6.3057409196099714}},
+        {"boundedPareto",
+         [](Rng &r) { return r.boundedPareto(1.0, 1000.0, 1.2); }, 42,
+         {1.1335269807630608, 18.117562901925734, 18.556231869720733}},
+    };
+    for (const Pin &pin : pins) {
+        Rng r(pin.seed);
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_EQ(pin.draw(r), pin.want[i])
+                << pin.sampler << " seed " << pin.seed << " draw " << i;
+        }
+    }
+}
+
 TEST(Summary, BasicMoments)
 {
     Summary s;

@@ -2,20 +2,20 @@
  * @file
  * Unit tests for the discrete-event simulator core.
  *
- * The arena EventQueue (sim/event_queue.hh) must be observably
- * indistinguishable from the legacy shared_ptr/std::function queue it
- * replaced (sim/legacy_event_queue.hh): same fire order, same
- * cancellation semantics, same handle behavior. Besides the directed
- * cases, a fuzz-style schedule/cancel/pop interleaving runs the same
- * program against both queues and requires identical fire sequences.
+ * The arena EventQueue (sim/event_queue.hh) must fire events in
+ * (time, schedule order) order, honor cancellation, and report handle
+ * state faithfully. Besides the directed cases, a fuzz-style
+ * schedule/cancel/pop interleaving runs the same program against the
+ * arena and a sorted-vector reference and requires identical fire
+ * sequences.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <vector>
 
-#include "sim/legacy_event_queue.hh"
 #include "sim/simulator.hh"
 
 namespace slinfer
@@ -229,8 +229,80 @@ TEST(EventQueue, BulkBacklogDrainsInOrder)
 }
 
 // ------------------------------------------------------------------
-// Fuzz: the arena queue vs the legacy queue on identical programs.
+// Fuzz: the arena queue vs a reference queue on identical programs.
 // ------------------------------------------------------------------
+
+/** The reference semantics in a few lines: every scheduled entry
+ *  stays in a vector, and a pop runs the live entry with the least
+ *  (time, seq). */
+class RefQueue
+{
+  public:
+    struct Entry
+    {
+        Seconds when;
+        std::function<void()> cb;
+        bool live;
+    };
+
+    class Handle
+    {
+      public:
+        Handle() = default;
+        Handle(std::vector<Entry> *entries, std::size_t i)
+            : entries_(entries), i_(i)
+        {
+        }
+        void
+        cancel()
+        {
+            if (entries_)
+                (*entries_)[i_].live = false;
+        }
+        bool pending() const { return entries_ && (*entries_)[i_].live; }
+
+      private:
+        std::vector<Entry> *entries_ = nullptr;
+        std::size_t i_ = 0;
+    };
+
+    Handle
+    schedule(Seconds when, std::function<void()> cb)
+    {
+        entries_.push_back({when, std::move(cb), true});
+        return Handle(&entries_, entries_.size() - 1);
+    }
+
+    bool
+    empty() const
+    {
+        for (const Entry &e : entries_) {
+            if (e.live)
+                return false;
+        }
+        return true;
+    }
+
+    Seconds
+    popAndRun()
+    {
+        // seq is the vector index, so a strict < keeps the earliest.
+        std::size_t best = entries_.size();
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            if (entries_[i].live &&
+                (best == entries_.size() ||
+                 entries_[i].when < entries_[best].when))
+                best = i;
+        }
+        entries_[best].live = false;
+        std::function<void()> cb = entries_[best].cb;
+        cb(); // may schedule, reallocating entries_
+        return entries_[best].when;
+    }
+
+  private:
+    std::vector<Entry> entries_;
+};
 
 /**
  * Run a deterministic schedule/cancel/pop interleaving against a
@@ -300,14 +372,14 @@ fuzzProgram(std::uint64_t seed)
     return fired;
 }
 
-TEST(EventQueueFuzz, MatchesLegacySemantics)
+TEST(EventQueueFuzz, MatchesReferenceSemantics)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         std::vector<int> arena =
             fuzzProgram<EventQueue, EventHandle>(seed);
-        std::vector<int> legacy =
-            fuzzProgram<LegacyEventQueue, LegacyEventHandle>(seed);
-        ASSERT_EQ(arena, legacy) << "seed " << seed;
+        std::vector<int> reference =
+            fuzzProgram<RefQueue, RefQueue::Handle>(seed);
+        ASSERT_EQ(arena, reference) << "seed " << seed;
         ASSERT_FALSE(arena.empty()) << "seed " << seed;
     }
 }

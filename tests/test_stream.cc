@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming subsystem tests: the `.strc`/`.strz` codecs (round trips,
+ * Streaming subsystem tests: the `.strc` codec (round trips,
  * multi-chunk files, torn-write recovery) and the headline contract —
  * a streaming replay's Report is byte-identical to the materialized
  * oracle across a seeded fuzz matrix (plain and chaos variants).
@@ -282,82 +282,6 @@ TEST(Strc, TruncatedFileRecoversCompleteChunks)
             fatal("checksum mismatch");
         },
         "checksum mismatch");
-    std::remove(path.c_str());
-}
-
-// --------------------------------------------------------------------
-// .strz byte-stream store
-// --------------------------------------------------------------------
-
-TEST(Strz, AppendReadAllRoundTrip)
-{
-    std::string path = tmpPath("strz") + ".strz";
-    std::remove(path.c_str());
-    std::string err;
-
-    std::string expect;
-    {
-        stream::StrzWriter w;
-        ASSERT_TRUE(w.open(path, /*truncate=*/true, &err)) << err;
-        Rng rng(5);
-        for (int i = 0; i < 10; ++i) {
-            std::string block = "{\"line\":" + std::to_string(i) + ",";
-            for (int j = 0; j < 200; ++j)
-                block += static_cast<char>('a' + rng.uniformInt(0, 25));
-            block += "}\n";
-            ASSERT_TRUE(w.appendBlock(block, &err)) << err;
-            expect += block;
-        }
-    }
-    // Reopen for append (crash-resume shape) and add more.
-    {
-        stream::StrzWriter w;
-        ASSERT_TRUE(w.open(path, /*truncate=*/false, &err)) << err;
-        ASSERT_TRUE(w.appendBlock("tail\n", &err)) << err;
-        expect += "tail\n";
-    }
-
-    std::string out;
-    bool torn = false;
-    ASSERT_TRUE(stream::strzReadAll(path, out, &err, &torn)) << err;
-    EXPECT_FALSE(torn);
-    EXPECT_EQ(out, expect);
-    std::remove(path.c_str());
-}
-
-TEST(Strz, TornTailChunkIsDroppedMissingFileIsEmpty)
-{
-    std::string path = tmpPath("strz_torn") + ".strz";
-    std::remove(path.c_str());
-    std::string err, out;
-    bool torn = false;
-
-    // Missing file: empty output, ok.
-    ASSERT_TRUE(stream::strzReadAll(path, out, &err, &torn));
-    EXPECT_TRUE(out.empty());
-    EXPECT_FALSE(torn);
-
-    {
-        stream::StrzWriter w;
-        ASSERT_TRUE(w.open(path, true, &err)) << err;
-        ASSERT_TRUE(w.appendBlock("first-block\n", &err));
-        ASSERT_TRUE(w.appendBlock("second-block\n", &err));
-    }
-    std::string full = readFileBytes(path);
-    // Tear the last chunk mid-payload: simulate a mid-append crash.
-    writeFileBytes(path, full.substr(0, full.size() - 3));
-
-    out.clear();
-    ASSERT_TRUE(stream::strzReadAll(path, out, &err, &torn)) << err;
-    EXPECT_TRUE(torn);
-    EXPECT_EQ(out, "first-block\n");
-
-    // Corrupting a *complete* chunk's payload is real corruption.
-    std::string corrupt = full;
-    corrupt[full.size() - 4] ^= 0x01;
-    writeFileBytes(path, corrupt);
-    out.clear();
-    EXPECT_FALSE(stream::strzReadAll(path, out, &err, &torn));
     std::remove(path.c_str());
 }
 

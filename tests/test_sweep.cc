@@ -459,6 +459,28 @@ TEST(SweepManifest, ParsesAxesAndRejectsGarbage)
     EXPECT_FALSE(parseSeedList("", seeds, &err));
 }
 
+/** The strict flag parsers both tools share: whole token, no sign on
+ *  counts, no overflow, finite reals only. */
+TEST(SweepGrid, StrictNumericParsing)
+{
+    std::uint64_t n = 0;
+    EXPECT_TRUE(parseCount("4", n));
+    EXPECT_EQ(n, 4u);
+    EXPECT_TRUE(parseCount("18446744073709551615", n));
+    for (const char *bad : {"", "4x", "-5", "+4", " 4", "0x10",
+                            "18446744073709551616", "abc"})
+        EXPECT_FALSE(parseCount(bad, n)) << bad;
+
+    double v = 0.0;
+    EXPECT_TRUE(parseReal("0.25", v));
+    EXPECT_EQ(v, 0.25);
+    EXPECT_TRUE(parseReal("-1e3", v));
+    EXPECT_EQ(v, -1000.0);
+    for (const char *bad : {"", "abc", "0.1x", " 0.1", "nan", "inf",
+                            "1e999"})
+        EXPECT_FALSE(parseReal(bad, v)) << bad;
+}
+
 TEST(SweepStore, RecordLinesRoundTrip)
 {
     JobSpec job;

@@ -25,7 +25,6 @@
  * execution and resume, see slinfer_sweep.)
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -128,18 +127,13 @@ listCatalog()
     std::printf("\n");
 }
 
-/** Parse a nonnegative integer; exits naming the flag on malformed
- *  input. */
+/** Parse a nonnegative integer strictly (sweep::parseCount); exits
+ *  naming the flag on malformed input. */
 std::uint64_t
 parseCount(const std::string &tok, const char *flag)
 {
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-    // strtoull silently negates a leading '-' and saturates on
-    // overflow (ERANGE); reject both.
-    if (tok.empty() || tok[0] == '-' || errno == ERANGE ||
-        end != tok.c_str() + tok.size()) {
+    std::uint64_t v = 0;
+    if (!sweep::parseCount(tok, v)) {
         std::fprintf(stderr, "%s: malformed value '%s'\n", flag,
                      tok.c_str());
         std::exit(2);
@@ -155,11 +149,8 @@ parseSeconds(std::string tok, const char *flag)
     std::string shown = tok;
     if (!tok.empty() && tok.back() == 's')
         tok.pop_back();
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || errno == ERANGE ||
-        end != tok.c_str() + tok.size() || !(v > 0)) {
+    double v = 0.0;
+    if (!sweep::parseReal(tok, v) || !(v > 0)) {
         std::fprintf(stderr, "%s: malformed value '%s'\n", flag,
                      shown.c_str());
         std::exit(2);

@@ -59,12 +59,14 @@ usage(std::FILE *to)
         "output:\n"
         "  --summary-out=<file>     write cross-seed summary there\n"
         "  --format=json|csv        summary format (default: json)\n"
-        "  --bootstrap=<n>          bootstrap iterations (default: 1000)\n"
+        "  --bootstrap=<n>          bootstrap iterations, 0..1000000 "
+        "(default: 1000)\n"
         "  --timing-json=<file>     write wall-clock/jobs-per-sec JSON\n"
         "  --quiet                  no progress, warnings only\n"
         "gate:\n"
         "  --compare=<baseline>     diff summary against a baseline\n"
-        "  --tolerance=<frac>       allowed drift (default: 0.10)\n"
+        "  --tolerance=<frac>       allowed drift in [0, 1] (default: "
+        "0.10)\n"
         "  --write-baseline=<file>  save summary as a new baseline\n");
 }
 
@@ -78,6 +80,24 @@ splitCommas(const std::string &text)
         if (!tok.empty())
             out.push_back(tok);
     return out;
+}
+
+/** Parse an integer flag in [lo, hi] strictly (sweep::parseCount);
+ *  exits 2 naming the flag otherwise. */
+std::uint64_t
+parseCountFlag(const std::string &tok, const char *flag, std::uint64_t lo,
+               std::uint64_t hi)
+{
+    std::uint64_t v = 0;
+    if (!sweep::parseCount(tok, v) || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "%s: malformed value '%s' (expected an integer in "
+                     "[%llu, %llu])\n",
+                     flag, tok.c_str(), static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
+        std::exit(2);
+    }
+    return v;
 }
 
 bool
@@ -162,11 +182,8 @@ main(int argc, char **argv)
         } else if (arg.rfind("--manifest=", 0) == 0) {
             manifest_path = value();
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = std::atoi(value().c_str());
-            if (jobs < 1 || jobs > 1024) {
-                std::fprintf(stderr, "--jobs must be in [1, 1024]\n");
-                return 2;
-            }
+            jobs = static_cast<int>(
+                parseCountFlag(value(), "--jobs", 1, 1024));
         } else if (arg == "--attribution") {
             attribution = true;
         } else if (arg.rfind("--store=", 0) == 0) {
@@ -176,13 +193,21 @@ main(int argc, char **argv)
         } else if (arg.rfind("--format=", 0) == 0) {
             format = value();
         } else if (arg.rfind("--bootstrap=", 0) == 0) {
-            bootstrap = std::atoi(value().c_str());
+            bootstrap = static_cast<int>(
+                parseCountFlag(value(), "--bootstrap", 0, 1000000));
         } else if (arg.rfind("--timing-json=", 0) == 0) {
             timing_json = value();
         } else if (arg.rfind("--compare=", 0) == 0) {
             compare_path = value();
         } else if (arg.rfind("--tolerance=", 0) == 0) {
-            tolerance = std::atof(value().c_str());
+            if (!sweep::parseReal(value(), tolerance) || tolerance < 0 ||
+                tolerance > 1) {
+                std::fprintf(stderr,
+                             "--tolerance: malformed value '%s' "
+                             "(expected a fraction in [0, 1])\n",
+                             value().c_str());
+                return 2;
+            }
         } else if (arg.rfind("--write-baseline=", 0) == 0) {
             write_baseline = value();
         } else {
@@ -194,6 +219,15 @@ main(int argc, char **argv)
 
     if (format != "json" && format != "csv") {
         std::fprintf(stderr, "unknown format '%s'\n", format.c_str());
+        return 2;
+    }
+    // The compressed store layout is gone; refuse its suffix rather
+    // than write JSONL under a name that promises something else.
+    if (store_path.size() >= 5 &&
+        store_path.compare(store_path.size() - 5, 5, ".strz") == 0) {
+        std::fprintf(stderr,
+                     "--store: the compressed .strz store was removed; "
+                     "use a .jsonl store\n");
         return 2;
     }
 
