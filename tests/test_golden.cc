@@ -25,6 +25,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -54,6 +55,13 @@ struct GoldenRow
                " " + hex;
     }
 };
+
+/** gtest prints a failing row as its line, not as raw bytes. */
+void
+PrintTo(const GoldenRow &row, std::ostream *os)
+{
+    *os << row.line(row.digest);
+}
 
 std::string
 hex64(std::uint64_t v)
