@@ -9,28 +9,25 @@
  *  1. **codec** — pack the trace to `.strc` and drain it back:
  *     records/sec each way, bytes/record on disk, and the compression
  *     ratio against the raw 12-byte (f64 time + u32 model) encoding.
- *  2. **replay** — the same experiment run streaming (from the packed
- *     file, bounded lookahead, request recycling) and materialized
- *     (the classic full-vector oracle): requests/sec wall each way,
- *     with resident-set size sampled across 200 advance slices.
- *  3. **headline** — requests/sec per GB of peak RSS on the streaming
- *     path, the number ISSUE-class multi-million-request replays are
- *     sized by.
+ *  2. **replay** — the experiment replayed from the packed file
+ *     (bounded lookahead, request recycling): requests/sec wall, with
+ *     resident-set size sampled across 200 advance slices.
+ *  3. **headline** — requests/sec per GB of peak RSS, the number
+ *     multi-million-request replays are sized by.
  *
  * The fleet is deliberately small for the arrival rate, so most
  * requests drop at their TTFT deadline: the bench measures the replay
- * engine (arrival scheduling, materialization, recycling) rather than
- * serving capacity, and both modes do identical work either way. The
- * streaming run goes first so allocator reuse from the materialized
- * run cannot deflate its RSS reading.
+ * engine (arrival scheduling, request construction, recycling) rather
+ * than serving capacity. The bounded-memory contract itself is
+ * asserted by StreamRss.BoundedMemory and the CI `ulimit -v` replay.
  *
  * Output: a human table on stdout, optionally
  *   --json=<file>            freeform trajectory doc (BENCH_*.json)
  *   --write-baseline=<file>  machine summary for the CI gate
- *   --compare=<file>         gate the same-process ratios against a
- *                            baseline via sweep::compare (ratios are
- *                            host-comparable; absolute records/sec and
- *                            RSS are recorded but not gated)
+ *   --compare=<file>         gate the codec compression ratio against
+ *                            a baseline via sweep::compare (it is
+ *                            host-independent; absolute records/sec
+ *                            and RSS are recorded but not gated)
  *   --tolerance=<frac>       allowed ratio drop (default 0.50)
  *   --requests=<n> --models=<m> --window=<s> --lookahead=<k>
  * Exit code: 0 ok, 1 gate failure, 2 usage error.
@@ -253,38 +250,23 @@ main(int argc, char **argv)
     double unpack_rps =
         unpack_wall > 0 ? static_cast<double>(packed) / unpack_wall : 0.0;
 
-    // ---- replay: streaming from disk, then materialized -------------
+    // ---- replay from disk ------------------------------------------
     ExperimentConfig cfg;
     cfg.system = SystemKind::Slinfer;
     cfg.cluster.cpuNodes = 4;
     cfg.cluster.gpuNodes = 4;
     cfg.models = replicateModel(llama2_7b(), numModels);
     cfg.seed = 99;
-
-    ExperimentConfig stream_cfg = cfg;
-    stream_cfg.stream.enabled = true;
-    stream_cfg.stream.lookahead = lookahead;
-    stream_cfg.stream.tracePath = strc_path;
-    ReplayResult st = timedReplay(stream_cfg);
-
-    ExperimentConfig mat_cfg = cfg;
-    mat_cfg.trace = generateAzureTrace(tc); // same seed: same trace
-    mat_cfg.duration = window;
-    ReplayResult mat = timedReplay(mat_cfg);
+    cfg.stream.lookahead = lookahead;
+    cfg.stream.tracePath = strc_path;
+    ReplayResult st = timedReplay(cfg);
     std::remove(strc_path.c_str());
 
-    if (st.requests != mat.requests)
+    if (st.requests != packed)
         fatal("bench_stream_throughput: replay count mismatch");
 
     double stream_rps =
         st.wall > 0 ? static_cast<double>(st.requests) / st.wall : 0.0;
-    double mat_rps =
-        mat.wall > 0 ? static_cast<double>(mat.requests) / mat.wall : 0.0;
-    double stream_vs_mat = mat_rps > 0 ? stream_rps / mat_rps : 0.0;
-    double rss_ratio =
-        st.maxRss > 0 ? static_cast<double>(mat.maxRss) /
-                            static_cast<double>(st.maxRss)
-                      : 0.0;
     double rps_per_gb =
         st.maxRss > 0
             ? stream_rps / (static_cast<double>(st.maxRss) / 1e9)
@@ -299,12 +281,6 @@ main(int argc, char **argv)
     t.addRow({"stream replay wall (s)", Table::num(st.wall, 3)});
     t.addRow({"stream requests/sec", Table::num(stream_rps, 0)});
     t.addRow({"stream max RSS (MB)", Table::num(st.maxRss / 1e6, 1)});
-    t.addRow({"materialized wall (s)", Table::num(mat.wall, 3)});
-    t.addRow({"materialized requests/sec", Table::num(mat_rps, 0)});
-    t.addRow({"materialized max RSS (MB)",
-              Table::num(mat.maxRss / 1e6, 1)});
-    t.addRow({"stream/mat throughput", Table::num(stream_vs_mat, 2) + "x"});
-    t.addRow({"mat/stream RSS", Table::num(rss_ratio, 2) + "x"});
     t.addRow({"stream requests/sec/GB", Table::num(rps_per_gb, 0)});
     std::printf("streaming replay throughput (%llu requests, %d models, "
                 "%.0f s window, lookahead %u)\n",
@@ -324,11 +300,7 @@ main(int argc, char **argv)
         {"strc_bytes_per_record", point(bytes_per_rec)},
         {"strc_compression_ratio", point(compression)},
         {"stream_requests_per_sec", point(stream_rps)},
-        {"mat_requests_per_sec", point(mat_rps)},
         {"stream_max_rss_mb", point(st.maxRss / 1e6)},
-        {"mat_max_rss_mb", point(mat.maxRss / 1e6)},
-        {"stream_vs_mat_throughput", point(stream_vs_mat)},
-        {"mat_vs_stream_rss", point(rss_ratio)},
         {"stream_requests_per_sec_per_gb", point(rps_per_gb)},
     };
     std::vector<sweep::SummaryRow> rows = {row};
@@ -339,12 +311,12 @@ main(int argc, char **argv)
             buf, sizeof(buf),
             "{\n"
             "  \"bench\": \"stream_throughput\",\n"
-            "  \"description\": \"Streaming replay vs the materialized "
-            "oracle on one synthetic Azure trace (%llu requests, %d "
-            "models, %.0f s window, lookahead %u): .strc codec "
-            "throughput, replay requests/sec, and sampled peak RSS. "
-            "Regenerate with: ./build/bench/bench_stream_throughput "
-            "--json=BENCH_stream_throughput.json\",\n"
+            "  \"description\": \"Replay of one synthetic Azure trace "
+            "from a .strc file (%llu requests, %d models, %.0f s "
+            "window, lookahead %u): .strc codec throughput, replay "
+            "requests/sec, and sampled peak RSS. Regenerate with: "
+            "./build/bench/bench_stream_throughput --requests=%llu "
+            "--window=%.0f --json=BENCH_stream_throughput.json\",\n"
             "  \"trace_records\": %llu,\n"
             "  \"pack_records_per_sec\": %.0f,\n"
             "  \"unpack_records_per_sec\": %.0f,\n"
@@ -353,18 +325,13 @@ main(int argc, char **argv)
             "  \"stream_wall_s\": %.3f,\n"
             "  \"stream_requests_per_sec\": %.0f,\n"
             "  \"stream_max_rss_mb\": %.1f,\n"
-            "  \"mat_wall_s\": %.3f,\n"
-            "  \"mat_requests_per_sec\": %.0f,\n"
-            "  \"mat_max_rss_mb\": %.1f,\n"
-            "  \"stream_vs_mat_throughput\": %.2f,\n"
-            "  \"mat_vs_stream_rss\": %.2f,\n"
             "  \"stream_requests_per_sec_per_gb\": %.0f\n"
             "}\n",
             static_cast<unsigned long long>(packed), numModels, window,
-            lookahead, static_cast<unsigned long long>(packed), pack_rps,
+            lookahead, static_cast<unsigned long long>(requests), window,
+            static_cast<unsigned long long>(packed), pack_rps,
             unpack_rps, bytes_per_rec, compression, st.wall, stream_rps,
-            st.maxRss / 1e6, mat.wall, mat_rps, mat.maxRss / 1e6,
-            stream_vs_mat, rss_ratio, rps_per_gb);
+            st.maxRss / 1e6, rps_per_gb);
         if (!writeFile(json_path, buf))
             fatal("cannot write " + json_path);
     }
@@ -387,23 +354,13 @@ main(int argc, char **argv)
             fatal("bad baseline " + compare_path + ": " + err);
         sweep::CompareOptions opts;
         opts.tolerance = tolerance;
-        // Gate ONLY same-process, host-comparable numbers:
-        //  - stream_vs_mat_throughput: both replays run the same trace
-        //    in this process; streaming regressing far below the
-        //    materialized oracle means the feed grew a hot-path cost.
-        //  - mat_vs_stream_rss: the bounded-memory claim as a ratio —
-        //    the materialized vector must keep costing more resident
-        //    memory than the recycling pool (trace-size dependent, so
-        //    compare against a baseline recorded at the same
-        //    --requests).
-        //  - strc_compression_ratio: deterministic given the flags; a
-        //    codec regression (model gone stale, delta bug) shows up
-        //    as a ratio drop long before round-trip tests break.
-        // Absolute records/sec and RSS depend on the recording host
-        // and are recorded ungated.
+        // Gate ONLY the host-independent number:
+        // strc_compression_ratio is deterministic given the flags; a
+        // codec regression (model gone stale, delta bug) shows up as a
+        // ratio drop long before round-trip tests break. Absolute
+        // records/sec and RSS depend on the recording host and are
+        // recorded ungated.
         opts.metrics = {
-            {"stream_vs_mat_throughput", true, 0.5},
-            {"mat_vs_stream_rss", true, 0.5},
             {"strc_compression_ratio", true, 0.5},
         };
         sweep::CompareResult res = sweep::compare(rows, base, opts);

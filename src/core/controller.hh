@@ -131,11 +131,12 @@ class ControllerBase
     int failedNodeCount() const { return failedNodes_; }
 
     /**
-     * Streaming replay: invoked whenever a settled request (Completed
-     * or Dropped) has left every controller queue, so the Session's
-     * pool may recycle its storage. Unset (materialized runs, the
-     * default) the controller never reclaims and the maintenance cost
-     * is one null test per settle site. Set it before any event fires.
+     * Invoked whenever a settled request (Completed or Dropped) has
+     * left every controller queue, so the Session's request pool may
+     * recycle its storage; every Session sets it. Unset (a controller
+     * driven directly, as in unit tests) the controller never reclaims
+     * and the maintenance cost is one null test per settle site. Set
+     * it before any event fires.
      */
     void
     setReclaimHook(std::function<void(Request *)> hook)
@@ -342,7 +343,7 @@ class ControllerBase
     std::uint64_t decodeSeq_ = 0;
     std::size_t decodePendingCount_ = 0;
 
-    /** Request-storage reclaim hook (streaming replay; may be null). */
+    /** Request-storage reclaim hook (Session pool; may be null). */
     std::function<void(Request *)> reclaim_;
 
     /** Fleet-wide PD KV-transfer multiplier (NetBrownout). */

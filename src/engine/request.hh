@@ -89,11 +89,12 @@ struct Request
     /** Live references from controller pending queues (pending_ /
      *  pendingDecode_ entries, including ghost entries awaiting their
      *  lazy purge). A settled request may only be recycled by the
-     *  streaming replay pool once this reaches zero. */
+     *  Session's trace request pool once this reaches zero. */
     std::uint32_t queueRefs = 0;
-    /** kRequestNotPooled for materialized / injected requests; any
-     *  other value marks storage owned by the streaming replay pool
-     *  (eligible for recycling once settled and unreferenced). */
+    /** kRequestNotPooled for injected requests (bursts, clones) and
+     *  requests built outside a Session; any other value marks storage
+     *  owned by the Session's trace request pool (eligible for
+     *  recycling once settled and unreferenced, or once thinned). */
     std::uint32_t poolSlot = 0xFFFFFFFFu;
 
     /** Absolute deadline of the next token (Eq. 1). */

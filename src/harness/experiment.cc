@@ -40,20 +40,31 @@ replicateModel(const ModelSpec &spec, int count)
 }
 
 void
+ExperimentConfig::checkTimelineHorizon(Seconds horizon) const
+{
+    for (const Intervention &iv : timeline) {
+        if (iv.at > horizon + 1e-9)
+            fatal(std::string("ExperimentConfig: timeline '") +
+                  interventionKindName(iv.kind) + "' at t=" +
+                  std::to_string(iv.at) +
+                  " is scheduled past the experiment duration (" +
+                  std::to_string(horizon) +
+                  " s); it would never fire");
+    }
+}
+
+void
 ExperimentConfig::validate() const
 {
     if (models.empty())
         fatal("ExperimentConfig: no models configured");
     if (arrivals && !trace.arrivals.empty())
         fatal("ExperimentConfig: both `arrivals` and `trace` are set");
-    // `stream.tracePath` without `stream.enabled` is legal: the packed
-    // trace replayed through the classic materialized path — the
-    // byte-identity oracle the CI streaming smoke diffs against.
     if (!stream.tracePath.empty() &&
         (arrivals || !trace.arrivals.empty()))
         fatal("ExperimentConfig: `stream.tracePath` is mutually "
               "exclusive with `arrivals`/`trace`");
-    if (stream.enabled && stream.lookahead == 0)
+    if (stream.lookahead == 0)
         fatal("ExperimentConfig: `stream.lookahead` must be positive");
 
     // The duration stamped by the arrival process / trace generator is
@@ -77,20 +88,17 @@ ExperimentConfig::validate() const
 
     // Timeline well-formedness. Events past the metrics window would
     // silently never fire ("dead events"), so they are rejected too.
+    // horizon <= 0 only for a .strc replay, whose duration is known
+    // once the file opens: Session runs the check then.
     Seconds horizon = duration > 0 ? duration : stamped;
+    if (horizon > 0)
+        checkTimelineHorizon(horizon);
     int totalNodes = cluster.cpuNodes + cluster.gpuNodes;
     for (const Intervention &iv : timeline) {
         std::string name = interventionKindName(iv.kind);
         if (iv.at < 0)
             fatal("ExperimentConfig: timeline '" + name +
                   "' scheduled before t=0");
-        // horizon <= 0 only for .strc replay, whose duration is known
-        // after the file opens — dead events go unchecked there.
-        if (horizon > 0 && iv.at > horizon + 1e-9)
-            fatal("ExperimentConfig: timeline '" + name + "' at t=" +
-                  std::to_string(iv.at) +
-                  " is scheduled past the experiment duration (" +
-                  std::to_string(horizon) + " s); it would never fire");
         switch (iv.kind) {
           case Intervention::Kind::NodeFail:
           case Intervention::Kind::NodeRestore:
@@ -118,10 +126,6 @@ ExperimentConfig::validate() const
                       "`spec`");
             break;
           case Intervention::Kind::ArrivalScale:
-            if (stream.enabled)
-                fatal("ExperimentConfig: timeline 'arrival-scale' is "
-                      "unsupported in streaming mode (future arrivals "
-                      "are not enumerable)");
             if (iv.factor < 0)
                 fatal("ExperimentConfig: timeline 'arrival-scale' "
                       "needs a nonnegative `factor`");

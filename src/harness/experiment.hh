@@ -98,14 +98,11 @@ struct ExperimentConfig
      */
     obs::ObsConfig obs;
     /**
-     * Streaming replay (stream/source.hh): pull arrivals incrementally
-     * through a bounded lookahead window and recycle settled request
-     * storage, instead of materializing the whole request vector up
-     * front. Reports stay byte-identical to the materialized run; peak
-     * memory becomes independent of trace length. `stream.tracePath`
-     * replays an on-disk `.strc` trace (mutually exclusive with
-     * `arrivals`/`trace`); ArrivalScale interventions are rejected in
-     * streaming mode (future arrivals are not enumerable).
+     * Arrival replay (stream/source.hh): every run pulls its arrivals
+     * through a bounded lookahead window and recycles settled request
+     * storage, so peak memory is independent of trace length.
+     * `stream.tracePath` replays an on-disk `.strc` trace (mutually
+     * exclusive with `arrivals`/`trace`).
      */
     stream::StreamConfig stream;
 
@@ -119,6 +116,14 @@ struct ExperimentConfig
      * longer die mid-build with partial cluster state.
      */
     void validate() const;
+
+    /**
+     * Reject any timeline entry scheduled past `horizon` with
+     * validate()'s dead-event message. validate() runs it whenever the
+     * duration is known up front; a `.strc` replay learns its duration
+     * from the file header, so Session runs it once the file opens.
+     */
+    void checkTimelineHorizon(Seconds horizon) const;
 };
 
 /** Build `count` nodes of each spec (ids: CPUs first). */

@@ -45,11 +45,10 @@ Session::Session(const ExperimentConfig &cfg)
         sim_.attachObs(obs_->counters(), obs_->profiler());
     }
 
-    // The arrival source. Generators remain inherently materialized
-    // (they produce a full AzureTrace; the vector source owns it and
-    // the pre-materialized cfg_.trace moves instead of being copied);
-    // a .strc replay reads chunk-at-a-time from disk, which is the
-    // fully bounded-memory path.
+    // The arrival source. Generators produce a full AzureTrace (the
+    // vector source owns it, and a pre-generated cfg_.trace moves
+    // instead of being copied); a .strc replay reads chunk-at-a-time
+    // from disk, which is the fully bounded-memory path.
     if (!cfg_.stream.tracePath.empty()) {
         std::string err;
         source_ = stream::makeStrcSource(cfg_.stream.tracePath, &err);
@@ -67,6 +66,8 @@ Session::Session(const ExperimentConfig &cfg)
         if (duration_ <= 0)
             fatal("Session: .strc replay with no duration (header "
                   "unstamped and cfg.duration unset)");
+        // validate() could not see the header's duration.
+        cfg_.checkTimelineHorizon(duration_);
     } else {
         AzureTrace trace = cfg_.arrivals
                                ? cfg_.arrivals->generate(cfg_.seed)
@@ -96,30 +97,16 @@ Session::Session(const ExperimentConfig &cfg)
             datasets_.emplace_back(kind);
     }
 
-    // Materialize requests from the source + dataset. Materialized
-    // mode drains the source into one reserved block up front: the
-    // vector never grows afterwards, so &req stays stable for the
-    // arrival lambdas below, and the arena, recorder and request
-    // storage together make the steady-state run allocation-free per
-    // event. Streaming mode defers to the feed: requests materialize
-    // lazily into a recycled pool, so the reserves scale with the
-    // lookahead window, not the trace — and degrade gracefully to
+    // Requests are built lazily by the feed into a recycled pool, so
+    // the event reserve scales with the lookahead window (capped at
+    // the trace size), not the trace — and degrades gracefully to
     // chunked growth when the source cannot size itself (sizeHint 0,
     // e.g. a torn .strc read by a scan).
     const std::uint64_t hint = source_->sizeHint();
-    if (cfg_.stream.enabled) {
-        if (hint > 0)
-            recorder_.reserve(hint); // TTFT samples: 8 B / completion
-        sim_.reserveEvents(cfg_.stream.lookahead + 1024);
-    } else {
-        requests_.reserve(hint);
-        arrivalEvents_.reserve(hint);
-        recorder_.reserve(hint);
-        sim_.reserveEvents(hint + 1024);
-        stream::TraceRecord rec;
-        while (source_->next(rec))
-            requests_.push_back(buildRequest(rec));
-    }
+    if (hint > 0)
+        recorder_.reserve(hint); // TTFT samples: 8 B / completion
+    sim_.reserveEvents(
+        std::min<std::uint64_t>(cfg_.stream.lookahead, hint) + 1024);
 
     std::vector<double> avg_out(cfg_.models.size());
     for (std::size_t m = 0; m < cfg_.models.size(); ++m)
@@ -134,30 +121,22 @@ Session::Session(const ExperimentConfig &cfg)
     if (obs_)
         controller_->attachObs(obs_.get());
 
-    // Arrival scheduling. The streaming feed reserves its seq band at
-    // exactly this construction point, so trace arrival k carries the
-    // same tie-breaking sequence number in both modes (the
-    // byte-identity contract; see stream/feed.hh).
-    if (cfg_.stream.enabled) {
-        controller_->setReclaimHook([this](Request *r) {
-            if (r->poolSlot != kRequestNotPooled)
-                freeList_.push_back(r);
-        });
-        feed_ = std::make_unique<stream::StreamingArrivalFeed>(
-            sim_, *source_, cfg_.stream.lookahead,
-            [this](const stream::TraceRecord &rec) {
-                return acquirePooled(rec);
-            },
-            [this](Request *r) { controller_->submit(r); },
-            [this](Request *r) { freeList_.push_back(r); });
-        feed_->start();
-    } else {
-        for (Request &req : requests_) {
-            arrivalEvents_.push_back(sim_.scheduleAt(
-                req.arrival,
-                [this, &req] { controller_->submit(&req); }));
-        }
-    }
+    // Arrival scheduling. The feed reserves its seq band here, before
+    // the timeline arms, so trace arrival k carries tie-breaking
+    // sequence number base + k at any lookahead, and a trace arrival
+    // at time T fires before an intervention at T (stream/feed.hh).
+    controller_->setReclaimHook([this](Request *r) {
+        if (r->poolSlot != kRequestNotPooled)
+            freeList_.push_back(r);
+    });
+    feed_ = std::make_unique<stream::StreamingArrivalFeed>(
+        sim_, *source_, cfg_.stream.lookahead,
+        [this](const stream::TraceRecord &rec) {
+            return acquirePooled(rec);
+        },
+        [this](Request *r) { arrive(r, 0); },
+        [this](Request *r) { freeList_.push_back(r); });
+    feed_->start();
 
     // Periodically sample KV utilization while the run is live
     // (Fig. 31); the timeline arms last so interventions at time T run
@@ -505,7 +484,10 @@ Session::applyIntervention(const Intervention &iv)
       case Intervention::Kind::ArrivalScale:
         if (iv.model >= 0)
             checkedModel(iv); // a typo'd filter must not silently no-op
-        scaleArrivals(iv.factor, iv.model);
+        // Recorded, not applied: every arrival that fires from now on
+        // passes through the rule (arrive). Factor 1 is a no-op.
+        if (iv.factor != 1.0)
+            scaleRules_.push_back(ScaleRule{iv.factor, iv.model});
         break;
       case Intervention::Kind::ArrivalBurst:
         injectBurst(checkedModel(iv), iv.rpm, iv.duration);
@@ -514,78 +496,64 @@ Session::applyIntervention(const Intervention &iv)
 }
 
 void
-Session::addExtraArrival(ModelId model, Seconds t)
+Session::addExtraArrival(ModelId model, Seconds t, std::size_t firstRule)
 {
     const ModelSpec &spec = controller_->models()[model].spec;
     extra_.push_back(materializeRequest(model, spec, t, ivRng_));
     Request *req = &extra_.back();
     extraEvents_.push_back(sim_.scheduleAt(
-        t, [this, req] { controller_->submit(req); }));
+        t, [this, req, firstRule] { arrive(req, firstRule); }));
+}
+
+void
+Session::arrive(Request *r, std::size_t firstRule)
+{
+    // A rule registered at T sees exactly the arrivals that fire after
+    // it: every arrival with time > T (trace arrivals at T fire first,
+    // their seq band predates the timeline). Draws come from ivRng_ in
+    // fire order, so the lookahead cannot change them.
+    for (std::size_t i = firstRule; i < scaleRules_.size(); ++i) {
+        const ScaleRule rule = scaleRules_[i];
+        if (rule.model >= 0 && r->model != static_cast<ModelId>(rule.model))
+            continue;
+        if (rule.factor < 1.0) {
+            if (ivRng_.uniform() >= rule.factor) {
+                if (r->poolSlot != kRequestNotPooled)
+                    freeList_.push_back(r); // thinned: never submitted
+                return;
+            }
+            continue;
+        }
+        // factor > 1: clone the arrival, jittered up to 1 s later so
+        // copies do not land as simultaneous duplicates. A clone is
+        // subject only to the rules after the one that made it.
+        double surplus = rule.factor - 1.0;
+        int clones = static_cast<int>(surplus);
+        if (ivRng_.uniform() < surplus - clones)
+            ++clones;
+        for (int c = 0; c < clones; ++c) {
+            // The max only bites for a record past the window (a .strc
+            // may carry some): its clones land at its own time.
+            Seconds t = std::min<Seconds>(r->arrival + ivRng_.uniform(),
+                                          duration_);
+            addExtraArrival(r->model, std::max(t, sim_.now()), i + 1);
+        }
+    }
+    controller_->submit(r);
 }
 
 void
 Session::cancelFutureArrivals(ModelId model)
 {
-    // Streaming: the feed cancels its window entries and recycles
-    // future records of the model at pump time (requests_ is empty).
-    if (feed_)
-        feed_->retireModel(model);
-    // pending() is definitive: fired and already-cancelled arrivals
-    // are skipped, everything still scheduled is revoked.
-    for (std::size_t i = 0; i < requests_.size(); ++i) {
-        if (requests_[i].model == model && arrivalEvents_[i].pending())
-            arrivalEvents_[i].cancel();
-    }
+    // The feed cancels its window entries and recycles future records
+    // of the model at pump time; pending() is definitive for the
+    // injected arrivals: fired and already-cancelled ones are skipped,
+    // everything still scheduled is revoked.
+    feed_->retireModel(model);
     for (std::size_t i = 0; i < extra_.size(); ++i) {
         if (extra_[i].model == model && extraEvents_[i].pending())
             extraEvents_[i].cancel();
     }
-}
-
-void
-Session::scaleArrivals(double factor, int modelFilter)
-{
-    // Thinning/cloning needs the full future arrival set, which a
-    // streaming run never holds. validate() rejects timeline entries;
-    // this guards manual inject() calls.
-    if (feed_)
-        fatal("Session: arrival-scale is unsupported in streaming "
-              "mode (future arrivals are not enumerable)");
-    if (factor == 1.0)
-        return;
-    // Snapshot the injected-arrival count: clones appended during the
-    // walk must not themselves be rescaled.
-    const std::size_t n_req = requests_.size();
-    const std::size_t n_extra = extra_.size();
-
-    auto scaleOne = [&](Request &req, EventHandle &ev) {
-        if (!ev.pending())
-            return; // already fired, cancelled or thinned away
-        if (modelFilter >= 0 &&
-            req.model != static_cast<ModelId>(modelFilter))
-            return;
-        if (factor < 1.0) {
-            if (ivRng_.uniform() >= factor)
-                ev.cancel();
-            return;
-        }
-        // factor > 1: clone the arrival, jittered up to 1 s later so
-        // copies do not land as simultaneous duplicates.
-        double surplus = factor - 1.0;
-        int clones = static_cast<int>(surplus);
-        if (ivRng_.uniform() < surplus - clones)
-            ++clones;
-        for (int c = 0; c < clones; ++c) {
-            Seconds t = std::min<Seconds>(req.arrival +
-                                              ivRng_.uniform(),
-                                          duration_);
-            addExtraArrival(req.model, t);
-        }
-    };
-    for (std::size_t i = 0; i < n_req; ++i)
-        scaleOne(requests_[i], arrivalEvents_[i]);
-    for (std::size_t i = 0; i < n_extra; ++i)
-        scaleOne(extra_[i], extraEvents_[i]);
 }
 
 void
@@ -600,7 +568,7 @@ Session::injectBurst(ModelId model, double rpm, Seconds burstLen)
         t += ivRng_.exponential(rate);
         if (t >= end)
             break;
-        addExtraArrival(model, t);
+        addExtraArrival(model, t, scaleRules_.size());
     }
 }
 

@@ -18,11 +18,15 @@
  * determinism contract in docs/ARCHITECTURE.md). Interventions
  * (harness/intervention.hh) are the one way to perturb a run mid
  * flight: node failure/restore and model deploy/redeploy/retire route
- * through the ControllerBase hooks; arrival scaling and bursts edit
- * the Session's own arrival schedule. A config-embedded Timeline
- * applies interventions at scripted times without any manual
- * stepping — that is how slinfer_run --timeline and the fault/deploy
- * catalog scenarios work.
+ * through the ControllerBase hooks; arrival scaling and bursts act on
+ * the Session's own arrivals. Arrivals come from one path, the
+ * bounded-lookahead StreamingArrivalFeed (stream/feed.hh), whether
+ * the trace was generated in memory or is a `.strc` replay, so
+ * arrival scaling is a rule each arrival passes through when its
+ * event fires (DESIGN.md, "Arrival scaling at fire time"). A
+ * config-embedded Timeline applies interventions at scripted times
+ * without any manual stepping — that is how slinfer_run --timeline
+ * and the fault/deploy catalog scenarios work.
  *
  * runExperiment (harness/experiment.hh) is now a thin wrapper:
  * create → advanceTo(duration()) → finish().
@@ -131,14 +135,13 @@ class Session
         return obs_.get();
     }
 
-    /** The streaming arrival feed, or nullptr in materialized mode
-     *  (progress reporting / tests). */
+    /** The arrival feed (progress reporting / tests); never null. */
     const stream::StreamingArrivalFeed *feed() const
     {
         return feed_.get();
     }
-    /** High-water count of pooled Request objects ever materialized in
-     *  streaming mode — the bounded-memory assertion's subject. */
+    /** High-water count of pooled trace Requests ever built — the
+     *  bounded-memory assertion's subject. */
     std::size_t streamPoolSize() const { return pool_.size(); }
 
   private:
@@ -152,13 +155,16 @@ class Session
     /** Build the request for one source record: recorded lengths when
      *  the source carries them, dataset samples (lenRng_) otherwise. */
     Request buildRequest(const stream::TraceRecord &rec);
-    /** Streaming: materialize `rec` into pooled (recyclable) storage. */
+    /** Build `rec` into pooled (recyclable) storage. */
     Request *acquirePooled(const stream::TraceRecord &rec);
-    /** Materialize + schedule an injected arrival at time `t`. */
-    void addExtraArrival(ModelId model, Seconds t);
+    /** Build + schedule an injected arrival at time `t`; it passes
+     *  through the scale rules from index `firstRule` on. */
+    void addExtraArrival(ModelId model, Seconds t, std::size_t firstRule);
+    /** A fired arrival: apply scale rules [firstRule, end), then submit
+     *  it unless thinning dropped it. */
+    void arrive(Request *r, std::size_t firstRule);
     ModelId checkedModel(const Intervention &iv) const;
     void cancelFutureArrivals(ModelId model);
-    void scaleArrivals(double factor, int modelFilter);
     void injectBurst(ModelId model, double rpm, Seconds burstLen);
     void sampleKv();
     /** Append one timeseries sample at the current sim time. */
@@ -177,29 +183,35 @@ class Session
     std::unique_ptr<ClusterStats> stats_;
     std::vector<Dataset> datasets_;
 
-    /** Trace requests, one reserved block: &req stays stable for the
-     *  arrival events (exactly the old runExperiment contract). */
-    std::vector<Request> requests_;
-    /** Arrival events, 1:1 with requests_ — cancellable by
-     *  retire/thinning interventions. */
-    std::vector<EventHandle> arrivalEvents_;
     /** Injected arrivals (scale-up clones, bursts): deque so grown
-     *  entries never move. */
+     *  entries never move. extraEvents_ is 1:1, cancellable by a
+     *  model retire. */
     std::deque<Request> extra_;
     std::deque<EventHandle> extraEvents_;
 
-    /** Arrival source (both modes; the materialized path drains it up
-     *  front, the feed pulls from it incrementally). */
+    /** One arrival-scale intervention: `factor` applied to arrivals of
+     *  `model` (-1 = every model) that fire after it registered. */
+    struct ScaleRule
+    {
+        double factor;
+        int model;
+    };
+    /** Registration order; an arrival remembers the first rule it is
+     *  subject to (trace records: 0) and applies the rest at fire. */
+    std::vector<ScaleRule> scaleRules_;
+
+    /** Arrival source, pulled incrementally by the feed. */
     stream::RequestSourcePtr source_;
-    /** Bounded-lookahead feed (null in materialized mode). */
+    /** Bounded-lookahead feed: the one arrival path. */
     std::unique_ptr<stream::StreamingArrivalFeed> feed_;
-    /** Streaming request pool: storage never moves (deque) and is
-     *  recycled through freeList_ once the controller reclaims a
-     *  settled request. Bounded by lookahead + in-flight. */
+    /** Trace request pool: storage never moves (deque) and is recycled
+     *  through freeList_ once the controller reclaims a settled
+     *  request, or thinning drops it. Bounded by lookahead +
+     *  in-flight. */
     std::deque<Request> pool_;
     std::vector<Request *> freeList_;
-    /** Dataset length RNG, consumed in strict trace order by both
-     *  replay modes (the byte-identity contract). */
+    /** Dataset length RNG, consumed in strict trace order at any
+     *  lookahead (the feed builds records in trace order). */
     Rng lenRng_;
 
     std::unique_ptr<ControllerBase> controller_;

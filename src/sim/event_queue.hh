@@ -304,10 +304,10 @@ class EventQueue
      * Reserve a contiguous band of `width` sequence numbers and return
      * its base. Later schedule() calls draw from *after* the band, so
      * entries placed into it via scheduleAtSeq() tie-break exactly as
-     * if they had all been scheduled here — the streaming replay path
-     * (stream/feed.hh) reserves one band where the materialized path
-     * bulk-schedules its arrivals, then fills it lazily, keeping the
-     * global (when, seq) fire order byte-identical.
+     * if they had all been scheduled here — the arrival feed
+     * (stream/feed.hh) reserves one band while the Session is built,
+     * then fills it lazily, so the global (when, seq) fire order is
+     * the same at any lookahead window.
      */
     std::uint64_t
     reserveSeqBand(std::uint64_t width)

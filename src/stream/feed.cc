@@ -46,8 +46,8 @@ StreamingArrivalFeed::pump()
         if (pulled_ >= kBandWidth)
             fatal("StreamingArrivalFeed: arrival seq band exhausted");
         std::uint64_t seq = seqBase_ + pulled_++;
-        // Materialize in trace order even when the record will never
-        // be scheduled: RNG/id parity with the materialized path.
+        // Build in trace order even when the record will never be
+        // scheduled: the length RNG stays independent of the window.
         Request *r = mat_(rec);
         if (rec.model < retired_.size() && retired_[rec.model]) {
             recycle_(r);

@@ -2,34 +2,32 @@
  * @file
  * Bounded-lookahead arrival scheduling: stream::StreamingArrivalFeed.
  *
- * The materialized Session pre-builds every Request and bulk-schedules
- * every arrival event before the run starts — O(trace) memory. The
- * feed replaces that with a sliding window: at most `lookahead`
- * arrivals are scheduled-but-unfired at any instant, and each fired
- * arrival pulls the next record from the RequestSource. Settled
- * requests are recycled through the caller (a free-list pool), so the
- * live Request count is bounded by lookahead + in-flight regardless of
- * trace length.
+ * The Session's one arrival path. Instead of pre-building every
+ * Request and bulk-scheduling every arrival event before the run starts
+ * (O(trace) memory), the feed keeps a sliding window: at most
+ * `lookahead` arrivals are scheduled-but-unfired at any instant, and
+ * each fired arrival pulls the next record from the RequestSource.
+ * Settled requests are recycled through the caller (a free-list pool),
+ * so the live Request count is bounded by lookahead + in-flight
+ * regardless of trace length.
  *
- * Byte-identity with the materialized path (the contract in
- * DESIGN.md, "Bounded-lookahead streaming") rests on two
- * mechanisms:
+ * Reports do not depend on the lookahead (the contract in DESIGN.md,
+ * "Bounded-lookahead streaming"; a lookahead at least the trace length
+ * schedules the whole trace at start). Two mechanisms carry that:
  *
  *  1. **Sequence-band reservation.** Event ties at equal timestamps
  *     break by schedule order (EventQueue seq). start() reserves one
- *     contiguous seq band at the exact construction point where the
- *     materialized Session schedules its arrival loop, and trace
- *     arrival k is scheduled with explicit seq base + k — the very seq
- *     it gets in materialized mode. Runtime events schedule after the
- *     band, so every cross-event ordering comparison resolves
- *     identically in both modes.
+ *     contiguous seq band during Session construction, before the
+ *     timeline is armed, and trace arrival k is scheduled with explicit
+ *     seq base + k whenever it is pulled. Runtime events schedule after
+ *     the band, so every cross-event ordering comparison resolves the
+ *     same at any window size, and a trace arrival at time T fires
+ *     before an intervention at T.
  *
- *  2. **Trace-order materialization.** The materialize callback (which
- *     consumes the session's length RNG and id counter) runs in strict
- *     trace order, exactly like the materialized up-front loop —
- *     records of retired models included: they are materialized (RNG
- *     parity), then recycled instead of scheduled, mirroring the
- *     materialized path's schedule-then-cancel.
+ *  2. **Trace-order construction.** The materialize callback (which
+ *     consumes the session's length RNG) runs in strict trace order at
+ *     any window size — records of retired models included: they are
+ *     built (RNG parity), then recycled instead of scheduled.
  */
 
 #ifndef SLINFER_STREAM_FEED_HH
@@ -54,7 +52,8 @@ class StreamingArrivalFeed
     /** Build one Request from a record, in trace order (consumes the
      *  session's length RNG / id counter). */
     using Materialize = std::function<Request *(const TraceRecord &)>;
-    /** Deliver a fired arrival to the serving system. */
+    /** Deliver a fired arrival (the Session applies arrival-scale
+     *  rules, then submits it to the serving system). */
     using Submit = std::function<void(Request *)>;
     /** Return a request that will never be submitted (retired model)
      *  to the caller's pool. */
@@ -69,9 +68,9 @@ class StreamingArrivalFeed
         delete;
 
     /** Reserve the arrival seq band and schedule the first window.
-     *  Must run at the Session-construction point where the
-     *  materialized path schedules its arrival loop (see file
-     *  comment); call exactly once, before any event fires. */
+     *  Must run during Session construction, before the timeline is
+     *  armed (see file comment); call exactly once, before any event
+     *  fires. */
     void start();
 
     /** Stop scheduling arrivals for `m`: cancels the window's pending
@@ -81,7 +80,7 @@ class StreamingArrivalFeed
 
     /** Records pulled from the source so far (retired skips count). */
     std::uint64_t pulled() const { return pulled_; }
-    /** Arrivals actually submitted so far. */
+    /** Trace arrivals fired so far (thinned ones included). */
     std::uint64_t replayed() const { return fired_; }
     /** True once the source is fully consumed. */
     bool exhausted() const { return exhausted_; }

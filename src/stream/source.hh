@@ -3,12 +3,10 @@
  * Incremental request sources for streaming replay.
  *
  * A RequestSource yields trace records one at a time in nondecreasing
- * time order. The Session consumes it either fully up front (the
- * classic materialized path, which `--materialized` replays for
- * byte-identity diffs) or
- * through a StreamingArrivalFeed (stream/feed.hh) that keeps only a
- * bounded lookahead window of future arrivals alive — the whole point
- * of the subsystem: peak memory independent of trace length.
+ * time order. The Session consumes it through a StreamingArrivalFeed
+ * (stream/feed.hh), the one arrival path, which keeps only a bounded
+ * lookahead window of future arrivals alive: peak memory is
+ * independent of trace length.
  *
  * Two implementations:
  *  - VectorSource wraps an in-memory AzureTrace (any ArrivalProcess
@@ -36,13 +34,14 @@ namespace stream
 /** Streaming-replay knobs on the experiment config. */
 struct StreamConfig
 {
-    /** Pull arrivals incrementally instead of materializing the whole
-     *  request vector up front. Reports are byte-identical to the
-     *  materialized run (the fuzz matrix in tests/test_stream.cc). */
+    /** Ignored. Every run streams its arrivals; the field remains
+     *  only so existing callers that still assign it keep compiling.
+     *  Nothing reads it. */
     bool enabled = false;
 
     /** Maximum arrivals scheduled-but-unfired at any instant; bounds
-     *  the live Request pool together with the in-flight set. */
+     *  the live Request pool together with the in-flight set. A value
+     *  at least the trace length schedules the whole trace at start. */
     std::uint32_t lookahead = 4096;
 
     /** Replay from this `.strc` file instead of generating a trace

@@ -2,8 +2,10 @@
  * @file
  * Streaming subsystem tests: the `.strc` codec (round trips,
  * multi-chunk files, torn-write recovery) and the headline contract —
- * a streaming replay's Report is byte-identical to the materialized
- * oracle across a seeded fuzz matrix (plain and chaos variants).
+ * a run's Report does not depend on the arrival feed's lookahead,
+ * across a seeded fuzz matrix (plain, chaos, timeline and
+ * arrival-scale variants). The reference is a lookahead at least the
+ * trace length, which schedules the whole trace at start.
  */
 
 #include <gtest/gtest.h>
@@ -286,8 +288,12 @@ TEST(Strc, TruncatedFileRecoversCompleteChunks)
 }
 
 // --------------------------------------------------------------------
-// Streaming replay == materialized oracle
+// Reports are independent of the lookahead
 // --------------------------------------------------------------------
+
+/** Larger than any trace below: the feed schedules the whole trace at
+ *  start, as an up-front arrival loop would. */
+constexpr std::uint32_t kWholeTrace = 1u << 24;
 
 /** A fast config small enough to fuzz many seeds. */
 ExperimentConfig
@@ -314,26 +320,67 @@ fuzzConfig(std::uint64_t seed)
 Report
 runStreaming(ExperimentConfig cfg, std::uint32_t lookahead)
 {
-    cfg.stream.enabled = true;
     cfg.stream.lookahead = lookahead;
     return runExperiment(cfg);
 }
 
-TEST(Streaming, TwentySeedFuzzMatchesMaterialized)
+/** Pack `trace` (times + models only) into a `.strc` at `path`. */
+void
+packStrc(const AzureTrace &trace, std::uint32_t numModels,
+         const std::string &path)
+{
+    stream::StrcHeader hdr;
+    hdr.hasLengths = false;
+    hdr.numModels = numModels;
+    hdr.duration = trace.duration;
+    std::string err;
+    stream::StrcWriter w;
+    ASSERT_TRUE(w.open(path, hdr, &err, 512)) << err;
+    for (const Arrival &a : trace.arrivals) {
+        stream::TraceRecord r;
+        r.time = a.time;
+        r.model = a.model;
+        w.add(r);
+    }
+    ASSERT_TRUE(w.finish(&err)) << err;
+}
+
+/** `cfg` with its in-memory trace swapped for the `.strc` at `path`. */
+ExperimentConfig
+strcReplay(ExperimentConfig cfg, const std::string &path)
+{
+    cfg.trace = AzureTrace{};
+    cfg.duration = 0.0; // the header's duration is the window
+    cfg.stream.tracePath = path;
+    return cfg;
+}
+
+Intervention
+arrivalScale(Seconds at, double factor, int model = -1)
+{
+    Intervention iv;
+    iv.kind = Intervention::Kind::ArrivalScale;
+    iv.at = at;
+    iv.factor = factor;
+    iv.model = model;
+    return iv;
+}
+
+TEST(Streaming, TwentySeedFuzzIsLookaheadIndependent)
 {
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
         ExperimentConfig cfg = fuzzConfig(seed);
-        Report oracle = runExperiment(cfg);
-        // Tiny lookahead stresses window churn; big one approaches the
-        // materialized shape. Both must be byte-identical.
+        Report whole = runStreaming(cfg, kWholeTrace);
+        // Tiny lookahead stresses window churn; the default sits in
+        // between. All must be byte-identical.
         Report tight = runStreaming(cfg, 2);
-        Report wide = runStreaming(cfg, 4096);
-        ASSERT_EQ(toJson(oracle), toJson(tight)) << "seed " << seed;
-        ASSERT_EQ(toJson(oracle), toJson(wide)) << "seed " << seed;
+        Report dflt = runExperiment(cfg);
+        ASSERT_EQ(toJson(whole), toJson(tight)) << "seed " << seed;
+        ASSERT_EQ(toJson(whole), toJson(dflt)) << "seed " << seed;
     }
 }
 
-TEST(Streaming, MatchesMaterializedUnderChaos)
+TEST(Streaming, LookaheadIndependentUnderChaos)
 {
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
         ExperimentConfig cfg = fuzzConfig(seed);
@@ -344,13 +391,13 @@ TEST(Streaming, MatchesMaterializedUnderChaos)
         flap.mtbf = 30.0;
         flap.mttr = 8.0;
         cfg.chaos.processes.push_back(flap);
-        Report oracle = runExperiment(cfg);
-        ASSERT_EQ(toJson(oracle), toJson(runStreaming(cfg, 64)))
+        ASSERT_EQ(toJson(runStreaming(cfg, kWholeTrace)),
+                  toJson(runStreaming(cfg, 64)))
             << "seed " << seed;
     }
 }
 
-TEST(Streaming, MatchesMaterializedWithTimelineInterventions)
+TEST(Streaming, LookaheadIndependentWithTimelineInterventions)
 {
     ExperimentConfig cfg = fuzzConfig(42);
     Intervention retire;
@@ -376,8 +423,35 @@ TEST(Streaming, MatchesMaterializedWithTimelineInterventions)
     restore.node = 1;
     cfg.timeline.push_back(restore);
 
-    Report oracle = runExperiment(cfg);
-    EXPECT_EQ(toJson(oracle), toJson(runStreaming(cfg, 8)));
+    EXPECT_EQ(toJson(runStreaming(cfg, kWholeTrace)),
+              toJson(runStreaming(cfg, 8)));
+}
+
+TEST(Streaming, ArrivalScaleIsLookaheadIndependent)
+{
+    // Scale rules apply when each arrival fires, drawing from the
+    // intervention RNG in fire order, so no window size can change
+    // which arrivals are thinned or cloned. x2 on every model, a burst
+    // on model 1, then x0.5 on model 1 alone: the thinning reaches
+    // trace arrivals, burst arrivals and x2 clones of model 1.
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        ExperimentConfig cfg = fuzzConfig(seed);
+        cfg.timeline.push_back(arrivalScale(10.0, 2.0));
+        Intervention burst;
+        burst.kind = Intervention::Kind::ArrivalBurst;
+        burst.at = 15.0;
+        burst.model = 1;
+        burst.rpm = 240.0;
+        burst.duration = 20.0;
+        cfg.timeline.push_back(burst);
+        cfg.timeline.push_back(arrivalScale(25.0, 0.5, 1));
+        Report whole = runStreaming(cfg, kWholeTrace);
+        ASSERT_EQ(toJson(whole), toJson(runStreaming(cfg, 1)))
+            << "seed " << seed;
+        EXPECT_GT(whole.totalRequests,
+                  runExperiment(fuzzConfig(seed)).totalRequests);
+        EXPECT_EQ(whole.completed + whole.dropped, whole.totalRequests);
+    }
 }
 
 TEST(Streaming, StrcReplayMatchesGeneratedTrace)
@@ -386,32 +460,110 @@ TEST(Streaming, StrcReplayMatchesGeneratedTrace)
     // disk, and demand byte-identity with the in-memory run: dataset
     // lengths must come out of lenRng_ in the same order either way.
     ExperimentConfig cfg = fuzzConfig(3);
-    Report oracle = runExperiment(cfg);
+    Report inMemory = runExperiment(cfg);
 
     std::string path = tmpPath("replay") + ".strc";
-    stream::StrcHeader hdr;
-    hdr.hasLengths = false;
-    hdr.numModels = static_cast<std::uint32_t>(cfg.models.size());
-    hdr.duration = cfg.trace.duration;
-    std::string err;
-    stream::StrcWriter w;
-    ASSERT_TRUE(w.open(path, hdr, &err, 512));
-    for (const Arrival &a : cfg.trace.arrivals) {
-        stream::TraceRecord r;
-        r.time = a.time;
-        r.model = a.model;
-        w.add(r);
-    }
-    ASSERT_TRUE(w.finish(&err)) << err;
-
-    ExperimentConfig replay = cfg;
-    replay.trace = AzureTrace{};
-    replay.stream.enabled = true;
-    replay.stream.lookahead = 32;
-    replay.stream.tracePath = path;
-    Report fromDisk = runExperiment(replay);
-    EXPECT_EQ(toJson(oracle), toJson(fromDisk));
+    packStrc(cfg.trace, static_cast<std::uint32_t>(cfg.models.size()),
+             path);
+    Report fromDisk = runStreaming(strcReplay(cfg, path), 32);
+    EXPECT_EQ(toJson(inMemory), toJson(fromDisk));
     std::remove(path.c_str());
+}
+
+TEST(Streaming, StrcReplayRunsArrivalScale)
+{
+    // arrival-scale applies at fire time on a .strc replay like on any
+    // other run, with the same report as the in-memory trace.
+    ExperimentConfig cfg = fuzzConfig(4);
+    cfg.timeline.push_back(arrivalScale(10.0, 2.0));
+    cfg.timeline.push_back(arrivalScale(40.0, 0.25));
+    Report inMemory = runExperiment(cfg);
+
+    std::string path = tmpPath("replay_scale") + ".strc";
+    packStrc(cfg.trace, static_cast<std::uint32_t>(cfg.models.size()),
+             path);
+    Report fromDisk = runStreaming(strcReplay(cfg, path), 16);
+    std::remove(path.c_str());
+    EXPECT_EQ(toJson(inMemory), toJson(fromDisk));
+    EXPECT_NE(fromDisk.totalRequests,
+              runExperiment(fuzzConfig(4)).totalRequests);
+
+    // A header window shorter than the records (a hand-written CSV can
+    // declare one): clones of arrivals past the window land at their
+    // parent's own time instead of in the past.
+    AzureTrace shortWindow = fuzzConfig(4).trace;
+    shortWindow.duration = 30.0;
+    packStrc(shortWindow, static_cast<std::uint32_t>(cfg.models.size()),
+             path);
+    ExperimentConfig past = strcReplay(fuzzConfig(4), path);
+    past.timeline.push_back(arrivalScale(10.0, 3.0));
+    Report r = runExperiment(past);
+    std::remove(path.c_str());
+    EXPECT_GT(r.totalRequests, shortWindow.arrivals.size());
+    EXPECT_EQ(r.completed + r.dropped, r.totalRequests);
+}
+
+TEST(Streaming, StrcReplayRejectsDeadTimelineEntries)
+{
+    // validate() cannot see a .strc header's duration; the Session
+    // re-checks the timeline once the file is open.
+    ExperimentConfig cfg = fuzzConfig(5);
+    std::string path = tmpPath("replay_dead") + ".strc";
+    packStrc(cfg.trace, static_cast<std::uint32_t>(cfg.models.size()),
+             path);
+    ExperimentConfig replay = strcReplay(cfg, path);
+    Intervention fail;
+    fail.kind = Intervention::Kind::NodeFail;
+    fail.at = 5000.0;
+    fail.node = 0;
+    replay.timeline.push_back(fail);
+    EXPECT_DEATH(runExperiment(replay),
+                 "scheduled past the experiment duration");
+    std::remove(path.c_str());
+}
+
+TEST(Streaming, ClonesOfARetiredModelAreNeverSubmitted)
+{
+    // One model carries all the traffic and is cloned x3; it retires
+    // at t=30 while clones jittered past 30 are still pending. No
+    // arrival may reach the controller after the retire.
+    ExperimentConfig cfg;
+    cfg.system = SystemKind::Slinfer;
+    cfg.cluster.cpuNodes = 1;
+    cfg.cluster.gpuNodes = 1;
+    cfg.models = replicateModel(llama2_7b(), 1);
+    AzureTraceConfig tc;
+    tc.numModels = 1;
+    tc.duration = 60.0;
+    tc.perModelRpm = 600.0;
+    tc.seed = 8;
+    cfg.trace = generateAzureTrace(tc);
+    cfg.duration = 60.0;
+    cfg.timeline.push_back(arrivalScale(5.0, 3.0));
+    ExperimentConfig unretired = cfg;
+    Intervention retire;
+    retire.kind = Intervention::Kind::ModelRetire;
+    retire.at = 30.0;
+    retire.model = 0;
+    cfg.timeline.push_back(retire);
+
+    for (std::uint32_t lookahead : {1u, 64u, kWholeTrace}) {
+        cfg.stream.lookahead = lookahead;
+        Session s(cfg);
+        s.advanceTo(30.0);
+        const std::size_t atRetire = s.sample().arrived;
+        s.advanceTo(s.duration());
+        Report r = s.finish();
+        EXPECT_EQ(r.totalRequests, atRetire) << "lookahead " << lookahead;
+    }
+
+    // Without the retire, clones keep arriving past t=30.
+    Session s(unretired);
+    s.advanceTo(30.0);
+    const std::size_t at30 = s.sample().arrived;
+    s.advanceTo(31.0);
+    EXPECT_GT(s.sample().arrived, at30 + 10);
+    s.finish();
 }
 
 TEST(Streaming, PoolStaysBoundedByLookaheadPlusInFlight)
@@ -424,7 +576,6 @@ TEST(Streaming, PoolStaysBoundedByLookaheadPlusInFlight)
     tc.perModelRpm = 170.0;
     tc.seed = 9;
     cfg.trace = generateAzureTrace(tc);
-    cfg.stream.enabled = true;
     cfg.stream.lookahead = 16;
     Session s(cfg);
     s.advanceTo(cfg.duration);

@@ -4,12 +4,11 @@
  * the live request pool and the resident set must be independent of
  * trace length (ARCHITECTURE.md, "Streaming replay"). Runs in its own
  * binary so process-wide RSS readings are not contaminated by other
- * suites; the ordering inside BoundedMemory matters for the same
- * reason (no materialized run before the streaming measurements).
+ * suites.
  *
  * The CI streaming-smoke job asserts the same contract from the
  * outside on a 1M-request trace: slinfer_run --stream-trace under a
- * hard `ulimit -v` ceiling no materialized run could fit in.
+ * hard `ulimit -v` ceiling the trace's requests could not all fit in.
  */
 
 #include <gtest/gtest.h>
@@ -52,19 +51,20 @@ denseTrace(double durationSecs)
     return tc;
 }
 
-/** Pack a generated trace to `.strc` (times + models only) and return
- *  the actual record count. */
+/** Pack `trace` to `.strc` (times + models only) in chunks of
+ *  `chunkCap` records and return the record count. */
 std::uint64_t
-packTrace(const AzureTraceConfig &tc, const std::string &path)
+packTrace(const AzureTrace &trace, std::uint32_t numModels,
+          const std::string &path,
+          std::uint32_t chunkCap = stream::kStrcChunkCap)
 {
-    AzureTrace trace = generateAzureTrace(tc);
     stream::StrcHeader hdr;
     hdr.hasLengths = false;
-    hdr.numModels = tc.numModels;
+    hdr.numModels = numModels;
     hdr.duration = trace.duration;
     std::string err;
     stream::StrcWriter w;
-    EXPECT_TRUE(w.open(path, hdr, &err)) << err;
+    EXPECT_TRUE(w.open(path, hdr, &err, chunkCap)) << err;
     for (const Arrival &a : trace.arrivals) {
         stream::TraceRecord r;
         r.time = a.time;
@@ -84,7 +84,6 @@ streamConfig(const std::string &tracePath)
     cfg.cluster.gpuNodes = 2;
     cfg.models = replicateModel(llama2_7b(), 6);
     cfg.seed = 5;
-    cfg.stream.enabled = true;
     cfg.stream.lookahead = 1024;
     cfg.stream.tracePath = tracePath;
     return cfg;
@@ -120,8 +119,10 @@ TEST(StreamRss, BoundedMemory)
 {
     const std::string small_path = tmpPath("rss_small") + ".strc";
     const std::string big_path = tmpPath("rss_big") + ".strc";
-    std::uint64_t small_n = packTrace(denseTrace(300.0), small_path);
-    std::uint64_t big_n = packTrace(denseTrace(1200.0), big_path);
+    std::uint64_t small_n =
+        packTrace(generateAzureTrace(denseTrace(300.0)), 6, small_path);
+    std::uint64_t big_n =
+        packTrace(generateAzureTrace(denseTrace(1200.0)), 6, big_path);
     ASSERT_GT(big_n, small_n * 3);
 
     const std::size_t base = currentRssBytes();
@@ -140,8 +141,8 @@ TEST(StreamRss, BoundedMemory)
     EXPECT_LT(big.poolHighWater, big_n / 4);
 
     // And neither must the resident set: the 4x replay may not cost
-    // even one materialized-request-vector of extra memory over the
-    // 1x one (RSS is unknown/0 on exotic platforms — skip there).
+    // even half a vector of every trace Request of extra memory over
+    // the 1x one (RSS is unknown/0 on exotic platforms — skip there).
     if (base > 0 && big.maxRss > 0) {
         std::size_t vectorBytes = big_n * sizeof(Request);
         EXPECT_LT(big.maxRss, small.maxRss + vectorBytes / 2)
@@ -150,12 +151,12 @@ TEST(StreamRss, BoundedMemory)
     }
 }
 
-TEST(StreamRss, PrefixOracleDiff)
+TEST(StreamRss, StrcReplayMatchesInMemoryTraceAcrossChunks)
 {
-    // The CI smoke's 10k-prefix check, in miniature: pack a prefix of
-    // the big trace, replay it streaming from disk, and demand a
-    // byte-identical Report from the materialized oracle on the same
-    // prefix.
+    // The CI smoke's 10k-prefix trace, in miniature: pack a prefix of
+    // the dense trace into many small codec chunks, replay it from
+    // disk, and demand a byte-identical Report from the same prefix
+    // replayed from memory. Chunk boundaries must be invisible.
     AzureTrace full = generateAzureTrace(denseTrace(600.0));
     constexpr std::size_t kPrefix = 10000;
     ASSERT_GT(full.arrivals.size(), kPrefix);
@@ -166,35 +167,22 @@ TEST(StreamRss, PrefixOracleDiff)
     prefix.duration = full.duration;
 
     const std::string path = tmpPath("rss_prefix") + ".strc";
-    stream::StrcHeader hdr;
-    hdr.hasLengths = false;
-    hdr.numModels = 6;
-    hdr.duration = prefix.duration;
-    std::string err;
-    stream::StrcWriter w;
-    ASSERT_TRUE(w.open(path, hdr, &err)) << err;
-    for (const Arrival &a : prefix.arrivals) {
-        stream::TraceRecord r;
-        r.time = a.time;
-        r.model = a.model;
-        w.add(r);
+    packTrace(prefix, 6, path, 1000);
+    {
+        stream::StrcReader rd;
+        std::string err;
+        ASSERT_TRUE(rd.open(path, &err)) << err;
+        EXPECT_EQ(rd.chunkCount(), kPrefix / 1000);
     }
-    ASSERT_TRUE(w.finish(&err)) << err;
 
     ExperimentConfig streamed = streamConfig(path);
     Report fromDisk = runExperiment(streamed);
 
-    ExperimentConfig mat;
-    mat.system = SystemKind::Slinfer;
-    mat.cluster.cpuNodes = 2;
-    mat.cluster.gpuNodes = 2;
-    mat.models = replicateModel(llama2_7b(), 6);
-    mat.seed = 5;
-    mat.trace = std::move(prefix);
-    mat.duration = mat.trace.duration;
-    Report oracle = runExperiment(mat);
+    ExperimentConfig inMemory = streamConfig("");
+    inMemory.trace = std::move(prefix);
+    Report fromMemory = runExperiment(inMemory);
 
-    EXPECT_EQ(toJson(oracle), toJson(fromDisk));
+    EXPECT_EQ(toJson(fromMemory), toJson(fromDisk));
     std::remove(path.c_str());
 }
 

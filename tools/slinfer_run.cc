@@ -17,7 +17,7 @@
  *   slinfer_run --scenario=fleet-node-failure --trace=trace.json
  *   slinfer_run --scenario=flash-crowd --timeseries=ts.csv \
  *               --sample-every=1s
- *   slinfer_run --scenario=azure-64 --stream --lookahead=1024
+ *   slinfer_run --scenario=azure-64 --lookahead=1024
  *   slinfer_run --scenario=azure-64 --stream-trace=big.strc --progress
  *
  * Multi-scenario invocations emit the CSV header exactly once; --quiet
@@ -89,21 +89,13 @@ usage(std::FILE *to)
         "  --timeseries=<file>    live metrics samples, CSV or .json "
         "(single run)\n"
         "  --sample-every=<sec>   timeseries cadence (default: 1s)\n"
-        "  --stream               streaming replay: bounded-lookahead\n"
-        "                         arrival window + request recycling;\n"
-        "                         reports stay byte-identical, peak "
-        "memory\n"
-        "                         becomes independent of trace length\n"
-        "  --lookahead=<n>        streaming window size in arrivals\n"
-        "                         (default: 4096)\n"
+        "  --lookahead=<n>        arrival window size: at most n future\n"
+        "                         arrivals are scheduled at once\n"
+        "                         (default: 4096); reports do not\n"
+        "                         depend on it\n"
         "  --stream-trace=<file>  replay a packed .strc trace (see\n"
         "                         slinfer_tracepack) instead of the\n"
-        "                         scenario's arrival process; implies "
-        "--stream\n"
-        "  --materialized         replay --stream-trace through the\n"
-        "                         classic full-vector path instead — "
-        "the\n"
-        "                         byte-identity oracle for CI diffs\n"
+        "                         scenario's arrival process\n"
         "  --progress             live progress on stderr: sim-time %%, "
         "requests\n"
         "                         replayed, RSS, ETA\n"
@@ -213,9 +205,7 @@ advanceWithProgress(Session &session, const std::string &name)
             std::chrono::duration<double>(Clock::now() - t0).count();
         double eta = frac > 0 ? elapsed / frac - elapsed : 0.0;
         std::size_t replayed =
-            session.feed()
-                ? static_cast<std::size_t>(session.feed()->replayed())
-                : session.sample().arrived;
+            static_cast<std::size_t>(session.feed()->replayed());
         std::fprintf(stderr,
                      "\r[%s] t=%.0f/%.0fs (%3.0f%%)  replayed=%zu  "
                      "rss=%.0f MB  eta=%.0fs ",
@@ -252,8 +242,6 @@ main(int argc, char **argv)
     unsigned trace_cats = obs::kAllTraceCats;
     std::string timeseries_path;
     double sample_every = 1.0;
-    bool stream = false;
-    bool materialized = false;
     std::uint64_t lookahead = 0;
     std::string stream_trace;
     bool progress = false;
@@ -316,8 +304,6 @@ main(int argc, char **argv)
             timeseries_path = value();
         } else if (arg.rfind("--sample-every=", 0) == 0) {
             sample_every = parseSeconds(value(), "--sample-every");
-        } else if (arg == "--stream") {
-            stream = true;
         } else if (arg.rfind("--lookahead=", 0) == 0) {
             lookahead = parseCount(value(), "--lookahead");
             if (lookahead == 0 || lookahead > (1u << 24)) {
@@ -327,9 +313,6 @@ main(int argc, char **argv)
             }
         } else if (arg.rfind("--stream-trace=", 0) == 0) {
             stream_trace = value();
-            stream = true;
-        } else if (arg == "--materialized") {
-            materialized = true;
         } else if (arg == "--progress") {
             progress = true;
         } else if (arg.rfind("--format=", 0) == 0) {
@@ -353,13 +336,6 @@ main(int argc, char **argv)
     }
     if (format != "json" && format != "csv") {
         std::fprintf(stderr, "unknown format '%s'\n", format.c_str());
-        return 2;
-    }
-
-    if (materialized && stream_trace.empty()) {
-        std::fprintf(stderr,
-                     "--materialized only applies to a --stream-trace "
-                     "replay\n");
         return 2;
     }
 
@@ -458,7 +434,6 @@ main(int argc, char **argv)
             cfg.obs.traceCats = trace_cats;
             if (!timeseries_path.empty())
                 cfg.obs.sampleEvery = sample_every;
-            cfg.stream.enabled = stream && !materialized;
             if (lookahead > 0)
                 cfg.stream.lookahead =
                     static_cast<std::uint32_t>(lookahead);
