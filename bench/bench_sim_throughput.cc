@@ -64,13 +64,12 @@ wallSeconds(std::chrono::steady_clock::time_point t0)
  * the queue uses its small-buffer path.
  *
  * The profile is calibrated against instrumented catalog runs (see
- * DESIGN.md, "The event arena"): peak pending events are 62
- * (quickstart), ~3.2K (flash-crowd) and ~4.8K (azure-64), and
- * cancellations occur once per ~800 (flash-crowd) to ~10K
- * (quickstart) schedules. The default window of 4096 with one cancel
- * per 512 pops is therefore the azure-64-class steady state with a
- * still-conservative cancel rate; the fleet window (65536) models the
- * 10x fleet scenarios' backlog.
+ * DESIGN.md, "The event arena"): with one trace arrival scheduled at
+ * a time, the queue peaks at 59..112 entries (tombstones included)
+ * on the perfbench workloads, fleet-640 among them, and cancellations
+ * occur once per ~800 (flash-crowd) to ~10K (quickstart) schedules.
+ * The window of 128 with one cancel per 512 pops is therefore the
+ * fleet-scale steady state with a still-conservative cancel rate.
  */
 double
 eventsPerSec(std::size_t total, std::size_t window,
@@ -196,12 +195,10 @@ main(int argc, char **argv)
 
     setLogLevel(LogLevel::Warn);
 
-    // Primary profile: azure-64-class steady window. Fleet profile:
-    // the 10x scenarios' backlog (see the eventsPerSec comment).
-    constexpr std::size_t kSteadyWindow = 4096;
-    constexpr std::size_t kFleetWindow = 65536;
+    // The measured steady-state queue depth (see the eventsPerSec
+    // comment).
+    constexpr std::size_t kSteadyWindow = 128;
     double arena = bestOf(repeat, events, kSteadyWindow);
-    double arena_fleet = bestOf(repeat, events, kFleetWindow);
     // The flight-recorder point: the same arena program with hot-path
     // counters attached (obs/counters.hh). `arena` above IS the
     // tracing-off measurement; the ratio bounds what enabling
@@ -240,7 +237,6 @@ main(int argc, char **argv)
 
     Table t({"metric", "value"});
     t.addRow({"events/sec (arena)", Table::num(arena, 0)});
-    t.addRow({"fleet events/sec (arena)", Table::num(arena_fleet, 0)});
     t.addRow({"events/sec (counters on)", Table::num(arena_counters, 0)});
     t.addRow({"counters-on/off ratio", Table::num(counters_ratio, 2) + "x"});
     t.addRow({"azure-64 wall (s)", Table::num(exp_wall, 3)});
@@ -260,7 +256,6 @@ main(int argc, char **argv)
     row.duration = 0.0;
     row.metrics = {
         {"events_per_sec", point(arena)},
-        {"events_per_sec_fleet", point(arena_fleet)},
         {"events_per_sec_counters", point(arena_counters)},
         {"counters_on_off_ratio", point(counters_ratio)},
         {"exp_requests_per_sec", point(req_per_sec)},
@@ -282,7 +277,6 @@ main(int argc, char **argv)
             "./build/bench/bench_sim_throughput "
             "--json=BENCH_sim_throughput.json\",\n"
             "  \"events_per_sec\": %.0f,\n"
-            "  \"events_per_sec_fleet\": %.0f,\n"
             "  \"events_per_sec_counters\": %.0f,\n"
             "  \"counters_on_off_ratio\": %.2f,\n"
             "  \"azure64_wall_s\": %.3f,\n"
@@ -290,7 +284,7 @@ main(int argc, char **argv)
             "  \"azure64_requests_per_sec_attribution\": %.0f,\n"
             "  \"attribution_on_off_ratio\": %.2f\n"
             "}\n",
-            events, repeat, arena, arena_fleet, arena_counters,
+            events, repeat, arena, arena_counters,
             counters_ratio,
             exp_wall, req_per_sec, attr_req_per_sec, attribution_ratio);
         if (!writeFile(json_path, buf))

@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming-replay throughput and memory: the perf-trajectory bench
- * for the stream subsystem (DESIGN.md, "Bounded-lookahead streaming"
- * and "The .strc codec").
+ * for the stream subsystem (DESIGN.md, "Streaming arrivals" and
+ * "The .strc codec").
  *
  * Three measurements on one synthetic Azure trace:
  *
@@ -10,8 +10,8 @@
  *     records/sec each way, bytes/record on disk, and the compression
  *     ratio against the raw 12-byte (f64 time + u32 model) encoding.
  *  2. **replay** — the experiment replayed from the packed file
- *     (bounded lookahead, request recycling): requests/sec wall, with
- *     resident-set size sampled across 200 advance slices.
+ *     (one scheduled arrival, request recycling): requests/sec
+ *     wall, with resident-set size sampled across 200 advance slices.
  *  3. **headline** — requests/sec per GB of peak RSS, the number
  *     multi-million-request replays are sized by.
  *
@@ -29,7 +29,7 @@
  *                            host-independent; absolute records/sec
  *                            and RSS are recorded but not gated)
  *   --tolerance=<frac>       allowed ratio drop (default 0.50)
- *   --requests=<n> --models=<m> --window=<s> --lookahead=<k>
+ *   --requests=<n> --models=<m> --window=<s>
  * Exit code: 0 ok, 1 gate failure, 2 usage error.
  */
 
@@ -133,7 +133,6 @@ main(int argc, char **argv)
     std::uint64_t requests = 200000;
     int numModels = 64;
     double window = 600.0;
-    std::uint32_t lookahead = 4096;
     std::string json_path;
     std::string baseline_out;
     std::string compare_path;
@@ -150,9 +149,6 @@ main(int argc, char **argv)
             numModels = std::atoi(value().c_str());
         } else if (arg.rfind("--window=", 0) == 0) {
             window = std::atof(value().c_str());
-        } else if (arg.rfind("--lookahead=", 0) == 0) {
-            lookahead = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
         } else if (arg.rfind("--json=", 0) == 0) {
             json_path = value();
         } else if (arg.rfind("--write-baseline=", 0) == 0) {
@@ -166,11 +162,9 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (requests == 0 || numModels <= 0 || window <= 0 ||
-        lookahead == 0) {
+    if (requests == 0 || numModels <= 0 || window <= 0) {
         std::fprintf(stderr,
-                     "--requests/--models/--window/--lookahead must be "
-                     "positive\n");
+                     "--requests/--models/--window must be positive\n");
         return 2;
     }
 
@@ -257,7 +251,6 @@ main(int argc, char **argv)
     cfg.cluster.gpuNodes = 4;
     cfg.models = replicateModel(llama2_7b(), numModels);
     cfg.seed = 99;
-    cfg.stream.lookahead = lookahead;
     cfg.stream.tracePath = strc_path;
     ReplayResult st = timedReplay(cfg);
     std::remove(strc_path.c_str());
@@ -283,9 +276,9 @@ main(int argc, char **argv)
     t.addRow({"stream max RSS (MB)", Table::num(st.maxRss / 1e6, 1)});
     t.addRow({"stream requests/sec/GB", Table::num(rps_per_gb, 0)});
     std::printf("streaming replay throughput (%llu requests, %d models, "
-                "%.0f s window, lookahead %u)\n",
+                "%.0f s window)\n",
                 static_cast<unsigned long long>(packed), numModels,
-                window, lookahead);
+                window);
     t.print();
 
     sweep::SummaryRow row;
@@ -313,7 +306,7 @@ main(int argc, char **argv)
             "  \"bench\": \"stream_throughput\",\n"
             "  \"description\": \"Replay of one synthetic Azure trace "
             "from a .strc file (%llu requests, %d models, %.0f s "
-            "window, lookahead %u): .strc codec throughput, replay "
+            "window): .strc codec throughput, replay "
             "requests/sec, and sampled peak RSS. Regenerate with: "
             "./build/bench/bench_stream_throughput --requests=%llu "
             "--window=%.0f --json=BENCH_stream_throughput.json\",\n"
@@ -328,7 +321,7 @@ main(int argc, char **argv)
             "  \"stream_requests_per_sec_per_gb\": %.0f\n"
             "}\n",
             static_cast<unsigned long long>(packed), numModels, window,
-            lookahead, static_cast<unsigned long long>(requests), window,
+            static_cast<unsigned long long>(requests), window,
             static_cast<unsigned long long>(packed), pack_rps,
             unpack_rps, bytes_per_rec, compression, st.wall, stream_rps,
             st.maxRss / 1e6, rps_per_gb);

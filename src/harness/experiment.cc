@@ -64,8 +64,6 @@ ExperimentConfig::validate() const
         (arrivals || !trace.arrivals.empty()))
         fatal("ExperimentConfig: `stream.tracePath` is mutually "
               "exclusive with `arrivals`/`trace`");
-    if (stream.lookahead == 0)
-        fatal("ExperimentConfig: `stream.lookahead` must be positive");
 
     // The duration stamped by the arrival process / trace generator is
     // authoritative; an explicitly configured duration must agree.

@@ -99,8 +99,8 @@ struct ExperimentConfig
     obs::ObsConfig obs;
     /**
      * Arrival replay (stream/source.hh): every run pulls its arrivals
-     * through a bounded lookahead window and recycles settled request
-     * storage, so peak memory is independent of trace length.
+     * one at a time and recycles settled request storage, so peak
+     * memory is independent of trace length.
      * `stream.tracePath` replays an on-disk `.strc` trace (mutually
      * exclusive with `arrivals`/`trace`).
      */

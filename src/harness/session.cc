@@ -14,8 +14,8 @@ namespace slinfer
 // --------------------------------------------------------------------
 
 Session::Session(const ExperimentConfig &cfg)
-    : cfg_(cfg), ivRng_(Rng(cfg.seed).fork(0xA11CE)),
-      lenRng_(Rng(cfg.seed).fork(0x1E46))
+    : cfg_(cfg), lenRng_(Rng(cfg.seed).fork(0x1E46)),
+      ivRng_(Rng(cfg.seed).fork(0xA11CE))
 {
     // Chaos expands into ordinary timeline entries *before* validation,
     // so generated schedules obey the same well-formedness rules as
@@ -97,16 +97,12 @@ Session::Session(const ExperimentConfig &cfg)
             datasets_.emplace_back(kind);
     }
 
-    // Requests are built lazily by the feed into a recycled pool, so
-    // the event reserve scales with the lookahead window (capped at
-    // the trace size), not the trace — and degrades gracefully to
-    // chunked growth when the source cannot size itself (sizeHint 0,
-    // e.g. a torn .strc read by a scan).
+    // TTFT samples: 8 B / completion. A source that cannot size
+    // itself (sizeHint 0, e.g. a torn .strc read by a scan) grows the
+    // recorder on demand.
     const std::uint64_t hint = source_->sizeHint();
     if (hint > 0)
-        recorder_.reserve(hint); // TTFT samples: 8 B / completion
-    sim_.reserveEvents(
-        std::min<std::uint64_t>(cfg_.stream.lookahead, hint) + 1024);
+        recorder_.reserve(hint);
 
     std::vector<double> avg_out(cfg_.models.size());
     for (std::size_t m = 0; m < cfg_.models.size(); ++m)
@@ -123,14 +119,15 @@ Session::Session(const ExperimentConfig &cfg)
 
     // Arrival scheduling. The feed reserves its seq band here, before
     // the timeline arms, so trace arrival k carries tie-breaking
-    // sequence number base + k at any lookahead, and a trace arrival
-    // at time T fires before an intervention at T (stream/feed.hh).
+    // sequence number base + k whenever it is scheduled, and a trace
+    // arrival at time T fires before an intervention at T
+    // (stream/feed.hh).
     controller_->setReclaimHook([this](Request *r) {
         if (r->poolSlot != kRequestNotPooled)
             freeList_.push_back(r);
     });
     feed_ = std::make_unique<stream::StreamingArrivalFeed>(
-        sim_, *source_, cfg_.stream.lookahead,
+        sim_, *source_,
         [this](const stream::TraceRecord &rec) {
             return acquirePooled(rec);
         },
@@ -511,7 +508,7 @@ Session::arrive(Request *r, std::size_t firstRule)
     // A rule registered at T sees exactly the arrivals that fire after
     // it: every arrival with time > T (trace arrivals at T fire first,
     // their seq band predates the timeline). Draws come from ivRng_ in
-    // fire order, so the lookahead cannot change them.
+    // fire order.
     for (std::size_t i = firstRule; i < scaleRules_.size(); ++i) {
         const ScaleRule rule = scaleRules_[i];
         if (rule.model >= 0 && r->model != static_cast<ModelId>(rule.model))
@@ -545,10 +542,10 @@ Session::arrive(Request *r, std::size_t firstRule)
 void
 Session::cancelFutureArrivals(ModelId model)
 {
-    // The feed cancels its window entries and recycles future records
-    // of the model at pump time; pending() is definitive for the
-    // injected arrivals: fired and already-cancelled ones are skipped,
-    // everything still scheduled is revoked.
+    // The feed cancels its scheduled arrival and recycles future
+    // records of the model at pump time; pending() is definitive for
+    // the injected arrivals: fired and already-cancelled ones are
+    // skipped, everything still scheduled is revoked.
     feed_->retireModel(model);
     for (std::size_t i = 0; i < extra_.size(); ++i) {
         if (extra_[i].model == model && extraEvents_[i].pending())

@@ -20,13 +20,14 @@
  * flight: node failure/restore and model deploy/redeploy/retire route
  * through the ControllerBase hooks; arrival scaling and bursts act on
  * the Session's own arrivals. Arrivals come from one path, the
- * bounded-lookahead StreamingArrivalFeed (stream/feed.hh), whether
- * the trace was generated in memory or is a `.strc` replay, so
- * arrival scaling is a rule each arrival passes through when its
- * event fires (DESIGN.md, "Arrival scaling at fire time"). A
- * config-embedded Timeline applies interventions at scripted times
- * without any manual stepping — that is how slinfer_run --timeline
- * and the fault/deploy catalog scenarios work.
+ * StreamingArrivalFeed (stream/feed.hh), which keeps one trace
+ * arrival scheduled at a time whether the trace was generated in
+ * memory or is a `.strc` replay, so arrival scaling is a rule each
+ * arrival passes through when its event fires (DESIGN.md, "Arrival
+ * scaling at fire time"). A config-embedded Timeline applies
+ * interventions at scripted times without any manual stepping — that
+ * is how slinfer_run --timeline and the fault/deploy catalog
+ * scenarios work.
  *
  * runExperiment (harness/experiment.hh) is now a thin wrapper:
  * create → advanceTo(duration()) → finish().
@@ -202,16 +203,16 @@ class Session
 
     /** Arrival source, pulled incrementally by the feed. */
     stream::RequestSourcePtr source_;
-    /** Bounded-lookahead feed: the one arrival path. */
+    /** One-scheduled-arrival feed: the one arrival path. */
     std::unique_ptr<stream::StreamingArrivalFeed> feed_;
     /** Trace request pool: storage never moves (deque) and is recycled
      *  through freeList_ once the controller reclaims a settled
-     *  request, or thinning drops it. Bounded by lookahead +
-     *  in-flight. */
+     *  request, or thinning drops it. Bounded by the one scheduled
+     *  arrival + in-flight. */
     std::deque<Request> pool_;
     std::vector<Request *> freeList_;
-    /** Dataset length RNG, consumed in strict trace order at any
-     *  lookahead (the feed builds records in trace order). */
+    /** Dataset length RNG, consumed in strict trace order (the feed
+     *  builds records in trace order). */
     Rng lenRng_;
 
     std::unique_ptr<ControllerBase> controller_;

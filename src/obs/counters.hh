@@ -32,8 +32,11 @@ enum Counter : std::size_t
 {
     kEventsFired,      ///< event-queue callbacks dispatched
     kEventsCancelled,  ///< live events cancelled before firing
-    kEventsRebased,    ///< overflow events re-bucketed by a wheel rebase
-    kBucketPromotions, ///< wheel buckets promoted into the near heap
+    /** Retired: the event queue is one heap with no calendar wheel,
+     *  so these two always read 0. They keep their names because the
+     *  Report JSON keys are a stable surface that perfbench reads. */
+    kEventsRebased,
+    kBucketPromotions,
     kPlacementProbes,  ///< controller placement searches started
     kIndexWalkSteps,   ///< cluster-index free-KV walk iterations
     kPendingWakeups,   ///< pending-queue retry activations (prefill)
@@ -86,14 +89,6 @@ bump(Counters *c, Counter i)
 {
     if (c)
         ++c->v[i];
-}
-
-/** Add `n` to counter `i` iff a sink is attached. */
-inline void
-add(Counters *c, Counter i, std::uint64_t n)
-{
-    if (c)
-        c->v[i] += n;
 }
 
 } // namespace obs

@@ -9,44 +9,33 @@
  * cancellation is lazy (the entry is skipped when it surfaces at the
  * heap head), exactly as in the original queue.
  *
- * Implementation: a pooled callback arena plus a two-level calendar
- * priority structure.
+ * Implementation: a pooled callback arena plus one 4-ary heap.
  *
  *  - Callback slots are recycled through a free-list, so steady-state
  *    scheduling performs **zero allocations**: no `shared_ptr` control
  *    block per event, and no `std::function` at all — callbacks are
  *    type-erased into a small-buffer payload stored inline in the slot
  *    (`InlineCallback`); callables larger than the buffer fall back to
- *    one heap allocation.
+ *    one heap allocation. The arena grows on demand; a catalog run
+ *    peaks at ~10^2 concurrent events, because the arrival feed keeps
+ *    exactly one trace arrival scheduled (stream/feed.hh).
  *  - Ordering entries are 24 bytes of plain data — (when, seq, slot,
  *    generation) — so compares and moves are local and never
  *    dereference the arena, where the original queue sifted 64-byte
  *    entries dragging a `std::function` and a `shared_ptr` along.
- *  - Entries live in one of three places: a small **near heap**
- *    (4-ary, key-inline) holding every pending event below the
- *    current horizon; a wheel of coarse **time buckets** (unsorted
- *    append-only vectors) partitioning the future beyond the horizon;
- *    and an **overflow** list beyond the wheel. When the near heap
- *    drains, the next non-empty bucket is promoted (swap + filter +
- *    heapify, O(bucket)); when the wheel is exhausted, it is rebased
- *    over the overflow with a width chosen from the pending span.
- *    A flat heap over a fleet-scale backlog (10^5..10^6 pre-scheduled
- *    arrivals) pays ~log2(n) cache-cold lines per pop; the near heap
- *    stays at bucket-occupancy size (~10^2..10^3 entries, L1/L2
- *    resident) regardless of total backlog, which is where the bulk
- *    of the measured speedup comes from.
+ *  - Every entry lives in one **4-ary heap**, key-inline. At ~10^2
+ *    entries the whole heap stays L1-resident, so a pop is a handful
+ *    of sift levels over contiguous children.
  *  - Cancellation uses **generation counters**: a handle is
  *    (slot, generation) and is live only while the slot's generation
  *    matches. Cancelling bumps the generation and frees the slot in
  *    O(1); the ordering entry remains as a tombstone discarded when
- *    it surfaces at the near-heap head or at promotion time. Stale
- *    handles — including handles to events that already fired — are
- *    detected in O(1) with no shared ownership.
+ *    it surfaces at the heap head. Stale handles — including handles
+ *    to events that already fired — are detected in O(1) with no
+ *    shared ownership.
  *
  * Determinism: the global fire order is exactly ascending (when, seq),
- * ties FIFO by schedule order. Buckets partition by time, equal
- * times always classify to the same level (strictly-below-horizon =>
- * near), and the near heap breaks ties by sequence number.
+ * ties FIFO by schedule order; the heap compares the full key.
  *
  * The design and its performance methodology are documented in
  * DESIGN.md ("The event arena"); `bench/bench_sim_throughput.cc`
@@ -61,7 +50,6 @@
 #ifndef SLINFER_SIM_EVENT_QUEUE_HH
 #define SLINFER_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -292,12 +280,7 @@ class EventQueue
     EventHandle
     schedule(Seconds when, F &&cb)
     {
-        std::uint32_t slot = allocSlot();
-        cbs_[slot].set(std::forward<F>(cb));
-        std::uint32_t gen = meta_[slot].gen;
-        place(Entry{when, nextSeq_++, slot, gen});
-        ++live_;
-        return EventHandle(this, slot, gen);
+        return scheduleAtSeq(when, nextSeq_++, std::forward<F>(cb));
     }
 
     /**
@@ -306,8 +289,8 @@ class EventQueue
      * entries placed into it via scheduleAtSeq() tie-break exactly as
      * if they had all been scheduled here — the arrival feed
      * (stream/feed.hh) reserves one band while the Session is built,
-     * then fills it lazily, so the global (when, seq) fire order is
-     * the same at any lookahead window.
+     * then schedules one arrival at a time from it, so a trace arrival
+     * fires before any runtime event at the same timestamp.
      */
     std::uint64_t
     reserveSeqBand(std::uint64_t width)
@@ -328,7 +311,7 @@ class EventQueue
         std::uint32_t slot = allocSlot();
         cbs_[slot].set(std::forward<F>(cb));
         std::uint32_t gen = meta_[slot].gen;
-        place(Entry{when, seq, slot, gen});
+        heapPush(Entry{when, seq, slot, gen});
         ++live_;
         return EventHandle(this, slot, gen);
     }
@@ -338,7 +321,7 @@ class EventQueue
     bool empty() const { return live_ == 0; }
 
     /** Time of the earliest live event; panics when empty. */
-    Seconds nextTime() const;
+    Seconds nextTime();
 
     /**
      * Pop and run the earliest live event, returning its time. The
@@ -350,10 +333,6 @@ class EventQueue
 
     /** Number of live (non-cancelled, non-fired) events — exact. */
     std::size_t size() const { return live_; }
-
-    /** Pre-size the arena and far storage for `n` concurrent events
-     *  (e.g. an experiment's bulk-scheduled arrival backlog). */
-    void reserve(std::size_t n);
 
     /**
      * Attach a flight-recorder counter sink (nullptr detaches). The
@@ -390,7 +369,7 @@ class EventQueue
 
     /**
      * Slot bookkeeping, split from the callback payload so that the
-     * hot probes — generation checks from handles/tombstone sweeps and
+     * hot probes — generation checks from handles and tombstone pops,
      * free-list pushes/pops — walk a dense 8-byte-per-slot array that
      * stays cache-resident, while the 80-byte payloads are only
      * touched twice per event (install and move-out).
@@ -424,80 +403,13 @@ class EventQueue
 
     void freeSlot(std::uint32_t slot);
 
-    /**
-     * Bucket index for a time inside the wheel: a reciprocal-multiply
-     * approximation of (when - base) / width, clamped into range,
-     * then corrected by a one-ulp boundary guard enforcing the
-     * ordering invariant that **a bucket's start must never exceed
-     * the entry's time** — otherwise a smaller-time event in the
-     * previous bucket could fire after it. One-too-low is benign
-     * (promoted early, the near heap still orders it). Shared by
-     * place() and rebase() so the invariant lives in one place.
-     */
-    std::size_t
-    bucketIndexFor(Seconds when) const
-    {
-        std::size_t idx = static_cast<std::size_t>(
-            (when - wheelBase_) * invBucketWidth_);
-        if (idx >= kBuckets)
-            idx = kBuckets - 1;
-        while (idx > 0 &&
-               wheelBase_ + static_cast<double>(idx) * bucketWidth_ >
-                   when)
-            --idx;
-        return idx;
-    }
-
-    /**
-     * Route a fresh entry to the near heap / a wheel bucket / the
-     * overflow list. Level membership is decided by *exact*
-     * comparisons against horizon_ and wheelEnd_; the bucket index
-     * within the wheel comes from bucketIndexFor().
-     */
-    void
-    place(const Entry &e)
-    {
-        if (e.when < horizon_) {
-            heapPush(e);
-            return;
-        }
-        if (e.when < wheelEnd_) {
-            std::size_t idx = bucketIndexFor(e.when);
-            // Never land at/after the horizon in an already-promoted
-            // bucket, or the entry would be lost.
-            if (idx < curBucket_)
-                idx = curBucket_;
-            if (buckets_[idx].empty())
-                occupied_[idx / 64] |= 1ull << (idx % 64);
-            buckets_[idx].push_back(e);
-            ++wheelCount_;
-            return;
-        }
-        if (overflow_.empty()) {
-            overflowLo_ = overflowHi_ = e.when;
-        } else {
-            overflowLo_ = std::min(overflowLo_, e.when);
-            overflowHi_ = std::max(overflowHi_, e.when);
-        }
-        overflow_.push_back(e);
-    }
-
     void heapPush(const Entry &e);
-    /** Remove the near-heap root (no slot bookkeeping). */
-    void popRoot() const;
-    void siftDown(std::size_t pos) const;
-    /** Build the near heap in place (Floyd). */
-    void heapify() const;
-    /** Drop stale near-head entries; promote buckets / rebase the
-     *  wheel until the near head is a live event or none remain.
-     *  Returns false iff no live event exists. */
-    bool ensureNearHead() const;
-    /** Move the next non-empty bucket's live entries into the (empty)
-     *  near heap. Precondition: wheelCount_ > 0. */
-    void promoteNextBucket() const;
-    /** Rebuild the wheel over the overflow list, starting a new epoch
-     *  at the overflow's earliest event. */
-    void rebase() const;
+    /** Remove the heap root (no slot bookkeeping). */
+    void popRoot();
+    void siftDown(std::size_t pos);
+    /** Drop cancelled entries off the heap head. Returns false iff no
+     *  live event remains. */
+    bool liveHead();
 
     void cancelSlot(std::uint32_t slot, std::uint32_t gen);
     bool
@@ -511,48 +423,20 @@ class EventQueue
         return meta_[e.slot].gen != e.gen;
     }
 
-    /** Wheel geometry: enough buckets that a fleet-scale backlog
-     *  (10^5..10^6 events) still promotes in L1/L2-sized chunks. */
-    static constexpr std::size_t kBuckets = 1024;
-
     std::vector<SlotMeta> meta_;
     /** Callback payloads, parallel to meta_. */
     std::vector<InlineCallback> cbs_;
     std::uint32_t freeHead_ = kNone;
     std::uint64_t nextSeq_ = 0;
     std::size_t live_ = 0;
-    /** Cancelled entries still parked somewhere in the structure.
-     *  When zero, heads are live by construction and the pop path
-     *  skips the generation probe entirely. */
-    mutable std::size_t tombstones_ = 0;
+    /** Cancelled entries still in the heap. When zero, the head is
+     *  live by construction and the pop path skips the generation
+     *  probe entirely. */
+    std::size_t tombstones_ = 0;
 
-    /** All pending events with when < horizon_, heap-ordered. */
-    mutable std::vector<Entry> near_;
-    /** bucket i covers [wheelBase_ + i*w, wheelBase_ + (i+1)*w). */
-    mutable std::vector<std::vector<Entry>> buckets_;
-    /** One bit per bucket (1 = non-empty), so promotion finds the
-     *  next occupied bucket with a find-first-set scan instead of
-     *  probing up to kBuckets empty vectors when occupancy is
-     *  sparse. */
-    mutable std::vector<std::uint64_t> occupied_;
-    mutable std::size_t curBucket_ = 0;
-    mutable std::size_t wheelCount_ = 0; ///< entries across buckets_
-    mutable Seconds wheelBase_ = 0.0;
-    mutable Seconds bucketWidth_ = 1.0;
-    mutable double invBucketWidth_ = 1.0;
-    /** = wheelBase_ + curBucket_ * bucketWidth_; 0 before any rebase,
-     *  so every initial schedule lands in the overflow list. */
-    mutable Seconds horizon_ = 0.0;
-    /** = wheelBase_ + kBuckets * bucketWidth_ — the exact wheel/
-     *  overflow membership boundary; 0 before any rebase. */
-    mutable Seconds wheelEnd_ = 0.0;
-    /** Events at/after the wheel end, unsorted; lo/hi track the span
-     *  incrementally so rebase() skips a scan. */
-    mutable std::vector<Entry> overflow_;
-    mutable Seconds overflowLo_ = 0.0;
-    mutable Seconds overflowHi_ = 0.0;
-    /** Optional counter sink; mutated through the pointer from const
-     *  maintenance paths (promotion/rebase), which is well-defined. */
+    /** Every pending or tombstoned entry, heap-ordered by (when, seq). */
+    std::vector<Entry> heap_;
+    /** Optional counter sink. */
     obs::Counters *ctr_ = nullptr;
 };
 

@@ -79,9 +79,6 @@ class Simulator
     /** Number of events executed so far. */
     std::uint64_t eventsRun() const { return eventsRun_; }
 
-    /** Pre-size the event arena for `n` concurrent events. */
-    void reserveEvents(std::size_t n) { queue_.reserve(n); }
-
     /**
      * Attach flight-recorder sinks (either may be null): counters go
      * to the event queue's hot-path hooks, the profiler brackets the

@@ -9,15 +9,13 @@ namespace slinfer
 namespace stream
 {
 
-StreamingArrivalFeed::StreamingArrivalFeed(
-    Simulator &sim, RequestSource &src, std::uint32_t lookahead,
-    Materialize mat, Submit submit, Recycle recycle)
-    : sim_(sim), src_(src), lookahead_(lookahead),
-      mat_(std::move(mat)), submit_(std::move(submit)),
-      recycle_(std::move(recycle))
+StreamingArrivalFeed::StreamingArrivalFeed(Simulator &sim,
+                                           RequestSource &src,
+                                           Materialize mat, Submit submit,
+                                           Recycle recycle)
+    : sim_(sim), src_(src), mat_(std::move(mat)),
+      submit_(std::move(submit)), recycle_(std::move(recycle))
 {
-    if (lookahead_ == 0)
-        fatal("StreamingArrivalFeed: lookahead must be positive");
 }
 
 void
@@ -33,7 +31,7 @@ StreamingArrivalFeed::start()
 void
 StreamingArrivalFeed::pump()
 {
-    while (!exhausted_ && liveWindow_ < lookahead_) {
+    while (!exhausted_ && pending_ == nullptr) {
         TraceRecord rec;
         if (!src_.next(rec)) {
             exhausted_ = true;
@@ -47,35 +45,26 @@ StreamingArrivalFeed::pump()
             fatal("StreamingArrivalFeed: arrival seq band exhausted");
         std::uint64_t seq = seqBase_ + pulled_++;
         // Build in trace order even when the record will never be
-        // scheduled: the length RNG stays independent of the window.
+        // scheduled: the length RNG sees every record.
         Request *r = mat_(rec);
         if (rec.model < retired_.size() && retired_[rec.model]) {
             recycle_(r);
             continue; // the seq is consumed, as schedule-then-cancel
                       // would have consumed it
         }
-        window_.push_back(Entry{});
-        Entry &e = window_.back();
-        e.req = r;
-        e.ev = sim_.scheduleAtSeq(rec.time, seq,
-                                  [this, r] { fired(r); });
-        ++liveWindow_;
+        pending_ = r;
+        pendingEv_ = sim_.scheduleAtSeq(rec.time, seq,
+                                        [this, r] { fired(r); });
     }
 }
 
 void
 StreamingArrivalFeed::fired(Request *r)
 {
-    // Cancelled (retired) entries never fire; drop their husks so the
-    // front is the arrival that is firing right now — events in the
-    // band fire in strictly ascending seq = window order.
-    while (!window_.empty() && window_.front().req == nullptr)
-        window_.pop_front();
-    if (window_.empty() || window_.front().req != r)
-        fatal("StreamingArrivalFeed: arrival fired out of window "
-              "order");
-    window_.pop_front();
-    --liveWindow_;
+    if (pending_ != r)
+        fatal("StreamingArrivalFeed: fired arrival is not the "
+              "scheduled one");
+    pending_ = nullptr;
     ++fired_;
     submit_(r);
     pump();
@@ -87,16 +76,12 @@ StreamingArrivalFeed::retireModel(ModelId m)
     if (m >= retired_.size())
         retired_.resize(m + 1, false);
     retired_[m] = true;
-    for (Entry &e : window_) {
-        if (e.req && e.req->model == m) {
-            e.ev.cancel();
-            recycle_(e.req);
-            e.req = nullptr;
-            --liveWindow_;
-        }
+    if (pending_ && pending_->model == m) {
+        pendingEv_.cancel();
+        recycle_(pending_);
+        pending_ = nullptr;
     }
-    // The cancellations freed window slots: refill so the lookahead
-    // horizon never shrinks below later models' arrivals.
+    // Schedule the next arrival of a model still serving.
     if (started_)
         pump();
 }

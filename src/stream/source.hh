@@ -4,9 +4,8 @@
  *
  * A RequestSource yields trace records one at a time in nondecreasing
  * time order. The Session consumes it through a StreamingArrivalFeed
- * (stream/feed.hh), the one arrival path, which keeps only a bounded
- * lookahead window of future arrivals alive: peak memory is
- * independent of trace length.
+ * (stream/feed.hh), the one arrival path, which keeps only the next
+ * future arrival alive: peak memory is independent of trace length.
  *
  * Two implementations:
  *  - VectorSource wraps an in-memory AzureTrace (any ArrivalProcess
@@ -38,11 +37,6 @@ struct StreamConfig
      *  only so existing callers that still assign it keep compiling.
      *  Nothing reads it. */
     bool enabled = false;
-
-    /** Maximum arrivals scheduled-but-unfired at any instant; bounds
-     *  the live Request pool together with the in-flight set. A value
-     *  at least the trace length schedules the whole trace at start. */
-    std::uint32_t lookahead = 4096;
 
     /** Replay from this `.strc` file instead of generating a trace
      *  ("" = generate from cfg.arrivals / cfg.trace as usual). */

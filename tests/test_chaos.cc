@@ -206,10 +206,12 @@ TEST(ChaosGenerator, OneShotKindsExpandExactly)
     // One-shot kinds don't draw randomness: stamps are the configured
     // ones.
     for (const Intervention &iv : tl) {
-        if (iv.kind == Intervention::Kind::NodeFail)
+        if (iv.kind == Intervention::Kind::NodeFail) {
             EXPECT_DOUBLE_EQ(iv.at, 100.0);
-        if (iv.kind == Intervention::Kind::NodeRestore)
+        }
+        if (iv.kind == Intervention::Kind::NodeRestore) {
             EXPECT_DOUBLE_EQ(iv.at, 150.0);
+        }
     }
 }
 

@@ -202,11 +202,9 @@ TEST(EventQueue, LargeCaptureSpillsToHeapAndStillFires)
 
 TEST(EventQueue, BulkBacklogDrainsInOrder)
 {
-    // A fleet-style backlog: tens of thousands of entries scheduled
-    // up front (this exercises the wheel's overflow + rebase path),
-    // then drained with nested near-future events mixed in.
+    // Tens of thousands of entries scheduled up front: a heap far
+    // deeper than any catalog run's drains in time order.
     EventQueue q;
-    q.reserve(50000);
     Seconds last = -1.0;
     bool monotone = true;
     std::uint64_t lcg = 12345;

@@ -2,10 +2,10 @@
  * @file
  * Streaming subsystem tests: the `.strc` codec (round trips,
  * multi-chunk files, torn-write recovery) and the headline contract —
- * a run's Report does not depend on the arrival feed's lookahead,
- * across a seeded fuzz matrix (plain, chaos, timeline and
- * arrival-scale variants). The reference is a lookahead at least the
- * trace length, which schedules the whole trace at start.
+ * a run's Report does not depend on which RequestSource feeds it: the
+ * in-memory trace and the same trace packed to `.strc` give
+ * byte-identical reports across a seeded fuzz matrix (plain, chaos,
+ * timeline and arrival-scale variants).
  */
 
 #include <gtest/gtest.h>
@@ -288,12 +288,8 @@ TEST(Strc, TruncatedFileRecoversCompleteChunks)
 }
 
 // --------------------------------------------------------------------
-// Reports are independent of the lookahead
+// Reports are independent of the RequestSource
 // --------------------------------------------------------------------
-
-/** Larger than any trace below: the feed schedules the whole trace at
- *  start, as an up-front arrival loop would. */
-constexpr std::uint32_t kWholeTrace = 1u << 24;
 
 /** A fast config small enough to fuzz many seeds. */
 ExperimentConfig
@@ -307,7 +303,7 @@ fuzzConfig(std::uint64_t seed)
     AzureTraceConfig tc;
     tc.numModels = 6;
     tc.duration = 60.0;
-    // ~180 requests/run: enough churn through a small lookahead window
+    // ~180 requests/run: enough churn through the one-arrival feed
     // (and through request recycling) to make byte-identity convincing.
     tc.perModelRpm = 30.0;
     tc.seed = seed;
@@ -315,13 +311,6 @@ fuzzConfig(std::uint64_t seed)
     cfg.duration = 60.0;
     cfg.seed = seed * 7919 + 17;
     return cfg;
-}
-
-Report
-runStreaming(ExperimentConfig cfg, std::uint32_t lookahead)
-{
-    cfg.stream.lookahead = lookahead;
-    return runExperiment(cfg);
 }
 
 /** Pack `trace` (times + models only) into a `.strc` at `path`. */
@@ -366,21 +355,41 @@ arrivalScale(Seconds at, double factor, int model = -1)
     return iv;
 }
 
-TEST(Streaming, TwentySeedFuzzIsLookaheadIndependent)
+/**
+ * Run `cfg` from its in-memory trace and from the same trace packed to
+ * `.strc` (times + models only) — the two RequestSources the feed
+ * pulls from — and require byte-identical reports: dataset lengths
+ * must come out of the length RNG in the same order either way.
+ * Returns the in-memory report.
+ */
+Report
+expectStrcMatchesInMemory(const ExperimentConfig &cfg,
+                          const std::string &label)
+{
+    const std::string path = tmpPath("match") + ".strc";
+    packStrc(cfg.trace, static_cast<std::uint32_t>(cfg.models.size()),
+             path);
+    ExperimentConfig replay = strcReplay(cfg, path);
+    // Chaos expansion needs the window before the header is read; it
+    // equals the header's duration, so stating it is not a conflict.
+    replay.duration = cfg.duration;
+    Report inMemory = runExperiment(cfg);
+    Report fromDisk = runExperiment(replay);
+    std::remove(path.c_str());
+    EXPECT_EQ(toJson(inMemory), toJson(fromDisk)) << label;
+    return inMemory;
+}
+
+TEST(Streaming, TwentySeedFuzzStrcMatchesInMemory)
 {
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
-        ExperimentConfig cfg = fuzzConfig(seed);
-        Report whole = runStreaming(cfg, kWholeTrace);
-        // Tiny lookahead stresses window churn; the default sits in
-        // between. All must be byte-identical.
-        Report tight = runStreaming(cfg, 2);
-        Report dflt = runExperiment(cfg);
-        ASSERT_EQ(toJson(whole), toJson(tight)) << "seed " << seed;
-        ASSERT_EQ(toJson(whole), toJson(dflt)) << "seed " << seed;
+        expectStrcMatchesInMemory(fuzzConfig(seed),
+                                  "seed " + std::to_string(seed));
+        ASSERT_FALSE(HasFailure());
     }
 }
 
-TEST(Streaming, LookaheadIndependentUnderChaos)
+TEST(Streaming, StrcMatchesInMemoryUnderChaos)
 {
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
         ExperimentConfig cfg = fuzzConfig(seed);
@@ -391,50 +400,50 @@ TEST(Streaming, LookaheadIndependentUnderChaos)
         flap.mtbf = 30.0;
         flap.mttr = 8.0;
         cfg.chaos.processes.push_back(flap);
-        ASSERT_EQ(toJson(runStreaming(cfg, kWholeTrace)),
-                  toJson(runStreaming(cfg, 64)))
-            << "seed " << seed;
+        expectStrcMatchesInMemory(cfg, "seed " + std::to_string(seed));
+        ASSERT_FALSE(HasFailure());
     }
 }
 
-TEST(Streaming, LookaheadIndependentWithTimelineInterventions)
+TEST(Streaming, StrcMatchesInMemoryWithTimelineInterventions)
 {
-    ExperimentConfig cfg = fuzzConfig(42);
-    Intervention retire;
-    retire.kind = Intervention::Kind::ModelRetire;
-    retire.at = 20.0;
-    retire.model = 2;
-    cfg.timeline.push_back(retire);
-    Intervention burst;
-    burst.kind = Intervention::Kind::ArrivalBurst;
-    burst.at = 30.0;
-    burst.model = 0;
-    burst.rpm = 300.0;
-    burst.duration = 5.0;
-    cfg.timeline.push_back(burst);
-    Intervention fail;
-    fail.kind = Intervention::Kind::NodeFail;
-    fail.at = 25.0;
-    fail.node = 1;
-    cfg.timeline.push_back(fail);
-    Intervention restore;
-    restore.kind = Intervention::Kind::NodeRestore;
-    restore.at = 40.0;
-    restore.node = 1;
-    cfg.timeline.push_back(restore);
-
-    EXPECT_EQ(toJson(runStreaming(cfg, kWholeTrace)),
-              toJson(runStreaming(cfg, 8)));
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        ExperimentConfig cfg = fuzzConfig(seed);
+        Intervention retire;
+        retire.kind = Intervention::Kind::ModelRetire;
+        retire.at = 20.0;
+        retire.model = 2;
+        cfg.timeline.push_back(retire);
+        Intervention burst;
+        burst.kind = Intervention::Kind::ArrivalBurst;
+        burst.at = 30.0;
+        burst.model = 0;
+        burst.rpm = 300.0;
+        burst.duration = 5.0;
+        cfg.timeline.push_back(burst);
+        Intervention fail;
+        fail.kind = Intervention::Kind::NodeFail;
+        fail.at = 25.0;
+        fail.node = 1;
+        cfg.timeline.push_back(fail);
+        Intervention restore;
+        restore.kind = Intervention::Kind::NodeRestore;
+        restore.at = 40.0;
+        restore.node = 1;
+        cfg.timeline.push_back(restore);
+        expectStrcMatchesInMemory(cfg, "seed " + std::to_string(seed));
+        ASSERT_FALSE(HasFailure());
+    }
 }
 
-TEST(Streaming, ArrivalScaleIsLookaheadIndependent)
+TEST(Streaming, ArrivalScaleStrcMatchesInMemory)
 {
     // Scale rules apply when each arrival fires, drawing from the
-    // intervention RNG in fire order, so no window size can change
+    // intervention RNG in fire order, so the source cannot change
     // which arrivals are thinned or cloned. x2 on every model, a burst
     // on model 1, then x0.5 on model 1 alone: the thinning reaches
     // trace arrivals, burst arrivals and x2 clones of model 1.
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
         ExperimentConfig cfg = fuzzConfig(seed);
         cfg.timeline.push_back(arrivalScale(10.0, 2.0));
         Intervention burst;
@@ -445,29 +454,32 @@ TEST(Streaming, ArrivalScaleIsLookaheadIndependent)
         burst.duration = 20.0;
         cfg.timeline.push_back(burst);
         cfg.timeline.push_back(arrivalScale(25.0, 0.5, 1));
-        Report whole = runStreaming(cfg, kWholeTrace);
-        ASSERT_EQ(toJson(whole), toJson(runStreaming(cfg, 1)))
-            << "seed " << seed;
-        EXPECT_GT(whole.totalRequests,
+        Report r =
+            expectStrcMatchesInMemory(cfg, "seed " + std::to_string(seed));
+        ASSERT_FALSE(HasFailure());
+        EXPECT_GT(r.totalRequests,
                   runExperiment(fuzzConfig(seed)).totalRequests);
-        EXPECT_EQ(whole.completed + whole.dropped, whole.totalRequests);
+        EXPECT_EQ(r.completed + r.dropped, r.totalRequests);
     }
 }
 
-TEST(Streaming, StrcReplayMatchesGeneratedTrace)
+TEST(Streaming, TraceArrivalFiresBeforeInterventionAtSameTime)
 {
-    // Pack the generated trace (times + models only), replay it from
-    // disk, and demand byte-identity with the in-memory run: dataset
-    // lengths must come out of lenRng_ in the same order either way.
-    ExperimentConfig cfg = fuzzConfig(3);
-    Report inMemory = runExperiment(cfg);
-
-    std::string path = tmpPath("replay") + ".strc";
-    packStrc(cfg.trace, static_cast<std::uint32_t>(cfg.models.size()),
-             path);
-    Report fromDisk = runStreaming(strcReplay(cfg, path), 32);
-    EXPECT_EQ(toJson(inMemory), toJson(fromDisk));
-    std::remove(path.c_str());
+    // The seq-band rule: trace arrivals at exactly an intervention's
+    // `at` fire first, even though the feed schedules the second of
+    // two equal-time arrivals only when the first fires. A factor-0
+    // arrival-scale at t=10 thins every arrival that fires after it.
+    ExperimentConfig cfg;
+    cfg.system = SystemKind::Slinfer;
+    cfg.cluster.cpuNodes = 1;
+    cfg.cluster.gpuNodes = 1;
+    cfg.models = replicateModel(llama2_7b(), 1);
+    for (Seconds t : {5.0, 10.0, 10.0, 15.0})
+        cfg.trace.arrivals.push_back(Arrival{t, 0});
+    cfg.trace.duration = 20.0;
+    cfg.timeline.push_back(arrivalScale(10.0, 0.0));
+    Report r = expectStrcMatchesInMemory(cfg, "equal-time arrivals");
+    EXPECT_EQ(r.totalRequests, 3u);
 }
 
 TEST(Streaming, StrcReplayRunsArrivalScale)
@@ -482,7 +494,7 @@ TEST(Streaming, StrcReplayRunsArrivalScale)
     std::string path = tmpPath("replay_scale") + ".strc";
     packStrc(cfg.trace, static_cast<std::uint32_t>(cfg.models.size()),
              path);
-    Report fromDisk = runStreaming(strcReplay(cfg, path), 16);
+    Report fromDisk = runExperiment(strcReplay(cfg, path));
     std::remove(path.c_str());
     EXPECT_EQ(toJson(inMemory), toJson(fromDisk));
     EXPECT_NE(fromDisk.totalRequests,
@@ -547,15 +559,20 @@ TEST(Streaming, ClonesOfARetiredModelAreNeverSubmitted)
     retire.model = 0;
     cfg.timeline.push_back(retire);
 
-    for (std::uint32_t lookahead : {1u, 64u, kWholeTrace}) {
-        cfg.stream.lookahead = lookahead;
-        Session s(cfg);
+    // From memory and from a `.strc` replay: the retire cancels the
+    // feed's one scheduled arrival either way.
+    const std::string path = tmpPath("retire_clones") + ".strc";
+    packStrc(cfg.trace, 1, path);
+    for (const ExperimentConfig &run : {cfg, strcReplay(cfg, path)}) {
+        Session s(run);
         s.advanceTo(30.0);
         const std::size_t atRetire = s.sample().arrived;
         s.advanceTo(s.duration());
         Report r = s.finish();
-        EXPECT_EQ(r.totalRequests, atRetire) << "lookahead " << lookahead;
+        EXPECT_EQ(r.totalRequests, atRetire)
+            << (run.stream.tracePath.empty() ? "in-memory" : ".strc");
     }
+    std::remove(path.c_str());
 
     // Without the retire, clones keep arriving past t=30.
     Session s(unretired);
@@ -566,7 +583,7 @@ TEST(Streaming, ClonesOfARetiredModelAreNeverSubmitted)
     s.finish();
 }
 
-TEST(Streaming, PoolStaysBoundedByLookaheadPlusInFlight)
+TEST(Streaming, PoolStaysBoundedByOneArrivalPlusInFlight)
 {
     ExperimentConfig cfg = fuzzConfig(9);
     // A denser trace so the bound is meaningful (~1000 arrivals).
@@ -576,15 +593,22 @@ TEST(Streaming, PoolStaysBoundedByLookaheadPlusInFlight)
     tc.perModelRpm = 170.0;
     tc.seed = 9;
     cfg.trace = generateAzureTrace(tc);
-    cfg.stream.lookahead = 16;
     Session s(cfg);
-    s.advanceTo(cfg.duration);
-    ASSERT_NE(s.feed(), nullptr);
+    // The feed keeps exactly one trace arrival scheduled until the
+    // source runs dry: every pulled record but that one has fired.
+    for (int step = 1; step <= 600; ++step) {
+        s.advanceTo(cfg.duration * step / 600);
+        const stream::StreamingArrivalFeed &feed = *s.feed();
+        ASSERT_EQ(feed.pulled(),
+                  feed.replayed() + (feed.exhausted() ? 0 : 1))
+            << "t=" << s.now();
+    }
     EXPECT_TRUE(s.feed()->exhausted());
-    // The pool's high-water mark is lookahead + peak in-flight — far
-    // below the trace size for any nontrivial trace. The hard RSS
-    // assertion lives in test_stream_rss.cc; this catches pooling
-    // regressions (e.g. the reclaim hook silently never firing) fast.
+    // The pool's high-water mark is one scheduled arrival + peak
+    // in-flight — far below the trace size for any nontrivial trace.
+    // The hard RSS assertion lives in test_stream_rss.cc; this catches
+    // pooling regressions (e.g. the reclaim hook silently never
+    // firing) fast.
     EXPECT_LT(s.streamPoolSize(), cfg.trace.arrivals.size() / 2)
         << "pool " << s.streamPoolSize() << " of "
         << cfg.trace.arrivals.size() << " arrivals";

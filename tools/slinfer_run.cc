@@ -17,7 +17,6 @@
  *   slinfer_run --scenario=fleet-node-failure --trace=trace.json
  *   slinfer_run --scenario=flash-crowd --timeseries=ts.csv \
  *               --sample-every=1s
- *   slinfer_run --scenario=azure-64 --lookahead=1024
  *   slinfer_run --scenario=azure-64 --stream-trace=big.strc --progress
  *
  * Multi-scenario invocations emit the CSV header exactly once; --quiet
@@ -89,10 +88,6 @@ usage(std::FILE *to)
         "  --timeseries=<file>    live metrics samples, CSV or .json "
         "(single run)\n"
         "  --sample-every=<sec>   timeseries cadence (default: 1s)\n"
-        "  --lookahead=<n>        arrival window size: at most n future\n"
-        "                         arrivals are scheduled at once\n"
-        "                         (default: 4096); reports do not\n"
-        "                         depend on it\n"
         "  --stream-trace=<file>  replay a packed .strc trace (see\n"
         "                         slinfer_tracepack) instead of the\n"
         "                         scenario's arrival process\n"
@@ -242,7 +237,6 @@ main(int argc, char **argv)
     unsigned trace_cats = obs::kAllTraceCats;
     std::string timeseries_path;
     double sample_every = 1.0;
-    std::uint64_t lookahead = 0;
     std::string stream_trace;
     bool progress = false;
 
@@ -304,13 +298,6 @@ main(int argc, char **argv)
             timeseries_path = value();
         } else if (arg.rfind("--sample-every=", 0) == 0) {
             sample_every = parseSeconds(value(), "--sample-every");
-        } else if (arg.rfind("--lookahead=", 0) == 0) {
-            lookahead = parseCount(value(), "--lookahead");
-            if (lookahead == 0 || lookahead > (1u << 24)) {
-                std::fprintf(stderr,
-                             "--lookahead must be in [1, 2^24]\n");
-                return 2;
-            }
         } else if (arg.rfind("--stream-trace=", 0) == 0) {
             stream_trace = value();
         } else if (arg == "--progress") {
@@ -434,9 +421,6 @@ main(int argc, char **argv)
             cfg.obs.traceCats = trace_cats;
             if (!timeseries_path.empty())
                 cfg.obs.sampleEvery = sample_every;
-            if (lookahead > 0)
-                cfg.stream.lookahead =
-                    static_cast<std::uint32_t>(lookahead);
             if (!stream_trace.empty()) {
                 // The packed trace replaces the scenario's arrival
                 // source; models/datasets/SLOs still come from the
