@@ -1,6 +1,7 @@
 #include "core/shadow_validator.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -16,6 +17,14 @@ namespace
 {
 
 constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
+
+/** Steps between two demand-bound checks of one pass. */
+constexpr int kBoundEvery = 16;
+/** The demand bound's rounding margins: relative on every cost,
+ *  absolute on every slack (DESIGN.md, "Ending a pass early"). */
+constexpr double kCostMargin = 1e-9;
+constexpr Seconds kSlackMargin = 1e-6;
+constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
 
 std::uint64_t
 bitsOf(double x)
@@ -92,6 +101,75 @@ ShadowValidator::buildState(const Partition &part, Seconds now,
 }
 
 bool
+ShadowValidator::demandBoundHolds(const std::vector<SimInst> &v,
+                                  std::size_t count, Seconds t,
+                                  int stepsLeft) const
+{
+    const double inflate = cfg_.overestimate * (1.0 + kCostMargin);
+    jumps_.clear();
+    Seconds decode_sum = 0.0;
+    Seconds prefill_sum = 0.0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const SimInst &si = v[i];
+        if (!si.hasWork())
+            continue;
+        if (si.availAt > t)
+            return false;
+        // Prefills: one-shot jobs, each due at its own deadline.
+        double len = si.avgLen;
+        for (const SimReq &p : si.prefills) {
+            Seconds cost =
+                Quantifier::prefillEstimate(*si.table, p.ctx) * inflate;
+            prefill_sum += cost;
+            jumps_.push_back({p.deadline - t, cost, false});
+            len = std::max(len, static_cast<double>(p.ctx));
+        }
+        // Decode stream: one step per tpotSlo at most, from the earlier
+        // of the batch's deadline and the first one a prefill can add,
+        // each step costed at the largest batch and length it can see.
+        int batch =
+            static_cast<int>(si.decodeDeadlines.size() + si.prefills.size());
+        Seconds cost = Quantifier::decodeEstimate(
+                           *si.table, batch,
+                           static_cast<Tokens>(std::ceil(len)) + stepsLeft) *
+                       inflate;
+        decode_sum += cost;
+        jumps_.push_back(
+            {std::min(si.decMin, si.pfMin + cfg_.tpotSlo) - t, cost, true});
+    }
+    if (decode_sum > cfg_.tpotSlo)
+        return false;
+    // The clock and every deadline a step can reach stay below `reach`;
+    // past it, the rounding of the adds could outgrow the slack margin.
+    const Seconds reach = t + prefill_sum + (stepsLeft + 1) * cfg_.tpotSlo;
+    const double roundings =
+        4.0 * stepsLeft + 8.0 * static_cast<double>(jumps_.size()) + 16.0;
+    if (roundings * kUnitRoundoff * reach > kSlackMargin)
+        return false;
+
+    // Demand due by y: f(y) = (prefill costs due by y) + sum over
+    // started streams of C_k ((y - m_k) / tpotSlo + 1), kept as
+    // `fixed + slope * y`. Between jump points f grows no faster than
+    // y (slope <= 1), so checking f(y) <= y at each jump point is
+    // enough.
+    std::sort(jumps_.begin(), jumps_.end(),
+              [](const Jump &a, const Jump &b) { return a.y < b.y; });
+    Seconds fixed = 0.0;
+    double slope = 0.0;
+    for (const Jump &j : jumps_) {
+        if (j.stream) {
+            fixed += j.cost * (1.0 - j.y / cfg_.tpotSlo);
+            slope += j.cost / cfg_.tpotSlo;
+        } else {
+            fixed += j.cost;
+        }
+        if (fixed + slope * j.y + kSlackMargin > j.y)
+            return false;
+    }
+    return true;
+}
+
+bool
 ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
                           Seconds start, bool collectDoomed) const
 {
@@ -140,11 +218,20 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
     };
 
     int step = 0;
+    int next_bound = 0;
     for (; step < cfg_.maxSteps; ++step) {
         // Settled: the candidate prefilled, every prefill drained and
         // every busy instance decoded at least once.
         if (candidate_prefilled && pending == 0)
             return finish(true, step, false);
+        // No later step can violate: the horizon's verdict, now.
+        if (step == next_bound) {
+            next_bound = step + kBoundEvery;
+            if (demandBoundHolds(v, count, t, cfg_.maxSteps - step)) {
+                obs::bump(ctr_, obs::kShadowEarlyExits);
+                return finish(true, step, false);
+            }
+        }
         // The runnable instance with the most urgent request. An
         // instance without work has both minima at infinity and never
         // wins the strict `<`.
@@ -167,6 +254,7 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
                 if (v[i].hasWork())
                     min_avail = std::min(min_avail, v[i].availAt);
             t = std::max(t, min_avail);
+            next_bound = step + 1;
             continue;
         }
 

@@ -164,9 +164,24 @@ class ShadowValidator
      * `doomed_` (used as the baseline pass: requests that are late
      * even without the candidate cannot be protected and must not
      * veto admissions). Every decode entry of `v` must be at epoch 0.
+     * A pass whose demand bound holds (see demandBoundHolds) ends
+     * there with the horizon's verdict, true.
      */
     bool simulate(std::vector<SimInst> &v, std::size_t count,
                   Seconds start, bool collectDoomed) const;
+
+    /**
+     * The processor-demand bound of DESIGN.md, "Ending a pass early":
+     * true when no step of simulate()'s fast-forward over
+     * `v[0..count)` from clock `t`, with `stepsLeft` steps left, can
+     * violate a deadline. Every instance with work must be available
+     * by `t`; each one's decode steps, costed at its largest batch and
+     * length, must sum to at most tpotSlo; and at every jump point y,
+     * the work due by t + y must fit in y.
+     */
+    bool demandBoundHolds(const std::vector<SimInst> &v,
+                          std::size_t count, Seconds t,
+                          int stepsLeft) const;
 
     /** Two-pass validation over `state_[0..count)`: the baseline pass
      *  (without the candidate) marks the doomed, then the real pass
@@ -187,6 +202,16 @@ class ShadowValidator
     /** Ids that violate even without the candidate; sorted between
      *  the two passes, membership via binary search. */
     mutable std::vector<int> doomed_;
+    /** demandBoundHolds scratch: one entry per pending prefill (a
+     *  one-shot job) and per instance with work (its decode stream),
+     *  at the offset from the clock where its demand starts. */
+    struct Jump
+    {
+        Seconds y;
+        Seconds cost;
+        bool stream;
+    };
+    mutable std::vector<Jump> jumps_;
 
     /**
      * Baseline-pass memo. The baseline is a pure function of its

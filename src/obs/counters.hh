@@ -52,6 +52,7 @@ enum Counter : std::size_t
     kShadowRejectDecodeDelayed, ///< shadow rejections: a decode delayed
     kShadowSteps,       ///< shadow fast-forward steps, all passes
     kShadowHorizonHits, ///< shadow passes that ran out maxSteps
+    kShadowEarlyExits,  ///< shadow passes ended by the demand bound
     kNumCounters
 };
 
@@ -68,6 +69,7 @@ counterName(std::size_t i)
         "shadow_reject_aggregate",   "shadow_reject_prefill_late",
         "shadow_reject_decode_delayed",
         "shadow_steps",      "shadow_horizon_hits",
+        "shadow_early_exits",
     };
     return i < kNumCounters ? kNames[i] : "?";
 }

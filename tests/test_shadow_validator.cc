@@ -60,6 +60,18 @@ struct ShadowFixture : public ::testing::Test
         return *reqs.back();
     }
 
+    /** `n` decoding requests on `inst`, next token due at `deadline`. */
+    void
+    addDecodes(Instance &inst, int n, Seconds deadline)
+    {
+        for (int i = 0; i < n; ++i) {
+            Request &r = makeRequest(0.0, 1024, 400, 40);
+            r.state = RequestState::Decode;
+            r.arrival += deadline - r.deadlineForNextToken();
+            inst.decodeBatch.push_back(&r);
+        }
+    }
+
     Node node;
     Partition *part;
     Quantifier quant;
@@ -540,7 +552,15 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
     // deadlines, so every decode step of both passes catches its batch
     // up. Every regime runs at three horizons; the short ones cut the
     // fast-forward between decode epochs.
-    enum class Regime { Mixed, FarPrefills, LateDecodes };
+    //
+    // The quiescent regime is the state most fleet-scale passes that
+    // used to run out the horizon start from: 3-4 instances, decodes
+    // 20-30 s ahead of their deadlines and 1-3 prefills due within a
+    // few seconds, where the demand bound ends most passes early. In
+    // half the draws the candidate is due just before one prefill's
+    // first decode, so that decode's slack sits within a step of the
+    // work due by it.
+    enum class Regime { Mixed, FarPrefills, LateDecodes, Quiescent };
     const std::vector<ModelSpec> models = {llama2_7b(), llama32_3b()};
     const std::vector<HardwareSpec> hws = {xeon6462c(), a100_80g()};
     for (const ModelSpec &m : models)
@@ -559,10 +579,13 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
         const std::string where = "regime " +
                                   std::to_string(static_cast<int>(regime)) +
                                   " maxSteps " + std::to_string(max_steps);
+        const bool quiet = regime == Regime::Quiescent;
         ScanValidator reference(quant, cfg);
         ShadowValidator warm(quant, cfg);
-        warm.attachCounters(&counters);
+        obs::Counters regime_counters;
+        warm.attachCounters(&regime_counters);
         std::uint64_t regime_verdicts[2] = {0, 0};
+        std::uint64_t tight = 0;
         for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
             std::mt19937_64 rng(seed);
             auto pick = [&rng](std::size_t n) {
@@ -580,11 +603,25 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
                     r.ttftSlo = 30.0 + static_cast<double>(pick(31));
                 return r;
             };
+            // Move `r`'s next-token deadline to `deadline`.
+            auto dueAt = [](Request &r, Seconds deadline) {
+                r.arrival += deadline - r.deadlineForNextToken();
+            };
 
             Partition *p = coin(50) ? part : gpu_node.partitions()[0].get();
             p->instances.clear();
             const Seconds now = 100.0;
-            std::size_t n_inst = 1 + pick(8);
+            auto decode = [&](Instance *inst) {
+                Request &r = request(now, static_cast<Tokens>(1 + pick(20)));
+                r.state = RequestState::Decode;
+                if (regime == Regime::LateDecodes)
+                    r.arrival -= 60.0;
+                if (quiet)
+                    dueAt(r,
+                          now + 20.0 + 0.25 * static_cast<double>(pick(41)));
+                inst->decodeBatch.push_back(&r);
+            };
+            std::size_t n_inst = quiet ? 3 + pick(2) : 1 + pick(8);
             std::vector<Instance *> insts;
             for (std::size_t i = 0; i < n_inst; ++i) {
                 std::size_t mi = pick(models.size());
@@ -592,36 +629,61 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
                     nextId++, static_cast<ModelId>(mi), models[mi], p,
                     hws[pick(hws.size())], 32ULL << 30);
                 int roll = static_cast<int>(pick(100));
+                if (quiet)
+                    roll = roll < 85 ? 0 : 80;
                 inst->state = roll < 70   ? InstanceState::Active
                               : roll < 88 ? InstanceState::Loading
                               : roll < 94 ? InstanceState::Draining
                                           : InstanceState::Unloading;
                 inst->createdAt = now - 0.5 * static_cast<double>(pick(4));
                 inst->loadDuration = 0.5 * static_cast<double>(1 + pick(6));
-                for (std::size_t k = pick(5); k > 0; --k)
+                for (std::size_t k = quiet ? 0 : pick(5); k > 0; --k)
                     inst->prefillQueue.push_back(&request(now, 0));
-                for (std::size_t k = pick(14); k > 0; --k) {
-                    Request &r =
-                        request(now, static_cast<Tokens>(1 + pick(20)));
-                    r.state = RequestState::Decode;
-                    if (regime == Regime::LateDecodes)
-                        r.arrival -= 60.0;
-                    inst->decodeBatch.push_back(&r);
-                }
+                for (std::size_t k = quiet ? 1 + pick(12) : pick(14); k > 0;
+                     --k)
+                    decode(inst.get());
                 p->instances.push_back(inst.get());
                 insts.push_back(inst.get());
                 pool.push_back(std::move(inst));
             }
+            std::vector<const Request *> queued;
+            for (std::size_t k = quiet ? 1 + pick(3) : 0; k > 0; --k) {
+                Request &r = request(now, 0);
+                dueAt(r, now + 0.5 + 0.05 * static_cast<double>(pick(80)));
+                insts[pick(insts.size())]->prefillQueue.push_back(&r);
+                queued.push_back(&r);
+            }
+            // A candidate; a quiescent one is due in a few seconds or, in
+            // half the draws, just before the first decode of a queued
+            // prefill, whose instance `follows` then names.
+            auto candidate = [&](const Instance *&follows) -> Request & {
+                Request &cand = request(now, coin(20) ? 30 : 0);
+                follows = nullptr;
+                if (quiet && coin(50)) {
+                    const Request *q = queued[pick(queued.size())];
+                    for (const Instance *inst : insts)
+                        for (const Request *r : inst->prefillQueue)
+                            if (r == q)
+                                follows = inst;
+                    dueAt(cand, q->deadlineForNextToken() + 0.25 -
+                                    0.005 * static_cast<double>(1 + pick(24)));
+                } else if (quiet) {
+                    dueAt(cand,
+                          now + 0.5 + 0.05 * static_cast<double>(pick(80)));
+                }
+                return cand;
+            };
             std::set<const Instance *> exclude;
             for (Instance *inst : insts)
-                if (coin(15))
+                if (!quiet && coin(15))
                     exclude.insert(inst);
             Seconds busy = coin(50) ? now : now + 0.1 * static_cast<double>(
                                                           pick(6));
 
             for (int q = 0; q < 6; ++q) {
                 ShadowValidator fresh(quant, cfg);
-                Request &cand = request(now, coin(20) ? 30 : 0);
+                const Instance *follows;
+                Request &cand = candidate(follows);
                 bool expect, got_fresh, got_warm;
                 if (q % 3 == 2) {
                     std::size_t mi = pick(models.size());
@@ -650,17 +712,78 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
                 ++verdicts[expect ? 1 : 0];
                 ++regime_verdicts[expect ? 1 : 0];
             }
+
+            // A tight draw: move the partition's busy-until time to
+            // where the reference's verdict flips, so some slack sits
+            // within a rounding step of the work due by it, and query
+            // both sides of the flip.
+            if (quiet || coin(50)) {
+                const Instance *follows;
+                Request &cand = candidate(follows);
+                const Instance *target =
+                    follows ? follows
+                    : coin(50) ? nullptr
+                               : insts[pick(insts.size())];
+                const std::size_t mi = pick(models.size());
+                const HardwareSpec &hw = hws[pick(hws.size())];
+                const Seconds ready =
+                    now + 0.5 * static_cast<double>(pick(3));
+                // canAdmit on `target`, or canAdmitNew when it is null,
+                // with the partition busy for `x` more seconds and, in
+                // half the draws, the candidate's deadline moved out by
+                // as much.
+                const Seconds cand_due = cand.deadlineForNextToken();
+                const bool cand_moves = !follows && coin(50);
+                auto admit = [&](const auto &v, Seconds x) {
+                    dueAt(cand, cand_moves ? cand_due + x : cand_due);
+                    return target ? v.canAdmit(*p, target, cand, now, now + x,
+                                               exclude)
+                                  : v.canAdmitNew(*p, models[mi], hw, cand,
+                                                  now, now + x, ready + x);
+                };
+                Seconds lo = 0.0, hi = 40.0;
+                const bool at_lo = admit(reference, lo);
+                if (at_lo != admit(reference, hi)) {
+                    for (int i = 0; i < 40; ++i) {
+                        Seconds mid = 0.5 * (lo + hi);
+                        (admit(reference, mid) == at_lo ? lo : hi) = mid;
+                    }
+                    for (Seconds x : {lo, hi}) {
+                        bool expect = admit(reference, x);
+                        ShadowValidator fresh(quant, cfg);
+                        ASSERT_EQ(admit(fresh, x), expect)
+                            << where << " seed " << seed << " tight";
+                        ASSERT_EQ(admit(warm, x), expect)
+                            << where << " seed " << seed << " tight";
+                        ++tight;
+                        rejected += expect ? 0 : 1;
+                        ++verdicts[expect ? 1 : 0];
+                        ++regime_verdicts[expect ? 1 : 0];
+                    }
+                }
+            }
             p->instances.clear();
         }
-        // Every regime and horizon sees both verdicts.
+        // Every regime and horizon sees both verdicts, and the demand
+        // bound ends quiescent passes early.
         EXPECT_GT(regime_verdicts[0], 0u) << where;
         EXPECT_GT(regime_verdicts[1], 0u) << where;
+        if (quiet) {
+            EXPECT_GT(regime_counters.v[obs::kShadowEarlyExits], 0u)
+                << where;
+            EXPECT_GT(tight, 0u) << where;
+        }
+        for (std::size_t i = 0; i < obs::kNumCounters; ++i)
+            counters.v[i] += regime_counters.v[i];
     };
-    for (Regime regime :
-         {Regime::Mixed, Regime::FarPrefills, Regime::LateDecodes}) {
+    for (Regime regime : {Regime::Mixed, Regime::FarPrefills,
+                          Regime::LateDecodes, Regime::Quiescent}) {
         for (int max_steps : {500, 60, 7}) {
             fuzz(regime, max_steps,
-                 regime == Regime::Mixed && max_steps == 500 ? 200 : 60);
+                 (regime == Regime::Mixed && max_steps == 500) ||
+                         regime == Regime::Quiescent
+                     ? 200
+                     : 60);
             if (HasFatalFailure())
                 return;
         }
@@ -675,6 +798,75 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
     EXPECT_GT(counters.v[obs::kShadowSteps],
               counters.v[obs::kShadowHorizonHits] * 7);
     EXPECT_EQ(shadowRejections(counters), rejected);
+}
+
+TEST_F(ShadowFixture, EarlyExitAtStepZero)
+{
+    // Decodes 20 s ahead of their deadlines and a candidate due in 2 s:
+    // the demand due by any deadline fits long before it, so the pass
+    // ends before its first step with the horizon's verdict.
+    obs::Counters counters;
+    validator->attachCounters(&counters);
+    const Seconds now = 100.0;
+    Instance &inst = addInstance(a100_80g());
+    addDecodes(inst, 4, now + 20.0);
+    Request &cand = makeRequest(now, 512, 100);
+    cand.ttftSlo = 2.0;
+    ScanValidator reference(quant, ShadowConfig{1.10, 0.25, 500});
+    ASSERT_TRUE(reference.canAdmit(*part, &inst, cand, now, now, {}));
+
+    // The first call fills the baseline memo; the second runs only the
+    // candidate pass.
+    ASSERT_TRUE(validator->canAdmit(*part, &inst, cand, now, now));
+    counters = obs::Counters();
+    EXPECT_TRUE(validator->canAdmit(*part, &inst, cand, now, now));
+    EXPECT_EQ(counters.v[obs::kShadowMemoHits], 1u);
+    EXPECT_EQ(counters.v[obs::kShadowSteps], 0u);
+    EXPECT_EQ(counters.v[obs::kShadowEarlyExits], 1u);
+    EXPECT_EQ(counters.v[obs::kShadowHorizonHits], 0u);
+}
+
+TEST_F(ShadowFixture, PendingPrefillPullsStreamStartForward)
+{
+    // One CPU instance decodes 20 s ahead of its deadlines, with a
+    // queued prefill due just after the partition frees up. The
+    // candidate is due just before that prefill's first decode, so it
+    // runs between the two, and the decode lands late. The instance's
+    // decode stream starts at the prefill's deadline plus tpotSlo, not
+    // at its batch's deadline 20 s out; a bound that started it there
+    // would end the pass before the violation and admit.
+    obs::Counters counters;
+    validator->attachCounters(&counters);
+    const Seconds now = 100.0;
+    Instance &inst = addInstance(xeon6462c());
+    addDecodes(inst, 4, now + 20.0);
+    const Seconds pf = quant.prefillEstimate(xeon6462c(), llama2_7b(), 256) *
+                       1.10;
+    const Seconds dec =
+        quant.decodeEstimate(xeon6462c(), llama2_7b(), 6, 700) * 1.10;
+    const Seconds busy = now + 1.0;
+    Request &queued = makeRequest(now, 256, 100);
+    queued.arrival += busy + pf + 0.01 - queued.deadlineForNextToken();
+    inst.prefillQueue.push_back(&queued);
+    Request &cand = makeRequest(now, 256, 100);
+    cand.arrival += busy + 2 * pf + 0.005 - cand.deadlineForNextToken();
+    // Both prefills fit and the candidate runs first, but the decode
+    // after them does not fit before the queued request's deadline.
+    ASSERT_LT(cand.deadlineForNextToken(),
+              queued.deadlineForNextToken() + 0.25);
+    ASSERT_GT(pf + dec, 0.26);
+
+    ScanValidator reference(quant, ShadowConfig{1.10, 0.25, 500});
+    const bool expect = reference.canAdmit(*part, &inst, cand, now, busy, {});
+    EXPECT_FALSE(expect);
+    ASSERT_EQ(validator->canAdmit(*part, &inst, cand, now, busy), expect);
+    // Again with the baseline memoized: the candidate pass alone ends
+    // on the delayed decode, not on the bound.
+    counters = obs::Counters();
+    EXPECT_EQ(validator->canAdmit(*part, &inst, cand, now, busy), expect);
+    EXPECT_EQ(counters.v[obs::kShadowMemoHits], 1u);
+    EXPECT_EQ(counters.v[obs::kShadowEarlyExits], 0u);
+    EXPECT_EQ(counters.v[obs::kShadowRejectDecodeDelayed], 1u);
 }
 
 TEST_F(ShadowFixture, MemoHitsIdenticalStateAndMissesOneUlp)
