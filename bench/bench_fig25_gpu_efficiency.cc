@@ -18,7 +18,7 @@ struct Measured
 {
     std::string name;
     CdfBuilder mem;
-    CdfBuilder batch;
+    CountCdf batch;
 };
 
 Measured

@@ -137,36 +137,81 @@ TimeWeightedValue::average(Seconds end) const
     return integral(end) / (end - start_);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    if (bins == 0 || hi <= lo)
-        panic("Histogram: bad configuration");
-}
-
 void
-Histogram::add(double x)
+CountCdf::add(int x)
 {
-    double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::ptrdiff_t>(
-        frac * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::ptrdiff_t>(
-        idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
+    if (x < 0)
+        panic("CountCdf: negative sample");
+    auto v = static_cast<std::size_t>(x);
+    if (v >= counts_.size())
+        counts_.resize(v + 1, 0);
+    ++counts_[v];
+    ++count_;
+    sum_ += v;
 }
 
 double
-Histogram::binLow(std::size_t i) const
+CountCdf::valueAtRank(std::size_t rank) const
 {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
+    std::size_t seen = 0;
+    std::size_t v = 0;
+    while (seen + counts_[v] <= rank)
+        seen += counts_[v++];
+    return static_cast<double>(v);
 }
 
 double
-Histogram::binHigh(std::size_t i) const
+CountCdf::percentile(double p) const
 {
-    return binLow(i + 1);
+    if (count_ == 0)
+        return 0.0;
+    if (p <= 0.0)
+        return valueAtRank(0);
+    if (p >= 100.0)
+        return valueAtRank(count_ - 1);
+    // CdfBuilder::percentile's interpolation, over the same ranks.
+    double rank = (p / 100.0) * static_cast<double>(count_ - 1);
+    std::size_t lo = static_cast<std::size_t>(rank);
+    std::size_t hi = std::min(lo + 1, count_ - 1);
+    double frac = rank - static_cast<double>(lo);
+    return valueAtRank(lo) * (1.0 - frac) + valueAtRank(hi) * frac;
+}
+
+double
+CountCdf::fractionBelow(double x) const
+{
+    if (count_ == 0 || x < 0.0)
+        return 0.0;
+    // A NaN x compares false like this, and upper_bound counts every
+    // sample for it too.
+    if (!(x < static_cast<double>(counts_.size() - 1)))
+        return 1.0;
+    std::size_t below = 0;
+    for (std::size_t v = 0; v <= static_cast<std::size_t>(x); ++v)
+        below += counts_[v];
+    return static_cast<double>(below) / static_cast<double>(count_);
+}
+
+double
+CountCdf::mean() const
+{
+    if (count_ == 0)
+        return 0.0;
+    // Every partial sum of integers below 2^53 is exact in a double, so
+    // CdfBuilder's running sum equals sum_ whatever its order.
+    if (sum_ > (std::uint64_t{1} << 53))
+        panic("CountCdf: sample sum exceeds 2^53");
+    return static_cast<double>(sum_) / static_cast<double>(count_);
+}
+
+std::vector<std::pair<double, double>>
+CountCdf::cdfAt(const std::vector<double> &xs) const
+{
+    std::vector<std::pair<double, double>> out;
+    out.reserve(xs.size());
+    for (double x : xs)
+        out.emplace_back(x, fractionBelow(x));
+    return out;
 }
 
 } // namespace slinfer

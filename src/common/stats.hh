@@ -1,14 +1,16 @@
 /**
  * @file
- * Streaming statistics: summaries, percentile/CDF builders, histograms
- * and time-weighted averages used by the metrics subsystem and the
- * benches that regenerate the paper's figures.
+ * Streaming statistics: summaries, percentile/CDF builders, an exact
+ * counting CDF for integer samples and time-weighted averages used by
+ * the metrics subsystem and the benches that regenerate the paper's
+ * figures.
  */
 
 #ifndef SLINFER_COMMON_STATS_HH
 #define SLINFER_COMMON_STATS_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -110,26 +112,42 @@ class TimeWeightedValue
 };
 
 /**
- * Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
- * edge bins.
+ * CDF of non-negative integer samples kept as one exact count per
+ * value, so memory is O(largest sample) rather than O(samples). Every
+ * query returns the same bits a CdfBuilder fed the same samples would
+ * (DESIGN.md, "Run memory"); mean() requires the sample sum to stay
+ * within 2^53, where double addition of integers is exact.
  */
-class Histogram
+class CountCdf
 {
   public:
-    Histogram(double lo, double hi, std::size_t bins);
+    void add(int x);
 
-    void add(double x);
+    std::size_t count() const { return count_; }
 
-    std::size_t totalCount() const { return total_; }
-    const std::vector<std::size_t> &bins() const { return counts_; }
-    double binLow(std::size_t i) const;
-    double binHigh(std::size_t i) const;
+    /** Value at percentile p in [0, 100]; 0 if empty. */
+    double percentile(double p) const;
+
+    /** Fraction of samples <= x. */
+    double fractionBelow(double x) const;
+
+    /** Mean of all samples. */
+    double mean() const;
+
+    /** CDF at the given x positions, as (x, fraction<=x) pairs. */
+    std::vector<std::pair<double, double>>
+    cdfAt(const std::vector<double> &xs) const;
+
+    /** Count slots held: the largest sample plus one. */
+    std::size_t bins() const { return counts_.size(); }
 
   private:
-    double lo_;
-    double hi_;
+    /** The sample at 0-based `rank` in sorted order; rank < count(). */
+    double valueAtRank(std::size_t rank) const;
+
     std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
+    std::size_t count_ = 0;
+    std::uint64_t sum_ = 0;
 };
 
 } // namespace slinfer

@@ -72,7 +72,7 @@ void
 ClusterStats::onDecodeIteration(HwKind kind, int batchSize, Tokens tokens)
 {
     tokens_[kindIndex(kind)] += tokens;
-    batch_.add(static_cast<double>(batchSize));
+    batch_.add(batchSize);
 }
 
 double

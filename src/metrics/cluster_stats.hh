@@ -3,7 +3,10 @@
  * Cluster-level time-series metrics: average nodes used (per hardware
  * kind), memory utilization CDF of in-use GPU nodes, decode batch-size
  * CDF, decode throughput per node, and a GPU-usage timeline (for the
- * ablation figure). Sampling is periodic on the simulator clock.
+ * ablation figure). Sampling is periodic on the simulator clock; the
+ * batch-size CDF keeps exact counts per batch size, so a decode
+ * iteration costs one increment and the CDF's memory grows with the
+ * largest batch, not with the number of iterations.
  */
 
 #ifndef SLINFER_METRICS_CLUSTER_STATS_HH
@@ -48,7 +51,7 @@ class ClusterStats
     const CdfBuilder &gpuMemUtilCdf() const { return gpuMemUtil_; }
 
     /** Batch sizes observed at decode iterations (Fig. 25). */
-    const CdfBuilder &batchCdf() const { return batch_; }
+    const CountCdf &batchCdf() const { return batch_; }
 
     /** (time, GPUs in use) timeline for the ablation figure. */
     const std::vector<std::pair<Seconds, double>> &gpuTimeline() const
@@ -68,7 +71,7 @@ class ClusterStats
     double usedSum_[2] = {0.0, 0.0};   // indexed by HwKind
     Tokens tokens_[2] = {0, 0};
     CdfBuilder gpuMemUtil_;
-    CdfBuilder batch_;
+    CountCdf batch_;
     std::vector<std::pair<Seconds, double>> gpuTimeline_;
 };
 

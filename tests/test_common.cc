@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -289,18 +291,76 @@ TEST(TimeWeightedValue, EmptyIsZero)
     EXPECT_DOUBLE_EQ(v.average(100.0), 0.0);
 }
 
-TEST(Histogram, BinningAndClamping)
+// Bit-for-bit equality on doubles: CountCdf promises CdfBuilder's exact
+// bits, which EXPECT_DOUBLE_EQ's 4-ulp tolerance would not check.
+void
+expectSameCdf(const CountCdf &counts, const CdfBuilder &ref)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-5.0); // clamps into bin 0
-    h.add(50.0); // clamps into bin 9
-    EXPECT_EQ(h.totalCount(), 4u);
-    EXPECT_EQ(h.bins()[0], 2u);
-    EXPECT_EQ(h.bins()[9], 2u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 1.0);
-    EXPECT_DOUBLE_EQ(h.binHigh(1), 2.0);
+    ASSERT_EQ(counts.count(), ref.count());
+    for (double p : {0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0})
+        EXPECT_EQ(counts.percentile(p), ref.percentile(p)) << "p=" << p;
+    std::vector<double> xs = {-1.0, -0.5};
+    for (int x = 0; x <= 602; ++x) {
+        xs.push_back(x);
+        xs.push_back(x + 0.5);
+    }
+    xs.push_back(1e9);
+    for (double x : xs)
+        EXPECT_EQ(counts.fractionBelow(x), ref.fractionBelow(x)) << "x=" << x;
+    EXPECT_EQ(counts.mean(), ref.mean());
+    EXPECT_EQ(counts.cdfAt(xs), ref.cdfAt(xs));
+}
+
+TEST(CountCdf, MatchesCdfBuilderBitForBit)
+{
+    {
+        SCOPED_TRACE("empty");
+        expectSameCdf(CountCdf(), CdfBuilder());
+    }
+    {
+        SCOPED_TRACE("single sample");
+        CountCdf counts;
+        CdfBuilder ref;
+        counts.add(7);
+        ref.add(7);
+        expectSameCdf(counts, ref);
+    }
+    {
+        SCOPED_TRACE("all samples equal");
+        CountCdf counts;
+        CdfBuilder ref;
+        for (int i = 0; i < 1000; ++i) {
+            counts.add(42);
+            ref.add(42);
+        }
+        expectSameCdf(counts, ref);
+    }
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE("random draws, seed " + std::to_string(seed));
+        Rng rng(seed);
+        CountCdf counts;
+        CdfBuilder ref;
+        for (int i = 0; i < 100000; ++i) {
+            auto x = static_cast<int>(rng.uniformInt(1, 600));
+            counts.add(x);
+            ref.add(x);
+        }
+        expectSameCdf(counts, ref);
+    }
+    // Few samples over a wide range: neighbouring ranks hold different
+    // values, so percentile() interpolates between distinct samples.
+    for (std::uint64_t seed = 10; seed < 60; ++seed) {
+        SCOPED_TRACE("sparse draws, seed " + std::to_string(seed));
+        Rng rng(seed);
+        CountCdf counts;
+        CdfBuilder ref;
+        for (int i = 0; i < 37; ++i) {
+            auto x = static_cast<int>(rng.uniformInt(1, 600));
+            counts.add(x);
+            ref.add(x);
+        }
+        expectSameCdf(counts, ref);
+    }
 }
 
 TEST(Table, FormatsAlignedRows)

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "baselines/neo.hh"
+#include "common/rng.hh"
+#include "common/stats.hh"
 #include "core/controller.hh"
 #include "harness/experiment.hh"
 #include "harness/session.hh"
+#include "metrics/cluster_stats.hh"
 #include "metrics/recorder.hh"
 #include "scenario/scenario.hh"
 
@@ -292,6 +295,26 @@ TEST(EdgeCase, ReportBuildOnEmptyCollectors)
     EXPECT_EQ(r.totalRequests, 0u);
     EXPECT_EQ(r.ttftCdf.size(), 2u);
     EXPECT_DOUBLE_EQ(r.ttftCdf[0].second, 0.0);
+}
+
+// The decode batch-size CDF must not grow with the number of decode
+// iterations: fleet-640 runs about 3.8M of them.
+TEST(ClusterStats, BatchCdfStorageIsBounded)
+{
+    Simulator sim;
+    std::vector<std::unique_ptr<Node>> nodes;
+    ClusterStats stats(sim, nodes);
+    CdfBuilder ref;
+    Rng rng(11);
+    for (int i = 0; i < 1000000; ++i) {
+        auto batch = static_cast<int>(rng.uniformInt(1, 64));
+        stats.onDecodeIteration(HwKind::Gpu, batch, batch);
+        ref.add(batch);
+    }
+    const CountCdf &cdf = stats.batchCdf();
+    EXPECT_EQ(cdf.count(), 1000000u);
+    EXPECT_LE(cdf.bins(), 65u);
+    EXPECT_EQ(cdf.mean(), ref.mean());
 }
 
 TEST(EdgeCase, TraceWithOneModel)
