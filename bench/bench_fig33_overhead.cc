@@ -44,7 +44,7 @@ struct Setup
                 auto inst = std::make_unique<Instance>(
                     iid++, 0, llama2_7b(), part, a100_80g(),
                     Bytes{8'000'000'000});
-                inst->state = InstanceState::Active;
+                inst->setState(InstanceState::Active);
                 for (int j = 0; j < 4; ++j) {
                     auto r = std::make_unique<Request>();
                     r->id = rid++;
@@ -55,11 +55,11 @@ struct Setup
                     r->ttftSlo = 2.0;
                     r->tpotSlo = 0.25;
                     r->state = RequestState::Decode;
-                    inst->decodeBatch.push_back(r.get());
+                    inst->joinDecode(r.get());
                     requests.push_back(std::move(r));
                 }
                 instances.push_back(std::move(inst));
-                part->instances.push_back(instances.back().get());
+                part->addInstance(instances.back().get());
             }
         }
         candidate.id = rid;

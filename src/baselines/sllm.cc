@@ -91,8 +91,8 @@ SllmController::cpuServable(const ModelSpec &spec) const
 bool
 SllmController::admitIfRoom(Request *req, Instance *inst, bool asDecode)
 {
-    if (inst->state != InstanceState::Active &&
-        inst->state != InstanceState::Loading)
+    if (inst->state() != InstanceState::Active &&
+        inst->state() != InstanceState::Loading)
         return false;
     if (inst->draining || inst->primary->failed)
         return false; // being drained by an intervention
@@ -154,46 +154,49 @@ SllmController::createInstanceFor(ModelId model, InstanceRole role)
         return inst;
     }
 
+    // The first open, empty partition in cpu-first view order: the
+    // index's empty sets hold exactly those, ascending by view
+    // position, CPU first.
     bool cpu_ok = cpuServable(spec);
-    for (Partition *p : allPartitions(cpu_ok)) {
-        bool is_cpu = p->spec.kind == HwKind::Cpu;
+    for (HwKind kind : {HwKind::Cpu, HwKind::Gpu}) {
+        bool is_cpu = kind == HwKind::Cpu;
         if (is_cpu && !cpu_ok)
             continue;
-        if (!p->openForPlacement() || !p->instances.empty())
-            continue;
-
-        // The paper's exception: 13B on a shared CPU keeps the whole
-        // node. Claim the sibling partition too.
-        std::vector<Partition *> holds;
-        HardwareSpec exec = p->spec;
-        Bytes kv_alloc = p->mem.capacity() - spec.weightBytes();
-        if (opts_.staticShare && is_cpu &&
-            spec.klass == ModelClass::Large13B) {
-            Node *node = nodes_[p->node].get();
-            bool all_free = true;
-            for (auto &sib : node->partitions()) {
-                if (sib.get() != p &&
-                    (!sib->instances.empty() || !sib->openForPlacement()))
-                    all_free = false;
+        for (std::uint32_t pos : index_.emptySet(kind)) {
+            Partition *p = index_.partitionAt(pos);
+            // The paper's exception: 13B on a shared CPU keeps the whole
+            // node. Claim the sibling partition too.
+            std::vector<Partition *> holds;
+            HardwareSpec exec = p->spec;
+            Bytes kv_alloc = p->mem.capacity() - spec.weightBytes();
+            if (opts_.staticShare && is_cpu &&
+                spec.klass == ModelClass::Large13B) {
+                Node *node = nodes_[p->node].get();
+                bool all_free = true;
+                for (auto &sib : node->partitions()) {
+                    if (sib.get() != p &&
+                        (!sib->instances.empty() || !sib->openForPlacement()))
+                        all_free = false;
+                }
+                if (!all_free)
+                    continue;
+                exec = node->spec();
+                kv_alloc = node->memCapacity() - spec.weightBytes();
+                for (auto &sib : node->partitions()) {
+                    if (sib.get() != p)
+                        holds.push_back(sib.get());
+                }
             }
-            if (!all_free)
-                continue;
-            exec = node->spec();
-            kv_alloc = node->memCapacity() - spec.weightBytes();
-            for (auto &sib : node->partitions()) {
-                if (sib.get() != p)
-                    holds.push_back(sib.get());
-            }
+            if (spec.weightBytes() >= p->mem.capacity() && holds.empty())
+                continue; // cannot even fit the weights here
+            // NEO-style CPU assistance extends the KV space beyond device
+            // memory.
+            kv_alloc += p->spec.auxKvCapacity;
+            Instance *inst =
+                makeInstance(model, p, exec, kv_alloc, role, holds, true);
+            startStaticLoad(inst);
+            return inst;
         }
-        if (spec.weightBytes() >= p->mem.capacity() && holds.empty())
-            continue; // cannot even fit the weights here
-        // NEO-style CPU assistance extends the KV space beyond device
-        // memory.
-        kv_alloc += p->spec.auxKvCapacity;
-        Instance *inst =
-            makeInstance(model, p, exec, kv_alloc, role, holds, true);
-        startStaticLoad(inst);
-        return inst;
     }
     return nullptr;
 }
@@ -226,7 +229,7 @@ SllmController::tryDispatchDecode(Request *req)
     for (Instance *inst : me.instances) {
         if (inst->role != InstanceRole::DecodeOnly)
             continue;
-        if (inst->state != InstanceState::Active)
+        if (inst->state() != InstanceState::Active)
             continue;
         if (admitIfRoom(req, inst, true))
             return true;

@@ -24,6 +24,8 @@ ClusterIndex::rebuildTopology()
     gpuCap_ = 0;
     free_[0].clear();
     free_[1].clear();
+    empty_[0].clear();
+    empty_[1].clear();
 
     std::vector<Partition *> cpu, gpu;
     for (const auto &node : nodes_) {
@@ -45,7 +47,18 @@ ClusterIndex::rebuildTopology()
         Bytes freeBytes = p->mem.capacity() - p->committedBytes;
         free_[p->spec.kind == HwKind::Cpu ? 0 : 1].insert(
             {freeBytes, pos});
+        syncEmpty(*p);
     }
+}
+
+void
+ClusterIndex::syncEmpty(const Partition &part)
+{
+    auto &set = empty_[part.spec.kind == HwKind::Cpu ? 0 : 1];
+    if (part.openForPlacement() && part.instances.empty())
+        set.insert(part.viewPos);
+    else
+        set.erase(part.viewPos);
 }
 
 void
@@ -66,6 +79,7 @@ ClusterIndex::onPartitionFailed(const Partition &part)
 {
     free_[part.spec.kind == HwKind::Cpu ? 0 : 1].erase(
         {part.mem.capacity() - part.committedBytes, part.viewPos});
+    syncEmpty(part);
 }
 
 void
@@ -73,6 +87,7 @@ ClusterIndex::onPartitionRestored(const Partition &part)
 {
     free_[part.spec.kind == HwKind::Cpu ? 0 : 1].insert(
         {part.mem.capacity() - part.committedBytes, part.viewPos});
+    syncEmpty(part);
 }
 
 void
@@ -88,7 +103,7 @@ void
 ClusterIndex::onKvTargetChanged(const Instance &inst, Bytes oldTarget,
                                 Bytes newTarget)
 {
-    if (!counted(inst.state))
+    if (!counted(inst.state()))
         return;
     Partition &p = *inst.primary;
     Bytes oldFree = p.mem.capacity() - p.committedBytes;
@@ -167,12 +182,13 @@ ClusterIndex::auditAgainst(
     // Per-partition committed totals and free-set keys.
     std::size_t freeCount[2] = {free_[0].size(), free_[1].size()};
     std::size_t partCount[2] = {0, 0};
+    std::size_t emptyCount[2] = {0, 0};
     for (const auto &node : nodes_) {
         for (const auto &part : node->partitions()) {
             const Partition &p = *part;
             Bytes scan = 0;
             for (const Instance *inst : p.instances) {
-                if (!counted(inst->state))
+                if (!counted(inst->state()))
                     continue;
                 scan += inst->model.weightBytes() + inst->kvTarget;
             }
@@ -183,6 +199,14 @@ ClusterIndex::auditAgainst(
                 return err.str();
             }
             int k = p.spec.kind == HwKind::Cpu ? 0 : 1;
+            bool empty = p.openForPlacement() && p.instances.empty();
+            if (empty_[k].count(p.viewPos) != (empty ? 1u : 0u)) {
+                err << "partition " << p.node << "/" << p.index
+                    << ": empty-set membership is not "
+                    << (empty ? "true" : "false");
+                return err.str();
+            }
+            emptyCount[k] += empty ? 1 : 0;
             if (p.failed) {
                 // Fenced partitions must be absent from the free sets.
                 FreeKey key{p.mem.capacity() - p.committedBytes,
@@ -215,11 +239,16 @@ ClusterIndex::auditAgainst(
                 << " entries, cluster has " << partCount[k];
             return err.str();
         }
+        if (empty_[k].size() != emptyCount[k]) {
+            err << "empty set " << k << " has " << empty_[k].size()
+                << " entries, cluster has " << emptyCount[k];
+            return err.str();
+        }
     }
     // Active registry vs the pool scan.
     auto it = active_.begin();
     for (const auto &inst : pool) {
-        if (inst->state != InstanceState::Active)
+        if (inst->state() != InstanceState::Active)
             continue;
         if (it == active_.end() || *it != inst.get()) {
             err << "active registry diverges at instance " << inst->id;

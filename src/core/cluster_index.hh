@@ -26,6 +26,10 @@
  *    (free, viewPos) ordering makes the walk visit candidates in
  *    exactly the order a best-fit scan's comparison would select
  *    them (see selectPlacement in controller.cc).
+ *  - **Empty-partition sets**: per hardware kind, the view positions
+ *    of the partitions that are open for placement and host no
+ *    instance, ascending — the sllm baseline's first-empty search in
+ *    view order becomes the first element that passes its checks.
  *  - **Active-instance registry**: the id-ordered set of Active
  *    instances. KV-utilization sampling walks this set in id order —
  *    the same elements in the same order as a scan of the instance
@@ -93,6 +97,14 @@ class ClusterIndex
         return free_[kind == HwKind::Cpu ? 0 : 1];
     }
 
+    /** View positions of the open partitions of `kind` that host no
+     *  instance, ascending (maintained by syncEmpty). */
+    const std::set<std::uint32_t> &
+    emptySet(HwKind kind) const
+    {
+        return empty_[kind == HwKind::Cpu ? 0 : 1];
+    }
+
     Partition *
     partitionAt(std::uint32_t viewPos) const
     {
@@ -114,6 +126,10 @@ class ClusterIndex
     void onInstanceDeactivated(Instance &inst);
     /** Unloading → Reclaimed: retire its uptime contribution. */
     void onInstanceReclaimed(const Instance &inst);
+
+    /** Re-file the partition in the empty sets after its residents,
+     *  exclusiveHolder or failed flag changed. */
+    void syncEmpty(const Partition &part);
 
     /** The partition was fenced by a node-failure intervention: drop
      *  its free key so placement walks never visit it. `part.failed`
@@ -162,7 +178,7 @@ class ClusterIndex
     /**
      * Cross-check every index against scans over `pool`:
      * per-partition committed totals, free-set membership and keys,
-     * and the active registry. Returns an empty string when
+     * the empty sets, and the active registry. Returns an empty string when
      * consistent, else a description of the first mismatch.
      */
     std::string auditAgainst(
@@ -193,6 +209,8 @@ class ClusterIndex
 
     /** [0] = CPU partitions, [1] = GPU partitions. */
     std::set<FreeKey> free_[2];
+    /** [0] = CPU, [1] = GPU: see emptySet. */
+    std::set<std::uint32_t> empty_[2];
 
     std::set<Instance *, bool (*)(const Instance *, const Instance *)>
         active_{&ClusterIndex::idLess};

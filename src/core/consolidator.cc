@@ -32,7 +32,7 @@ Consolidator::planVictims(Instance *grower, Request *req, VictimPlan &plan)
     // neighbors are never disintegrated (§VIII-A).
     std::vector<Instance *> victims;
     for (Instance *v : part->instances) {
-        if (v == grower || v->state != InstanceState::Active)
+        if (v == grower || v->state() != InstanceState::Active)
             continue;
         if (v->staticKv || v->resizeInFlight)
             continue;
@@ -64,16 +64,16 @@ Consolidator::planVictims(Instance *grower, Request *req, VictimPlan &plan)
         // meet its SLO (validated per destination).
         bool movable = true;
         std::vector<std::pair<Request *, Instance *>> moves;
-        std::vector<Request *> displaced = v->prefillQueue;
-        displaced.insert(displaced.end(), v->decodeBatch.begin(),
-                         v->decodeBatch.end());
+        std::vector<Request *> displaced = v->prefillQueue();
+        displaced.insert(displaced.end(), v->decodeBatch().begin(),
+                         v->decodeBatch().end());
         for (Request *r : displaced) {
             Instance *dest = nullptr;
             for (Instance *cand :
                  ctl_.models_[r->model].instances) {
                 if (cand == v || excluded.count(cand))
                     continue;
-                if (cand->state != InstanceState::Active || cand->staticKv)
+                if (cand->state() != InstanceState::Active || cand->staticKv)
                     continue;
                 if (cand->draining || cand->primary->failed)
                     continue; // being drained by an intervention
@@ -174,7 +174,7 @@ Consolidator::tryPreemptFor(Request *req)
     ModelEntry &me = ctl_.models_[req->model];
     std::vector<Instance *> growers;
     for (Instance *inst : me.instances) {
-        if (inst->state != InstanceState::Active || inst->staticKv)
+        if (inst->state() != InstanceState::Active || inst->staticKv)
             continue;
         if (inst->draining || inst->primary->failed)
             continue; // being drained by an intervention

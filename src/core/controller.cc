@@ -162,9 +162,9 @@ ControllerBase::dropRequest(Request *req)
 void
 ControllerBase::evictAllRequests(Instance *inst, bool drop)
 {
-    std::vector<Request *> owned = inst->prefillQueue;
-    owned.insert(owned.end(), inst->decodeBatch.begin(),
-                 inst->decodeBatch.end());
+    std::vector<Request *> owned = inst->prefillQueue();
+    owned.insert(owned.end(), inst->decodeBatch().begin(),
+                 inst->decodeBatch().end());
     if (owned.empty())
         return;
     for (Request *req : owned) {
@@ -188,17 +188,17 @@ ControllerBase::settleInstance(Instance *inst, bool drop,
                                unsigned reasonBit)
 {
     evictAllRequests(inst, drop);
-    if (inst->state == InstanceState::Loading && !inst->memResident &&
+    if (inst->state() == InstanceState::Loading && !inst->memResident &&
         tryAbortParkedLoad(inst)) {
         return true; // the parked load never held memory; retired flat-out
     }
-    if (inst->state == InstanceState::Active && !inst->resizeInFlight) {
+    if (inst->state() == InstanceState::Active && !inst->resizeInFlight) {
         cancelKeepAlive(inst);
         doUnload(inst);
         return true;
     }
-    if (inst->state == InstanceState::Unloading ||
-        inst->state == InstanceState::Reclaimed)
+    if (inst->state() == InstanceState::Unloading ||
+        inst->state() == InstanceState::Reclaimed)
         return true;
     // An executing load or resize must land first (beginUnload refuses
     // mid-resize); the drain sweep retries shortly after. Fence the
@@ -224,8 +224,8 @@ ControllerBase::drainNodeInstances(Node *node)
         // Copy: unloads and aborts mutate the resident list.
         std::vector<Instance *> insts = part->instances;
         for (Instance *inst : insts) {
-            if (inst->state == InstanceState::Unloading ||
-                inst->state == InstanceState::Reclaimed)
+            if (inst->state() == InstanceState::Unloading ||
+                inst->state() == InstanceState::Reclaimed)
                 continue;
             if (!settleInstance(inst, false, kDrainNodeFail))
                 unsettled = true;
@@ -248,8 +248,8 @@ ControllerBase::drainInstanceSet(std::vector<Instance *> insts, bool drop)
                         static_cast<double>(insts.size()));
     std::vector<Instance *> remaining;
     for (Instance *inst : insts) {
-        if (inst->state == InstanceState::Unloading ||
-            inst->state == InstanceState::Reclaimed)
+        if (inst->state() == InstanceState::Unloading ||
+            inst->state() == InstanceState::Reclaimed)
             continue;
         if (!settleInstance(inst, drop, kDrainInstanceSet))
             remaining.push_back(inst);
@@ -466,15 +466,17 @@ ControllerBase::makeInstance(ModelId model, Partition *primary,
     instancePool_.push_back(std::move(inst));
     ++instancesCreated_;
 
-    primary->instances.push_back(ptr);
+    primary->addInstance(ptr);
     index_.onInstanceAdded(*ptr);
     for (Partition *p : ptr->extraHolds) {
         p->exclusiveHolder = ptr;
         if (!p->mem.tryHold(p->mem.capacity() - p->mem.used()))
             panic("makeInstance: exclusive hold failed");
+        index_.syncEmpty(*p);
     }
     if (!ptr->extraHolds.empty())
         primary->exclusiveHolder = ptr;
+    index_.syncEmpty(*primary);
     models_[model].instances.push_back(ptr);
     schedulerFor(primary); // ensure the scheduler exists
     return ptr;
@@ -497,13 +499,13 @@ ControllerBase::startStaticLoad(Instance *inst)
                          static_cast<int>(inst->primary->viewPos),
                          "instance", static_cast<double>(inst->id));
     sim_.schedule(inst->loadDuration, [this, inst] {
-        inst->state = InstanceState::Active;
+        inst->setState(InstanceState::Active);
         inst->activeAt = sim_.now();
         index_.onInstanceActivated(*inst);
         if (anat_) {
-            for (Request *r : inst->prefillQueue)
+            for (Request *r : inst->prefillQueue())
                 anat_->onInstanceActive(*r, sim_.now());
-            for (Request *r : inst->decodeBatch)
+            for (Request *r : inst->decodeBatch())
                 anat_->onInstanceActive(*r, sim_.now());
         }
         markAllDecodeDirty();
@@ -516,9 +518,9 @@ void
 ControllerBase::unloadStatic(Instance *inst)
 {
     index_.onInstanceUnloading(*inst);
-    if (inst->state == InstanceState::Active)
+    if (inst->state() == InstanceState::Active)
         index_.onInstanceDeactivated(*inst);
-    inst->state = InstanceState::Unloading;
+    inst->setState(InstanceState::Unloading);
     markAllDecodeDirty();
     Seconds unload_dur =
         MemCostModel::weightUnloadTime(inst->primary->spec, inst->model);
@@ -530,7 +532,7 @@ ControllerBase::unloadStatic(Instance *inst)
     sim_.schedule(
         unload_dur,
         [this, inst] {
-            inst->state = InstanceState::Reclaimed;
+            inst->setState(InstanceState::Reclaimed);
             inst->reclaimedAt = sim_.now();
             index_.onInstanceReclaimed(*inst);
             inst->primary->mem.release(inst->heldPrimaryBytes);
@@ -544,14 +546,15 @@ ControllerBase::unloadStatic(Instance *inst)
 void
 ControllerBase::unregisterInstance(Instance *inst)
 {
-    auto &pv = inst->primary->instances;
-    pv.erase(std::remove(pv.begin(), pv.end(), inst), pv.end());
+    inst->primary->removeInstance(inst);
     if (inst->primary->exclusiveHolder == inst)
         inst->primary->exclusiveHolder = nullptr;
+    index_.syncEmpty(*inst->primary);
     for (Partition *p : inst->extraHolds) {
         if (p->exclusiveHolder == inst) {
             p->exclusiveHolder = nullptr;
             p->mem.release(p->mem.used());
+            index_.syncEmpty(*p);
         }
     }
     auto &mv = models_[inst->modelId].instances;
@@ -563,7 +566,7 @@ ControllerBase::scheduleKeepAlive(Instance *inst)
 {
     cancelKeepAlive(inst);
     inst->keepAliveEv = sim_.schedule(cfg_.keepAlive, [this, inst] {
-        if (inst->state != InstanceState::Active || inst->loadSize() > 0)
+        if (inst->state() != InstanceState::Active || inst->loadSize() > 0)
             return;
         if (inst->resizeInFlight) {
             // Retry once the op settles. A strictly positive delay is
@@ -598,15 +601,15 @@ ControllerBase::admitTo(Request *req, Instance *inst)
     req->dispatchFailures = 0;
     req->retryAfter = 0.0;
     if (anat_)
-        anat_->onAdmit(*req, inst->state == InstanceState::Loading,
+        anat_->onAdmit(*req, inst->state() == InstanceState::Loading,
                        sim_.now());
     if (trace_)
         trace_->asyncInstant(obs::kCatRequest, "admit", sim_.now(),
                              tracePid(req->model), req->id, "instance",
                              static_cast<double>(inst->id));
-    if (inst->state == InstanceState::Loading)
+    if (inst->state() == InstanceState::Loading)
         req->grace = std::max(req->grace, inst->loadDuration);
-    inst->prefillQueue.push_back(req);
+    inst->enqueuePrefill(req);
     kickPartition(inst->primary);
 }
 
@@ -624,13 +627,13 @@ ControllerBase::admitToDecode(Request *req, Instance *inst)
     req->retryAfter = 0.0;
     if (anat_)
         anat_->onDecodeAdmit(*req,
-                             inst->state == InstanceState::Loading,
+                             inst->state() == InstanceState::Loading,
                              sim_.now());
     if (trace_)
         trace_->asyncInstant(obs::kCatRequest, "admit-decode", sim_.now(),
                              tracePid(req->model), req->id, "instance",
                              static_cast<double>(inst->id));
-    inst->decodeBatch.push_back(req);
+    inst->joinDecode(req);
     kickPartition(inst->primary);
     return true;
 }
@@ -853,7 +856,7 @@ ControllerBase::requestDone(Request *req, Instance *inst)
         for (const Instance *other : inst->primary->instances)
             markDecodeDirty(other->modelId);
     }
-    if (inst->loadSize() == 0 && inst->state == InstanceState::Active)
+    if (inst->loadSize() == 0 && inst->state() == InstanceState::Active)
         scheduleKeepAlive(inst);
     retryPending();
     maybeReclaim(req);
@@ -879,7 +882,7 @@ ControllerBase::evictLongestHeadroom(Instance *inst)
 {
     Request *victim = nullptr;
     Seconds best = -std::numeric_limits<Seconds>::infinity();
-    for (Request *r : inst->decodeBatch) {
+    for (Request *r : inst->decodeBatch()) {
         Seconds h = r->headroom(sim_.now());
         if (h > best) {
             best = h;
@@ -913,7 +916,7 @@ ControllerBase::takeAfterPrefill(Request *req, Instance *inst)
                              requestStateName(req->state), sim_.now(),
                              tracePid(req->model), req->id, "kv_bytes",
                              static_cast<double>(kv_bytes));
-    if (inst->loadSize() == 0 && inst->state == InstanceState::Active)
+    if (inst->loadSize() == 0 && inst->state() == InstanceState::Active)
         scheduleKeepAlive(inst);
     markAllDecodeDirty();
     sim_.schedule(MemCostModel::kvMigrationTime(kv_bytes) * netFactor_,
@@ -943,7 +946,7 @@ ControllerBase::scalingOverheadFraction() const
     for (const auto &inst : instancePool_) {
         if (inst->activeAt < 0)
             continue;
-        Seconds end = inst->state == InstanceState::Reclaimed
+        Seconds end = inst->state() == InstanceState::Reclaimed
                           ? inst->activeAt + inst->busyTime +
                                 inst->scalingTime
                           : sim_.now();
@@ -1026,23 +1029,32 @@ SlinferController::subsystemFor(Partition *part)
 }
 
 bool
-SlinferController::cpuFeasible(const ModelSpec &spec,
-                               const Request &req) const
+SlinferController::cpuFeasible(const Request &req) const
 {
     const HardwareSpec *cpu = index_.cpuSpec();
     if (!cpu || !cpu->hasMatrixAccel)
         return false;
-    if (!quant_.profiled(*cpu, spec))
-        return false;
+    // The CPU table is resolved once per model; the pair is profiled
+    // at construction or at onModelDeployed, before any request of the
+    // model arrives, and a re-profile refreshes the table in place.
+    if (cpuTables_.size() <= req.model)
+        cpuTables_.resize(models_.size(), nullptr);
+    const Quantifier::ProfileTable *&table = cpuTables_[req.model];
+    if (!table) {
+        const ModelSpec &spec = models_[req.model].spec;
+        if (!quant_.profiled(*cpu, spec))
+            return false;
+        table = &quant_.tableFor(*cpu, spec);
+    }
     Seconds ttft_slo = cfg_.slo.ttft(req.inputLen);
-    if (quant_.prefillEstimate(*cpu, spec, req.contextLen()) *
+    if (Quantifier::prefillEstimate(*table, req.contextLen()) *
             cfg_.overestimate >
         ttft_slo) {
         return false;
     }
     Tokens ctx = req.inputLen +
                  static_cast<Tokens>(models_[req.model].avgOutput);
-    return quant_.decodeEstimate(*cpu, spec, 1, ctx) * cfg_.overestimate <=
+    return Quantifier::decodeEstimate(*table, 1, ctx) * cfg_.overestimate <=
            cfg_.slo.tpot;
 }
 
@@ -1073,8 +1085,8 @@ SlinferController::tryExistingInstances(Request *req)
     ModelEntry &me = models_[req->model];
     std::vector<Instance *> cands;
     for (Instance *inst : me.instances) {
-        if (inst->state != InstanceState::Active &&
-            inst->state != InstanceState::Loading)
+        if (inst->state() != InstanceState::Active &&
+            inst->state() != InstanceState::Loading)
             continue;
         if (inst->draining || inst->primary->failed)
             continue; // being drained by an intervention
@@ -1088,7 +1100,7 @@ SlinferController::tryExistingInstances(Request *req)
     // Reactive bin-packing (§VIII-B): the largest-batch instance takes
     // new requests first so fragments drain; ties prefer CPU residents
     // when the request is CPU-feasible (§V's CPU-first policy).
-    bool cpu_ok = cfg_.useCpu && cpuFeasible(me.spec, *req);
+    bool cpu_ok = cfg_.useCpu && cpuFeasible(*req);
     std::stable_sort(cands.begin(), cands.end(),
                      [cpu_ok](const Instance *a, const Instance *b) {
                          if (a->batchSize() != b->batchSize())
@@ -1136,7 +1148,7 @@ SlinferController::placementDemand(const Request &req) const
 {
     const ModelEntry &me = models_[req.model];
     PlacementDemand d;
-    d.cpuOk = cfg_.useCpu && cpuFeasible(me.spec, req);
+    d.cpuOk = cfg_.useCpu && cpuFeasible(req);
     d.weights = me.spec.weightBytes();
     d.require = static_cast<Bytes>(std::max(
                     static_cast<double>(req.inputLen) + me.avgOutput,
@@ -1319,7 +1331,7 @@ SlinferController::demandReclaimFor(Request *req)
                 models_[req->model].avgOutput,
             static_cast<double>(spec.maxContext))) *
         spec.kvBytesPerToken();
-    bool cpu_ok = cfg_.useCpu && cpuFeasible(spec, *req);
+    bool cpu_ok = cfg_.useCpu && cpuFeasible(*req);
 
     for (Partition *p : allPartitions(cpu_ok)) {
         if (p->spec.kind == HwKind::Cpu && !cpu_ok)
@@ -1340,7 +1352,7 @@ SlinferController::demandReclaimFor(Request *req)
         // Sum reclaimable idle footprints, largest first.
         std::vector<Instance *> idle;
         for (Instance *inst : p->instances) {
-            if (inst->state == InstanceState::Active &&
+            if (inst->state() == InstanceState::Active &&
                 inst->loadSize() == 0 && !inst->resizeInFlight) {
                 idle.push_back(inst);
             }
@@ -1377,7 +1389,7 @@ SlinferController::tryDispatchDecode(Request *req)
     for (Instance *inst : me.instances) {
         if (inst->role != InstanceRole::DecodeOnly)
             continue;
-        if (inst->state != InstanceState::Active)
+        if (inst->state() != InstanceState::Active)
             continue;
         if (inst->draining || inst->primary->failed)
             continue; // being drained by an intervention
@@ -1426,8 +1438,8 @@ SlinferController::tryDispatchDecode(Request *req)
 void
 SlinferController::handleKvShortage(Instance *inst)
 {
-    if (inst->staticKv || inst->state != InstanceState::Active) {
-        if (inst->decodeBatch.size() > 1)
+    if (inst->staticKv || inst->state() != InstanceState::Active) {
+        if (inst->decodeBatch().size() > 1)
             evictLongestHeadroom(inst);
         return;
     }
@@ -1448,10 +1460,10 @@ SlinferController::handleKvShortage(Instance *inst)
         shortageTimeouts_.insert(inst->id);
         sim_.schedule(2.0 * cfg_.slo.tpot, [this, inst] {
             shortageTimeouts_.erase(inst->id);
-            if (inst->state == InstanceState::Active &&
+            if (inst->state() == InstanceState::Active &&
                 !inst->resizeInFlight &&
                 inst->kvTarget > inst->kv.allocBytes() &&
-                !inst->decodeBatch.empty()) {
+                !inst->decodeBatch().empty()) {
                 evictLongestHeadroom(inst);
             }
         });
@@ -1475,7 +1487,7 @@ SlinferController::doUnload(Instance *inst)
 void
 SlinferController::onRequestDoneHook(Request *req, Instance *inst)
 {
-    if (inst->staticKv || inst->state != InstanceState::Active)
+    if (inst->staticKv || inst->state() != InstanceState::Active)
         return;
     if (subsystemFor(inst->primary)
             .onRequestComplete(*inst, models_[req->model].avgOutput)) {

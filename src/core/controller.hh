@@ -447,7 +447,7 @@ class SlinferController : public ControllerBase
 
     MemorySubsystem &subsystemFor(Partition *part);
     /** Can this request meet its SLO on the CPU node type at all? */
-    bool cpuFeasible(const ModelSpec &spec, const Request &req) const;
+    bool cpuFeasible(const Request &req) const;
     /** True when the model must fall back to exclusive allocation. */
     bool exclusiveOnly(const ModelSpec &spec) const;
 
@@ -465,6 +465,8 @@ class SlinferController : public ControllerBase
 
     Quantifier quant_;
     ShadowValidator shadow_;
+    /** cpuFeasible's (CPU spec, model) tables, by ModelId. */
+    mutable std::vector<const Quantifier::ProfileTable *> cpuTables_;
     /** Per-partition memory subsystems, indexed by viewPos. */
     std::vector<std::unique_ptr<MemorySubsystem>> mem_;
     std::unique_ptr<Consolidator> consolidator_;

@@ -34,8 +34,8 @@ MemorySubsystem::committed() const
         // Optimistic semantics: an unloading instance's final footprint
         // is zero (its physical release is covered by the pessimistic
         // execution checks).
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading)
+        if (inst->state() == InstanceState::Reclaimed ||
+            inst->state() == InstanceState::Unloading)
             continue;
         total += inst->model.weightBytes() + inst->kvTarget;
     }
@@ -60,9 +60,9 @@ MemorySubsystem::requiredBytes(const Instance &inst, const Request *extra,
         tokens += static_cast<double>(r->inputLen) +
                   std::max(static_cast<double>(r->generated), avgOut);
     };
-    for (const Request *r : inst.prefillQueue)
+    for (const Request *r : inst.prefillQueue())
         count(r);
-    for (const Request *r : inst.decodeBatch)
+    for (const Request *r : inst.decodeBatch())
         count(r);
     if (extra)
         count(extra);
@@ -144,8 +144,8 @@ MemorySubsystem::tryExecute(Op &op)
     obs::ScopedPhase phase(prof_, obs::kPhaseMemoryOp);
     Instance &inst = *op.inst;
     if (op.kind == OpKind::Resize) {
-        if (inst.state == InstanceState::Reclaimed ||
-            inst.state == InstanceState::Unloading) {
+        if (inst.state() == InstanceState::Reclaimed ||
+            inst.state() == InstanceState::Unloading) {
             return true; // stale op; drop it
         }
         if (!inst.memResident)
@@ -172,9 +172,9 @@ MemorySubsystem::tryExecute(Op &op)
         if (anat_) {
             // Waiting requests stall for the resize (the ledger skips
             // any that are mid-iteration or cold-starting).
-            for (Request *r : inst.prefillQueue)
+            for (Request *r : inst.prefillQueue())
                 anat_->onResizeStart(*r, sim_.now());
-            for (Request *r : inst.decodeBatch)
+            for (Request *r : inst.decodeBatch())
                 anat_->onResizeStart(*r, sim_.now());
         }
         Seconds dur =
@@ -212,14 +212,14 @@ MemorySubsystem::tryExecute(Op &op)
                          static_cast<double>(inst.id));
     sim_.schedule(Loader::loadTime(part_.spec, inst.model),
                   [this, &inst, done = std::move(op.done)]() mutable {
-                      inst.state = InstanceState::Active;
+                      inst.setState(InstanceState::Active);
                       inst.activeAt = sim_.now();
                       if (index_)
                           index_->onInstanceActivated(inst);
                       if (anat_) {
-                          for (Request *r : inst.prefillQueue)
+                          for (Request *r : inst.prefillQueue())
                               anat_->onInstanceActive(*r, sim_.now());
-                          for (Request *r : inst.decodeBatch)
+                          for (Request *r : inst.decodeBatch())
                               anat_->onInstanceActive(*r, sim_.now());
                       }
                       // Admissions during the load may have raised the
@@ -243,9 +243,9 @@ MemorySubsystem::finishResize(Instance &inst, Bytes oldAlloc,
     inst.scalingTime += blocked;
     if (anat_) {
         // Unstall before any coalesced follow-up op re-stalls them.
-        for (Request *r : inst.prefillQueue)
+        for (Request *r : inst.prefillQueue())
             anat_->onResizeEnd(*r, sim_.now());
-        for (Request *r : inst.decodeBatch)
+        for (Request *r : inst.decodeBatch())
             anat_->onResizeEnd(*r, sim_.now());
     }
     // The report's scaling sum only sees instances with activeAt >= 0;
@@ -254,8 +254,8 @@ MemorySubsystem::finishResize(Instance &inst, Bytes oldAlloc,
         index_->addScalingSeconds(blocked);
     // Coalesced follow-up demand issued while this op ran.
     if (inst.kvTarget != inst.kv.allocBytes() &&
-        inst.state != InstanceState::Reclaimed &&
-        inst.state != InstanceState::Unloading) {
+        inst.state() != InstanceState::Reclaimed &&
+        inst.state() != InstanceState::Unloading) {
         Op op{OpKind::Resize, &inst, nullptr};
         if (!tryExecute(op)) {
             parkedResize_.insert(inst.id);
@@ -284,10 +284,10 @@ MemorySubsystem::beginUnload(Instance &inst, DoneFn unloaded)
         panic("MemorySubsystem: unload during resize");
     if (index_) {
         index_->onInstanceUnloading(inst);
-        if (inst.state == InstanceState::Active)
+        if (inst.state() == InstanceState::Active)
             index_->onInstanceDeactivated(inst);
     }
-    inst.state = InstanceState::Unloading;
+    inst.setState(InstanceState::Unloading);
     parkedResize_.erase(inst.id);
     Bytes footprint = inst.model.weightBytes() + inst.kv.allocBytes();
     if (trace_)
@@ -299,7 +299,7 @@ MemorySubsystem::beginUnload(Instance &inst, DoneFn unloaded)
     sim_.schedule(MemCostModel::weightUnloadTime(part_.spec, inst.model),
                   [this, &inst, footprint,
                    done = std::move(unloaded)]() mutable {
-                      inst.state = InstanceState::Reclaimed;
+                      inst.setState(InstanceState::Reclaimed);
                       inst.reclaimedAt = sim_.now();
                       if (index_)
                           index_->onInstanceReclaimed(inst);
@@ -314,7 +314,7 @@ MemorySubsystem::beginUnload(Instance &inst, DoneFn unloaded)
 bool
 MemorySubsystem::onRequestComplete(Instance &inst, double avgOut)
 {
-    if (inst.state != InstanceState::Active)
+    if (inst.state() != InstanceState::Active)
         return false;
     Bytes require = requiredBytes(inst, nullptr, avgOut);
     Bytes recommend = static_cast<Bytes>(
@@ -379,7 +379,7 @@ MemorySubsystem::abortParkedLoad(Instance &inst)
         // instance still counts toward the optimistic budget.
         if (index_)
             index_->onInstanceUnloading(inst);
-        inst.state = InstanceState::Reclaimed;
+        inst.setState(InstanceState::Reclaimed);
         inst.reclaimedAt = sim_.now();
         if (index_)
             index_->onInstanceReclaimed(inst);

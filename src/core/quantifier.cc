@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/log.hh"
 
@@ -31,6 +32,7 @@ Quantifier::profile(const HardwareSpec &hw, const ModelSpec &m,
                 PerfModel::decodeTime(hw, m, t.batchGrid[bi], len));
         }
     }
+    checkMonotone(t);
     auto [cell, inserted] =
         tables_.emplace(std::make_pair(hw.name, m.name),
                         std::make_unique<ProfileTable>());
@@ -65,6 +67,30 @@ Quantifier::find(const HardwareSpec &hw, const ModelSpec &m) const
     slot.model = m.name;
     slot.table = cell->get();
     return slot.table;
+}
+
+void
+Quantifier::checkMonotone(const ProfileTable &t)
+{
+    auto check = [&t](const std::vector<Seconds> &row, const char *what) {
+        for (std::size_t li = 0; li < row.size(); ++li) {
+            if (row[li] >= (li ? row[li - 1] : 0.0))
+                continue;
+            panic(std::string("Quantifier: decode ") + what +
+                  " falls at length " + std::to_string(t.lenGrid[li]));
+        }
+    };
+    for (const std::vector<Seconds> &row : t.decode)
+        check(row, "row");
+    std::size_t n = t.batchGrid.size();
+    if (n < 2)
+        return;
+    std::vector<Seconds> slope(t.lenGrid.size());
+    for (std::size_t li = 0; li < slope.size(); ++li)
+        slope[li] = (t.decode[n - 1][li] - t.decode[n - 2][li]) /
+                    static_cast<double>(t.batchGrid[n - 1] -
+                                        t.batchGrid[n - 2]);
+    check(slope, "extrapolation slope");
 }
 
 bool

@@ -65,6 +65,15 @@ class Quantifier
     };
 
     /**
+     * Panic unless `t` is monotone the way the cached admission bounds
+     * need (DESIGN.md, "Cached admission bounds"): at every profiled
+     * batch size, and on the extrapolation slope between the top two
+     * batch sizes, the decode cost is nonnegative and nondecreasing
+     * along lenGrid. profile() checks every table it builds.
+     */
+    static void checkMonotone(const ProfileTable &t);
+
+    /**
      * The pair's table; panics when the pair was never profiled. The
      * reference stays valid for the quantifier's lifetime (a re-profile
      * refreshes it in place), so hot loops resolve it once and call the
@@ -138,9 +147,9 @@ class Quantifier
 
     /**
      * Tiny MRU memo in front of the map: a fleet shares a handful of
-     * (hardware, model) profile pairs, and consecutive queries (an
-     * aggregate-decode walk over one partition, a shadow fast-forward)
-     * almost always repeat one. Table pointers are stable (heap
+     * (hardware, model) profile pairs, and consecutive by-name
+     * queries (a placement walk probing one model on partitions of one
+     * hardware type) almost always repeat one. Table pointers are stable (heap
      * pointees behind the flat map's unique_ptr values, profiles are
      * never erased), so memo entries stay valid across inserts;
      * profile() refreshes any matching entry.

@@ -1,17 +1,13 @@
 #include "core/shadow_validator.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
 namespace slinfer
 {
-
-ShadowValidator::ShadowValidator(const Quantifier &quant, ShadowConfig cfg)
-    : quant_(quant), cfg_(cfg)
-{
-}
 
 namespace
 {
@@ -40,7 +36,26 @@ wordOf(std::int64_t x)
     return static_cast<std::uint64_t>(x);
 }
 
+/** Distinct owner tags for Partition::admitBounds (0 = none). */
+std::atomic<std::uint64_t> nextValidatorId{0};
+
 } // namespace
+
+ShadowValidator::ShadowValidator(const Quantifier &quant, ShadowConfig cfg)
+    : quant_(quant), cfg_(cfg), id_(++nextValidatorId)
+{
+}
+
+const Quantifier::ProfileTable &
+ShadowValidator::tableOf(const Instance &inst) const
+{
+    if (inst.id >= tables_.size())
+        tables_.resize(inst.id + 1, nullptr);
+    const Quantifier::ProfileTable *&t = tables_[inst.id];
+    if (!t)
+        t = &quant_.tableFor(inst.execSpec, inst.model);
+    return *t;
+}
 
 void
 ShadowValidator::SimInst::scanPrefills()
@@ -77,21 +92,21 @@ ShadowValidator::buildState(const Partition &part, Seconds now,
     for (const Instance *inst : part.instances) {
         if (exclude.count(inst))
             continue;
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading ||
-            inst->state == InstanceState::Draining) {
+        if (inst->state() == InstanceState::Reclaimed ||
+            inst->state() == InstanceState::Unloading ||
+            inst->state() == InstanceState::Draining) {
             continue;
         }
         SimInst &s = slotAt(n++);
-        s.table = &quant_.tableFor(inst->execSpec, inst->model);
-        s.availAt = inst->state == InstanceState::Loading
+        s.table = &tableOf(*inst);
+        s.availAt = inst->state() == InstanceState::Loading
                         ? inst->createdAt + inst->loadDuration
                         : now;
-        for (const Request *r : inst->prefillQueue) {
+        for (const Request *r : inst->prefillQueue()) {
             s.prefills.push_back({r->deadlineForNextToken(),
                                   r->contextLen(), false, next_id++});
         }
-        for (const Request *r : inst->decodeBatch) {
+        for (const Request *r : inst->decodeBatch()) {
             s.decodeDeadlines.push_back(
                 {r->deadlineForNextToken(), next_id++});
         }
@@ -418,32 +433,38 @@ ShadowValidator::aggregateDecodeFits(
     const Partition &part, const Instance *target, int extraOnTarget,
     Tokens extraLen, const std::set<const Instance *> &exclude) const
 {
+    return aggregateDecode(part, target, extraOnTarget, extraLen,
+                           exclude) <= cfg_.tpotSlo;
+}
+
+Seconds
+ShadowValidator::aggregateDecode(
+    const Partition &part, const Instance *target, int extraOnTarget,
+    Tokens extraLen, const std::set<const Instance *> &exclude) const
+{
     Seconds total = 0.0;
     for (const Instance *inst : part.instances) {
         if (exclude.count(inst))
             continue;
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading ||
-            inst->state == InstanceState::Draining) {
+        if (inst->state() == InstanceState::Reclaimed ||
+            inst->state() == InstanceState::Unloading ||
+            inst->state() == InstanceState::Draining) {
             continue;
         }
         // Steady state: every admitted request is in the decode batch.
         int batch = inst->loadSize() + (inst == target ? extraOnTarget : 0);
         if (batch == 0)
             continue;
-        Tokens total_ctx = inst->totalContext();
-        for (const Request *r : inst->prefillQueue)
-            total_ctx += r->contextLen();
+        Tokens total_ctx = inst->totalContext() + inst->prefillContext();
         if (inst == target)
             total_ctx += extraLen * extraOnTarget;
         Tokens avg = std::max<Tokens>(1, total_ctx / batch);
-        total += quant_.decodeEstimate(inst->execSpec, inst->model, batch,
-                                       avg) *
+        total += Quantifier::decodeEstimate(tableOf(*inst), batch, avg) *
                  cfg_.overestimate;
         if (total > cfg_.tpotSlo)
-            return false;
+            return total;
     }
-    return total <= cfg_.tpotSlo;
+    return total;
 }
 
 bool
@@ -462,9 +483,9 @@ ShadowValidator::canAdmit(const Partition &part, const Instance *target,
     for (const Instance *inst : part.instances) {
         if (exclude.count(inst))
             continue;
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading ||
-            inst->state == InstanceState::Draining) {
+        if (inst->state() == InstanceState::Reclaimed ||
+            inst->state() == InstanceState::Unloading ||
+            inst->state() == InstanceState::Draining) {
             continue;
         }
         if (inst == target) {
@@ -482,26 +503,45 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
                              const Request &req, Seconds now,
                              Seconds partBusyUntil, Seconds readyAt) const
 {
-    // Case 3 with the new instance's own decode stream included.
-    if (!aggregateDecodeFits(part, nullptr, 0, 0)) {
+    const Quantifier::ProfileTable &table = quant_.tableFor(execSpec, model);
+    Seconds own = Quantifier::decodeEstimate(table, 1, req.contextLen()) *
+                  cfg_.overestimate;
+    // Case 3, twice: the partition's aggregate as it stands, then every
+    // resident's decode stream plus the new instance's own. Neither sum
+    // reads the request, and both only grow until the next admitEpoch
+    // bump, so a bound cached at this epoch that clears the SLO by the
+    // rounding margin is the fresh check's verdict (DESIGN.md, "Cached
+    // admission bounds"). Both checks bump one counter, so answering
+    // either one first leaves the counters as they were.
+    Partition::AdmitBounds &bound = part.admitBounds;
+    if (bound.owner != id_ || bound.epoch != part.admitEpoch ||
+        bound.generation != quant_.generation()) {
+        bound = {id_, part.admitEpoch, quant_.generation(), 0.0, 0.0};
+    }
+    const Seconds bar = cfg_.tpotSlo * (1.0 + kCostMargin);
+    if (bound.aggregate > bar || own + bound.others > bar) {
         obs::bump(ctr_, obs::kShadowRejectAggregate);
         return false;
     }
-    Seconds own = quant_.decodeEstimate(execSpec, model, 1,
-                                        req.contextLen()) *
-                  cfg_.overestimate;
+    Seconds aggregate = aggregateDecode(part, nullptr, 0, 0, {});
+    if (aggregate > cfg_.tpotSlo) {
+        bound.aggregate = aggregate;
+        obs::bump(ctr_, obs::kShadowRejectAggregate);
+        return false;
+    }
     Seconds others = 0.0;
     for (const Instance *inst : part.instances) {
-        if (inst->state == InstanceState::Reclaimed ||
-            inst->state == InstanceState::Unloading)
+        if (inst->state() == InstanceState::Reclaimed ||
+            inst->state() == InstanceState::Unloading)
             continue;
         int batch = inst->loadSize();
         if (batch == 0)
             continue;
-        others += quant_.decodeEstimate(inst->execSpec, inst->model, batch,
-                                        inst->avgContextLen()) *
+        others += Quantifier::decodeEstimate(tableOf(*inst), batch,
+                                             inst->avgContextLen()) *
                   cfg_.overestimate;
     }
+    bound.others = others;
     if (own + others > cfg_.tpotSlo) {
         obs::bump(ctr_, obs::kShadowRejectAggregate);
         return false;
@@ -509,7 +549,7 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
 
     std::size_t count = buildState(part, now, {});
     SimInst &cand = slotAt(count);
-    cand.table = &quant_.tableFor(execSpec, model);
+    cand.table = &table;
     cand.availAt = readyAt;
     // Cold-started requests receive a grace window equal to the load
     // time, mirroring the runtime accounting.

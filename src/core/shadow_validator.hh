@@ -63,7 +63,14 @@ class ShadowValidator
                      Seconds now, Seconds partBusyUntil,
                      Seconds readyAt) const;
 
-    /** Case-3 only: steady-state aggregate decode fits in one TPOT. */
+    /**
+     * Case-3 only: steady-state aggregate decode fits in one TPOT.
+     * canAdmitNew's two case-3 sums are cached per partition as lower
+     * bounds (DESIGN.md, "Cached admission bounds"): they only grow
+     * while tokens decode, so a bound that already clears the SLO by
+     * a rounding margin answers a reject in O(1) until the partition's
+     * admitEpoch or the quantifier's generation moves.
+     */
     bool aggregateDecodeFits(const Partition &part, const Instance *target,
                              int extraOnTarget, Tokens extraLen,
                              const std::set<const Instance *> &exclude =
@@ -81,6 +88,18 @@ class ShadowValidator
     void attachCounters(obs::Counters *c) { ctr_ = c; }
 
   private:
+    /** The instance's profile table, resolved on first use and kept
+     *  by instance id (ids are unique for a validator's lifetime; a
+     *  re-profile refreshes tables in place). */
+    const Quantifier::ProfileTable &tableOf(const Instance &inst) const;
+
+    /** aggregateDecodeFits' sum, ending as soon as it passes tpotSlo
+     *  (the verdict is `sum <= tpotSlo` either way). */
+    Seconds aggregateDecode(const Partition &part, const Instance *target,
+                            int extraOnTarget, Tokens extraLen,
+                            const std::set<const Instance *> &exclude)
+        const;
+
     struct SimReq
     {
         Seconds deadline;
@@ -195,6 +214,10 @@ class ShadowValidator
 
     const Quantifier &quant_;
     ShadowConfig cfg_;
+    /** Tags this validator's entries in Partition::admitBounds. */
+    std::uint64_t id_;
+    /** tableOf's cache, indexed by InstanceId. */
+    mutable std::vector<const Quantifier::ProfileTable *> tables_;
 
     /** Recycled validation scratch (see buildState). */
     mutable std::vector<SimInst> state_;

@@ -38,7 +38,7 @@ Tokens
 decodeGrowth(const Instance &inst)
 {
     Tokens growth = 0;
-    for (const Request *r : inst.decodeBatch) {
+    for (const Request *r : inst.decodeBatch()) {
         Tokens need = PagedKvCache::roundedTokens(r->contextLen() + 1);
         if (need > r->kvReserved)
             growth += need - r->kvReserved;
@@ -78,7 +78,7 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
                 } else {
                     shortages.push_back(inst);
                     // Fall back to decoding the existing batch.
-                    if (!inst->decodeBatch.empty() &&
+                    if (!inst->decodeBatch().empty() &&
                         inst->kv.canFit(decodeGrowth(*inst))) {
                         cand = {inst, nullptr};
                         key = inst->minHeadroom(sim_.now());
@@ -94,7 +94,7 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
             }
         } else { // FifoPrefillFirst
             Request *first_prefill = nullptr;
-            for (Request *r : inst->prefillQueue) {
+            for (Request *r : inst->prefillQueue()) {
                 if (!first_prefill || r->arrival < first_prefill->arrival)
                     first_prefill = r;
             }
@@ -103,7 +103,7 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
                     first_prefill->contextLen()))) {
                 cand = {inst, first_prefill};
                 key = first_prefill->arrival - kPrefillBias;
-            } else if (!inst->decodeBatch.empty()) {
+            } else if (!inst->decodeBatch().empty()) {
                 if (first_prefill)
                     shortages.push_back(inst);
                 if (inst->kv.canFit(decodeGrowth(*inst))) {
@@ -190,7 +190,7 @@ TokenScheduler::runDecode(Instance *inst)
                          obs::kPidCluster, static_cast<int>(part_.viewPos),
                          "batch", static_cast<double>(batch));
     if (anat_) {
-        for (Request *r : inst->decodeBatch)
+        for (Request *r : inst->decodeBatch())
             anat_->onDecodeIterStart(*r, sim_.now());
     }
     part_.busy = true;
@@ -200,7 +200,7 @@ TokenScheduler::runDecode(Instance *inst)
         index_->addBusySeconds(inst->execSpec.kind, dur);
     curInst_ = inst;
     curPrefill_ = nullptr;
-    curBatch_ = inst->decodeBatch;
+    curBatch_ = inst->decodeBatch();
     sim_.schedule(dur, [this] { finishIteration(); });
 }
 
@@ -226,11 +226,11 @@ TokenScheduler::finishIteration()
     if (prefill) {
         // The request may have been dropped/evicted mid-prefill; only
         // apply effects if it is still ours.
-        bool still_ours = std::find(inst->prefillQueue.begin(),
-                                    inst->prefillQueue.end(),
-                                    prefill) != inst->prefillQueue.end();
+        bool still_ours = std::find(inst->prefillQueue().begin(),
+                                    inst->prefillQueue().end(),
+                                    prefill) != inst->prefillQueue().end();
         if (still_ours) {
-            prefill->noteToken(sim_.now());
+            inst->notePrefillToken(prefill, sim_.now());
             if (cbs_.onFirstToken)
                 cbs_.onFirstToken(prefill, inst);
             inst->removeRequest(prefill);
@@ -246,7 +246,7 @@ TokenScheduler::finishIteration()
                 prefill->state = RequestState::Decode;
                 if (anat_)
                     anat_->onPrefillEnd(*prefill, sim_.now());
-                inst->decodeBatch.push_back(prefill);
+                inst->joinDecode(prefill);
             }
         }
     } else {
@@ -271,7 +271,7 @@ TokenScheduler::finishIteration()
                 }
                 r->kvReserved = need;
             }
-            r->noteToken(sim_.now());
+            inst->noteDecodeToken(r, sim_.now());
             ++inst->decodedTokens;
             ++emitted;
             if (r->finishedGenerating()) {

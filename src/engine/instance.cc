@@ -17,30 +17,64 @@ Instance::Instance(InstanceId id_, ModelId model_id, const ModelSpec &m,
 {
 }
 
-Tokens
-Instance::totalContext() const
+void
+Instance::bumpEpoch()
 {
-    Tokens total = 0;
-    for (const Request *r : decodeBatch)
-        total += r->contextLen();
-    return total;
+    ++primary->admitEpoch;
+}
+
+void
+Instance::setState(InstanceState s)
+{
+    state_ = s;
+    bumpEpoch();
+}
+
+void
+Instance::enqueuePrefill(Request *req)
+{
+    prefillQueue_.push_back(req);
+    prefillCtx_ += req->contextLen();
+    bumpEpoch();
+}
+
+void
+Instance::joinDecode(Request *req)
+{
+    decodeBatch_.push_back(req);
+    decodeCtx_ += req->contextLen();
+    bumpEpoch();
+}
+
+void
+Instance::notePrefillToken(Request *req, Seconds t)
+{
+    req->noteToken(t);
+    ++prefillCtx_;
+}
+
+void
+Instance::noteDecodeToken(Request *req, Seconds t)
+{
+    req->noteToken(t);
+    ++decodeCtx_;
 }
 
 Tokens
 Instance::avgContextLen() const
 {
-    if (decodeBatch.empty())
+    if (decodeBatch_.empty())
         return 1;
     return std::max<Tokens>(
-        1, totalContext() / static_cast<Tokens>(decodeBatch.size()));
+        1, decodeCtx_ / static_cast<Tokens>(decodeBatch_.size()));
 }
 
 bool
 Instance::runnable() const
 {
-    if (state != InstanceState::Active || resizeInFlight)
+    if (state_ != InstanceState::Active || resizeInFlight)
         return false;
-    return !prefillQueue.empty() || !decodeBatch.empty();
+    return !prefillQueue_.empty() || !decodeBatch_.empty();
 }
 
 Request *
@@ -49,7 +83,7 @@ Instance::mostUrgent(Seconds now, bool &is_prefill) const
     Request *best = nullptr;
     Seconds best_h = std::numeric_limits<Seconds>::infinity();
     is_prefill = false;
-    for (Request *r : prefillQueue) {
+    for (Request *r : prefillQueue_) {
         Seconds h = r->headroom(now);
         if (h < best_h) {
             best_h = h;
@@ -57,7 +91,7 @@ Instance::mostUrgent(Seconds now, bool &is_prefill) const
             is_prefill = true;
         }
     }
-    for (Request *r : decodeBatch) {
+    for (Request *r : decodeBatch_) {
         Seconds h = r->headroom(now);
         if (h < best_h) {
             best_h = h;
@@ -87,8 +121,13 @@ Instance::removeRequest(Request *req)
         v.erase(it);
         return true;
     };
-    if (!erase_from(prefillQueue) && !erase_from(decodeBatch))
+    if (erase_from(prefillQueue_))
+        prefillCtx_ -= req->contextLen();
+    else if (erase_from(decodeBatch_))
+        decodeCtx_ -= req->contextLen();
+    else
         panic("Instance::removeRequest: request not found");
+    bumpEpoch();
 }
 
 } // namespace slinfer

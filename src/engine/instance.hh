@@ -46,7 +46,6 @@ class Instance
     /** The hardware view iterations execute with (may be TP-combined). */
     const HardwareSpec execSpec;
 
-    InstanceState state = InstanceState::Loading;
     InstanceRole role = InstanceRole::Unified;
     /**
      * Nonzero while an intervention drain (node failure, redeploy,
@@ -58,11 +57,6 @@ class Instance
      * redeploy/retire sweep is draining stays fenced.
      */
     unsigned draining = 0;
-
-    /** Admitted requests whose prefill has not run yet. */
-    std::vector<Request *> prefillQueue;
-    /** Requests in the continuous decode batch. */
-    std::vector<Request *> decodeBatch;
 
     PagedKvCache kv;
     /** True while a KV resize blocks this instance's iterations. */
@@ -97,22 +91,58 @@ class Instance
     /** Decode tokens produced (stats). */
     Tokens decodedTokens = 0;
 
+    InstanceState state() const { return state_; }
+    /** Change the lifecycle state (bumps the partition's admission
+     *  epoch: a state change can drop the instance from a bound). */
+    void setState(InstanceState s);
+
+    /** Admitted requests whose prefill has not run yet. */
+    const std::vector<Request *> &prefillQueue() const
+    {
+        return prefillQueue_;
+    }
+    /** Requests in the continuous decode batch. */
+    const std::vector<Request *> &decodeBatch() const
+    {
+        return decodeBatch_;
+    }
+
+    /*
+     * The queues change only through the methods below, which keep the
+     * running context sums exact and bump the primary partition's
+     * admission epoch on every join and leave (DESIGN.md, "Cached
+     * admission bounds").
+     */
+    /** Append `req` to the prefill queue. */
+    void enqueuePrefill(Request *req);
+    /** Append `req` to the decode batch. */
+    void joinDecode(Request *req);
+    /** Remove a request from whichever queue holds it. */
+    void removeRequest(Request *req);
+    /** Emit one token of `req`, which waits in the prefill queue. */
+    void notePrefillToken(Request *req, Seconds t);
+    /** Emit one token of `req`, which is in the decode batch. */
+    void noteDecodeToken(Request *req, Seconds t);
+
     /** Decode batch size ("bs" in the paper's consolidation figures). */
     int batchSize() const
     {
-        return static_cast<int>(decodeBatch.size());
+        return static_cast<int>(decodeBatch_.size());
     }
 
     /** All requests currently owned (prefill queue + decode batch). */
     int loadSize() const
     {
-        return static_cast<int>(prefillQueue.size() + decodeBatch.size());
+        return static_cast<int>(prefillQueue_.size() + decodeBatch_.size());
     }
 
-    /** Sum of context lengths across the decode batch. */
-    Tokens totalContext() const;
+    /** Sum of context lengths across the decode batch (O(1)). */
+    Tokens totalContext() const { return decodeCtx_; }
 
-    /** Average context length of the decode batch (>= 1). */
+    /** Sum of context lengths across the prefill queue (O(1)). */
+    Tokens prefillContext() const { return prefillCtx_; }
+
+    /** Average context length of the decode batch (>= 1, O(1)). */
     Tokens avgContextLen() const;
 
     /** True when the instance can run an iteration right now. */
@@ -128,8 +158,15 @@ class Instance
     /** Minimum headroom across all owned requests (+inf when empty). */
     Seconds minHeadroom(Seconds now) const;
 
-    /** Remove a request from whichever queue holds it. */
-    void removeRequest(Request *req);
+  private:
+    void bumpEpoch();
+
+    InstanceState state_ = InstanceState::Loading;
+    std::vector<Request *> prefillQueue_;
+    std::vector<Request *> decodeBatch_;
+    /** Running Σ contextLen() over each queue. */
+    Tokens prefillCtx_ = 0;
+    Tokens decodeCtx_ = 0;
 };
 
 } // namespace slinfer

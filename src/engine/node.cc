@@ -1,5 +1,7 @@
 #include "engine/node.hh"
 
+#include <algorithm>
+
 #include "engine/instance.hh"
 
 namespace slinfer
@@ -9,6 +11,21 @@ Partition::Partition(NodeId node_, int index_, HardwareSpec spec_)
     : node(node_), index(index_), spec(std::move(spec_)),
       mem(spec.memCapacity)
 {
+}
+
+void
+Partition::addInstance(Instance *inst)
+{
+    instances.push_back(inst);
+    ++admitEpoch;
+}
+
+void
+Partition::removeInstance(Instance *inst)
+{
+    instances.erase(std::remove(instances.begin(), instances.end(), inst),
+                    instances.end());
+    ++admitEpoch;
 }
 
 bool
@@ -22,7 +39,7 @@ Partition::liveBytes() const
 {
     Bytes live = 0;
     for (const Instance *inst : instances) {
-        if (inst->state == InstanceState::Reclaimed)
+        if (inst->state() == InstanceState::Reclaimed)
             continue;
         if (inst->memResident)
             live += inst->model.weightBytes();

@@ -78,6 +78,34 @@ struct Partition
      *  same order as a best-fit scan in view order. */
     std::uint32_t viewPos = 0;
 
+    /**
+     * Bumped by every event that can lower an admission bound of
+     * ShadowValidator::canAdmitNew: a request joining or leaving a
+     * resident, a resident's state change, and a resident added or
+     * removed (DESIGN.md, "Cached admission bounds"). Decoded tokens
+     * only raise the bounds and leave it alone.
+     */
+    std::uint64_t admitEpoch = 0;
+    /**
+     * canAdmitNew's request-independent sums as of one epoch: lower
+     * bounds on the case-3 aggregate and on the "others" sum, valid
+     * while `owner` (the validator's id), `epoch` and `generation`
+     * (the quantifier's) all still match. Zero is the trivial bound.
+     */
+    struct AdmitBounds
+    {
+        std::uint64_t owner = 0;
+        std::uint64_t epoch = 0;
+        std::uint64_t generation = 0;
+        Seconds aggregate = 0.0;
+        Seconds others = 0.0;
+    };
+    mutable AdmitBounds admitBounds;
+
+    /** Register / unregister a resident (bumps admitEpoch). */
+    void addInstance(Instance *inst);
+    void removeInstance(Instance *inst);
+
     /** Whether a new instance of another model may be placed here. */
     bool openForPlacement() const;
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/sllm.hh"
 #include "core/controller.hh"
 #include "harness/experiment.hh"
 #include "metrics/recorder.hh"
@@ -19,17 +20,23 @@ namespace
 
 struct IndexHarness
 {
+    /** A SLINFER cluster, or the sllm baseline when `sllm` is set
+     *  (two partitions per node under its static sharing). */
     void
     build(int cpus, int gpus, std::vector<ModelSpec> model_specs,
-          ControllerConfig cfg = {})
+          ControllerConfig cfg = {}, const SllmOptions *sllm = nullptr)
     {
         cluster.cpuNodes = cpus;
         cluster.gpuNodes = gpus;
-        nodes = buildCluster(cluster, 1);
+        nodes = buildCluster(cluster, sllm && sllm->staticShare ? 2 : 1);
         models = std::move(model_specs);
         std::vector<double> avg(models.size(), 250.0);
-        ctl = std::make_unique<SlinferController>(sim, nodes, models, avg,
-                                                  cfg, recorder, nullptr);
+        if (sllm)
+            ctl = std::make_unique<SllmController>(
+                sim, nodes, models, avg, cfg, recorder, nullptr, *sllm);
+        else
+            ctl = std::make_unique<SlinferController>(
+                sim, nodes, models, avg, cfg, recorder, nullptr);
     }
 
     Request &
@@ -54,7 +61,7 @@ struct IndexHarness
     std::vector<std::unique_ptr<Node>> nodes;
     std::vector<ModelSpec> models;
     Recorder recorder;
-    std::unique_ptr<SlinferController> ctl;
+    std::unique_ptr<ControllerBase> ctl;
     std::vector<std::unique_ptr<Request>> reqs;
     RequestId nextReq = 1;
 };
@@ -85,7 +92,7 @@ expectIndexMatchesPoolScans(IndexHarness &h)
     double kv_sum = 0.0;
     std::size_t kv_n = 0;
     for (const auto &inst : pool) {
-        if (inst->state == InstanceState::Active && inst->loadSize() > 0) {
+        if (inst->state() == InstanceState::Active && inst->loadSize() > 0) {
             kv_sum += inst->kv.utilization();
             ++kv_n;
         }
@@ -112,7 +119,7 @@ expectIndexMatchesPoolScans(IndexHarness &h)
     for (const auto &inst : pool) {
         if (inst->activeAt < 0)
             continue;
-        Seconds end = inst->state == InstanceState::Reclaimed
+        Seconds end = inst->state() == InstanceState::Reclaimed
                           ? inst->activeAt + inst->busyTime +
                                 inst->scalingTime
                           : h.sim.now();
@@ -166,6 +173,71 @@ TEST(ClusterIndexFuzz, MatchesPoolScansThroughRandomChurn)
         }
         h.sim.run();
         expectIndexMatchesPoolScans(h);
+    }
+}
+
+/**
+ * The sllm baseline's empty-partition sets against a fresh scan in
+ * view order, through a random churn that places and unloads shared
+ * instances, claims sibling and whole-node holds (13B on a shared CPU
+ * node, 34B across GPU nodes), and fails and restores a node.
+ */
+TEST(ClusterIndexFuzz, SllmEmptySetsMatchScanThroughChurn)
+{
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        IndexHarness h;
+        ControllerConfig cfg;
+        cfg.seed = seed;
+        SllmOptions opts;
+        opts.useCpu = true;
+        opts.staticShare = seed % 2 == 0;
+        h.build(2, 3,
+                {llama2_7b(), llama32_3b(), llama2_13b(), codellama_34b()},
+                cfg, &opts);
+
+        Seconds t = 0.0;
+        int n = static_cast<int>(rng.uniformInt(40, 90));
+        for (int i = 0; i < n; ++i) {
+            t += rng.exponential(2.0);
+            ModelId m = static_cast<ModelId>(
+                rng.uniformInt(0, static_cast<std::int64_t>(
+                                      h.models.size() - 1)));
+            h.submitAt(m, t, static_cast<Tokens>(rng.uniformInt(32, 2000)),
+                       static_cast<Tokens>(rng.uniformInt(10, 300)));
+        }
+        // One node fails before the first arrival, while it is still
+        // empty, and another in the middle of the churn.
+        for (Seconds at : {0.0, 0.5 * t}) {
+            NodeId victim = static_cast<NodeId>(rng.uniformInt(0, 4));
+            h.sim.scheduleAt(at, [&h, victim] { h.ctl->failNode(victim); });
+            h.sim.scheduleAt(at + 0.2 * t,
+                             [&h, victim] { h.ctl->restoreNode(victim); });
+        }
+
+        const ClusterIndex &idx = h.ctl->clusterIndex();
+        auto check = [&] {
+            EXPECT_EQ(idx.auditAgainst(h.ctl->instancePool()), "");
+            for (HwKind kind : {HwKind::Cpu, HwKind::Gpu}) {
+                std::vector<std::uint32_t> scan;
+                for (const Partition *p : idx.partitions(true)) {
+                    if (p->spec.kind == kind && p->openForPlacement() &&
+                        p->instances.empty())
+                        scan.push_back(p->viewPos);
+                }
+                const auto &set = idx.emptySet(kind);
+                EXPECT_EQ(std::vector<std::uint32_t>(set.begin(), set.end()),
+                          scan);
+            }
+        };
+        Seconds horizon = t + 30.0;
+        for (Seconds at = 0.25; at < horizon; at += 0.25) {
+            h.sim.runUntil(at);
+            check();
+        }
+        h.sim.run();
+        check();
     }
 }
 

@@ -27,8 +27,9 @@ TEST(Consolidator, OrderLargestBatchFirst)
     Instance b(2, 0, m, part, a100_80g(), 1 << 30);
     Instance c(3, 0, m, part, a100_80g(), 1 << 30);
     Request r1, r2, r3;
-    b.decodeBatch = {&r1, &r2};
-    c.decodeBatch = {&r3};
+    b.joinDecode(&r1);
+    b.joinDecode(&r2);
+    c.joinDecode(&r3);
     std::vector<Instance *> v = {&a, &b, &c};
     Consolidator::orderLargestBatchFirst(v);
     EXPECT_EQ(v[0], &b);

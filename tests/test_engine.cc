@@ -191,7 +191,7 @@ TEST(Node, InUseTracksInstances)
     Node n(0, a100_80g(), 1);
     ModelSpec m = llama2_7b();
     Instance inst(1, 0, m, n.partitions()[0].get(), a100_80g(), 1 << 30);
-    n.partitions()[0]->instances.push_back(&inst);
+    n.partitions()[0]->addInstance(&inst);
     EXPECT_TRUE(n.inUse());
     EXPECT_FALSE(n.partitions()[0]->openForPlacement() == false);
     n.partitions()[0]->exclusiveHolder = &inst;
@@ -210,7 +210,7 @@ class InstanceTest : public ::testing::Test
           inst(1, 0, model, node.partitions()[0].get(), a100_80g(),
                8ULL << 30)
     {
-        inst.state = InstanceState::Active;
+        inst.setState(InstanceState::Active);
     }
 
     Node node;
@@ -223,8 +223,8 @@ TEST_F(InstanceTest, MostUrgentPicksMinHeadroom)
     Request a = makeReq(1, 0.0, 512, 10); // deadline 2.0 (prefill)
     Request b = makeReq(2, 0.0, 512, 10);
     b.generated = 2; // deadline 2.5
-    inst.prefillQueue.push_back(&a);
-    inst.decodeBatch.push_back(&b);
+    inst.enqueuePrefill(&a);
+    inst.joinDecode(&b);
     bool is_prefill = false;
     Request *u = inst.mostUrgent(1.0, is_prefill);
     EXPECT_EQ(u, &a);
@@ -236,8 +236,8 @@ TEST_F(InstanceTest, MostUrgentCanBeDecode)
 {
     Request a = makeReq(1, 5.0, 512, 10); // deadline 7.0
     Request b = makeReq(2, 0.0, 512, 10); // decode deadline 2.0
-    inst.prefillQueue.push_back(&a);
-    inst.decodeBatch.push_back(&b);
+    inst.enqueuePrefill(&a);
+    inst.joinDecode(&b);
     bool is_prefill = true;
     Request *u = inst.mostUrgent(1.0, is_prefill);
     EXPECT_EQ(u, &b);
@@ -249,7 +249,8 @@ TEST_F(InstanceTest, BatchAndContextAccounting)
     Request a = makeReq(1, 0.0, 100, 10);
     Request b = makeReq(2, 0.0, 300, 10);
     b.generated = 10;
-    inst.decodeBatch = {&a, &b};
+    inst.joinDecode(&a);
+    inst.joinDecode(&b);
     EXPECT_EQ(inst.batchSize(), 2);
     EXPECT_EQ(inst.totalContext(), 100 + 310);
     EXPECT_EQ(inst.avgContextLen(), 205);
@@ -259,12 +260,12 @@ TEST_F(InstanceTest, RunnableConditions)
 {
     EXPECT_FALSE(inst.runnable()); // no work
     Request a = makeReq(1, 0.0, 100, 10);
-    inst.prefillQueue.push_back(&a);
+    inst.enqueuePrefill(&a);
     EXPECT_TRUE(inst.runnable());
     inst.resizeInFlight = true;
     EXPECT_FALSE(inst.runnable());
     inst.resizeInFlight = false;
-    inst.state = InstanceState::Loading;
+    inst.setState(InstanceState::Loading);
     EXPECT_FALSE(inst.runnable());
 }
 
@@ -272,8 +273,8 @@ TEST_F(InstanceTest, RemoveRequestFromEitherQueue)
 {
     Request a = makeReq(1, 0.0, 100, 10);
     Request b = makeReq(2, 0.0, 100, 10);
-    inst.prefillQueue.push_back(&a);
-    inst.decodeBatch.push_back(&b);
+    inst.enqueuePrefill(&a);
+    inst.joinDecode(&b);
     inst.removeRequest(&a);
     inst.removeRequest(&b);
     EXPECT_EQ(inst.loadSize(), 0);

@@ -32,7 +32,7 @@ struct MemFixture : public ::testing::Test
     {
         auto inst = std::make_unique<Instance>(nextId++, 0, m, part,
                                                a100_80g(), kvInit);
-        part->instances.push_back(inst.get());
+        part->addInstance(inst.get());
         pool.push_back(std::move(inst));
         return *pool.back();
     }
@@ -44,7 +44,7 @@ struct MemFixture : public ::testing::Test
         Instance &inst = addInstance(kvInit, m);
         sub->beginLoad(inst, nullptr);
         sim.run();
-        EXPECT_EQ(inst.state, InstanceState::Active);
+        EXPECT_EQ(inst.state(), InstanceState::Active);
         return inst;
     }
 
@@ -86,7 +86,7 @@ TEST_F(MemFixture, RequiredBytesFollowsEquationTwo)
     // Three requests of input 2000, avg output 250: sum exceeds Lmin.
     for (int i = 0; i < 3; ++i) {
         Request &r = makeRequest(2000);
-        inst.decodeBatch.push_back(&r);
+        inst.joinDecode(&r);
     }
     Bytes expect = static_cast<Bytes>(3 * (2000 + 250)) *
                    llama2_7b().kvBytesPerToken();
@@ -97,9 +97,9 @@ TEST_F(MemFixture, RequiredBytesUsesActualWhenPastAverage)
 {
     Instance &inst = addInstance(1ULL << 30);
     Request &r = makeRequest(3000, /*generated=*/700); // beyond O_bar
-    inst.decodeBatch.push_back(&r);
+    inst.joinDecode(&r);
     Request &r2 = makeRequest(3000, 100); // below O_bar
-    inst.decodeBatch.push_back(&r2);
+    inst.joinDecode(&r2);
     Bytes expect = static_cast<Bytes>((3000 + 700) + (3000 + 250)) *
                    llama2_7b().kvBytesPerToken();
     EXPECT_EQ(sub->requiredBytes(inst, nullptr, 250.0), expect);
@@ -125,7 +125,7 @@ TEST_F(MemFixture, PlanScalesUpToRecommendation)
     // Fill with enough requests that require > target.
     for (int i = 0; i < 4; ++i) {
         Request &r = makeRequest(2000);
-        inst.decodeBatch.push_back(&r);
+        inst.joinDecode(&r);
     }
     Request &incoming = makeRequest(2000);
     auto plan = sub->planAdmit(inst, incoming, 250.0);
@@ -146,7 +146,7 @@ TEST_F(MemFixture, PlanCompromisesWhenRecommendationDoesNotFit)
     Instance &inst = addLoadedInstance(2ULL << 30);
     for (int i = 0; i < 9; ++i) {
         Request &r = makeRequest(2400);
-        inst.decodeBatch.push_back(&r);
+        inst.joinDecode(&r);
     }
     Request &incoming = makeRequest(2400);
     auto plan = sub->planAdmit(inst, incoming, 250.0);
@@ -162,7 +162,7 @@ TEST_F(MemFixture, PlanRejectsWhenNothingFits)
     Instance &inst = addLoadedInstance(2ULL << 30);
     for (int i = 0; i < 20; ++i) {
         Request &r = makeRequest(3000);
-        inst.decodeBatch.push_back(&r);
+        inst.joinDecode(&r);
     }
     Request &incoming = makeRequest(3000);
     auto plan = sub->planAdmit(inst, incoming, 250.0);
@@ -173,7 +173,7 @@ TEST_F(MemFixture, LazyScaleDownHysteresis)
 {
     Instance &inst = addLoadedInstance(12ULL << 30);
     Request &r = makeRequest(2000);
-    inst.decodeBatch.push_back(&r);
+    inst.joinDecode(&r);
     // Slightly over-allocated: recommend*(1+w) is NOT below target.
     Bytes require = sub->requiredBytes(inst, nullptr, 250.0);
     inst.kvTarget = static_cast<Bytes>(require * 1.5);
@@ -201,9 +201,9 @@ TEST_F(MemFixture, LoadHoldsWeightsPlusKv)
     sub->beginLoad(inst, nullptr);
     EXPECT_EQ(part->mem.used(),
               llama2_7b().weightBytes() + (4ULL << 30));
-    EXPECT_EQ(inst.state, InstanceState::Loading);
+    EXPECT_EQ(inst.state(), InstanceState::Loading);
     sim.run();
-    EXPECT_EQ(inst.state, InstanceState::Active);
+    EXPECT_EQ(inst.state(), InstanceState::Active);
     EXPECT_GT(inst.loadDuration, 0.5);
 }
 
@@ -212,7 +212,7 @@ TEST_F(MemFixture, UnloadReleasesEverything)
     Instance &inst = addLoadedInstance(4ULL << 30);
     bool done = false;
     sub->beginUnload(inst, [&] { done = true; });
-    EXPECT_EQ(inst.state, InstanceState::Unloading);
+    EXPECT_EQ(inst.state(), InstanceState::Unloading);
     // Optimistic budget drops immediately (scale-down semantics).
     EXPECT_EQ(sub->committed(), 0u);
     // Physical release only on completion.
@@ -220,7 +220,7 @@ TEST_F(MemFixture, UnloadReleasesEverything)
     sim.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(part->mem.used(), 0u);
-    EXPECT_EQ(inst.state, InstanceState::Reclaimed);
+    EXPECT_EQ(inst.state(), InstanceState::Reclaimed);
 }
 
 TEST_F(MemFixture, CommittedSumsWeightsAndTargets)
@@ -251,7 +251,7 @@ TEST_F(MemFixture, ParkedLoadWaitsForRelease)
     // Releasing the hog drains the station and the load proceeds.
     sub->beginUnload(hog, nullptr);
     sim.run();
-    EXPECT_EQ(inst.state, InstanceState::Active);
+    EXPECT_EQ(inst.state(), InstanceState::Active);
     EXPECT_EQ(sub->parkedOps(), 0u);
 }
 
@@ -278,7 +278,7 @@ TEST_F(MemFixture, ResizeOnParkedLoadDoesNotCorruptLedger)
     // Unload the hog; the load executes with the *latest* target.
     sub->beginUnload(hog, nullptr);
     sim.run();
-    EXPECT_EQ(inst.state, InstanceState::Active);
+    EXPECT_EQ(inst.state(), InstanceState::Active);
     EXPECT_EQ(inst.kv.allocBytes(), 8ULL << 30);
 }
 
@@ -366,7 +366,7 @@ TEST_F(MemFixture, EmergencyGrowRejectedWhenBudgetFull)
     // still provide.
     for (int i = 0; i < 30; ++i) {
         Request &r = makeRequest(2500);
-        inst.decodeBatch.push_back(&r);
+        inst.joinDecode(&r);
     }
     auto res = sub->tryEmergencyGrow(inst, 250.0);
     EXPECT_EQ(res, MemorySubsystem::GrowResult::Rejected);
@@ -404,7 +404,7 @@ TEST_P(MemoryStorm, NeverOoms)
                 auto inst = std::make_unique<Instance>(next_id++, 0, m,
                                                        part, a100_80g(),
                                                        kv);
-                part->instances.push_back(inst.get());
+                part->addInstance(inst.get());
                 live.push_back(inst.get());
                 sub.beginLoad(*inst, nullptr);
                 pool.push_back(std::move(inst));
@@ -414,8 +414,8 @@ TEST_P(MemoryStorm, NeverOoms)
             Instance *inst =
                 live[static_cast<std::size_t>(rng.uniform()) % 1 +
                      rng.engine()() % live.size()];
-            if (inst->state == InstanceState::Active ||
-                inst->state == InstanceState::Loading) {
+            if (inst->state() == InstanceState::Active ||
+                inst->state() == InstanceState::Loading) {
                 Bytes target = static_cast<Bytes>(
                     rng.uniform(0.5, 12.0) * (1ULL << 30));
                 Bytes head = sub.committed() - inst->kvTarget;
@@ -431,7 +431,7 @@ TEST_P(MemoryStorm, NeverOoms)
             // Unload one.
             std::size_t idx = rng.engine()() % live.size();
             Instance *inst = live[idx];
-            if (inst->state == InstanceState::Active &&
+            if (inst->state() == InstanceState::Active &&
                 !inst->resizeInFlight) {
                 sub.beginUnload(*inst, nullptr);
                 live.erase(live.begin() +

@@ -234,7 +234,7 @@ TEST(EdgeCase, PartitionLiveBytesTracksWeightsAndKv)
     Partition *part = node.partitions()[0].get();
     ModelSpec m = llama2_7b();
     Instance inst(1, 0, m, part, a100_80g(), 8ULL << 30);
-    part->instances.push_back(&inst);
+    part->addInstance(&inst);
     // Not yet resident: only KV pages would count (none used).
     EXPECT_EQ(part->liveBytes(), 0u);
     inst.memResident = true;
@@ -242,7 +242,7 @@ TEST(EdgeCase, PartitionLiveBytesTracksWeightsAndKv)
     ASSERT_TRUE(inst.kv.reserve(1024));
     EXPECT_EQ(part->liveBytes(),
               m.weightBytes() + 1024 * m.kvBytesPerToken());
-    inst.state = InstanceState::Reclaimed;
+    inst.setState(InstanceState::Reclaimed);
     EXPECT_EQ(part->liveBytes(), 0u);
 }
 

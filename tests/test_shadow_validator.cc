@@ -38,8 +38,8 @@ struct ShadowFixture : public ::testing::Test
     {
         auto inst = std::make_unique<Instance>(nextId++, 0, llama2_7b(),
                                                part, hw, 32ULL << 30);
-        inst->state = InstanceState::Active;
-        part->instances.push_back(inst.get());
+        inst->setState(InstanceState::Active);
+        part->addInstance(inst.get());
         pool.push_back(std::move(inst));
         return *pool.back();
     }
@@ -68,7 +68,7 @@ struct ShadowFixture : public ::testing::Test
             Request &r = makeRequest(0.0, 1024, 400, 40);
             r.state = RequestState::Decode;
             r.arrival += deadline - r.deadlineForNextToken();
-            inst.decodeBatch.push_back(&r);
+            inst.joinDecode(&r);
         }
     }
 
@@ -95,8 +95,8 @@ TEST_F(ShadowFixture, RejectsCase1PrefillTooLong)
     quant.profile(xeon6462c(), codellama_34b());
     auto inst = std::make_unique<Instance>(nextId++, 0, codellama_34b(),
                                            part, xeon6462c(), 32ULL << 30);
-    inst->state = InstanceState::Active;
-    part->instances.push_back(inst.get());
+    inst->setState(InstanceState::Active);
+    part->addInstance(inst.get());
     Request &r = makeRequest(0.0, 2048, 100);
     EXPECT_FALSE(validator->canAdmit(*part, inst.get(), r, 0.0, 0.0));
 }
@@ -112,7 +112,7 @@ TEST_F(ShadowFixture, RejectsCase2ExistingRequestDelayed)
     for (int i = 0; i < 22; ++i) {
         Request &r = makeRequest(0.0, 2000, 400, /*generated=*/8);
         r.state = RequestState::Decode;
-        inst.decodeBatch.push_back(&r);
+        inst.joinDecode(&r);
         batch.push_back(&r);
     }
     Seconds now = batch[0]->deadlineForNextToken() - 0.05;
@@ -129,7 +129,7 @@ TEST_F(ShadowFixture, RejectsCase3AggregateDecode)
         for (int j = 0; j < 12; ++j) {
             Request &r = makeRequest(0.0, 1024, 200, 5);
             r.state = RequestState::Decode;
-            inst.decodeBatch.push_back(&r);
+            inst.joinDecode(&r);
         }
     }
     Request &incoming = makeRequest(10.0, 512, 50);
@@ -144,7 +144,7 @@ TEST_F(ShadowFixture, AggregateFitsWithFewInstances)
     Instance &a = addInstance(xeon6462c());
     Request &r = makeRequest(0.0, 1024, 100, 3);
     r.state = RequestState::Decode;
-    a.decodeBatch.push_back(&r);
+    a.joinDecode(&r);
     EXPECT_TRUE(validator->aggregateDecodeFits(*part, &a, 1, 1024));
 }
 
@@ -159,7 +159,7 @@ TEST_F(ShadowFixture, ExcludedInstancesAreIgnored)
         for (int j = 0; j < 12; ++j) {
             Request &r = makeRequest(0.0, 1024, 200, 5);
             r.state = RequestState::Decode;
-            inst.decodeBatch.push_back(&r);
+            inst.joinDecode(&r);
         }
     }
     // Excluding three of the four instances clears the aggregate
@@ -179,7 +179,7 @@ TEST_F(ShadowFixture, DoomedRequestDoesNotVetoAdmission)
     Instance &inst = addInstance(xeon6462c());
     Request &doomed = makeRequest(0.0, 1024, 100, 2);
     doomed.state = RequestState::Decode;
-    inst.decodeBatch.push_back(&doomed);
+    inst.joinDecode(&doomed);
     Seconds now = doomed.deadlineForNextToken() + 0.3;
     Request &incoming = makeRequest(now, 1024, 50); // TTFT SLO 2 s
     EXPECT_TRUE(validator->canAdmit(*part, &inst, incoming, now, now));
@@ -210,7 +210,7 @@ TEST_F(ShadowFixture, CanAdmitNewRespectsBusyNeighbors)
         for (int j = 0; j < 12; ++j) {
             Request &r = makeRequest(0.0, 1024, 200, 5);
             r.state = RequestState::Decode;
-            inst.decodeBatch.push_back(&r);
+            inst.joinDecode(&r);
         }
     }
     Request &r = makeRequest(10.0, 1024, 100);
@@ -221,14 +221,14 @@ TEST_F(ShadowFixture, CanAdmitNewRespectsBusyNeighbors)
 TEST_F(ShadowFixture, LoadingInstanceDelaysItsPrefills)
 {
     Instance &inst = addInstance(xeon6462c());
-    inst.state = InstanceState::Loading;
+    inst.setState(InstanceState::Loading);
     inst.createdAt = 0.0;
     inst.loadDuration = 1.0;
     // A queued request whose TTFT cannot survive waiting for the load
     // plus a long prefill.
     Request &queued = makeRequest(0.0, 256, 50); // TTFT SLO = 0.5 s
     queued.state = RequestState::Prefill;
-    inst.prefillQueue.push_back(&queued);
+    inst.enqueuePrefill(&queued);
     Request &incoming = makeRequest(0.0, 256, 50);
     // The queued request is doomed by the load alone (no grace in this
     // synthetic setup), so it must not veto the incoming one... but the
@@ -244,12 +244,12 @@ TEST_F(ShadowFixture, GpuAbsorbsWhatCpuCannot)
     auto gi = std::make_unique<Instance>(nextId++, 0, llama2_7b(),
                                          gpu_part, a100_80g(),
                                          32ULL << 30);
-    gi->state = InstanceState::Active;
-    gpu_part->instances.push_back(gi.get());
+    gi->setState(InstanceState::Active);
+    gpu_part->addInstance(gi.get());
     for (int j = 0; j < 12; ++j) {
         Request &r = makeRequest(0.0, 1024, 200, 5);
         r.state = RequestState::Decode;
-        gi->decodeBatch.push_back(&r);
+        gi->joinDecode(&r);
     }
     Request &incoming = makeRequest(10.0, 2048, 100);
     EXPECT_TRUE(validator->canAdmit(*gpu_part, gi.get(), incoming, 10.0,
@@ -309,24 +309,7 @@ class ScanValidator
                 const HardwareSpec &execSpec, const Request &req,
                 Seconds now, Seconds partBusyUntil, Seconds readyAt) const
     {
-        if (!aggregate_.aggregateDecodeFits(part, nullptr, 0, 0))
-            return false;
-        Seconds own = quant_.decodeEstimate(execSpec, model, 1,
-                                            req.contextLen()) *
-                      cfg_.overestimate;
-        Seconds others = 0.0;
-        for (const Instance *inst : part.instances) {
-            if (inst->state == InstanceState::Reclaimed ||
-                inst->state == InstanceState::Unloading)
-                continue;
-            int batch = inst->loadSize();
-            if (batch == 0)
-                continue;
-            others += quant_.decodeEstimate(inst->execSpec, inst->model,
-                                            batch, inst->avgContextLen()) *
-                      cfg_.overestimate;
-        }
-        if (own + others > cfg_.tpotSlo)
+        if (case3RejectsNew(part, model, execSpec, req))
             return false;
         std::vector<SimInst> state;
         int next_id = 0;
@@ -344,6 +327,49 @@ class ScanValidator
         cand.avgLen = static_cast<double>(req.contextLen());
         state.push_back(cand);
         return twoPass(state, std::max(now, partBusyUntil), now);
+    }
+
+    /**
+     * canAdmitNew's two case-3 checks, fresh: every context summed from
+     * the queues, every estimate looked up by name, no cached bound.
+     */
+    bool
+    case3RejectsNew(const Partition &part, const ModelSpec &model,
+                    const HardwareSpec &execSpec, const Request &req) const
+    {
+        Seconds aggregate = 0.0;
+        Seconds others = 0.0;
+        for (const Instance *inst : part.instances) {
+            if (inst->state() == InstanceState::Reclaimed ||
+                inst->state() == InstanceState::Unloading)
+                continue;
+            int batch = inst->loadSize();
+            if (batch == 0)
+                continue;
+            Tokens decode_ctx = 0, all_ctx = 0;
+            for (const Request *r : inst->decodeBatch())
+                decode_ctx += r->contextLen();
+            all_ctx = decode_ctx;
+            for (const Request *r : inst->prefillQueue())
+                all_ctx += r->contextLen();
+            Tokens decode_avg =
+                inst->batchSize() == 0
+                    ? 1
+                    : std::max<Tokens>(1, decode_ctx / inst->batchSize());
+            others += quant_.decodeEstimate(inst->execSpec, inst->model,
+                                            batch, decode_avg) *
+                      cfg_.overestimate;
+            if (inst->state() == InstanceState::Draining)
+                continue;
+            aggregate += quant_.decodeEstimate(
+                             inst->execSpec, inst->model, batch,
+                             std::max<Tokens>(1, all_ctx / batch)) *
+                         cfg_.overestimate;
+        }
+        Seconds own = quant_.decodeEstimate(execSpec, model, 1,
+                                            req.contextLen()) *
+                      cfg_.overestimate;
+        return aggregate > cfg_.tpotSlo || own + others > cfg_.tpotSlo;
     }
 
   private:
@@ -374,9 +400,9 @@ class ScanValidator
     live(const Instance *inst, const std::set<const Instance *> &exclude)
     {
         return !exclude.count(inst) &&
-               inst->state != InstanceState::Reclaimed &&
-               inst->state != InstanceState::Unloading &&
-               inst->state != InstanceState::Draining;
+               inst->state() != InstanceState::Reclaimed &&
+               inst->state() != InstanceState::Unloading &&
+               inst->state() != InstanceState::Draining;
     }
 
     static SimInst
@@ -385,13 +411,13 @@ class ScanValidator
         SimInst s;
         s.model = &inst.model;
         s.hw = &inst.execSpec;
-        s.availAt = inst.state == InstanceState::Loading
+        s.availAt = inst.state() == InstanceState::Loading
                         ? inst.createdAt + inst.loadDuration
                         : now;
-        for (const Request *r : inst.prefillQueue)
+        for (const Request *r : inst.prefillQueue())
             s.prefills.push_back({r->deadlineForNextToken(),
                                   r->contextLen(), false, next_id++});
-        for (const Request *r : inst.decodeBatch)
+        for (const Request *r : inst.decodeBatch())
             s.decodeDeadlines.push_back(
                 {r->deadlineForNextToken(), next_id++});
         s.avgLen = static_cast<double>(inst.avgContextLen());
@@ -619,7 +645,7 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
                 if (quiet)
                     dueAt(r,
                           now + 20.0 + 0.25 * static_cast<double>(pick(41)));
-                inst->decodeBatch.push_back(&r);
+                inst->joinDecode(&r);
             };
             std::size_t n_inst = quiet ? 3 + pick(2) : 1 + pick(8);
             std::vector<Instance *> insts;
@@ -631,18 +657,18 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
                 int roll = static_cast<int>(pick(100));
                 if (quiet)
                     roll = roll < 85 ? 0 : 80;
-                inst->state = roll < 70   ? InstanceState::Active
-                              : roll < 88 ? InstanceState::Loading
-                              : roll < 94 ? InstanceState::Draining
-                                          : InstanceState::Unloading;
+                inst->setState(roll < 70   ? InstanceState::Active
+                               : roll < 88 ? InstanceState::Loading
+                               : roll < 94 ? InstanceState::Draining
+                                           : InstanceState::Unloading);
                 inst->createdAt = now - 0.5 * static_cast<double>(pick(4));
                 inst->loadDuration = 0.5 * static_cast<double>(1 + pick(6));
                 for (std::size_t k = quiet ? 0 : pick(5); k > 0; --k)
-                    inst->prefillQueue.push_back(&request(now, 0));
+                    inst->enqueuePrefill(&request(now, 0));
                 for (std::size_t k = quiet ? 1 + pick(12) : pick(14); k > 0;
                      --k)
                     decode(inst.get());
-                p->instances.push_back(inst.get());
+                p->addInstance(inst.get());
                 insts.push_back(inst.get());
                 pool.push_back(std::move(inst));
             }
@@ -650,7 +676,7 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
             for (std::size_t k = quiet ? 1 + pick(3) : 0; k > 0; --k) {
                 Request &r = request(now, 0);
                 dueAt(r, now + 0.5 + 0.05 * static_cast<double>(pick(80)));
-                insts[pick(insts.size())]->prefillQueue.push_back(&r);
+                insts[pick(insts.size())]->enqueuePrefill(&r);
                 queued.push_back(&r);
             }
             // A candidate; a quiescent one is due in a few seconds or, in
@@ -662,7 +688,7 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
                 if (quiet && coin(50)) {
                     const Request *q = queued[pick(queued.size())];
                     for (const Instance *inst : insts)
-                        for (const Request *r : inst->prefillQueue)
+                        for (const Request *r : inst->prefillQueue())
                             if (r == q)
                                 follows = inst;
                     dueAt(cand, q->deadlineForNextToken() + 0.25 -
@@ -847,7 +873,7 @@ TEST_F(ShadowFixture, PendingPrefillPullsStreamStartForward)
     const Seconds busy = now + 1.0;
     Request &queued = makeRequest(now, 256, 100);
     queued.arrival += busy + pf + 0.01 - queued.deadlineForNextToken();
-    inst.prefillQueue.push_back(&queued);
+    inst.enqueuePrefill(&queued);
     Request &cand = makeRequest(now, 256, 100);
     cand.arrival += busy + 2 * pf + 0.005 - cand.deadlineForNextToken();
     // Both prefills fit and the candidate runs first, but the decode
@@ -876,7 +902,7 @@ TEST_F(ShadowFixture, MemoHitsIdenticalStateAndMissesOneUlp)
     Instance &inst = addInstance(xeon6462c());
     Request &decoding = makeRequest(99.0, 1024, 200, 4);
     decoding.state = RequestState::Decode;
-    inst.decodeBatch.push_back(&decoding);
+    inst.joinDecode(&decoding);
     Request &a = makeRequest(100.0, 512, 50);
     Request &b = makeRequest(100.0, 256, 50);
     const Seconds now = 100.0;
@@ -910,7 +936,7 @@ TEST_F(ShadowFixture, RejectionReasonsAreCounted)
         for (int j = 0; j < 12; ++j) {
             Request &r = makeRequest(0.0, 1024, 200, 5);
             r.state = RequestState::Decode;
-            inst.decodeBatch.push_back(&r);
+            inst.joinDecode(&r);
         }
     }
     Request &incoming = makeRequest(10.0, 512, 50);
@@ -925,6 +951,210 @@ TEST_F(ShadowFixture, RejectionReasonsAreCounted)
     EXPECT_FALSE(validator->canAdmit(*part, &idle, r, 0.0, 3.0));
     EXPECT_EQ(counters.v[obs::kShadowRejectPrefillLate], 1u);
     EXPECT_EQ(counters.v[obs::kShadowRejectDecodeDelayed], 0u);
+}
+
+/**
+ * canAdmitNew's cached case-3 bounds against a fresh evaluation
+ * (DESIGN.md, "Cached admission bounds"). Random partitions go through
+ * joins, leaves, decode iterations, prefill completions, state changes,
+ * membership changes and re-profiles, steered to hover around
+ * saturation so that cached rejects keep meeting the leaves that lift
+ * them. After every step each instance's running context sums must
+ * equal a scan of its queues, and two canAdmitNew queries must return
+ * the scan reference's verdict and bump shadow_reject_aggregate exactly
+ * when its fresh case-3 checks reject.
+ */
+TEST_F(ShadowFixture, CachedBoundsMatchFreshEvaluationFuzz)
+{
+    const std::vector<ModelSpec> models = {llama2_7b(), llama32_3b()};
+    const std::vector<HardwareSpec> hws = {xeon6462c(), a100_80g()};
+    for (const ModelSpec &m : models)
+        for (const HardwareSpec &hw : hws)
+            quant.profile(hw, m);
+    const Tokens lens[] = {64, 256, 512, 1024, 2048, 3000};
+    const Seconds now = 100.0;
+    std::uint64_t warm = 0, case3 = 0, verdicts[2] = {0, 0};
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        auto pick = [&rng](std::size_t n) {
+            return static_cast<std::size_t>(rng() % n);
+        };
+        auto coin = [&rng](int pct) {
+            return static_cast<int>(rng() % 100) < pct;
+        };
+        Node home(seed, hws[pick(hws.size())], 1);
+        Partition *p = home.partitions()[0].get();
+        const ShadowConfig cfg{1.10, seed % 2 ? 0.25 : 0.1, 500};
+        ShadowValidator v(quant, cfg);
+        ScanValidator reference(quant, cfg);
+        obs::Counters ctr;
+        v.attachCounters(&ctr);
+
+        auto request = [&](Tokens generated) -> Request & {
+            Request &r = makeRequest(
+                now - 0.25 * static_cast<double>(pick(9)), lens[pick(6)],
+                400, generated);
+            r.ttftSlo = 0.5 * static_cast<double>(1 + pick(4));
+            r.state = generated ? RequestState::Decode
+                                : RequestState::Prefill;
+            return r;
+        };
+        auto addResident = [&] {
+            std::size_t mi = pick(models.size());
+            auto inst = std::make_unique<Instance>(
+                nextId++, static_cast<ModelId>(mi), models[mi], p,
+                hws[pick(hws.size())], 32ULL << 30);
+            inst->setState(coin(80) ? InstanceState::Active
+                                    : InstanceState::Loading);
+            inst->createdAt = now - 1.0;
+            inst->loadDuration = 0.5 * static_cast<double>(1 + pick(6));
+            for (std::size_t k = pick(8); k > 0; --k)
+                inst->joinDecode(&request(1 + pick(40)));
+            p->addInstance(inst.get());
+            pool.push_back(std::move(inst));
+        };
+        auto loaded = [&](bool prefill) -> Instance * {
+            std::vector<Instance *> with;
+            for (Instance *inst : p->instances)
+                if (!(prefill ? inst->prefillQueue() : inst->decodeBatch())
+                         .empty())
+                    with.push_back(inst);
+            return with.empty() ? nullptr : with[pick(with.size())];
+        };
+        for (std::size_t i = 1 + pick(4); i > 0; --i)
+            addResident();
+
+        for (int step = 0; step < 120; ++step) {
+            // Saturated partitions mostly shed load, the rest mostly
+            // take it on.
+            Request &probe = request(0);
+            const bool saturated = reference.case3RejectsNew(
+                *p, models[0], p->spec, probe);
+            const int op = static_cast<int>(pick(100));
+            const bool shed = saturated ? op < 45 : op < 15;
+            const bool grow = !shed && (saturated ? op < 60 : op < 55);
+            Instance *inst = p->instances.empty()
+                                 ? nullptr
+                                 : p->instances[pick(p->instances.size())];
+            if (shed) {
+                Instance *from = loaded(coin(30));
+                if (!from)
+                    from = loaded(false) ? loaded(false) : loaded(true);
+                if (from) {
+                    const auto &q = !from->prefillQueue().empty() &&
+                                            (from->decodeBatch().empty() ||
+                                             coin(30))
+                                        ? from->prefillQueue()
+                                        : from->decodeBatch();
+                    from->removeRequest(q[pick(q.size())]);
+                }
+            } else if (grow && inst) {
+                if (coin(30))
+                    inst->enqueuePrefill(&request(0));
+                else
+                    inst->joinDecode(&request(1 + pick(40)));
+            } else if (op < 75) {
+                // A run of decode iterations, or a prefill completing
+                // into its instance's decode batch.
+                if (Instance *d = coin(70) ? loaded(false) : nullptr) {
+                    for (std::size_t k = 1 + pick(60); k > 0; --k) {
+                        std::vector<Request *> batch = d->decodeBatch();
+                        for (Request *r : batch)
+                            d->noteDecodeToken(r, now);
+                    }
+                } else if (Instance *f = loaded(true)) {
+                    Request *r = f->prefillQueue()[pick(
+                        f->prefillQueue().size())];
+                    f->notePrefillToken(r, now);
+                    f->removeRequest(r);
+                    r->state = RequestState::Decode;
+                    f->joinDecode(r);
+                }
+            } else if (op < 85 && inst) {
+                const InstanceState states[] = {
+                    InstanceState::Loading, InstanceState::Active,
+                    InstanceState::Draining, InstanceState::Unloading,
+                    InstanceState::Reclaimed};
+                inst->setState(states[pick(5)]);
+            } else if (op < 95) {
+                if (inst && coin(50))
+                    p->removeInstance(inst);
+                else
+                    addResident();
+            } else {
+                // A re-profile that measures the hardware at half or
+                // full bandwidth: same table, new contents.
+                HardwareSpec hw = hws[pick(hws.size())];
+                if (coin(50))
+                    hw.memBandwidth /= 2;
+                quant.profile(hw, models[pick(models.size())]);
+            }
+
+            for (const Instance *i : p->instances) {
+                Tokens decode = 0, prefill = 0;
+                for (const Request *r : i->decodeBatch())
+                    decode += r->contextLen();
+                for (const Request *r : i->prefillQueue())
+                    prefill += r->contextLen();
+                ASSERT_EQ(i->totalContext(), decode) << "step " << step;
+                ASSERT_EQ(i->prefillContext(), prefill) << "step " << step;
+            }
+            for (int q = 0; q < 2; ++q) {
+                const ModelSpec &m = models[pick(models.size())];
+                const HardwareSpec &hw = coin(80) ? p->spec
+                                                  : hws[pick(hws.size())];
+                Request &cand = request(0);
+                const Seconds busy = now + 0.1 * static_cast<double>(pick(3));
+                const Seconds ready = now + 0.5 * static_cast<double>(pick(4));
+                const Partition::AdmitBounds &b = p->admitBounds;
+                warm += b.epoch == p->admitEpoch &&
+                                b.generation == quant.generation() &&
+                                (b.aggregate > 0.0 || b.others > 0.0)
+                            ? 1
+                            : 0;
+                const bool rejects = reference.case3RejectsNew(*p, m, hw,
+                                                               cand);
+                const std::uint64_t before =
+                    ctr.v[obs::kShadowRejectAggregate];
+                const bool got =
+                    v.canAdmitNew(*p, m, hw, cand, now, busy, ready);
+                ASSERT_EQ(got, reference.canAdmitNew(*p, m, hw, cand, now,
+                                                     busy, ready))
+                    << "step " << step << " query " << q;
+                ASSERT_EQ(ctr.v[obs::kShadowRejectAggregate] - before,
+                          rejects ? 1u : 0u)
+                    << "step " << step << " query " << q;
+                case3 += rejects ? 1 : 0;
+                ++verdicts[got ? 1 : 0];
+            }
+        }
+    }
+    // Both verdicts occur, case 3 rejects often, and many queries meet
+    // a bound cached at their epoch.
+    EXPECT_GT(verdicts[0], 500u);
+    EXPECT_GT(verdicts[1], 500u);
+    EXPECT_GT(case3, 500u);
+    EXPECT_GT(warm, 500u);
+}
+
+/** A decode table that falls along lenGrid at a fixed batch size, or
+ *  whose extrapolation slope falls, panics when checked. */
+TEST(QuantifierTableDeathTest, NonMonotoneTablePanics)
+{
+    Quantifier::ProfileTable t;
+    t.lenGrid = {16, 32, 64};
+    t.batchGrid = {1, 2};
+    t.prefill = {0.01, 0.02, 0.04};
+    t.decode = {{0.010, 0.011, 0.012}, {0.020, 0.022, 0.024}};
+    Quantifier::checkMonotone(t); // monotone: no panic
+    Quantifier::ProfileTable row = t;
+    row.decode[0][2] = 0.0105;
+    EXPECT_DEATH(Quantifier::checkMonotone(row), "decode row falls");
+    Quantifier::ProfileTable slope = t;
+    slope.decode[1] = {0.020, 0.022, 0.0225};
+    EXPECT_DEATH(Quantifier::checkMonotone(slope),
+                 "extrapolation slope falls");
 }
 
 } // namespace

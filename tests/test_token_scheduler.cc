@@ -44,8 +44,8 @@ struct SchedHarness
     {
         auto inst = std::make_unique<Instance>(
             nextId++, 0, llama2_7b(), part, a100_80g(), kvAlloc);
-        inst->state = InstanceState::Active;
-        part->instances.push_back(inst.get());
+        inst->setState(InstanceState::Active);
+        part->addInstance(inst.get());
         pool.push_back(std::move(inst));
         return *pool.back();
     }
@@ -62,7 +62,7 @@ struct SchedHarness
         r->tpotSlo = 0.25;
         r->instance = inst.id;
         r->state = RequestState::Prefill;
-        inst.prefillQueue.push_back(r.get());
+        inst.enqueuePrefill(r.get());
         reqs.push_back(std::move(r));
         return *reqs.back();
     }
@@ -236,7 +236,7 @@ TEST_F(SchedFixture, ResizeInFlightBlocksInstanceButNotSiblings)
     sim.run();
     // Only b made progress.
     EXPECT_EQ(rb.generated, 2);
-    EXPECT_EQ(a.prefillQueue.size(), 1u);
+    EXPECT_EQ(a.prefillQueue().size(), 1u);
 }
 
 TEST_F(SchedFixture, BusyUntilTracksIteration)

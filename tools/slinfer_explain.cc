@@ -4,21 +4,11 @@
  * run — which segment of each request's life the time went to, and
  * what the violated deadlines blame.
  *
- * Two inputs:
- *
  *   slinfer_explain report.json            # from slinfer_run --explain
- *   slinfer_explain --trace=trace.json     # post-hoc, from a Chrome
- *                                          # trace (slinfer_run --trace)
  *
- * Report mode reads the report's "attribution" block (the exact
- * integer-ns anatomy recorded live by obs/anatomy.hh) and prints the
- * same table `slinfer_run --explain` shows. Trace mode reconstructs an
- * approximate anatomy from the request-lifecycle spans of a trace that
- * was recorded *without* the ledger: queue wait, rewinds (re-queued
- * after eviction/failure), PD transfer and a lumped serving segment —
- * decode iterations carry no request ids in the trace, so exec time
- * cannot be split further post hoc; run with --explain for the exact
- * breakdown.
+ * It reads the report's "attribution" block (the exact integer-ns
+ * anatomy recorded live by obs/anatomy.hh) and prints the same table
+ * `slinfer_run --explain` shows.
  *
  * CI assertion (exit 1 on failure):
  *   slinfer_explain report.json --assert-blame=cold_start,queue_wait \
@@ -34,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,11 +43,7 @@ usage(std::FILE *to)
 {
     std::fprintf(to,
         "usage: slinfer_explain <report.json> [options]\n"
-        "       slinfer_explain --trace=<trace.json> [options]\n"
         "  <report.json>          report from slinfer_run --explain\n"
-        "  --trace=<file>         reconstruct (approximate) anatomy "
-        "from a\n"
-        "                         Chrome trace instead\n"
         "  --json                 emit the attribution as JSON, not a "
         "table\n"
         "  --out=<path>           write there instead of stdout\n"
@@ -153,146 +138,6 @@ loadReport(const std::string &path, Report &r, std::string *err)
     return true;
 }
 
-/**
- * Trace mode: walk the request-lifecycle async events and rebuild an
- * approximate per-request anatomy. Only the "request" category is
- * consulted; timestamps are trace µs.
- */
-struct TraceRequest
-{
-    double beginUs = -1.0;
-    double endUs = -1.0;
-    double firstAdmitUs = -1.0;
-    double requeueUs = -1.0;   ///< open re-queue (awaiting re-admission)
-    double transferUs = -1.0;  ///< open PD transfer
-    double rewindUs = 0.0;     ///< accumulated re-queued wait
-    double pdTransferUs = 0.0; ///< accumulated transfer wait
-    int queuedSeen = 0;
-    bool dropped = false;
-    bool completed = false;
-};
-
-bool
-loadTraceAnatomy(const std::string &path, Report &r, std::string *err)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        *err = "cannot open " + path;
-        return false;
-    }
-    JsonValue doc;
-    if (!parseJson(text, doc, err))
-        return false;
-    const JsonValue *events =
-        doc.isObject() ? doc.find("traceEvents") : nullptr;
-    if (!events || !events->isArray()) {
-        *err = "not a Chrome trace (missing traceEvents array)";
-        return false;
-    }
-
-    std::map<std::uint64_t, TraceRequest> reqs;
-    for (const JsonValue &e : events->array) {
-        if (!e.isObject() || e.string("cat") != "request")
-            continue;
-        std::string ph = e.string("ph");
-        if (ph != "b" && ph != "e" && ph != "n")
-            continue;
-        std::uint64_t id = static_cast<std::uint64_t>(e.num("id"));
-        double ts = e.num("ts");
-        TraceRequest &tr = reqs[id];
-        std::string name = e.string("name");
-        if (ph == "b") {
-            tr.beginUs = ts;
-        } else if (ph == "e") {
-            tr.endUs = ts;
-        } else if (name == "queued") {
-            // A second "queued" instant is a rewind: the request went
-            // back to the controller after eviction or node failure.
-            if (++tr.queuedSeen > 1)
-                tr.requeueUs = ts;
-        } else if (name == "admit" || name == "admit-decode") {
-            if (tr.firstAdmitUs < 0)
-                tr.firstAdmitUs = ts;
-            if (tr.requeueUs >= 0) {
-                tr.rewindUs += ts - tr.requeueUs;
-                tr.requeueUs = -1.0;
-            }
-            if (name == "admit-decode" && tr.transferUs >= 0) {
-                tr.pdTransferUs += ts - tr.transferUs;
-                tr.transferUs = -1.0;
-            }
-        } else if (name == "transfer") {
-            tr.transferUs = ts;
-        } else if (name == "completed") {
-            tr.completed = true;
-        } else if (name == "dropped") {
-            tr.dropped = true;
-        }
-    }
-
-    // Fold into four approximate segments. "serving" lumps prefill,
-    // decode and every in-instance wait: decode spans carry no request
-    // ids, so the exact split needs the live ledger.
-    struct Agg
-    {
-        std::uint64_t count = 0;
-        double totalS = 0.0;
-    };
-    Agg queueWait, rewind, serving, transfer;
-    std::uint64_t closed = 0, dropped = 0, rewound = 0;
-    for (const auto &[id, tr] : reqs) {
-        if (tr.beginUs < 0 || tr.endUs < 0)
-            continue; // still open when the ring wrapped
-        ++closed;
-        if (tr.dropped)
-            ++dropped;
-        if (tr.queuedSeen > 1)
-            ++rewound;
-        double admit = tr.firstAdmitUs >= 0 ? tr.firstAdmitUs : tr.endUs;
-        double qw = (admit - tr.beginUs) * 1e-6;
-        if (qw > 0) {
-            ++queueWait.count;
-            queueWait.totalS += qw;
-        }
-        if (tr.rewindUs > 0) {
-            ++rewind.count;
-            rewind.totalS += tr.rewindUs * 1e-6;
-        }
-        if (tr.pdTransferUs > 0) {
-            ++transfer.count;
-            transfer.totalS += tr.pdTransferUs * 1e-6;
-        }
-        double serve = (tr.endUs - admit) * 1e-6 - tr.rewindUs * 1e-6 -
-                       tr.pdTransferUs * 1e-6;
-        if (tr.firstAdmitUs >= 0 && serve > 0) {
-            ++serving.count;
-            serving.totalS += serve;
-        }
-    }
-
-    Report::Attribution &a = r.attribution;
-    a.enabled = true;
-    a.requests = closed;
-    // Without SLO thresholds in the trace, "disrupted" requests —
-    // dropped or rewound — stand in for violations; each blames the
-    // segment the disruption created.
-    a.violations = dropped + rewound;
-    auto seg = [&](const char *name, const Agg &agg,
-                   std::uint64_t blamed) {
-        Report::Attribution::Segment s;
-        s.name = name;
-        s.count = agg.count;
-        s.totalS = agg.totalS;
-        s.blamed = blamed;
-        a.segments.push_back(std::move(s));
-    };
-    seg("queue_wait", queueWait, dropped);
-    seg("rewind", rewind, rewound);
-    seg("serving", serving, 0);
-    seg("pd_transfer", transfer, 0);
-    return true;
-}
-
 std::string
 attributionJson(const Report &r)
 {
@@ -355,7 +200,6 @@ int
 main(int argc, char **argv)
 {
     std::string report_path;
-    std::string trace_path;
     std::string out_path;
     std::string assert_blame;
     bool as_json = false;
@@ -372,8 +216,6 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--json") {
             as_json = true;
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            trace_path = value();
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = value();
         } else if (arg.rfind("--assert-blame=", 0) == 0) {
@@ -398,30 +240,21 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (report_path.empty() == trace_path.empty()) {
+    if (report_path.empty()) {
         usage(stderr);
         return 2;
     }
 
     Report r;
     std::string err;
-    bool ok = trace_path.empty() ? loadReport(report_path, r, &err)
-                                 : loadTraceAnatomy(trace_path, r, &err);
-    if (!ok) {
-        std::fprintf(stderr, "%s: %s\n",
-                     (trace_path.empty() ? report_path : trace_path)
-                         .c_str(),
+    if (!loadReport(report_path, r, &err)) {
+        std::fprintf(stderr, "%s: %s\n", report_path.c_str(),
                      err.c_str());
         return 1;
     }
 
     std::string rendered =
         as_json ? attributionJson(r) : renderAttribution(r);
-    if (!trace_path.empty() && !as_json) {
-        rendered += "\n(approximate, reconstructed from trace spans; "
-                    "decode iterations are lumped into 'serving' — run "
-                    "slinfer_run --explain for the exact anatomy)\n";
-    }
     if (out_path.empty()) {
         std::fputs(rendered.c_str(), stdout);
     } else {
