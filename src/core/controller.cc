@@ -982,24 +982,8 @@ SlinferController::SlinferController(
       shadow_(quant_, ShadowConfig{cfg.overestimate, cfg.slo.tpot, 500})
 {
     mem_.resize(index_.partitions(true).size());
-    // Offline profiling: every (hardware type, model) pair the cluster
-    // could combine (§VI-B). Partition specs share their node's name
-    // only when identical, so profile per concrete spec.
-    for (const auto &node : nodes_) {
-        for (const auto &part : node->partitions()) {
-            for (const auto &me : models_) {
-                if (!quant_.profiled(part->spec, me.spec))
-                    quant_.profile(part->spec, me.spec);
-                // Tensor-parallel exec spec for exclusive fallbacks.
-                if (me.spec.tpDegree > 1 && !node->isCpu()) {
-                    HardwareSpec tp = PerfModel::tensorParallel(
-                        node->spec(), me.spec.tpDegree);
-                    if (!quant_.profiled(tp, me.spec))
-                        quant_.profile(tp, me.spec);
-                }
-            }
-        }
-    }
+    for (const auto &me : models_)
+        profileModel(me.spec);
     consolidator_ = std::make_unique<Consolidator>(*this);
 }
 
@@ -1498,15 +1482,16 @@ SlinferController::onRequestDoneHook(Request *req, Instance *inst)
 }
 
 void
-SlinferController::onModelDeployed(ModelId m)
+SlinferController::profileModel(const ModelSpec &spec)
 {
-    // Profile the new model on every concrete partition spec, exactly
-    // as the constructor did for the initial fleet (§VI-B).
-    const ModelSpec &spec = models_[m].spec;
+    // Offline profiling (§VI-B): every hardware spec the model could
+    // run on. Partition specs share their node's name only when
+    // identical, so profile per concrete spec.
     for (const auto &node : nodes_) {
         for (const auto &part : node->partitions()) {
             if (!quant_.profiled(part->spec, spec))
                 quant_.profile(part->spec, spec);
+            // Tensor-parallel exec spec for exclusive fallbacks.
             if (spec.tpDegree > 1 && !node->isCpu()) {
                 HardwareSpec tp = PerfModel::tensorParallel(
                     node->spec(), spec.tpDegree);
@@ -1515,6 +1500,12 @@ SlinferController::onModelDeployed(ModelId m)
             }
         }
     }
+}
+
+void
+SlinferController::onModelDeployed(ModelId m)
+{
+    profileModel(models_[m].spec);
 }
 
 bool

@@ -445,6 +445,9 @@ class SlinferController : public ControllerBase
     bool placementCandidateOk(Partition *p, const Request &req,
                               const PlacementDemand &d, Bytes &kvInit);
 
+    /** Profile `spec` on every partition spec, plus its tensor-
+     *  parallel spec on GPU nodes. */
+    void profileModel(const ModelSpec &spec);
     MemorySubsystem &subsystemFor(Partition *part);
     /** Can this request meet its SLO on the CPU node type at all? */
     bool cpuFeasible(const Request &req) const;

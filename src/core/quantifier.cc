@@ -33,40 +33,26 @@ Quantifier::profile(const HardwareSpec &hw, const ModelSpec &m,
         }
     }
     checkMonotone(t);
-    auto [cell, inserted] =
-        tables_.emplace(std::make_pair(hw.name, m.name),
-                        std::make_unique<ProfileTable>());
-    (void)inserted; // a re-profile overwrites the existing table
-    ProfileTable &slot = **cell;
-    slot = std::move(t);
     ++generation_;
-    // A refresh must not leave a memo entry pointing at stale data
-    // conceptually (the address is stable, but keep the semantics
-    // obvious): re-point any matching entry.
-    for (Memo &memo : memo_) {
-        if (memo.table && memo.hw == hw.name && memo.model == m.name)
-            memo.table = &slot;
+    // A re-profile overwrites its entry in place, so a reference
+    // tableFor() handed out stays valid and sees the refreshed grid.
+    for (Entry &e : entries_) {
+        if (e.hw == hw.name && e.model == m.name) {
+            e.table = std::move(t);
+            return;
+        }
     }
+    entries_.push_back(Entry{hw.name, m.name, std::move(t)});
 }
 
 const Quantifier::ProfileTable *
 Quantifier::find(const HardwareSpec &hw, const ModelSpec &m) const
 {
-    for (const Memo &memo : memo_) {
-        if (memo.table && memo.hw == hw.name && memo.model == m.name)
-            return memo.table;
+    for (const Entry &e : entries_) {
+        if (e.hw == hw.name && e.model == m.name)
+            return &e.table;
     }
-    const std::unique_ptr<ProfileTable> *cell =
-        tables_.find(std::make_pair(std::string_view(hw.name),
-                                    std::string_view(m.name)));
-    if (!cell)
-        return nullptr;
-    Memo &slot = memo_[memoNext_];
-    memoNext_ = (memoNext_ + 1) % memo_.size();
-    slot.hw = hw.name;
-    slot.model = m.name;
-    slot.table = cell->get();
-    return slot.table;
+    return nullptr;
 }
 
 void

@@ -15,15 +15,11 @@
 #ifndef SLINFER_CORE_QUANTIFIER_HH
 #define SLINFER_CORE_QUANTIFIER_HH
 
-#include <array>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
-#include "common/flat_hash.hh"
 #include "hw/perf_model.hh"
 
 namespace slinfer
@@ -128,39 +124,23 @@ class Quantifier
     std::uint64_t generation() const { return generation_; }
 
   private:
-    /**
-     * Flat (hw name, model name) → table map (common/flat_hash.hh),
-     * probed with string_views so estimate queries never allocate a
-     * key. Tables live behind unique_ptr so their addresses survive
-     * rehashes — the MRU memo below caches raw pointers.
-     */
-    using Tables =
-        FlatHashMap<std::pair<std::string, std::string>,
-                    std::unique_ptr<ProfileTable>, FlatStringPairHash,
-                    FlatStringPairEq>;
+    /** One profiled (hardware, model) pair. */
+    struct Entry
+    {
+        std::string hw, model;
+        ProfileTable table;
+    };
 
+    /** Linear scan of entries_ in profiling order (DESIGN.md,
+     *  "Profile-table lookup"). */
     const ProfileTable *find(const HardwareSpec &hw,
                              const ModelSpec &m) const;
 
-    Tables tables_;
+    /** A run profiles 2 to 8 pairs, so find() scans. push_back never
+     *  moves existing deque elements, which keeps the tableFor()
+     *  reference contract without a heap cell per table. */
+    std::deque<Entry> entries_;
     std::uint64_t generation_ = 0;
-
-    /**
-     * Tiny MRU memo in front of the map: a fleet shares a handful of
-     * (hardware, model) profile pairs, and consecutive by-name
-     * queries (a placement walk probing one model on partitions of one
-     * hardware type) almost always repeat one. Table pointers are stable (heap
-     * pointees behind the flat map's unique_ptr values, profiles are
-     * never erased), so memo entries stay valid across inserts;
-     * profile() refreshes any matching entry.
-     */
-    struct Memo
-    {
-        std::string hw, model;
-        const ProfileTable *table = nullptr;
-    };
-    mutable std::array<Memo, 4> memo_;
-    mutable std::size_t memoNext_ = 0;
 };
 
 } // namespace slinfer

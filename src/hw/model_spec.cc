@@ -1,6 +1,7 @@
 #include "hw/model_spec.hh"
 
-#include "common/flat_hash.hh"
+#include <utility>
+
 #include "common/log.hh"
 
 namespace slinfer
@@ -141,29 +142,22 @@ quantized(ModelSpec base, int bits)
 bool
 tryModelPreset(const std::string &name, ModelSpec &out)
 {
-    using MakeFn = ModelSpec (*)();
-    // Registered once under both the CLI slug and the spec's display
-    // name; every later resolution is one flat-map probe instead of a
-    // linear scan that re-built all six specs per call.
-    static const FlatHashMap<std::string, MakeFn> registry = [] {
-        constexpr std::pair<const char *, MakeFn> presets[] = {
-            {"llama32-3b", llama32_3b},   {"llama2-7b", llama2_7b},
-            {"llama31-8b", llama31_8b},   {"llama2-13b", llama2_13b},
-            {"codestral-22b", codestral_22b},
-            {"codellama-34b", codellama_34b},
-        };
-        FlatHashMap<std::string, MakeFn> reg;
-        for (const auto &[slug, make] : presets) {
-            reg.emplace(slug, make);
-            reg.emplace(make().name, make);
+    // Matches the CLI slug or the spec's display name. Timelines look
+    // a preset up once per spec, so a scan of six entries is enough.
+    constexpr std::pair<const char *, ModelSpec (*)()> presets[] = {
+        {"llama32-3b", llama32_3b},   {"llama2-7b", llama2_7b},
+        {"llama31-8b", llama31_8b},   {"llama2-13b", llama2_13b},
+        {"codestral-22b", codestral_22b},
+        {"codellama-34b", codellama_34b},
+    };
+    for (const auto &[slug, make] : presets) {
+        ModelSpec m = make();
+        if (name == slug || name == m.name) {
+            out = std::move(m);
+            return true;
         }
-        return reg;
-    }();
-    const MakeFn *make = registry.find(std::string_view(name));
-    if (!make)
-        return false;
-    out = (*make)();
-    return true;
+    }
+    return false;
 }
 
 const char *

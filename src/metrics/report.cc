@@ -152,6 +152,38 @@ reportResilienceMetrics(const Report &r)
     return out;
 }
 
+void
+writeAttributionFields(std::ostream &os, const Report::Attribution &a)
+{
+    os << "\"requests\": " << a.requests
+       << ", \"violations\": " << a.violations << ", \"segments\": [";
+    for (std::size_t i = 0; i < a.segments.size(); ++i) {
+        const Report::Attribution::Segment &s = a.segments[i];
+        os << (i ? ", " : "") << "{\"name\": \"" << jsonEscape(s.name)
+           << "\", \"count\": " << s.count << ", \"total_s\": " << s.totalS
+           << ", \"p50_s\": " << s.p50s << ", \"p95_s\": " << s.p95s
+           << ", \"p99_s\": " << s.p99s << ", \"blamed\": " << s.blamed
+           << "}";
+    }
+    os << "], \"per_model\": [";
+    for (std::size_t i = 0; i < a.perModel.size(); ++i) {
+        os << (i ? ", " : "") << "{\"model\": \""
+           << jsonEscape(a.perModel[i].model) << "\", \"blamed\": [";
+        const std::vector<std::uint64_t> &b = a.perModel[i].blamed;
+        for (std::size_t j = 0; j < b.size(); ++j)
+            os << (j ? ", " : "") << b[j];
+        os << "]}";
+    }
+    os << "], \"window_len\": " << a.windowLen << ", \"per_window\": [";
+    for (std::size_t i = 0; i < a.perWindow.size(); ++i) {
+        os << (i ? ", " : "") << "[";
+        for (std::size_t j = 0; j < a.perWindow[i].size(); ++j)
+            os << (j ? ", " : "") << a.perWindow[i][j];
+        os << "]";
+    }
+    os << "]";
+}
+
 namespace
 {
 
@@ -217,38 +249,9 @@ emitJson(const Report &r, const char *nl, const char *indent,
     // Attribution only when the run enabled the anatomy ledger, so
     // uninstrumented reports stay byte-identical.
     if (r.attribution.enabled) {
-        const Report::Attribution &a = r.attribution;
         os << "," << nl << indent << "\"attribution\": {";
-        os << "\"requests\": " << a.requests
-           << ", \"violations\": " << a.violations;
-        os << ", \"segments\": [";
-        for (std::size_t i = 0; i < a.segments.size(); ++i) {
-            const Report::Attribution::Segment &s = a.segments[i];
-            os << (i ? ", " : "") << "{\"name\": \""
-               << jsonEscape(s.name) << "\", \"count\": " << s.count
-               << ", \"total_s\": " << s.totalS
-               << ", \"p50_s\": " << s.p50s << ", \"p95_s\": " << s.p95s
-               << ", \"p99_s\": " << s.p99s
-               << ", \"blamed\": " << s.blamed << "}";
-        }
-        os << "], \"per_model\": [";
-        for (std::size_t i = 0; i < a.perModel.size(); ++i) {
-            os << (i ? ", " : "") << "{\"model\": \""
-               << jsonEscape(a.perModel[i].model) << "\", \"blamed\": [";
-            const std::vector<std::uint64_t> &b = a.perModel[i].blamed;
-            for (std::size_t j = 0; j < b.size(); ++j)
-                os << (j ? ", " : "") << b[j];
-            os << "]}";
-        }
-        os << "], \"window_len\": " << a.windowLen
-           << ", \"per_window\": [";
-        for (std::size_t i = 0; i < a.perWindow.size(); ++i) {
-            os << (i ? ", " : "") << "[";
-            for (std::size_t j = 0; j < a.perWindow[i].size(); ++j)
-                os << (j ? ", " : "") << a.perWindow[i][j];
-            os << "]";
-        }
-        os << "]}";
+        writeAttributionFields(os, r.attribution);
+        os << "}";
     }
     // Resilience only when the run attached the chaos probe, so
     // chaos-free reports stay byte-identical.

@@ -7,6 +7,7 @@
 #ifndef SLINFER_METRICS_REPORT_HH
 #define SLINFER_METRICS_REPORT_HH
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,14 @@ std::string toJson(const Report &report);
 
 /** Same object on a single line (JSONL record embedding). */
 std::string toJsonLine(const Report &report);
+
+/**
+ * The fields of the report's "attribution" object, without braces:
+ * "requests" through "per_window". Numbers use the stream's precision;
+ * the report writes at 10 digits, slinfer_explain --json at 17.
+ */
+void writeAttributionFields(std::ostream &os,
+                            const Report::Attribution &a);
 
 /**
  * The report's scalar metrics as (json_key, value) pairs in emission

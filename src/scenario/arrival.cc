@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <limits>
 #include <numeric>
-#include <sstream>
 
 #include "common/log.hh"
 
@@ -521,29 +519,6 @@ makeReplay(std::vector<Arrival> arrivals, int numModels, Seconds duration)
         fatal("makeReplay: bad configuration");
     return std::make_shared<ReplayProcess>(std::move(arrivals), numModels,
                                            duration);
-}
-
-std::vector<Arrival>
-parseArrivalsCsv(const std::string &text)
-{
-    std::vector<Arrival> arrivals;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-        std::istringstream row(line);
-        double t = 0.0;
-        char comma = 0;
-        long long model = 0;
-        if (!(row >> t >> comma >> model) || comma != ',' || model < 0 ||
-            model > static_cast<long long>(
-                        std::numeric_limits<ModelId>::max()))
-            fatal("parseArrivalsCsv: malformed line: " + line);
-        arrivals.push_back({t, static_cast<ModelId>(model)});
-    }
-    return arrivals;
 }
 
 } // namespace scenario

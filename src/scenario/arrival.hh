@@ -15,7 +15,6 @@
 #define SLINFER_SCENARIO_ARRIVAL_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "workload/azure_trace.hh"
@@ -196,12 +195,6 @@ ArrivalProcessPtr makeComposite(std::vector<ArrivalProcessPtr> parts);
  */
 ArrivalProcessPtr makeReplay(std::vector<Arrival> arrivals, int numModels,
                              Seconds duration);
-
-/**
- * Parse "time_seconds,model_id" lines (one arrival per line; '#'
- * comments and blank lines ignored) as produced by trace exporters.
- */
-std::vector<Arrival> parseArrivalsCsv(const std::string &text);
 
 } // namespace scenario
 } // namespace slinfer

@@ -208,8 +208,7 @@ ResultStore::loadLines(const std::string &content)
                       std::to_string(lineno) + ": " + err);
             }
         } else {
-            byHash_.emplace(job.hash(),
-                            std::make_unique<Report>(std::move(report)));
+            byHash_.emplace(job.hash(), std::move(report));
             valid_lines.push_back(line);
         }
         line.clear();
@@ -270,16 +269,15 @@ const Report *
 ResultStore::find(const std::string &hash) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::unique_ptr<Report> *p =
-        byHash_.find(std::string_view(hash));
-    return p ? p->get() : nullptr;
+    auto it = byHash_.find(hash);
+    return it == byHash_.end() ? nullptr : &it->second;
 }
 
 void
 ResultStore::append(const JobSpec &job, const Report &report)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    byHash_.emplace(job.hash(), std::make_unique<Report>(report));
+    byHash_.emplace(job.hash(), report);
     if (path_.empty())
         return;
     std::string line = recordLine(job, report);
@@ -301,11 +299,10 @@ ResultStore::compact(const std::vector<Record> &ordered)
     for (const Record &rec : ordered)
         ours.insert(rec.job.hash());
     bool foreign = false;
-    byHash_.forEach([&](const std::string &hash,
-                        const std::unique_ptr<Report> &) {
+    for (const auto &[hash, report] : byHash_) {
         if (!ours.count(hash))
             foreign = true;
-    });
+    }
     if (foreign) {
         logf(LogLevel::Info, "result store ", path_, ": holds "
              "records outside this grid; skipping grid-order "

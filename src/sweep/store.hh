@@ -19,12 +19,11 @@
 #define SLINFER_SWEEP_STORE_HH
 
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "common/flat_hash.hh"
 #include "sweep/sweep.hh"
 
 namespace slinfer
@@ -74,9 +73,9 @@ class ResultStore
     /** JSONL append handle (null in in-memory mode). */
     std::FILE *file_ = nullptr;
     mutable std::mutex mutex_;
-    /** Reports live behind unique_ptr: find() hands out raw pointers
-     *  that must survive the flat map's rehashes. */
-    FlatHashMap<std::string, std::unique_ptr<Report>> byHash_;
+    /** find() hands out raw pointers; unordered_map nodes never move
+     *  on insert, so they stay valid. */
+    std::unordered_map<std::string, Report> byHash_;
     std::size_t loaded_ = 0;
 };
 

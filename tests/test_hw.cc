@@ -73,6 +73,37 @@ TEST(ModelSpec, TensorParallelDegrees)
     EXPECT_EQ(codellama_34b().tpDegree, 2);
 }
 
+TEST(ModelSpec, PresetsResolveBySlugAndDisplayName)
+{
+    const std::pair<const char *, ModelSpec> presets[] = {
+        {"llama32-3b", llama32_3b()},     {"llama2-7b", llama2_7b()},
+        {"llama31-8b", llama31_8b()},     {"llama2-13b", llama2_13b()},
+        {"codestral-22b", codestral_22b()},
+        {"codellama-34b", codellama_34b()},
+    };
+    for (const auto &[slug, want] : presets) {
+        for (const std::string &name : {std::string(slug), want.name}) {
+            ModelSpec got;
+            ASSERT_TRUE(tryModelPreset(name, got)) << name;
+            EXPECT_EQ(got.name, want.name) << name;
+            EXPECT_EQ(got.klass, want.klass) << name;
+            EXPECT_EQ(got.params, want.params) << name;
+            EXPECT_EQ(got.numLayers, want.numLayers) << name;
+            EXPECT_EQ(got.hiddenDim, want.hiddenDim) << name;
+            EXPECT_EQ(got.kvBytesPerLayerToken, want.kvBytesPerLayerToken)
+                << name;
+            EXPECT_EQ(got.bytesPerParam, want.bytesPerParam) << name;
+            EXPECT_EQ(got.maxContext, want.maxContext) << name;
+            EXPECT_EQ(got.tpDegree, want.tpDegree) << name;
+        }
+    }
+    EXPECT_EQ(llama2_13b().name, "Llama-2-13B");
+    ModelSpec untouched;
+    EXPECT_FALSE(tryModelPreset("llama2-70b", untouched));
+    EXPECT_FALSE(tryModelPreset("", untouched));
+    EXPECT_TRUE(untouched.name.empty());
+}
+
 // ------------------------------------------------------------------
 // Hardware catalog
 // ------------------------------------------------------------------

@@ -174,6 +174,65 @@ TEST(Quantifier, LongContextModelGridReaches32K)
     EXPECT_LT(quant.prefillEstimate(cpu, m8, 8400), 8.0);
 }
 
+/** True when `t` holds exactly the prefill grid `hw` and `m` measure. */
+bool
+tableMatches(const Quantifier::ProfileTable &t, const HardwareSpec &hw,
+             const ModelSpec &m)
+{
+    for (std::size_t li = 0; li < t.lenGrid.size(); ++li) {
+        if (t.prefill[li] != PerfModel::prefillTime(hw, m, t.lenGrid[li]))
+            return false;
+    }
+    return !t.lenGrid.empty() && t.lenGrid.back() == m.maxContext;
+}
+
+TEST(Quantifier, TableReferencesSurviveGrowthAndReprofile)
+{
+    Quantifier quant;
+    HardwareSpec cpu = xeon6462c();
+    ModelSpec m7 = llama2_7b();
+    quant.profile(cpu, m7);
+    const Quantifier::ProfileTable &a = quant.tableFor(cpu, m7);
+
+    // Twelve more pairs: more than one deque block, and pairs that
+    // share only the hardware name or only the model name with A.
+    std::vector<std::pair<HardwareSpec, ModelSpec>> pairs = {{cpu, m7}};
+    for (const HardwareSpec &hw : {cpu, a100_80g(), xeon8369b()}) {
+        for (const ModelSpec &m :
+             {m7, llama2_13b(), llama32_3b(), codestral_22b()}) {
+            if (hw.name == cpu.name && m.name == m7.name)
+                continue;
+            quant.profile(hw, m);
+            pairs.emplace_back(hw, m);
+        }
+    }
+    quant.profile(xeon6_96c(), m7);
+    pairs.emplace_back(xeon6_96c(), m7);
+    ASSERT_EQ(pairs.size(), 13u);
+    ASSERT_EQ(&quant.tableFor(cpu, m7), &a) << "growth moved A's table";
+
+    // Re-profile A with a slower spec under the same names.
+    HardwareSpec slowCpu = cpu;
+    slowCpu.peakFlops /= 2;
+    slowCpu.memBandwidth /= 2;
+    Seconds before = Quantifier::prefillEstimate(a, 1024);
+    std::uint64_t gen = quant.generation();
+    quant.profile(slowCpu, m7);
+    pairs[0].first = slowCpu;
+
+    ASSERT_EQ(&quant.tableFor(cpu, m7), &a);
+    EXPECT_TRUE(tableMatches(a, slowCpu, m7));
+    EXPECT_GT(Quantifier::prefillEstimate(a, 1024), before);
+    EXPECT_NE(quant.generation(), gen);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const auto &[hw, m] = pairs[i];
+        const Quantifier::ProfileTable &t = quant.tableFor(hw, m);
+        EXPECT_TRUE(tableMatches(t, hw, m)) << hw.name << " | " << m.name;
+        for (std::size_t j = 0; j < i; ++j)
+            EXPECT_NE(&t, &quant.tableFor(pairs[j].first, pairs[j].second));
+    }
+}
+
 /** Bitwise equality: a cursor estimate must be the table estimate. */
 ::testing::AssertionResult
 sameBits(Seconds got, Seconds want)

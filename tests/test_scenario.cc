@@ -250,16 +250,10 @@ TEST(PopularitySplitShape, ZipfConcentratesUniformFlat)
     EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
-TEST(Replay, ParsesSortsAndClips)
+TEST(Replay, SortsAndClips)
 {
-    std::vector<Arrival> parsed = parseArrivalsCsv(
-        "# time,model\n"
-        "12.5, 1\n"
-        "3.25, 0\n"
-        "\n"
-        "99.0, 2\n");
-    ASSERT_EQ(parsed.size(), 3u);
-    auto p = makeReplay(parsed, 3, 50.0);
+    std::vector<Arrival> arrivals = {{12.5, 1}, {3.25, 0}, {99.0, 2}};
+    auto p = makeReplay(arrivals, 3, 50.0);
     AzureTrace t = p->generate(0);
     ASSERT_EQ(t.arrivals.size(), 2u); // 99.0 clipped
     EXPECT_DOUBLE_EQ(t.arrivals[0].time, 3.25);

@@ -141,38 +141,14 @@ loadReport(const std::string &path, Report &r, std::string *err)
 std::string
 attributionJson(const Report &r)
 {
-    // Same shape as the report's "attribution" block, standalone.
+    // The report's "attribution" block, standalone, plus its identity.
     std::ostringstream os;
     os.precision(17);
-    const Report::Attribution &a = r.attribution;
     os << "{\"system\": \"" << jsonEscape(r.system)
        << "\", \"scenario\": \"" << jsonEscape(r.scenario)
-       << "\", \"seed\": " << r.seed << ", \"requests\": " << a.requests
-       << ", \"violations\": " << a.violations << ", \"segments\": [";
-    for (std::size_t i = 0; i < a.segments.size(); ++i) {
-        const Report::Attribution::Segment &s = a.segments[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << jsonEscape(s.name)
-           << "\", \"count\": " << s.count << ", \"total_s\": " << s.totalS
-           << ", \"p50_s\": " << s.p50s << ", \"p95_s\": " << s.p95s
-           << ", \"p99_s\": " << s.p99s << ", \"blamed\": " << s.blamed
-           << "}";
-    }
-    os << "], \"per_model\": [";
-    for (std::size_t i = 0; i < a.perModel.size(); ++i) {
-        os << (i ? ", " : "") << "{\"model\": \""
-           << jsonEscape(a.perModel[i].model) << "\", \"blamed\": [";
-        for (std::size_t j = 0; j < a.perModel[i].blamed.size(); ++j)
-            os << (j ? ", " : "") << a.perModel[i].blamed[j];
-        os << "]}";
-    }
-    os << "], \"window_len\": " << a.windowLen << ", \"per_window\": [";
-    for (std::size_t i = 0; i < a.perWindow.size(); ++i) {
-        os << (i ? ", " : "") << "[";
-        for (std::size_t j = 0; j < a.perWindow[i].size(); ++j)
-            os << (j ? ", " : "") << a.perWindow[i][j];
-        os << "]";
-    }
-    os << "]}\n";
+       << "\", \"seed\": " << r.seed << ", ";
+    writeAttributionFields(os, r.attribution);
+    os << "}\n";
     return os.str();
 }
 
