@@ -12,8 +12,8 @@
 
 #include <memory>
 
-#include "core/headroom.hh"
 #include "core/shadow_validator.hh"
+#include "core/token_scheduler.hh"
 
 using namespace slinfer;
 
@@ -87,10 +87,12 @@ void
 BM_TokenLevelDecision(benchmark::State &state)
 {
     Setup setup(static_cast<int>(state.range(0)));
-    Partition *part = setup.nodes[0]->partitions()[0].get();
+    const Partition &part = *setup.nodes[0]->partitions()[0];
+    std::vector<Instance *> shortages;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            pickMostUrgentInstance(*part, 10.0));
+        shortages.clear();
+        benchmark::DoNotOptimize(TokenScheduler::pickNext(
+            part, SchedPolicy::Headroom, 10.0, shortages));
     }
 }
 

@@ -1,7 +1,9 @@
 #include "chaos/chaos.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/rng.hh"
 
@@ -149,12 +151,21 @@ splitKeyVals(const std::string &body,
     return true;
 }
 
+/** A whole-token finite number: "nan" and "inf" are rejected. */
 bool
 parseNum(const std::string &s, double &out)
 {
     char *end = nullptr;
     out = std::strtod(s.c_str(), &end);
-    return end && *end == '\0' && !s.empty();
+    return end && *end == '\0' && !s.empty() && std::isfinite(out);
+}
+
+/** A finite node id that fits an int (truncated toward zero). */
+bool
+parseNodeId(const std::string &s, double &out)
+{
+    return parseNum(s, out) && out >= 0 &&
+           out < static_cast<double>(std::numeric_limits<int>::max()) + 1;
 }
 
 bool
@@ -163,13 +174,13 @@ parseNodeRange(const std::string &s, int &first, int &last)
     std::size_t dash = s.find('-');
     double a = 0, b = 0;
     if (dash == std::string::npos) {
-        if (!parseNum(s, a) || a < 0)
+        if (!parseNodeId(s, a))
             return false;
         first = last = static_cast<int>(a);
         return true;
     }
-    if (!parseNum(s.substr(0, dash), a) ||
-        !parseNum(s.substr(dash + 1), b) || a < 0 || b < a)
+    if (!parseNodeId(s.substr(0, dash), a) ||
+        !parseNodeId(s.substr(dash + 1), b) || b < a)
         return false;
     first = static_cast<int>(a);
     last = static_cast<int>(b);

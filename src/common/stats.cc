@@ -105,39 +105,6 @@ CdfBuilder::cdfAt(const std::vector<double> &xs) const
 }
 
 void
-TimeWeightedValue::set(Seconds t, double value)
-{
-    if (!started_) {
-        started_ = true;
-        start_ = last_ = t;
-        value_ = value;
-        return;
-    }
-    if (t < last_)
-        panic("TimeWeightedValue: time went backwards");
-    area_ += value_ * (t - last_);
-    last_ = t;
-    value_ = value;
-}
-
-double
-TimeWeightedValue::integral(Seconds end) const
-{
-    if (!started_)
-        return 0.0;
-    double extra = end > last_ ? value_ * (end - last_) : 0.0;
-    return area_ + extra;
-}
-
-double
-TimeWeightedValue::average(Seconds end) const
-{
-    if (!started_ || end <= start_)
-        return 0.0;
-    return integral(end) / (end - start_);
-}
-
-void
 CountCdf::add(int x)
 {
     if (x < 0)

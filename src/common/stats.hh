@@ -84,34 +84,6 @@ class CdfBuilder
 };
 
 /**
- * Integrates a piecewise-constant signal over simulated time, producing
- * its time-weighted average. Used for "average nodes used" and memory
- * utilization metrics.
- */
-class TimeWeightedValue
-{
-  public:
-    /** Record that the signal takes `value` starting at time `t`. */
-    void set(Seconds t, double value);
-
-    /** Close the signal at time `t` and return the average over
-     *  [firstSetTime, t]. */
-    double average(Seconds end) const;
-
-    /** Integral of the signal from the first set() to `end`. */
-    double integral(Seconds end) const;
-
-    double current() const { return value_; }
-
-  private:
-    bool started_ = false;
-    Seconds start_ = 0.0;
-    Seconds last_ = 0.0;
-    double value_ = 0.0;
-    double area_ = 0.0;
-};
-
-/**
  * CDF of non-negative integer samples kept as one exact count per
  * value, so memory is O(largest sample) rather than O(samples). Every
  * query returns the same bits a CdfBuilder fed the same samples would

@@ -5,8 +5,6 @@
 
 #include "common/log.hh"
 #include "core/consolidator.hh"
-#include "core/headroom.hh"
-#include "engine/loader.hh"
 #include "hw/memcost_model.hh"
 
 namespace slinfer
@@ -492,7 +490,8 @@ ControllerBase::startStaticLoad(Instance *inst)
         panic("startStaticLoad: static hold failed");
     inst->memResident = true;
     inst->heldPrimaryBytes = footprint;
-    inst->loadDuration = Loader::loadTime(inst->primary->spec, inst->model);
+    inst->loadDuration =
+        MemCostModel::weightLoadTime(inst->primary->spec, inst->model);
     if (trace_)
         trace_->complete(obs::kCatMemory, "load", sim_.now(),
                          inst->loadDuration, obs::kPidCluster,
@@ -1162,7 +1161,8 @@ SlinferController::placementCandidateOk(Partition *p, const Request &req,
         kvInit = d.require; // compromise (§VII-D)
     else
         return false;
-    Seconds ready = sim_.now() + Loader::loadTime(p->spec, spec);
+    Seconds ready =
+        sim_.now() + MemCostModel::weightLoadTime(p->spec, spec);
     obs::bump(ctr_, obs::kShadowRuns);
     return shadow_.canAdmitNew(*p, spec, p->spec, req, sim_.now(),
                                partBusyUntil(p), ready);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "engine/loader.hh"
 #include "hw/memcost_model.hh"
 
 namespace slinfer
@@ -206,11 +205,12 @@ MemorySubsystem::tryExecute(Op &op)
     inst.kv.setAllocBytes(inst.kvTarget);
     if (trace_)
         trace_->complete(obs::kCatMemory, "load", sim_.now(),
-                         Loader::loadTime(part_.spec, inst.model),
+                         MemCostModel::weightLoadTime(part_.spec,
+                                                      inst.model),
                          obs::kPidCluster,
                          static_cast<int>(part_.viewPos), "instance",
                          static_cast<double>(inst.id));
-    sim_.schedule(Loader::loadTime(part_.spec, inst.model),
+    sim_.schedule(MemCostModel::weightLoadTime(part_.spec, inst.model),
                   [this, &inst, done = std::move(op.done)]() mutable {
                       inst.setState(InstanceState::Active);
                       inst.activeAt = sim_.now();
@@ -270,7 +270,8 @@ void
 MemorySubsystem::beginLoad(Instance &inst, DoneFn loaded)
 {
     obs::ScopedPhase phase(prof_, obs::kPhaseMemoryOp);
-    inst.loadDuration = Loader::loadTime(part_.spec, inst.model);
+    inst.loadDuration =
+        MemCostModel::weightLoadTime(part_.spec, inst.model);
     Op op{OpKind::Load, &inst, std::move(loaded)};
     if (!tryExecute(op))
         station_.push_back(std::move(op));

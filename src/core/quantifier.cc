@@ -1,7 +1,6 @@
 #include "core/quantifier.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/log.hh"
@@ -10,15 +9,14 @@ namespace slinfer
 {
 
 void
-Quantifier::profile(const HardwareSpec &hw, const ModelSpec &m,
-                    int maxBatch)
+Quantifier::profile(const HardwareSpec &hw, const ModelSpec &m)
 {
     ProfileTable t;
     for (Tokens len = 16; len <= m.maxContext; len *= 2)
         t.lenGrid.push_back(len);
     if (t.lenGrid.empty() || t.lenGrid.back() != m.maxContext)
         t.lenGrid.push_back(m.maxContext);
-    for (int b = 1; b <= maxBatch; b *= 2)
+    for (int b = 1; b <= kMaxBatch; b *= 2)
         t.batchGrid.push_back(b);
 
     // "Measure" the grid. In the real system each point is a short
@@ -32,6 +30,7 @@ Quantifier::profile(const HardwareSpec &hw, const ModelSpec &m,
                 PerfModel::decodeTime(hw, m, t.batchGrid[bi], len));
         }
     }
+    checkDoubling(t);
     checkMonotone(t);
     ++generation_;
     // A re-profile overwrites its entry in place, so a reference
@@ -53,6 +52,32 @@ Quantifier::find(const HardwareSpec &hw, const ModelSpec &m) const
             return &e.table;
     }
     return nullptr;
+}
+
+namespace
+{
+
+/** Panic unless `grid` is checkDoubling()'s shape. */
+template <typename T>
+void
+checkGridDoubles(const std::vector<T> &grid, const char *what)
+{
+    bool ok = !grid.empty() && grid.front() > 0;
+    for (std::size_t i = 1; ok && i + 1 < grid.size(); ++i)
+        ok = grid[i] == static_cast<std::int64_t>(grid[i - 1]) * 2;
+    if (ok && grid.size() >= 2)
+        ok = grid.back() > grid[grid.size() - 2];
+    if (!ok)
+        panic(std::string("Quantifier: ") + what + " grid does not double");
+}
+
+} // namespace
+
+void
+Quantifier::checkDoubling(const ProfileTable &t)
+{
+    checkGridDoubles(t.lenGrid, "length");
+    checkGridDoubles(t.batchGrid, "batch");
 }
 
 void
@@ -99,42 +124,57 @@ namespace
 
 /**
  * Find the bracketing indices (lo, hi) and interpolation weight for
- * value `x` in the sorted grid `grid`. Clamps outside the grid.
+ * `x` in `grid`, a grid of checkDoubling()'s shape. Clamps outside the
+ * grid. Below the top, grid[i] = grid[0] * 2^i, so an interior x lies
+ * in (grid[hi - 1], grid[hi]] for hi = bit_width(ceil(x / grid[0]) - 1),
+ * capped at the top index: the first point at or above x, in O(1).
  */
 template <typename T>
 void
-bracket(const std::vector<T> &grid, double x, std::size_t &lo,
+bracket(const std::vector<T> &grid, std::int64_t x, std::size_t &lo,
         std::size_t &hi, double &w)
 {
-    if (x <= static_cast<double>(grid.front())) {
+    if (x <= grid.front()) {
         lo = hi = 0;
         w = 0.0;
         return;
     }
-    if (x >= static_cast<double>(grid.back())) {
+    if (x >= grid.back()) {
         lo = hi = grid.size() - 1;
         w = 0.0;
         return;
     }
-    std::size_t i = 1;
-    while (static_cast<double>(grid[i]) < x)
-        ++i;
-    lo = i - 1;
-    hi = i;
+    // ceil(x / g) - 1 == (x - 1) / g for positive x and g; it is >= 1
+    // here because x > grid[0].
+    const auto steps =
+        static_cast<unsigned long long>((x - 1) / grid.front());
+    hi = std::min<std::size_t>(64 - __builtin_clzll(steps),
+                               grid.size() - 1);
+    lo = hi - 1;
     double g_lo = static_cast<double>(grid[lo]);
     double g_hi = static_cast<double>(grid[hi]);
-    w = (x - g_lo) / (g_hi - g_lo);
+    w = (static_cast<double>(x) - g_lo) / (g_hi - g_lo);
 }
 
-/**
- * Bilinear interpolation of the decode grid on brackets (bl, bh, wb)
- * over batch sizes and (ll, lh, wl) over lengths.
- */
+} // namespace
+
 Seconds
-interpolateDecode(const Quantifier::ProfileTable &t, int batchSize,
-                  std::size_t bl, std::size_t bh, double wb,
-                  std::size_t ll, std::size_t lh, double wl)
+Quantifier::prefillEstimate(const ProfileTable &t, Tokens inputLen)
 {
+    std::size_t lo, hi;
+    double w;
+    bracket(t.lenGrid, inputLen, lo, hi, w);
+    return t.prefill[lo] * (1.0 - w) + t.prefill[hi] * w;
+}
+
+Seconds
+Quantifier::decodeEstimate(const ProfileTable &t, int batchSize,
+                           Tokens avgLen)
+{
+    std::size_t bl, bh, ll, lh;
+    double wb, wl;
+    bracket(t.batchGrid, batchSize, bl, bh, wb);
+    bracket(t.lenGrid, avgLen, ll, lh, wl);
     double v00 = t.decode[bl][ll];
     double v01 = t.decode[bl][lh];
     double v10 = t.decode[bh][ll];
@@ -154,84 +194,6 @@ interpolateDecode(const Quantifier::ProfileTable &t, int batchSize,
         est += slope * static_cast<double>(batchSize - top);
     }
     return est;
-}
-
-} // namespace
-
-Seconds
-Quantifier::prefillEstimate(const HardwareSpec &hw, const ModelSpec &m,
-                            Tokens inputLen) const
-{
-    return prefillEstimate(tableFor(hw, m), inputLen);
-}
-
-Seconds
-Quantifier::prefillEstimate(const ProfileTable &t, Tokens inputLen)
-{
-    std::size_t lo, hi;
-    double w;
-    bracket(t.lenGrid, static_cast<double>(inputLen), lo, hi, w);
-    return t.prefill[lo] * (1.0 - w) + t.prefill[hi] * w;
-}
-
-Seconds
-Quantifier::decodeEstimate(const HardwareSpec &hw, const ModelSpec &m,
-                           int batchSize, Tokens avgLen) const
-{
-    return decodeEstimate(tableFor(hw, m), batchSize, avgLen);
-}
-
-Seconds
-Quantifier::decodeEstimate(const ProfileTable &t, int batchSize,
-                           Tokens avgLen)
-{
-    std::size_t bl, bh, ll, lh;
-    double wb, wl;
-    bracket(t.batchGrid, static_cast<double>(batchSize), bl, bh, wb);
-    bracket(t.lenGrid, static_cast<double>(avgLen), ll, lh, wl);
-    return interpolateDecode(t, batchSize, bl, bh, wb, ll, lh, wl);
-}
-
-void
-Quantifier::DecodeCursor::reset(const ProfileTable &t)
-{
-    *this = DecodeCursor();
-    t_ = &t;
-}
-
-Seconds
-Quantifier::DecodeCursor::estimate(int batchSize, Tokens avgLen)
-{
-    const ProfileTable &t = *t_;
-    if (batchSize != batch_) {
-        bracket(t.batchGrid, static_cast<double>(batchSize), bl_, bh_,
-                wb_);
-        batch_ = batchSize;
-    }
-    double x = static_cast<double>(avgLen);
-    double wl;
-    if (x > gLo_ && x <= lenMax_) {
-        // bracket()'s interior case, on the cached interval.
-        wl = (x - gLo_) / (gHi_ - gLo_);
-    } else {
-        bracket(t.lenGrid, x, ll_, lh_, wl);
-        gLo_ = static_cast<double>(t.lenGrid[ll_]);
-        gHi_ = static_cast<double>(t.lenGrid[lh_]);
-        // A clamped length (ll_ == lh_) caches nothing. The top
-        // interval excludes the grid top, which clamps.
-        lenMax_ = ll_ == lh_ ? gLo_
-                  : lh_ + 1 == t.lenGrid.size()
-                      ? std::nextafter(gHi_, gLo_)
-                      : gHi_;
-    }
-    return interpolateDecode(t, batchSize, bl_, bh_, wb_, ll_, lh_, wl);
-}
-
-std::size_t
-Quantifier::sampleCount(const HardwareSpec &hw, const ModelSpec &m) const
-{
-    const ProfileTable &t = tableFor(hw, m);
-    return t.prefill.size() + t.batchGrid.size() * t.lenGrid.size();
 }
 
 } // namespace slinfer

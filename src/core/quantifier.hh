@@ -28,30 +28,25 @@ namespace slinfer
 class Quantifier
 {
   public:
+    /** Largest profiled batch size; larger batches extrapolate. */
+    static constexpr int kMaxBatch = 256;
+
     /**
      * Profile one (hardware, model) pair. Idempotent; call again to
      * refresh. Sampling covers lengths up to the model's max context
-     * and batch sizes up to `maxBatch`.
+     * and batch sizes up to kMaxBatch.
      */
-    void profile(const HardwareSpec &hw, const ModelSpec &m,
-                 int maxBatch = 256);
+    void profile(const HardwareSpec &hw, const ModelSpec &m);
 
     /** True once the pair has been profiled. */
     bool profiled(const HardwareSpec &hw, const ModelSpec &m) const;
 
-    /** Interpolated prefill (TTFT-producing) iteration time. */
-    Seconds prefillEstimate(const HardwareSpec &hw, const ModelSpec &m,
-                            Tokens inputLen) const;
-
-    /** Interpolated decode iteration time. */
-    Seconds decodeEstimate(const HardwareSpec &hw, const ModelSpec &m,
-                           int batchSize, Tokens avgLen) const;
-
-    /** Number of profiled samples held for the pair (test aid). */
-    std::size_t sampleCount(const HardwareSpec &hw,
-                            const ModelSpec &m) const;
-
-    /** One pair's profiled grid. */
+    /**
+     * One pair's profiled grid. Both grids double from their front
+     * below the top: lenGrid is 16 * 2^i then maxContext, batchGrid
+     * 1..kMaxBatch. The estimates bracket a query in O(1) on that
+     * shape (DESIGN.md, "Shadow validation fast path").
+     */
     struct ProfileTable
     {
         std::vector<Tokens> lenGrid;
@@ -59,6 +54,14 @@ class Quantifier
         std::vector<Seconds> prefill;          ///< indexed like lenGrid
         std::vector<std::vector<Seconds>> decode; ///< [batch][len]
     };
+
+    /**
+     * Panic unless both grids of `t` have the shape the O(1) bracket
+     * needs: a positive front, every point below the top equal to the
+     * front times 2^i, and a top above the point before it. profile()
+     * checks every table it builds.
+     */
+    static void checkDoubling(const ProfileTable &t);
 
     /**
      * Panic unless `t` is monotone the way the cached admission bounds
@@ -73,51 +76,18 @@ class Quantifier
      * The pair's table; panics when the pair was never profiled. The
      * reference stays valid for the quantifier's lifetime (a re-profile
      * refreshes it in place), so hot loops resolve it once and call the
-     * table-taking estimates below.
+     * estimates below.
      */
     const ProfileTable &tableFor(const HardwareSpec &hw,
                                  const ModelSpec &m) const;
 
-    /** Interpolated prefill iteration time from a resolved table. */
+    /** Interpolated prefill (TTFT-producing) iteration time. */
     static Seconds prefillEstimate(const ProfileTable &t, Tokens inputLen);
 
-    /** Interpolated decode iteration time from a resolved table. */
+    /** Interpolated decode iteration time; batches beyond the grid
+     *  extrapolate on the top interval's per-request cost. */
     static Seconds decodeEstimate(const ProfileTable &t, int batchSize,
                                   Tokens avgLen);
-
-    /**
-     * decodeEstimate over one table for a caller whose queries move
-     * slowly. A shadow fast-forward changes the batch size only when a
-     * prefill joins, and grows the mean length by one token per decode
-     * step, so the cursor keeps its last two brackets: the batch
-     * bracket until the batch size changes, and the length bracket
-     * while the length stays inside the grid interval (g_lo, g_hi]
-     * below the grid top. Any other query takes the full bracket
-     * search. estimate() returns exactly decodeEstimate(table, batch,
-     * len): both run the same interpolation on the same brackets.
-     */
-    class DecodeCursor
-    {
-      public:
-        /** Point at `t`, forgetting any cached bracket. */
-        void reset(const ProfileTable &t);
-
-        Seconds estimate(int batchSize, Tokens avgLen);
-
-      private:
-        const ProfileTable *t_ = nullptr;
-        /** Batch bracket of batch_. The zero state is bracket(0): a
-         *  batch at or below the grid front clamps to index 0. */
-        int batch_ = 0;
-        std::size_t bl_ = 0, bh_ = 0;
-        double wb_ = 0.0;
-        /** Length bracket: indices and grid values of the interval a
-         *  length in (gLo_, lenMax_] falls in. The zero state holds no
-         *  length; lenMax_ is just below gHi_ for the top interval,
-         *  where the grid top itself clamps. */
-        std::size_t ll_ = 0, lh_ = 0;
-        double gLo_ = 0.0, gHi_ = 0.0, lenMax_ = 0.0;
-    };
 
     /** Bumped by every profile() call: results cached against table
      *  contents are stale once it moves. */

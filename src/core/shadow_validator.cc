@@ -206,7 +206,6 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
         for (const SimDecode &dd : si.decodeDeadlines)
             si.decMin = std::min(si.decMin, dd.deadline);
         si.decodeSteps = 0;
-        si.cursor.reset(*si.table);
         any_work = any_work || si.hasWork();
         pending += si.unsettled() ? 1 : 0;
     }
@@ -303,8 +302,9 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
             chosen->decMin = std::min(chosen->decMin, deadline);
         } else {
             int batch = static_cast<int>(chosen->decodeDeadlines.size());
-            Seconds dur = chosen->cursor.estimate(
-                              batch, static_cast<Tokens>(chosen->avgLen)) *
+            Seconds dur = Quantifier::decodeEstimate(
+                              *chosen->table, batch,
+                              static_cast<Tokens>(chosen->avgLen)) *
                           cfg_.overestimate;
             t += dur;
             // Every deadline moves by the same tpotSlo. Rounding is

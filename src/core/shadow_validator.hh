@@ -76,8 +76,8 @@ class ShadowValidator
                              const std::set<const Instance *> &exclude =
                                  {}) const;
 
-    /** Cumulative full validations run (observability: the controller
-     *  throughput bench reports shadow work per decision). */
+    /** Cumulative full validations run (twoPass() calls, memo hits
+     *  included); tests read it beside the shadow_memo_hits counter. */
     std::uint64_t evaluations() const { return evals_; }
 
     /**
@@ -133,8 +133,6 @@ class ShadowValidator
         Seconds decMin = 0.0;
         /** simulate()'s decode steps so far (the current epoch). */
         int decodeSteps = 0;
-        /** simulate()'s decode estimates over `table`. */
-        Quantifier::DecodeCursor cursor;
 
         /** Recompute pfMin / pfIdx over `prefills`. */
         void scanPrefills();

@@ -49,7 +49,8 @@ decodeGrowth(const Instance &inst)
 } // namespace
 
 TokenScheduler::Pick
-TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
+TokenScheduler::pickNext(const Partition &partition, SchedPolicy policy,
+                         Seconds now, std::vector<Instance *> &shortages)
 {
     Pick best;
     double best_key = std::numeric_limits<double>::infinity();
@@ -57,16 +58,16 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
     // subtracting a large constant from their sort key.
     const double kPrefillBias = 1e12;
 
-    for (Instance *inst : part_.instances) {
+    for (Instance *inst : partition.instances) {
         if (!inst->runnable())
             continue;
 
         Pick cand;
         double key = std::numeric_limits<double>::infinity();
 
-        if (policy_ == SchedPolicy::Headroom) {
+        if (policy == SchedPolicy::Headroom) {
             bool is_prefill = false;
-            Request *urgent = inst->mostUrgent(sim_.now(), is_prefill);
+            Request *urgent = inst->mostUrgent(now, is_prefill);
             if (!urgent)
                 continue;
             if (is_prefill) {
@@ -74,20 +75,20 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
                     PagedKvCache::roundedTokens(urgent->contextLen());
                 if (inst->kv.canFit(need)) {
                     cand = {inst, urgent};
-                    key = urgent->headroom(sim_.now());
+                    key = urgent->headroom(now);
                 } else {
                     shortages.push_back(inst);
                     // Fall back to decoding the existing batch.
                     if (!inst->decodeBatch().empty() &&
                         inst->kv.canFit(decodeGrowth(*inst))) {
                         cand = {inst, nullptr};
-                        key = inst->minHeadroom(sim_.now());
+                        key = inst->minHeadroom(now);
                     }
                 }
             } else {
                 if (inst->kv.canFit(decodeGrowth(*inst))) {
                     cand = {inst, nullptr};
-                    key = urgent->headroom(sim_.now());
+                    key = urgent->headroom(now);
                 } else {
                     shortages.push_back(inst);
                 }
@@ -108,7 +109,7 @@ TokenScheduler::pickNext(std::vector<Instance *> &shortages) const
                     shortages.push_back(inst);
                 if (inst->kv.canFit(decodeGrowth(*inst))) {
                     cand = {inst, nullptr};
-                    key = inst->minHeadroom(sim_.now());
+                    key = inst->minHeadroom(now);
                 } else {
                     shortages.push_back(inst);
                     cand = {};
@@ -132,7 +133,7 @@ TokenScheduler::kick()
     if (part_.busy)
         return;
     std::vector<Instance *> shortages;
-    Pick pick = pickNext(shortages);
+    Pick pick = pickNext(part_, policy_, sim_.now(), shortages);
     if (pick.inst) {
         if (pick.prefill)
             runPrefill(pick.inst, pick.prefill);

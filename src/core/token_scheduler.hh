@@ -69,14 +69,23 @@ class TokenScheduler
     /** Time the in-flight iteration finishes (== now when idle). */
     Seconds busyUntil() const { return busyUntil_; }
 
-  private:
+    /** One scheduling decision: the iteration to run next. */
     struct Pick
     {
         Instance *inst = nullptr;
         Request *prefill = nullptr; ///< nullptr selects a decode step
     };
 
-    Pick pickNext(std::vector<Instance *> &shortages) const;
+    /**
+     * The iteration `policy` runs next on `partition` at `now`
+     * (inst == nullptr when nothing can run). Appends each instance
+     * whose KV allocation blocks its work to `shortages`. kick() calls
+     * this; Fig. 33's token-level-decision bench times it.
+     */
+    static Pick pickNext(const Partition &partition, SchedPolicy policy,
+                         Seconds now, std::vector<Instance *> &shortages);
+
+  private:
     void runPrefill(Instance *inst, Request *req);
     void runDecode(Instance *inst);
     void finishIteration();

@@ -19,6 +19,10 @@ namespace slinfer
 
 class Recorder;
 class ClusterStats;
+namespace sweep
+{
+class JsonValue;
+}
 
 struct Report
 {
@@ -163,6 +167,16 @@ std::string toJson(const Report &report);
 
 /** Same object on a single line (JSONL record embedding). */
 std::string toJsonLine(const Report &report);
+
+/**
+ * The one report reader: rebuild `r` from a parsed toJson/toJsonLine
+ * object, windows and the attribution and resilience blocks included,
+ * so a toJsonLine report re-serializes byte for byte. The counters
+ * block is not read: no consumer of a stored report uses it. Missing
+ * members read as 0. False + *err when `v` is not an object.
+ */
+bool reportFromJson(const sweep::JsonValue &v, Report &r,
+                    std::string *err);
 
 /**
  * The fields of the report's "attribution" object, without braces:

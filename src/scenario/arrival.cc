@@ -415,35 +415,6 @@ class CompositeProcess final : public ArrivalProcess
     std::vector<ArrivalProcessPtr> parts_;
 };
 
-// ------------------------------------------------------------------
-// Replay.
-// ------------------------------------------------------------------
-
-class ReplayProcess final : public ArrivalProcess
-{
-  public:
-    ReplayProcess(std::vector<Arrival> arrivals, int numModels,
-                  Seconds duration)
-        : trace_(finalize(std::move(arrivals), numModels, duration)),
-          numModels_(numModels)
-    {
-    }
-
-    const char *kind() const override { return "replay"; }
-    Seconds duration() const override { return trace_.duration; }
-    int numModels() const override { return numModels_; }
-    double targetAggregateRpm() const override
-    {
-        return trace_.aggregateRpm(trace_.duration);
-    }
-
-    AzureTrace generate(std::uint64_t) const override { return trace_; }
-
-  private:
-    AzureTrace trace_;
-    int numModels_;
-};
-
 } // namespace
 
 std::vector<double>
@@ -510,15 +481,6 @@ makeComposite(std::vector<ArrivalProcessPtr> parts)
             fatal("makeComposite: components disagree on numModels");
     }
     return std::make_shared<CompositeProcess>(std::move(parts));
-}
-
-ArrivalProcessPtr
-makeReplay(std::vector<Arrival> arrivals, int numModels, Seconds duration)
-{
-    if (numModels <= 0 || duration <= 0)
-        fatal("makeReplay: bad configuration");
-    return std::make_shared<ReplayProcess>(std::move(arrivals), numModels,
-                                           duration);
 }
 
 } // namespace scenario

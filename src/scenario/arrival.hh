@@ -4,9 +4,9 @@
  *
  * Every workload the harness can drive — the paper's Azure serverless
  * trace, BurstGPT, and the synthetic what-if loads (steady Poisson,
- * diurnal envelopes, MMPP flash crowds, ramp/step transitions, replay
- * of an explicit trace) — sits behind one interface: a deterministic
- * generator from a seed to a sorted, duration-stamped trace. Scenarios
+ * diurnal envelopes, MMPP flash crowds, ramp/step transitions) — sits
+ * behind one interface: a deterministic generator from a seed to a
+ * sorted, duration-stamped trace. Scenarios
  * (scenario.hh) bundle an ArrivalProcess with a model fleet, dataset,
  * cluster and SLO; the harness consumes the generated trace unchanged.
  */
@@ -183,18 +183,6 @@ ArrivalProcessPtr makeBurstGpt(const BurstGptConfig &cfg);
  * (catalog entry `fleet-diurnal-surge`).
  */
 ArrivalProcessPtr makeComposite(std::vector<ArrivalProcessPtr> parts);
-
-// ------------------------------------------------------------------
-// Trace replay.
-// ------------------------------------------------------------------
-
-/**
- * Replay an explicit arrival list (e.g. parsed from a real trace).
- * Arrivals are sorted and clipped to `duration`; generate() ignores
- * the seed.
- */
-ArrivalProcessPtr makeReplay(std::vector<Arrival> arrivals, int numModels,
-                             Seconds duration);
 
 } // namespace scenario
 } // namespace slinfer

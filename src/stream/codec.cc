@@ -44,32 +44,6 @@ crc32(const void *data, std::size_t n, std::uint32_t seed)
     return c ^ 0xFFFFFFFFu;
 }
 
-void
-putVarint(std::string &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(v | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
-bool
-getVarint(const std::uint8_t *&p, const std::uint8_t *end,
-          std::uint64_t &v)
-{
-    v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-        if (p >= end)
-            return false;
-        std::uint8_t b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-        if ((b & 0x80) == 0)
-            return true;
-    }
-    return false;
-}
-
 // --------------------------------------------------------------------
 // Fixed-width little-endian framing helpers
 // --------------------------------------------------------------------
@@ -214,6 +188,17 @@ decodeTimeDelta(RangeDecoder &dec, ChunkModels &m, int &prevK)
              << (8 * i);
     prevK = k <= 8 ? k : 8; // corrupt payloads must not index OOB
     return x;
+}
+
+/** LEB128 append. */
+void
+putVarint(std::string &out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<char>(v | 0x80));
+        v >>= 7;
+    }
+    out.push_back(static_cast<char>(v));
 }
 
 void
@@ -554,7 +539,6 @@ StrcReader::loadIndex(std::string *err)
         IndexEntry e;
         e.offset = get64(p);
         e.count = get32(p + 8);
-        e.firstTime = getF64(p + 12);
         index_.push_back(e);
     }
     // Total compressed payload: chunks span [header, index), each with
@@ -590,19 +574,10 @@ StrcReader::scanChunks()
         IndexEntry e;
         e.offset = pos;
         e.count = count;
-        e.firstTime = getF64(ch + 16);
         index_.push_back(e);
         payloadBytes_ += payloadSize;
         pos += kChunkHeaderBytes + payloadSize;
     }
-}
-
-Seconds
-StrcReader::firstTimeOfChunk(std::size_t i) const
-{
-    if (i >= index_.size())
-        fatal("StrcReader::firstTimeOfChunk: index out of range");
-    return index_[i].firstTime;
 }
 
 bool

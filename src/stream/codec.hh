@@ -50,13 +50,6 @@ namespace stream
 std::uint32_t crc32(const void *data, std::size_t n,
                     std::uint32_t seed = 0);
 
-/** LEB128 append. */
-void putVarint(std::string &out, std::uint64_t v);
-
-/** LEB128 read; false on truncation/overlong input. `p` advances. */
-bool getVarint(const std::uint8_t *&p, const std::uint8_t *end,
-               std::uint64_t &v);
-
 /**
  * One adaptive binary probability (12-bit, lpaq-style shift update).
  * Starts at 1/2; each observed bit nudges it 1/32 of the way toward
@@ -287,13 +280,6 @@ class StrcReader
     /** Compressed payload bytes across readable chunks. */
     std::uint64_t compressedBytes() const { return payloadBytes_; }
 
-    /** First timestamp of chunk `i` (from the index — no decode). */
-    Seconds firstTimeOfChunk(std::size_t i) const;
-
-    /** Decode chunk `i` (seek + checksum + decode). */
-    bool readChunk(std::size_t i, std::vector<TraceRecord> &out,
-                   std::string *err);
-
     /** Sequential cursor over all records, pulling one chunk at a
      *  time; false at end-of-trace. Fatal on a chunk that validated
      *  at open but fails to read now (I/O error). */
@@ -304,11 +290,13 @@ class StrcReader
     {
         std::uint64_t offset = 0;
         std::uint32_t count = 0;
-        Seconds firstTime = 0.0;
     };
 
     bool loadIndex(std::string *err);
     void scanChunks();
+    /** Decode chunk `i` (seek + checksum + decode). */
+    bool readChunk(std::size_t i, std::vector<TraceRecord> &out,
+                   std::string *err);
 
     std::FILE *file_ = nullptr;
     std::string path_;

@@ -12,117 +12,6 @@ namespace slinfer
 namespace sweep
 {
 
-namespace
-{
-
-/** Rebuild a Report from the parsed "report" object of a record. */
-Report
-reportFromJson(const JsonValue &v)
-{
-    Report r;
-    r.system = v.string("system");
-    r.scenario = v.string("scenario");
-    r.seed = static_cast<std::uint64_t>(v.num("seed"));
-    r.totalRequests = static_cast<std::size_t>(v.num("total_requests"));
-    r.completed = static_cast<std::size_t>(v.num("completed"));
-    r.dropped = static_cast<std::size_t>(v.num("dropped"));
-    r.sloMet = static_cast<std::size_t>(v.num("slo_met"));
-    r.sloRate = v.num("slo_rate");
-    r.avgCpuNodesUsed = v.num("avg_cpu_nodes_used");
-    r.avgGpuNodesUsed = v.num("avg_gpu_nodes_used");
-    r.decodeSpeedCpu = v.num("decode_speed_cpu");
-    r.decodeSpeedGpu = v.num("decode_speed_gpu");
-    r.p50Ttft = v.num("p50_ttft");
-    r.p95Ttft = v.num("p95_ttft");
-    r.gpuMemUtilMean = v.num("gpu_mem_util_mean");
-    r.batchMean = v.num("batch_mean");
-    r.migrationRate = v.num("migration_rate");
-    r.kvUtilization = v.num("kv_utilization");
-    r.scalingOverhead = v.num("scaling_overhead");
-    auto pairs = [](const JsonValue *arr,
-                    std::vector<std::pair<double, double>> &out) {
-        if (!arr || !arr->isArray())
-            return;
-        for (const JsonValue &e : arr->array) {
-            if (e.isArray() && e.array.size() == 2)
-                out.emplace_back(e.array[0].number, e.array[1].number);
-        }
-    };
-    pairs(v.find("ttft_cdf"), r.ttftCdf);
-    pairs(v.find("gpu_timeline"), r.gpuTimeline);
-    // The attribution block must round-trip: resumed/compacted sweeps
-    // aggregate cached reports, and the summary's seg_* metrics have
-    // to come out identical to a fresh run's.
-    const JsonValue *attr = v.find("attribution");
-    if (attr && attr->isObject()) {
-        Report::Attribution &a = r.attribution;
-        a.enabled = true;
-        a.requests = static_cast<std::uint64_t>(attr->num("requests"));
-        a.violations =
-            static_cast<std::uint64_t>(attr->num("violations"));
-        if (const JsonValue *segs = attr->find("segments");
-            segs && segs->isArray()) {
-            for (const JsonValue &sv : segs->array) {
-                Report::Attribution::Segment s;
-                s.name = sv.string("name");
-                s.count = static_cast<std::uint64_t>(sv.num("count"));
-                s.totalS = sv.num("total_s");
-                s.p50s = sv.num("p50_s");
-                s.p95s = sv.num("p95_s");
-                s.p99s = sv.num("p99_s");
-                s.blamed = static_cast<std::uint64_t>(sv.num("blamed"));
-                a.segments.push_back(std::move(s));
-            }
-        }
-        auto blameRow = [](const JsonValue &arr) {
-            std::vector<std::uint64_t> out;
-            for (const JsonValue &e : arr.array)
-                out.push_back(static_cast<std::uint64_t>(e.number));
-            return out;
-        };
-        if (const JsonValue *pm = attr->find("per_model");
-            pm && pm->isArray()) {
-            for (const JsonValue &mv : pm->array) {
-                Report::Attribution::ModelBlame row;
-                row.model = mv.string("model");
-                if (const JsonValue *b = mv.find("blamed");
-                    b && b->isArray())
-                    row.blamed = blameRow(*b);
-                a.perModel.push_back(std::move(row));
-            }
-        }
-        a.windowLen = attr->num("window_len");
-        if (const JsonValue *pw = attr->find("per_window");
-            pw && pw->isArray()) {
-            for (const JsonValue &wv : pw->array) {
-                if (wv.isArray())
-                    a.perWindow.push_back(blameRow(wv));
-            }
-        }
-    }
-    // The resilience block round-trips for the same reason: cached
-    // chaos runs must summarize identically to fresh ones, or the
-    // recovery-metrics gate would flap on resumed sweeps.
-    const JsonValue *res = v.find("resilience");
-    if (res && res->isObject()) {
-        Report::Resilience &rs = r.resilience;
-        rs.enabled = true;
-        rs.faultEvents =
-            static_cast<std::uint64_t>(res->num("fault_events"));
-        rs.restores = static_cast<std::uint64_t>(res->num("restores"));
-        rs.availability = res->num("availability");
-        rs.mttrMeanS = res->num("mttr_mean_s");
-        rs.degradedTimeS = res->num("degraded_time_s");
-        rs.lostPerFault = res->num("lost_per_fault");
-        rs.goodputFaultRpm = res->num("goodput_fault_rpm");
-        rs.goodputHealthyRpm = res->num("goodput_healthy_rpm");
-        rs.recoveryMeanS = res->num("recovery_mean_s");
-    }
-    return r;
-}
-
-} // namespace
-
 std::string
 ResultStore::recordLine(const JobSpec &job, const Report &report)
 {
@@ -168,7 +57,8 @@ ResultStore::parseRecordLine(const std::string &line, JobSpec &job,
             *err = "record has no report object";
         return false;
     }
-    report = reportFromJson(*rep);
+    if (!reportFromJson(*rep, report, err))
+        return false;
     // The stored key must agree with the recomputed hash; a mismatch
     // means the file was hand-edited or the hash scheme drifted.
     if (v.string("key") != job.hash()) {

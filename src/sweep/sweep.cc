@@ -93,16 +93,6 @@ OverrideSet::canonical() const
     return out;
 }
 
-std::vector<std::pair<std::string, std::string>>
-parseOverrideSettings(const std::string &canonical)
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    std::string err;
-    if (!tryParseOverrideSettings(canonical, out, &err))
-        fatal(err);
-    return out;
-}
-
 bool
 tryParseOverrideSettings(
     const std::string &canonical,

@@ -51,11 +51,8 @@ struct OverrideSet
     std::string canonical() const;
 };
 
-/** Parse the canonical "k=v;k=v" form back into settings. */
-std::vector<std::pair<std::string, std::string>>
-parseOverrideSettings(const std::string &canonical);
-
-/** Non-fatal variant: false + *err on malformed settings. */
+/** Parse the canonical "k=v;k=v" form back into settings; false +
+ *  *err on malformed settings. */
 bool tryParseOverrideSettings(
     const std::string &canonical,
     std::vector<std::pair<std::string, std::string>> &out,

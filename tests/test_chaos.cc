@@ -260,14 +260,20 @@ TEST(ChaosSpec, ParsesAFullSpec)
 TEST(ChaosSpec, RejectsMalformedSpecs)
 {
     const char *bad[] = {
-        "blurst:nodes=1",          // unknown kind
-        "flap",                    // missing nodes
-        "blast:nodes=1",           // missing at
-        "flap:nodes=1,mtbf=nope",  // malformed number
-        "flap:nodes=1,mtbf=-5",    // nonpositive mtbf
-        "flap:nodes=3-1",          // descending range
-        "flap:nodes=1,wat=2",      // unknown key
-        "",                        // empty spec
+        "blurst:nodes=1",                    // unknown kind
+        "flap",                              // missing nodes
+        "blast:nodes=1",                     // missing at
+        "flap:nodes=1,mtbf=nope",            // malformed number
+        "flap:nodes=1,mtbf=-5",              // nonpositive mtbf
+        "flap:nodes=3-1",                    // descending range
+        "flap:nodes=1,wat=2",                // unknown key
+        "",                                  // empty spec
+        "blast:nodes=0,at=nan,for=10",       // non-finite time
+        "blast:nodes=nan,at=5",              // non-finite node id
+        "blast:nodes=1e20,at=5",             // node id past int
+        "blast:nodes=0-1e20,at=5",           // range end past int
+        "straggler:nodes=0,at=5,factor=inf", // non-finite factor
+        "flap:nodes=1,mtbf=nan",             // non-finite mtbf
     };
     for (const char *spec : bad) {
         chaos::ChaosConfig cfg;

@@ -276,21 +276,6 @@ TEST(CdfBuilder, QueriesInterleaveWithAdds)
     EXPECT_DOUBLE_EQ(c.percentile(0.0), 1.0);
 }
 
-TEST(TimeWeightedValue, PiecewiseAverage)
-{
-    TimeWeightedValue v;
-    v.set(0.0, 2.0);
-    v.set(10.0, 4.0); // 2.0 held for 10 s
-    EXPECT_DOUBLE_EQ(v.integral(10.0), 20.0);
-    EXPECT_DOUBLE_EQ(v.average(20.0), (20.0 + 40.0) / 20.0);
-}
-
-TEST(TimeWeightedValue, EmptyIsZero)
-{
-    TimeWeightedValue v;
-    EXPECT_DOUBLE_EQ(v.average(100.0), 0.0);
-}
-
 // Bit-for-bit equality on doubles: CountCdf promises CdfBuilder's exact
 // bits, which EXPECT_DOUBLE_EQ's 4-ulp tolerance would not check.
 void

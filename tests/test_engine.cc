@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine-layer tests: requests & headroom (Eq. 1), the paged KV cache,
- * instances, partitions/nodes, the physical memory ledger and loader.
+ * instances, partitions/nodes and the physical memory ledger.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "engine/instance.hh"
-#include "engine/loader.hh"
 #include "engine/memory_manager.hh"
 
 namespace slinfer
@@ -283,33 +282,6 @@ TEST_F(InstanceTest, RemoveRequestFromEitherQueue)
 TEST_F(InstanceTest, EmptyInstanceHasInfiniteHeadroom)
 {
     EXPECT_TRUE(std::isinf(inst.minHeadroom(0.0)));
-}
-
-// ------------------------------------------------------------------
-// Loader.
-// ------------------------------------------------------------------
-
-TEST(Loader, SchedulesCompletionAfterLoadTime)
-{
-    Simulator sim;
-    bool done = false;
-    Seconds expect = Loader::loadTime(a100_80g(), llama2_7b());
-    Loader::scheduleLoad(sim, a100_80g(), llama2_7b(),
-                         [&] { done = true; });
-    sim.run();
-    EXPECT_TRUE(done);
-    EXPECT_DOUBLE_EQ(sim.now(), expect);
-}
-
-TEST(Loader, UnloadIsFasterThanLoad)
-{
-    Simulator sim;
-    Seconds unload_at = -1.0;
-    Loader::scheduleUnload(sim, a100_80g(), llama2_7b(),
-                           [&] { unload_at = sim.now(); });
-    sim.run();
-    EXPECT_GT(unload_at, 0.0);
-    EXPECT_LT(unload_at, Loader::loadTime(a100_80g(), llama2_7b()));
 }
 
 } // namespace

@@ -389,6 +389,13 @@ TEST(MemCostModel, LoadScalesWithModelSize)
               MemCostModel::weightLoadTime(a100_80g(), llama2_7b()));
 }
 
+TEST(MemCostModel, UnloadIsFasterThanLoad)
+{
+    Seconds unload = MemCostModel::weightUnloadTime(a100_80g(), llama2_7b());
+    EXPECT_GT(unload, 0.0);
+    EXPECT_LT(unload, MemCostModel::weightLoadTime(a100_80g(), llama2_7b()));
+}
+
 TEST(MemCostModel, MigrationUsesFabricBandwidth)
 {
     // 12.5 GB/s: 1.25 GB of KV takes ~100 ms.

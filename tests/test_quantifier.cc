@@ -3,15 +3,14 @@
  * Quantifier tests (§VI-B): power-of-two profiling grids, interpolation
  * exactness on grid points, and — the paper's headline accuracy claim —
  * interpolated estimates within a few percent of the (noisy) ground
- * truth across random workloads. The decode cursor must return the
- * table estimate bit for bit.
+ * truth across random workloads. The O(1) grid bracket must return a
+ * linear-scan bracket's estimate bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <random>
 #include <vector>
 
 #include "common/rng.hh"
@@ -51,20 +50,22 @@ TEST_F(QuantifierTest, SampleCountIsLogarithmic)
 {
     // O(log Lmax * log Bmax): a few hundred points, not thousands
     // (paper: profiling completes within minutes).
-    std::size_t n = quant.sampleCount(cpu, m7);
+    const Quantifier::ProfileTable &t = quant.tableFor(cpu, m7);
+    std::size_t n = t.prefill.size() + t.batchGrid.size() * t.lenGrid.size();
     EXPECT_LT(n, 500u);
     EXPECT_GT(n, 50u);
 }
 
 TEST_F(QuantifierTest, ExactOnGridPoints)
 {
+    const Quantifier::ProfileTable &t = quant.tableFor(cpu, m7);
     for (Tokens len : {16, 64, 1024, 4096}) {
-        EXPECT_DOUBLE_EQ(quant.prefillEstimate(cpu, m7, len),
+        EXPECT_DOUBLE_EQ(Quantifier::prefillEstimate(t, len),
                          PerfModel::prefillTime(cpu, m7, len));
     }
     for (int b : {1, 8, 64}) {
         for (Tokens len : {16, 256, 2048}) {
-            EXPECT_DOUBLE_EQ(quant.decodeEstimate(cpu, m7, b, len),
+            EXPECT_DOUBLE_EQ(Quantifier::decodeEstimate(t, b, len),
                              PerfModel::decodeTime(cpu, m7, b, len));
         }
     }
@@ -75,32 +76,36 @@ TEST_F(QuantifierTest, InterpolationBetweenGridPoints)
     // Estimate at 1536 must lie between the 1024 and 2048 samples.
     Seconds lo = PerfModel::prefillTime(cpu, m7, 1024);
     Seconds hi = PerfModel::prefillTime(cpu, m7, 2048);
-    Seconds est = quant.prefillEstimate(cpu, m7, 1536);
+    Seconds est =
+        Quantifier::prefillEstimate(quant.tableFor(cpu, m7), 1536);
     EXPECT_GT(est, lo);
     EXPECT_LT(est, hi);
 }
 
 TEST_F(QuantifierTest, ClampsOutsideGrid)
 {
-    EXPECT_DOUBLE_EQ(quant.prefillEstimate(cpu, m7, 1),
+    const Quantifier::ProfileTable &t = quant.tableFor(cpu, m7);
+    EXPECT_DOUBLE_EQ(Quantifier::prefillEstimate(t, 1),
                      PerfModel::prefillTime(cpu, m7, 16));
     // Batch extrapolation beyond the grid keeps growing.
-    EXPECT_GT(quant.decodeEstimate(cpu, m7, 512, 1024),
-              quant.decodeEstimate(cpu, m7, 256, 1024));
+    EXPECT_GT(Quantifier::decodeEstimate(t, 512, 1024),
+              Quantifier::decodeEstimate(t, 256, 1024));
 }
 
 TEST_F(QuantifierTest, ReprofileIsIdempotent)
 {
-    Seconds before = quant.prefillEstimate(cpu, m7, 777);
+    const Quantifier::ProfileTable &t = quant.tableFor(cpu, m7);
+    Seconds before = Quantifier::prefillEstimate(t, 777);
     quant.profile(cpu, m7);
-    EXPECT_DOUBLE_EQ(quant.prefillEstimate(cpu, m7, 777), before);
+    EXPECT_DOUBLE_EQ(Quantifier::prefillEstimate(t, 777), before);
 }
 
 TEST_F(QuantifierTest, DistinguishesHardwareByName)
 {
     // The same model profiles differently per hardware.
-    EXPECT_GT(quant.prefillEstimate(cpu, m7, 2048),
-              quant.prefillEstimate(gpu, m7, 2048) * 3.0);
+    EXPECT_GT(Quantifier::prefillEstimate(quant.tableFor(cpu, m7), 2048),
+              Quantifier::prefillEstimate(quant.tableFor(gpu, m7), 2048) *
+                  3.0);
 }
 
 /**
@@ -119,6 +124,7 @@ TEST_P(QuantifierAccuracy, PrefillWithinPaperDeviation)
     HardwareSpec cpu = xeon6462c();
     ModelSpec m = llama2_7b();
     quant.profile(cpu, m);
+    const Quantifier::ProfileTable &t = quant.tableFor(cpu, m);
     Rng rng(GetParam());
     double total_dev = 0.0;
     const int n = 100;
@@ -126,7 +132,7 @@ TEST_P(QuantifierAccuracy, PrefillWithinPaperDeviation)
         Tokens len = static_cast<Tokens>(rng.uniform(32, 4096));
         double actual = PerfModel::prefillTime(cpu, m, len) *
                         std::exp(0.03 * rng.normal());
-        double est = quant.prefillEstimate(cpu, m, len);
+        double est = Quantifier::prefillEstimate(t, len);
         total_dev += std::abs(est - actual) / actual;
     }
     EXPECT_LT(total_dev / n, 0.08);
@@ -138,6 +144,7 @@ TEST_P(QuantifierAccuracy, DecodeWithinPaperDeviation)
     HardwareSpec cpu = xeon6462c();
     ModelSpec m = llama2_13b();
     quant.profile(cpu, m);
+    const Quantifier::ProfileTable &t = quant.tableFor(cpu, m);
     Rng rng(GetParam() + 1000);
     double total_dev = 0.0;
     const int n = 100;
@@ -146,7 +153,7 @@ TEST_P(QuantifierAccuracy, DecodeWithinPaperDeviation)
         Tokens len = static_cast<Tokens>(rng.uniform(32, 4096));
         double actual = PerfModel::decodeTime(cpu, m, batch, len) *
                         std::exp(0.03 * rng.normal());
-        double est = quant.decodeEstimate(cpu, m, batch, len);
+        double est = Quantifier::decodeEstimate(t, batch, len);
         total_dev += std::abs(est - actual) / actual;
     }
     EXPECT_LT(total_dev / n, 0.08);
@@ -158,8 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QuantifierAccuracy,
 TEST(QuantifierDeath, UnprofiledPairPanics)
 {
     Quantifier quant;
-    EXPECT_DEATH(quant.prefillEstimate(a100_80g(), llama2_7b(), 100),
-                 "not profiled");
+    EXPECT_DEATH(quant.tableFor(a100_80g(), llama2_7b()), "not profiled");
 }
 
 TEST(Quantifier, LongContextModelGridReaches32K)
@@ -168,10 +174,11 @@ TEST(Quantifier, LongContextModelGridReaches32K)
     HardwareSpec cpu = xeon6462c();
     ModelSpec m8 = llama31_8b();
     quant.profile(cpu, m8);
+    const Quantifier::ProfileTable &t = quant.tableFor(cpu, m8);
     // §IX-I1 / §X: 32K prefill on the CPU takes tens of seconds.
-    EXPECT_GT(quant.prefillEstimate(cpu, m8, 32768), 20.0);
+    EXPECT_GT(Quantifier::prefillEstimate(t, 32768), 20.0);
     // And ~8.4K inputs fit inside the 8 s TTFT ceiling.
-    EXPECT_LT(quant.prefillEstimate(cpu, m8, 8400), 8.0);
+    EXPECT_LT(Quantifier::prefillEstimate(t, 8400), 8.0);
 }
 
 /** True when `t` holds exactly the prefill grid `hw` and `m` measure. */
@@ -233,7 +240,7 @@ TEST(Quantifier, TableReferencesSurviveGrowthAndReprofile)
     }
 }
 
-/** Bitwise equality: a cursor estimate must be the table estimate. */
+/** Bitwise equality: the O(1) bracket must not move a single bit. */
 ::testing::AssertionResult
 sameBits(Seconds got, Seconds want)
 {
@@ -243,40 +250,89 @@ sameBits(Seconds got, Seconds want)
            << got << " vs " << want << " (diff " << got - want << ")";
 }
 
-/** Every pair this file profiles: the 4K-context fixture pairs and
- *  the 32K-context model. */
-class DecodeCursorTest : public ::testing::Test
+/** The reference bracket: scan up from grid[1] to the first point at
+ *  or above x. */
+template <typename T>
+void
+scanBracket(const std::vector<T> &grid, double x, std::size_t &lo,
+            std::size_t &hi, double &w)
 {
-  protected:
-    void SetUp() override
-    {
-        pairs = {{xeon6462c(), llama2_7b()},
-                 {a100_80g(), llama2_7b()},
-                 {xeon6462c(), llama2_13b()},
-                 {xeon6462c(), llama31_8b()}};
-        for (const auto &[hw, m] : pairs)
-            quant.profile(hw, m);
+    if (x <= static_cast<double>(grid.front())) {
+        lo = hi = 0;
+        w = 0.0;
+        return;
     }
+    if (x >= static_cast<double>(grid.back())) {
+        lo = hi = grid.size() - 1;
+        w = 0.0;
+        return;
+    }
+    std::size_t i = 1;
+    while (static_cast<double>(grid[i]) < x)
+        ++i;
+    lo = i - 1;
+    hi = i;
+    double g_lo = static_cast<double>(grid[lo]);
+    double g_hi = static_cast<double>(grid[hi]);
+    w = (x - g_lo) / (g_hi - g_lo);
+}
 
-    std::vector<std::pair<HardwareSpec, ModelSpec>> pairs;
-    Quantifier quant;
-};
-
-TEST_F(DecodeCursorTest, LengthWalkMatchesTableEstimate)
+Seconds
+scanPrefill(const Quantifier::ProfileTable &t, Tokens len)
 {
-    // Each batch size from 1 to past the 256 grid top (extrapolation),
-    // with the length stepping by one from below the grid front to
-    // past maxContext: every grid point (w == 1 from below), both
-    // clamps, and every interval of the length grid.
+    std::size_t lo, hi;
+    double w;
+    scanBracket(t.lenGrid, static_cast<double>(len), lo, hi, w);
+    return t.prefill[lo] * (1.0 - w) + t.prefill[hi] * w;
+}
+
+Seconds
+scanDecode(const Quantifier::ProfileTable &t, int batch, Tokens len)
+{
+    std::size_t bl, bh, ll, lh;
+    double wb, wl;
+    scanBracket(t.batchGrid, static_cast<double>(batch), bl, bh, wb);
+    scanBracket(t.lenGrid, static_cast<double>(len), ll, lh, wl);
+    double v0 = t.decode[bl][ll] * (1.0 - wl) + t.decode[bl][lh] * wl;
+    double v1 = t.decode[bh][ll] * (1.0 - wl) + t.decode[bh][lh] * wl;
+    double est = v0 * (1.0 - wb) + v1 * wb;
+    std::size_t n = t.batchGrid.size();
+    if (batch > t.batchGrid.back() && n >= 2)
+        est += (t.decode[n - 1][ll] - t.decode[n - 2][ll]) /
+               static_cast<double>(t.batchGrid[n - 1] - t.batchGrid[n - 2]) *
+               static_cast<double>(batch - t.batchGrid.back());
+    return est;
+}
+
+TEST(QuantifierBracket, MatchesLinearScanBitForBit)
+{
+    // The pairs this file profiles, plus a context that is not a
+    // power of two, so the length grid's top sits off the doubling.
+    ModelSpec offGrid = llama2_7b();
+    offGrid.name += "-3000";
+    offGrid.maxContext = 3000;
+    const std::vector<std::pair<HardwareSpec, ModelSpec>> pairs = {
+        {xeon6462c(), llama2_7b()},
+        {a100_80g(), llama2_7b()},
+        {xeon6462c(), llama2_13b()},
+        {xeon6462c(), llama31_8b()},
+        {xeon6462c(), offGrid}};
+    Quantifier quant;
+    for (const auto &[hw, m] : pairs)
+        quant.profile(hw, m);
+    // Every batch from 0 to past the 256 grid top (extrapolation) and
+    // every length from 0 to past maxContext: both clamps, every grid
+    // point and every interval of both grids.
     for (const auto &[hw, m] : pairs) {
         const Quantifier::ProfileTable &t = quant.tableFor(hw, m);
-        Quantifier::DecodeCursor cursor;
-        cursor.reset(t);
-        for (int batch = 1; batch <= 600; ++batch) {
-            for (Tokens len = 1; len <= m.maxContext + 64; ++len) {
-                ASSERT_TRUE(sameBits(cursor.estimate(batch, len),
-                                     Quantifier::decodeEstimate(t, batch,
-                                                                len)))
+        for (Tokens len = 0; len <= m.maxContext + 64; ++len) {
+            ASSERT_TRUE(sameBits(Quantifier::prefillEstimate(t, len),
+                                 scanPrefill(t, len)))
+                << hw.name << " " << m.name << " len " << len;
+            for (int batch = 0; batch <= 600; ++batch) {
+                ASSERT_TRUE(sameBits(Quantifier::decodeEstimate(t, batch,
+                                                                len),
+                                     scanDecode(t, batch, len)))
                     << hw.name << " " << m.name << " batch " << batch
                     << " len " << len;
             }
@@ -284,41 +340,26 @@ TEST_F(DecodeCursorTest, LengthWalkMatchesTableEstimate)
     }
 }
 
-TEST_F(DecodeCursorTest, JumpsAndBatchChangesMatchTableEstimate)
+TEST(QuantifierDeath, GridThatDoesNotDoublePanics)
 {
-    // A shadow fast-forward's query sequence: mostly +1 length steps,
-    // with prefills joining (the batch grows and the mean length jumps,
-    // often backwards), and the cursor re-pointed between tables.
-    std::mt19937_64 rng(42);
-    Quantifier::DecodeCursor cursor;
-    for (int round = 0; round < 400; ++round) {
-        const auto &[hw, m] = pairs[rng() % pairs.size()];
-        const Quantifier::ProfileTable &t = quant.tableFor(hw, m);
-        cursor.reset(t);
-        const Tokens top = m.maxContext + 64;
-        int batch = 1 + static_cast<int>(rng() % 600);
-        double avg = static_cast<double>(1 + rng() % top);
-        for (int step = 0; step < 300; ++step) {
-            int roll = static_cast<int>(rng() % 100);
-            if (roll < 8) {
-                // A prefill joins the batch.
-                double ctx = static_cast<double>(1 + rng() % top);
-                avg = (avg * batch + ctx) / (batch + 1.0);
-                ++batch;
-            } else if (roll < 12) {
-                // A jump anywhere, backwards included.
-                avg = static_cast<double>(1 + rng() % top);
-                batch = 1 + static_cast<int>(rng() % 600);
-            } else {
-                avg += 1.0;
-            }
-            Tokens len = static_cast<Tokens>(avg);
-            ASSERT_TRUE(sameBits(cursor.estimate(batch, len),
-                                 Quantifier::decodeEstimate(t, batch, len)))
-                << hw.name << " " << m.name << " round " << round
-                << " batch " << batch << " len " << len;
-        }
-    }
+    Quantifier quant;
+    quant.profile(xeon6462c(), llama2_7b());
+    const Quantifier::ProfileTable &good =
+        quant.tableFor(xeon6462c(), llama2_7b());
+    Quantifier::checkDoubling(good);
+
+    Quantifier::ProfileTable t = good;
+    t.lenGrid[3] += 16; // an interior point off the doubling
+    EXPECT_DEATH(Quantifier::checkDoubling(t), "length grid does not double");
+    t = good;
+    t.lenGrid.back() = t.lenGrid[t.lenGrid.size() - 2]; // flat top
+    EXPECT_DEATH(Quantifier::checkDoubling(t), "length grid does not double");
+    t = good;
+    t.batchGrid[2] = 3;
+    EXPECT_DEATH(Quantifier::checkDoubling(t), "batch grid does not double");
+    t = good;
+    t.batchGrid.front() = 0;
+    EXPECT_DEATH(Quantifier::checkDoubling(t), "batch grid does not double");
 }
 
 } // namespace

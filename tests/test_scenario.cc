@@ -60,11 +60,6 @@ allProcesses()
     bg.duration = 1800.0;
     bg.aggregateRps = 1.5;
 
-    std::vector<Arrival> replayed;
-    for (int i = 0; i < 600; ++i)
-        replayed.push_back(
-            {static_cast<Seconds>(600 - i), static_cast<ModelId>(i % 4)});
-
     // A layered composite (the fleet-diurnal-surge shape): diurnal
     // baseline plus MMPP flash crowd over the same model space.
     DiurnalConfig cdi;
@@ -81,7 +76,7 @@ allProcesses()
 
     return {makePoisson(po),    makeDiurnal(di), makeFlashCrowd(fl),
             makeRamp(ra),       makeRamp(st),    makeAzure(az),
-            makeBurstGpt(bg),   makeReplay(replayed, 4, 601.0),
+            makeBurstGpt(bg),
             makeComposite({makeDiurnal(cdi), makeFlashCrowd(cfl)})};
 }
 
@@ -140,8 +135,6 @@ TEST_P(EveryProcess, RateCalibratedToTarget)
 TEST_P(EveryProcess, SeedChangesTrace)
 {
     const ArrivalProcess &p = *GetParam();
-    if (std::string(p.kind()) == "replay")
-        return; // replay is seed-independent by design
     AzureTrace a = p.generate(1);
     AzureTrace b = p.generate(2);
     bool differs = a.arrivals.size() != b.arrivals.size();
@@ -248,18 +241,6 @@ TEST(PopularitySplitShape, ZipfConcentratesUniformFlat)
     for (double w : wz)
         sum += w;
     EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(Replay, SortsAndClips)
-{
-    std::vector<Arrival> arrivals = {{12.5, 1}, {3.25, 0}, {99.0, 2}};
-    auto p = makeReplay(arrivals, 3, 50.0);
-    AzureTrace t = p->generate(0);
-    ASSERT_EQ(t.arrivals.size(), 2u); // 99.0 clipped
-    EXPECT_DOUBLE_EQ(t.arrivals[0].time, 3.25);
-    EXPECT_EQ(t.arrivals[0].model, 0u);
-    EXPECT_DOUBLE_EQ(t.arrivals[1].time, 12.5);
-    EXPECT_EQ(t.arrivals[1].model, 1u);
 }
 
 // ------------------------------------------------------------------

@@ -356,18 +356,20 @@ class ScanValidator
                 inst->batchSize() == 0
                     ? 1
                     : std::max<Tokens>(1, decode_ctx / inst->batchSize());
-            others += quant_.decodeEstimate(inst->execSpec, inst->model,
-                                            batch, decode_avg) *
+            const Quantifier::ProfileTable &table =
+                quant_.tableFor(inst->execSpec, inst->model);
+            others += Quantifier::decodeEstimate(table, batch, decode_avg) *
                       cfg_.overestimate;
             if (inst->state() == InstanceState::Draining)
                 continue;
-            aggregate += quant_.decodeEstimate(
-                             inst->execSpec, inst->model, batch,
+            aggregate += Quantifier::decodeEstimate(
+                             table, batch,
                              std::max<Tokens>(1, all_ctx / batch)) *
                          cfg_.overestimate;
         }
-        Seconds own = quant_.decodeEstimate(execSpec, model, 1,
-                                            req.contextLen()) *
+        Seconds own = Quantifier::decodeEstimate(
+                          quant_.tableFor(execSpec, model), 1,
+                          req.contextLen()) *
                       cfg_.overestimate;
         return aggregate > cfg_.tpotSlo || own + others > cfg_.tpotSlo;
     }
@@ -516,8 +518,9 @@ class ScanValidator
                 dec_best = std::min(dec_best, dd.deadline);
             if (pf_best <= dec_best) {
                 SimReq req = chosen->prefills[pf_idx];
-                t += quant_.prefillEstimate(*chosen->hw, *chosen->model,
-                                            req.ctx) *
+                t += Quantifier::prefillEstimate(
+                         quant_.tableFor(*chosen->hw, *chosen->model),
+                         req.ctx) *
                      cfg_.overestimate;
                 if (t > req.deadline && violate(req.id))
                     return false;
@@ -534,9 +537,9 @@ class ScanValidator
                     {std::max(req.deadline, t) + cfg_.tpotSlo, req.id});
             } else {
                 int batch = static_cast<int>(chosen->decodeDeadlines.size());
-                t += quant_.decodeEstimate(
-                         *chosen->hw, *chosen->model, batch,
-                         static_cast<Tokens>(chosen->avgLen)) *
+                t += Quantifier::decodeEstimate(
+                         quant_.tableFor(*chosen->hw, *chosen->model),
+                         batch, static_cast<Tokens>(chosen->avgLen)) *
                      cfg_.overestimate;
                 for (SimDecode &dd : chosen->decodeDeadlines) {
                     if (t > dd.deadline && violate(dd.id))
@@ -866,10 +869,10 @@ TEST_F(ShadowFixture, PendingPrefillPullsStreamStartForward)
     const Seconds now = 100.0;
     Instance &inst = addInstance(xeon6462c());
     addDecodes(inst, 4, now + 20.0);
-    const Seconds pf = quant.prefillEstimate(xeon6462c(), llama2_7b(), 256) *
-                       1.10;
-    const Seconds dec =
-        quant.decodeEstimate(xeon6462c(), llama2_7b(), 6, 700) * 1.10;
+    const Quantifier::ProfileTable &table =
+        quant.tableFor(xeon6462c(), llama2_7b());
+    const Seconds pf = Quantifier::prefillEstimate(table, 256) * 1.10;
+    const Seconds dec = Quantifier::decodeEstimate(table, 6, 700) * 1.10;
     const Seconds busy = now + 1.0;
     Request &queued = makeRequest(now, 256, 100);
     queued.arrival += busy + pf + 0.01 - queued.deadlineForNextToken();

@@ -501,6 +501,39 @@ TEST(SweepStore, RecordLinesRoundTrip)
     report.p95Ttft = 4.25;
     report.ttftCdf = {{0.25, 0.1}, {1.0, 0.8}};
     report.gpuTimeline = {{0.0, 1.0}, {60.0, 2.0}};
+    // Every optional block the writer emits, so the reader must read
+    // each one back for the line to re-serialize byte for byte.
+    Report::Window w;
+    w.start = 150.0;
+    w.end = 300.0;
+    w.arrived = 51;
+    w.completed = 47;
+    w.dropped = 2;
+    w.p50Ttft = 0.30000000000000004;
+    w.p95Ttft = 1.75;
+    w.completedPerSec = 47.0 / 150.0;
+    w.tokensPerSec = 123.456;
+    report.windows = {Report::Window{}, w};
+    Report::Attribution &a = report.attribution;
+    a.enabled = true;
+    a.requests = 95;
+    a.violations = 7;
+    a.segments = {{"queue_wait", 40, 12.5, 0.1, 0.9, 1.0 / 3.0, 5},
+                  {"cold_start", 3, 2.25, 0.7, 0.8, 0.9, 2}};
+    a.perModel = {{"llama-2-7b", {5, 2}}, {"llama-2-13b", {0, 0}}};
+    a.windowLen = 150.0;
+    a.perWindow = {{1, 0}, {4, 2}};
+    Report::Resilience &res = report.resilience;
+    res.enabled = true;
+    res.faultEvents = 2;
+    res.restores = 1;
+    res.availability = 0.96666666666666667;
+    res.mttrMeanS = 42.5;
+    res.degradedTimeS = 85.0;
+    res.lostPerFault = 1.5;
+    res.goodputFaultRpm = 8.25;
+    res.goodputHealthyRpm = 11.0 / 7.0;
+    res.recoveryMeanS = 13.0;
 
     std::string line = ResultStore::recordLine(job, report);
     EXPECT_EQ(line.find('\n'), std::string::npos);
@@ -520,6 +553,7 @@ TEST(SweepStore, RecordLinesRoundTrip)
     ASSERT_EQ(report2.ttftCdf.size(), 2u);
     EXPECT_DOUBLE_EQ(report2.ttftCdf[1].second, 0.8);
     ASSERT_EQ(report2.gpuTimeline.size(), 2u);
+    EXPECT_EQ(ResultStore::recordLine(job2, report2), line);
 
     EXPECT_FALSE(
         ResultStore::parseRecordLine("{\"key\": \"zz\"}", job2, report2,

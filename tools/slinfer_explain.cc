@@ -67,7 +67,7 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-/** Parse a report JSON's "attribution" block into the Report. */
+/** Read a single-run report that carries an attribution block. */
 bool
 loadReport(const std::string &path, Report &r, std::string *err)
 {
@@ -84,56 +84,12 @@ loadReport(const std::string &path, Report &r, std::string *err)
                "pass a single-run report)";
         return false;
     }
-    r.system = v.string("system");
-    r.scenario = v.string("scenario");
-    r.seed = static_cast<std::uint64_t>(v.num("seed"));
-    const JsonValue *attr = v.find("attribution");
-    if (!attr || !attr->isObject()) {
+    if (!reportFromJson(v, r, err))
+        return false;
+    if (!r.attribution.enabled) {
         *err = "report has no attribution block (re-run with "
                "slinfer_run --explain)";
         return false;
-    }
-    Report::Attribution &a = r.attribution;
-    a.enabled = true;
-    a.requests = static_cast<std::uint64_t>(attr->num("requests"));
-    a.violations = static_cast<std::uint64_t>(attr->num("violations"));
-    if (const JsonValue *segs = attr->find("segments");
-        segs && segs->isArray()) {
-        for (const JsonValue &sv : segs->array) {
-            Report::Attribution::Segment s;
-            s.name = sv.string("name");
-            s.count = static_cast<std::uint64_t>(sv.num("count"));
-            s.totalS = sv.num("total_s");
-            s.p50s = sv.num("p50_s");
-            s.p95s = sv.num("p95_s");
-            s.p99s = sv.num("p99_s");
-            s.blamed = static_cast<std::uint64_t>(sv.num("blamed"));
-            a.segments.push_back(std::move(s));
-        }
-    }
-    auto row = [](const JsonValue &arr) {
-        std::vector<std::uint64_t> out;
-        for (const JsonValue &e : arr.array)
-            out.push_back(static_cast<std::uint64_t>(e.number));
-        return out;
-    };
-    if (const JsonValue *pm = attr->find("per_model");
-        pm && pm->isArray()) {
-        for (const JsonValue &mv : pm->array) {
-            Report::Attribution::ModelBlame mb;
-            mb.model = mv.string("model");
-            if (const JsonValue *b = mv.find("blamed"); b && b->isArray())
-                mb.blamed = row(*b);
-            a.perModel.push_back(std::move(mb));
-        }
-    }
-    a.windowLen = attr->num("window_len");
-    if (const JsonValue *pw = attr->find("per_window");
-        pw && pw->isArray()) {
-        for (const JsonValue &wv : pw->array) {
-            if (wv.isArray())
-                a.perWindow.push_back(row(wv));
-        }
     }
     return true;
 }
