@@ -62,9 +62,6 @@ class Rng
     /** Bernoulli with probability p of true. */
     bool chance(double p);
 
-    /** Access to the raw engine for std distributions. */
-    std::mt19937_64 &engine() { return engine_; }
-
   private:
     std::mt19937_64 engine_;
     std::uint64_t seed_;

@@ -30,30 +30,11 @@ TokenScheduler::noise()
     return std::exp(sigma_ * rng_.normal());
 }
 
-namespace
-{
-
-/** Tokens of extra KV a decode step needs for this batch. */
-Tokens
-decodeGrowth(const Instance &inst)
-{
-    Tokens growth = 0;
-    for (const Request *r : inst.decodeBatch()) {
-        Tokens need = PagedKvCache::roundedTokens(r->contextLen() + 1);
-        if (need > r->kvReserved)
-            growth += need - r->kvReserved;
-    }
-    return growth;
-}
-
-} // namespace
-
 TokenScheduler::Pick
 TokenScheduler::pickNext(const Partition &partition, SchedPolicy policy,
                          Seconds now, std::vector<Instance *> &shortages)
 {
     Pick best;
-    double best_key = std::numeric_limits<double>::infinity();
     // FifoPrefillFirst biases all prefills ahead of all decodes by
     // subtracting a large constant from their sort key.
     const double kPrefillBias = 1e12;
@@ -66,39 +47,33 @@ TokenScheduler::pickNext(const Partition &partition, SchedPolicy policy,
         double key = std::numeric_limits<double>::infinity();
 
         if (policy == SchedPolicy::Headroom) {
-            bool is_prefill = false;
-            Request *urgent = inst->mostUrgent(now, is_prefill);
-            if (!urgent)
-                continue;
-            if (is_prefill) {
+            const Instance::Urgency u = inst->urgency(now);
+            // Prefill wins ties: the scan visited the prefill queue
+            // first and replaced its pick only on a strictly smaller
+            // headroom.
+            if (u.prefill && u.prefillHeadroom <= u.decodeHeadroom) {
                 Tokens need =
-                    PagedKvCache::roundedTokens(urgent->contextLen());
+                    PagedKvCache::roundedTokens(u.prefill->contextLen());
                 if (inst->kv.canFit(need)) {
-                    cand = {inst, urgent};
-                    key = urgent->headroom(now);
+                    cand = {inst, u.prefill};
+                    key = u.prefillHeadroom;
                 } else {
                     shortages.push_back(inst);
                     // Fall back to decoding the existing batch.
                     if (!inst->decodeBatch().empty() &&
-                        inst->kv.canFit(decodeGrowth(*inst))) {
+                        inst->kv.canFit(inst->decodeGrowth())) {
                         cand = {inst, nullptr};
-                        key = inst->minHeadroom(now);
+                        key = u.prefillHeadroom;
                     }
                 }
+            } else if (inst->kv.canFit(inst->decodeGrowth())) {
+                cand = {inst, nullptr};
+                key = u.decodeHeadroom;
             } else {
-                if (inst->kv.canFit(decodeGrowth(*inst))) {
-                    cand = {inst, nullptr};
-                    key = urgent->headroom(now);
-                } else {
-                    shortages.push_back(inst);
-                }
+                shortages.push_back(inst);
             }
         } else { // FifoPrefillFirst
-            Request *first_prefill = nullptr;
-            for (Request *r : inst->prefillQueue()) {
-                if (!first_prefill || r->arrival < first_prefill->arrival)
-                    first_prefill = r;
-            }
+            Request *first_prefill = inst->earliestPrefill();
             if (first_prefill &&
                 inst->kv.canFit(PagedKvCache::roundedTokens(
                     first_prefill->contextLen()))) {
@@ -107,9 +82,10 @@ TokenScheduler::pickNext(const Partition &partition, SchedPolicy policy,
             } else if (!inst->decodeBatch().empty()) {
                 if (first_prefill)
                     shortages.push_back(inst);
-                if (inst->kv.canFit(decodeGrowth(*inst))) {
+                if (inst->kv.canFit(inst->decodeGrowth())) {
+                    const Instance::Urgency u = inst->urgency(now);
                     cand = {inst, nullptr};
-                    key = inst->minHeadroom(now);
+                    key = std::min(u.prefillHeadroom, u.decodeHeadroom);
                 } else {
                     shortages.push_back(inst);
                     cand = {};
@@ -119,9 +95,9 @@ TokenScheduler::pickNext(const Partition &partition, SchedPolicy policy,
             }
         }
 
-        if (cand.inst && key < best_key) {
+        if (cand.inst && key < best.key) {
             best = cand;
-            best_key = key;
+            best.key = key;
         }
     }
     return best;
@@ -252,40 +228,45 @@ TokenScheduler::finishIteration()
         }
     } else {
         Tokens emitted = 0;
+        // The step raises every emitting member's deadline; fold the
+        // batch's new minimum here instead of rescanning at the next
+        // pick (Instance::endDecodeStep).
+        Seconds min_deadline = std::numeric_limits<Seconds>::infinity();
+        int folded = 0;
         for (Request *r : batch) {
             // Skip requests evicted while the iteration was in flight.
             if (r->instance != inst->id ||
                 r->state != RequestState::Decode) {
                 continue;
             }
-            Tokens need = PagedKvCache::roundedTokens(r->contextLen() + 1);
-            if (need > r->kvReserved) {
-                Tokens growth = need - r->kvReserved;
-                if (!inst->kv.reserve(growth)) {
-                    // Underestimation: this request cannot grow; it
-                    // stalls until the controller grows or evicts.
-                    if (anat_)
-                        anat_->onDecodeIterEnd(*r, /*stalled=*/true,
-                                               sim_.now());
-                    shortages.push_back(inst);
+            Tokens growth = Instance::tokenGrowth(*r);
+            if (growth > 0 && !inst->kv.reserve(growth)) {
+                // Underestimation: this request cannot grow; it
+                // stalls until the controller grows or evicts.
+                if (anat_)
+                    anat_->onDecodeIterEnd(*r, /*stalled=*/true,
+                                           sim_.now());
+                shortages.push_back(inst);
+            } else {
+                inst->noteDecodeToken(r, sim_.now());
+                ++inst->decodedTokens;
+                ++emitted;
+                if (r->finishedGenerating()) {
+                    inst->removeRequest(r);
+                    inst->kv.release(r->kvReserved);
+                    r->kvReserved = 0;
+                    r->state = RequestState::Completed;
+                    done.push_back(r);
                     continue;
                 }
-                r->kvReserved = need;
+                if (anat_)
+                    anat_->onDecodeIterEnd(*r, inst->resizeInFlight,
+                                           sim_.now());
             }
-            inst->noteDecodeToken(r, sim_.now());
-            ++inst->decodedTokens;
-            ++emitted;
-            if (r->finishedGenerating()) {
-                inst->removeRequest(r);
-                inst->kv.release(r->kvReserved);
-                r->kvReserved = 0;
-                r->state = RequestState::Completed;
-                done.push_back(r);
-            } else if (anat_) {
-                anat_->onDecodeIterEnd(*r, inst->resizeInFlight,
-                                       sim_.now());
-            }
+            min_deadline = std::min(min_deadline, r->deadlineForNextToken());
+            ++folded;
         }
+        inst->endDecodeStep(min_deadline, folded);
         if (stats_)
             stats_->onDecodeIteration(inst->execSpec.kind,
                                       static_cast<int>(batch.size()),

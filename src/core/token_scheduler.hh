@@ -11,6 +11,9 @@
  *  - Headroom (SLINFER): the instance whose most urgent request has the
  *    smallest headroom (Eq. 1) runs next; within the instance, the
  *    urgent request determines whether a prefill or a decode runs.
+ *    Instances keep their minimum deadlines and KV growth exact as
+ *    requests join, leave and emit tokens, so a pick never rescans a
+ *    queue (DESIGN.md, "Incremental urgency").
  *  - FifoPrefillFirst (vLLM-style, used by the baselines): pending
  *    prefills run before decode steps, in arrival order.
  *
@@ -23,6 +26,7 @@
 #define SLINFER_CORE_TOKEN_SCHEDULER_HH
 
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hh"
@@ -74,13 +78,19 @@ class TokenScheduler
     {
         Instance *inst = nullptr;
         Request *prefill = nullptr; ///< nullptr selects a decode step
+        /** The sort key that won: the candidate's headroom, or under
+         *  FifoPrefillFirst a biased arrival time for prefills. */
+        double key = std::numeric_limits<double>::infinity();
     };
 
     /**
      * The iteration `policy` runs next on `partition` at `now`
      * (inst == nullptr when nothing can run). Appends each instance
-     * whose KV allocation blocks its work to `shortages`. kick() calls
-     * this; Fig. 33's token-level-decision bench times it.
+     * whose KV allocation blocks its work to `shortages`. O(1) per
+     * instance: it reads each instance's kept urgency, KV growth and
+     * FIFO head (Instance::urgency, decodeGrowth, earliestPrefill)
+     * instead of scanning the queues. kick() calls this; Fig. 33's
+     * token-level-decision bench times it.
      */
     static Pick pickNext(const Partition &partition, SchedPolicy policy,
                          Seconds now, std::vector<Instance *> &shortages);

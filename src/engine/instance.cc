@@ -31,10 +31,36 @@ Instance::setState(InstanceState s)
 }
 
 void
+Instance::foldPrefill(Request *req)
+{
+    Seconds d = req->deadlineForNextToken();
+    if (d < prefillMin_) {
+        prefillSecond_ = prefillMin_;
+        prefillMin_ = d;
+        urgentPrefill_ = req;
+    } else if (d > prefillMin_ && d < prefillSecond_) {
+        prefillSecond_ = d;
+    }
+    if (!earliestPrefill_ || req->arrival < earliestPrefill_->arrival)
+        earliestPrefill_ = req;
+}
+
+void
+Instance::rescanPrefill()
+{
+    urgentPrefill_ = nullptr;
+    earliestPrefill_ = nullptr;
+    prefillMin_ = prefillSecond_ = std::numeric_limits<Seconds>::infinity();
+    for (Request *r : prefillQueue_)
+        foldPrefill(r);
+}
+
+void
 Instance::enqueuePrefill(Request *req)
 {
     prefillQueue_.push_back(req);
     prefillCtx_ += req->contextLen();
+    foldPrefill(req);
     bumpEpoch();
 }
 
@@ -43,6 +69,9 @@ Instance::joinDecode(Request *req)
 {
     decodeBatch_.push_back(req);
     decodeCtx_ += req->contextLen();
+    decodeGrowth_ += tokenGrowth(*req);
+    if (!decodeMinDirty_)
+        decodeMin_ = std::min(decodeMin_, req->deadlineForNextToken());
     bumpEpoch();
 }
 
@@ -51,13 +80,27 @@ Instance::notePrefillToken(Request *req, Seconds t)
 {
     req->noteToken(t);
     ++prefillCtx_;
+    rescanPrefill();
 }
 
 void
 Instance::noteDecodeToken(Request *req, Seconds t)
 {
+    Tokens grown = tokenGrowth(*req);
+    req->kvReserved += grown;
     req->noteToken(t);
     ++decodeCtx_;
+    decodeGrowth_ += tokenGrowth(*req) - grown;
+    decodeMinDirty_ = true;
+}
+
+void
+Instance::endDecodeStep(Seconds minDeadline, int folded)
+{
+    if (folded == batchSize()) {
+        decodeMin_ = minDeadline;
+        decodeMinDirty_ = false;
+    }
 }
 
 Tokens
@@ -77,38 +120,36 @@ Instance::runnable() const
     return !prefillQueue_.empty() || !decodeBatch_.empty();
 }
 
-Request *
-Instance::mostUrgent(Seconds now, bool &is_prefill) const
+Instance::Urgency
+Instance::urgency(Seconds now) const
 {
-    Request *best = nullptr;
-    Seconds best_h = std::numeric_limits<Seconds>::infinity();
-    is_prefill = false;
-    for (Request *r : prefillQueue_) {
-        Seconds h = r->headroom(now);
-        if (h < best_h) {
-            best_h = h;
-            best = r;
-            is_prefill = true;
+    Urgency u;
+    if (urgentPrefill_) {
+        // fl(d - now) is monotone in d, so the minimum deadline gives
+        // the minimum headroom, and its first holder is the scan's
+        // pick unless a larger deadline rounds to the same headroom.
+        u.prefillHeadroom = prefillMin_ - now;
+        if (prefillSecond_ - now > u.prefillHeadroom) {
+            u.prefill = urgentPrefill_;
+        } else {
+            for (Request *r : prefillQueue_) {
+                if (r->headroom(now) == u.prefillHeadroom) {
+                    u.prefill = r;
+                    break;
+                }
+            }
         }
     }
-    for (Request *r : decodeBatch_) {
-        Seconds h = r->headroom(now);
-        if (h < best_h) {
-            best_h = h;
-            best = r;
-            is_prefill = false;
+    if (!decodeBatch_.empty()) {
+        if (decodeMinDirty_) {
+            decodeMin_ = std::numeric_limits<Seconds>::infinity();
+            for (const Request *r : decodeBatch_)
+                decodeMin_ = std::min(decodeMin_, r->deadlineForNextToken());
+            decodeMinDirty_ = false;
         }
+        u.decodeHeadroom = decodeMin_ - now;
     }
-    return best;
-}
-
-Seconds
-Instance::minHeadroom(Seconds now) const
-{
-    bool is_prefill = false;
-    Request *r = mostUrgent(now, is_prefill);
-    return r ? r->headroom(now)
-             : std::numeric_limits<Seconds>::infinity();
+    return u;
 }
 
 void
@@ -121,12 +162,17 @@ Instance::removeRequest(Request *req)
         v.erase(it);
         return true;
     };
-    if (erase_from(prefillQueue_))
+    if (erase_from(prefillQueue_)) {
         prefillCtx_ -= req->contextLen();
-    else if (erase_from(decodeBatch_))
+        rescanPrefill();
+    } else if (erase_from(decodeBatch_)) {
         decodeCtx_ -= req->contextLen();
-    else
+        decodeGrowth_ -= tokenGrowth(*req);
+        if (req->deadlineForNextToken() <= decodeMin_)
+            decodeMinDirty_ = true;
+    } else {
         panic("Instance::removeRequest: request not found");
+    }
     bumpEpoch();
 }
 

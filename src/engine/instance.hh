@@ -8,6 +8,7 @@
 #ifndef SLINFER_ENGINE_INSTANCE_HH
 #define SLINFER_ENGINE_INSTANCE_HH
 
+#include <limits>
 #include <vector>
 
 #include "engine/kv_cache.hh"
@@ -108,10 +109,13 @@ class Instance
     }
 
     /*
-     * The queues change only through the methods below, which keep the
-     * running context sums exact and bump the primary partition's
-     * admission epoch on every join and leave (DESIGN.md, "Cached
-     * admission bounds").
+     * The queues change only through the methods below. They keep the
+     * running context sums and the scheduling facts urgency(),
+     * decodeGrowth() and earliestPrefill() read exact, and bump the
+     * primary partition's admission epoch on every join and leave
+     * (DESIGN.md, "Cached admission bounds" and "Incremental
+     * urgency"). A queued request's deadline and context, and a decode
+     * member's KV reservation, change only through them.
      */
     /** Append `req` to the prefill queue. */
     void enqueuePrefill(Request *req);
@@ -121,8 +125,35 @@ class Instance
     void removeRequest(Request *req);
     /** Emit one token of `req`, which waits in the prefill queue. */
     void notePrefillToken(Request *req, Seconds t);
-    /** Emit one token of `req`, which is in the decode batch. */
+    /**
+     * Emit one token of `req`, which is in the decode batch. The caller
+     * has reserved tokenGrowth(*req) in `kv`; this grows the request's
+     * reservation to match. Leaves the batch's minimum deadline dirty
+     * until endDecodeStep() or the next urgency() query.
+     */
     void noteDecodeToken(Request *req, Seconds t);
+    /**
+     * Close a decode step. `minDeadline` is the minimum next-token
+     * deadline over the `folded` batch members the step visited and
+     * kept, stalled ones included. It becomes the batch minimum only
+     * when those members are the whole batch: a request that joined
+     * mid-step leaves the value dirty instead.
+     */
+    void endDecodeStep(Seconds minDeadline, int folded);
+
+    /**
+     * KV tokens `req`'s next decode token needs beyond its reservation:
+     * max(0, roundedTokens(contextLen() + 1) - kvReserved). The
+     * reservation is block-rounded, so the growth is nonzero only when
+     * the next token overflows it, and roundedTokens runs once a block.
+     */
+    static Tokens tokenGrowth(const Request &req)
+    {
+        Tokens next = req.contextLen() + 1;
+        return next > req.kvReserved
+                   ? PagedKvCache::roundedTokens(next) - req.kvReserved
+                   : 0;
+    }
 
     /** Decode batch size ("bs" in the paper's consolidation figures). */
     int batchSize() const
@@ -148,25 +179,61 @@ class Instance
     /** True when the instance can run an iteration right now. */
     bool runnable() const;
 
-    /**
-     * The most urgent request (minimum headroom). Sets `is_prefill` to
-     * true when that request still awaits its prefill. Returns nullptr
-     * when the instance has no requests.
-     */
-    Request *mostUrgent(Seconds now, bool &is_prefill) const;
+    /** The next-token urgency of both queues (paper Eq. 1). */
+    struct Urgency
+    {
+        /** The prefill queue's first request of minimum headroom
+         *  (nullptr when the queue is empty). */
+        Request *prefill = nullptr;
+        /** Its headroom (+inf when the prefill queue is empty). */
+        Seconds prefillHeadroom = std::numeric_limits<Seconds>::infinity();
+        /** Minimum headroom over the decode batch (+inf when empty). */
+        Seconds decodeHeadroom = std::numeric_limits<Seconds>::infinity();
+    };
 
-    /** Minimum headroom across all owned requests (+inf when empty). */
-    Seconds minHeadroom(Seconds now) const;
+    /**
+     * Urgency at `now`, equal to a scan of every owned request's
+     * headroom. O(1) from the kept minimum deadlines; the prefill queue
+     * is scanned only when two of its deadlines round to one headroom,
+     * and the decode batch only after a step left its minimum dirty.
+     */
+    Urgency urgency(Seconds now) const;
+
+    /** KV tokens one decode step of the whole batch needs beyond its
+     *  reservations: Σ tokenGrowth over the batch (O(1)). */
+    Tokens decodeGrowth() const { return decodeGrowth_; }
+
+    /** The prefill queue's first earliest-arrival request, which
+     *  FifoPrefillFirst runs next (nullptr when empty, O(1)). */
+    Request *earliestPrefill() const { return earliestPrefill_; }
 
   private:
     void bumpEpoch();
+    /** Fold `req` into the prefill queue's kept facts. */
+    void foldPrefill(Request *req);
+    /** Recompute the prefill queue's kept facts from scratch. */
+    void rescanPrefill();
 
     InstanceState state_ = InstanceState::Loading;
+    /** True when decodeMin_ may be stale (sits in state_'s padding). */
+    mutable bool decodeMinDirty_ = false;
     std::vector<Request *> prefillQueue_;
     std::vector<Request *> decodeBatch_;
     /** Running Σ contextLen() over each queue. */
     Tokens prefillCtx_ = 0;
     Tokens decodeCtx_ = 0;
+    /** Running Σ tokenGrowth over the decode batch. */
+    Tokens decodeGrowth_ = 0;
+    /** Minimum next-token deadline over the decode batch, exact unless
+     *  decodeMinDirty_; urgency() refreshes a dirty value. */
+    mutable Seconds decodeMin_ = std::numeric_limits<Seconds>::infinity();
+    /** The prefill queue's first minimum-deadline request, that minimum,
+     *  and the second-smallest distinct deadline (+inf when none). */
+    Request *urgentPrefill_ = nullptr;
+    Seconds prefillMin_ = std::numeric_limits<Seconds>::infinity();
+    Seconds prefillSecond_ = std::numeric_limits<Seconds>::infinity();
+    /** The prefill queue's first earliest-arrival request. */
+    Request *earliestPrefill_ = nullptr;
 };
 
 } // namespace slinfer

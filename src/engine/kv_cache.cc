@@ -33,14 +33,6 @@ PagedKvCache::utilization() const
            static_cast<double>(allocBytes_);
 }
 
-Tokens
-PagedKvCache::roundedTokens(Tokens len)
-{
-    if (len <= 0)
-        return 0;
-    return (len + kBlockTokens - 1) / kBlockTokens * kBlockTokens;
-}
-
 bool
 PagedKvCache::canFit(Tokens extra) const
 {

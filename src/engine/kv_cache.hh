@@ -35,7 +35,12 @@ class PagedKvCache
     double utilization() const;
 
     /** Tokens of block-rounded footprint for a context of `len`. */
-    static Tokens roundedTokens(Tokens len);
+    static Tokens roundedTokens(Tokens len)
+    {
+        if (len <= 0)
+            return 0;
+        return (len + kBlockTokens - 1) / kBlockTokens * kBlockTokens;
+    }
 
     /** True if `extra` more tokens fit (block-rounded). */
     bool canFit(Tokens extra) const;

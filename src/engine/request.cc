@@ -4,19 +4,6 @@ namespace slinfer
 {
 
 Seconds
-Request::deadlineForNextToken() const
-{
-    return arrival + grace + ttftSlo +
-           tpotSlo * static_cast<double>(generated);
-}
-
-Seconds
-Request::headroom(Seconds now) const
-{
-    return deadlineForNextToken() - now;
-}
-
-Seconds
 Request::noteToken(Seconds t)
 {
     Seconds slack = deadlineForNextToken() - t;

@@ -77,7 +77,9 @@ struct Request
     int migrations = 0;
     /** Instance currently responsible (0 = none). */
     InstanceId instance = 0;
-    /** KV tokens currently reserved for this request (block-rounded). */
+    /** KV tokens currently reserved for this request: always a
+     *  PagedKvCache::roundedTokens value, which Instance::tokenGrowth
+     *  relies on. */
     Tokens kvReserved = 0;
     /** Consecutive failed dispatch attempts since the last admission
      *  (resilience backoff; ResilienceConfig::backoff). */
@@ -98,10 +100,17 @@ struct Request
     std::uint32_t poolSlot = 0xFFFFFFFFu;
 
     /** Absolute deadline of the next token (Eq. 1). */
-    Seconds deadlineForNextToken() const;
+    Seconds deadlineForNextToken() const
+    {
+        return arrival + grace + ttftSlo +
+               tpotSlo * static_cast<double>(generated);
+    }
 
     /** Headroom at time `now`; negative means the SLO is already lost. */
-    Seconds headroom(Seconds now) const;
+    Seconds headroom(Seconds now) const
+    {
+        return deadlineForNextToken() - now;
+    }
 
     /** Input plus generated tokens (KV footprint in tokens). */
     Tokens contextLen() const { return inputLen + generated; }

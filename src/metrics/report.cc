@@ -1,5 +1,6 @@
 #include "metrics/report.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -290,6 +291,15 @@ toJsonLine(const Report &r)
 }
 
 bool
+countFromJson(double x, std::uint64_t &out)
+{
+    if (!(std::isfinite(x) && x >= 0 && x <= 0x1p53 && std::trunc(x) == x))
+        return false;
+    out = static_cast<std::uint64_t>(x);
+    return true;
+}
+
+bool
 reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
 {
     using sweep::JsonValue;
@@ -299,13 +309,25 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
         return false;
     }
     r = Report();
+    // Counts are stored as JSON numbers; a tampered or corrupt store
+    // must fail here instead of reaching an unchecked cast.
+    std::string bad;
+    auto count = [&bad](double x, const char *key) -> std::uint64_t {
+        std::uint64_t n = 0;
+        if (!countFromJson(x, n) && bad.empty()) {
+            std::ostringstream os;
+            os << "report field '" << key << "' is not a count: " << x;
+            bad = os.str();
+        }
+        return n;
+    };
     r.system = v.string("system");
     r.scenario = v.string("scenario");
-    r.seed = static_cast<std::uint64_t>(v.num("seed"));
-    r.totalRequests = static_cast<std::size_t>(v.num("total_requests"));
-    r.completed = static_cast<std::size_t>(v.num("completed"));
-    r.dropped = static_cast<std::size_t>(v.num("dropped"));
-    r.sloMet = static_cast<std::size_t>(v.num("slo_met"));
+    r.seed = count(v.num("seed"), "seed");
+    r.totalRequests = count(v.num("total_requests"), "total_requests");
+    r.completed = count(v.num("completed"), "completed");
+    r.dropped = count(v.num("dropped"), "dropped");
+    r.sloMet = count(v.num("slo_met"), "slo_met");
     r.sloRate = v.num("slo_rate");
     r.avgCpuNodesUsed = v.num("avg_cpu_nodes_used");
     r.avgGpuNodesUsed = v.num("avg_gpu_nodes_used");
@@ -334,9 +356,9 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
             Report::Window w;
             w.start = wv.num("start");
             w.end = wv.num("end");
-            w.arrived = static_cast<std::size_t>(wv.num("arrived"));
-            w.completed = static_cast<std::size_t>(wv.num("completed"));
-            w.dropped = static_cast<std::size_t>(wv.num("dropped"));
+            w.arrived = count(wv.num("arrived"), "arrived");
+            w.completed = count(wv.num("completed"), "completed");
+            w.dropped = count(wv.num("dropped"), "dropped");
             w.p50Ttft = wv.num("p50_ttft");
             w.p95Ttft = wv.num("p95_ttft");
             w.completedPerSec = wv.num("completed_per_sec");
@@ -351,27 +373,26 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     if (attr && attr->isObject()) {
         Report::Attribution &a = r.attribution;
         a.enabled = true;
-        a.requests = static_cast<std::uint64_t>(attr->num("requests"));
-        a.violations =
-            static_cast<std::uint64_t>(attr->num("violations"));
+        a.requests = count(attr->num("requests"), "requests");
+        a.violations = count(attr->num("violations"), "violations");
         if (const JsonValue *segs = attr->find("segments");
             segs && segs->isArray()) {
             for (const JsonValue &sv : segs->array) {
                 Report::Attribution::Segment s;
                 s.name = sv.string("name");
-                s.count = static_cast<std::uint64_t>(sv.num("count"));
+                s.count = count(sv.num("count"), "count");
                 s.totalS = sv.num("total_s");
                 s.p50s = sv.num("p50_s");
                 s.p95s = sv.num("p95_s");
                 s.p99s = sv.num("p99_s");
-                s.blamed = static_cast<std::uint64_t>(sv.num("blamed"));
+                s.blamed = count(sv.num("blamed"), "blamed");
                 a.segments.push_back(std::move(s));
             }
         }
-        auto blameRow = [](const JsonValue &arr) {
+        auto blameRow = [&count](const JsonValue &arr) {
             std::vector<std::uint64_t> out;
             for (const JsonValue &e : arr.array)
-                out.push_back(static_cast<std::uint64_t>(e.number));
+                out.push_back(count(e.number, "blamed"));
             return out;
         };
         if (const JsonValue *pm = attr->find("per_model");
@@ -401,9 +422,8 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     if (res && res->isObject()) {
         Report::Resilience &rs = r.resilience;
         rs.enabled = true;
-        rs.faultEvents =
-            static_cast<std::uint64_t>(res->num("fault_events"));
-        rs.restores = static_cast<std::uint64_t>(res->num("restores"));
+        rs.faultEvents = count(res->num("fault_events"), "fault_events");
+        rs.restores = count(res->num("restores"), "restores");
         rs.availability = res->num("availability");
         rs.mttrMeanS = res->num("mttr_mean_s");
         rs.degradedTimeS = res->num("degraded_time_s");
@@ -411,6 +431,11 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
         rs.goodputFaultRpm = res->num("goodput_fault_rpm");
         rs.goodputHealthyRpm = res->num("goodput_healthy_rpm");
         rs.recoveryMeanS = res->num("recovery_mean_s");
+    }
+    if (!bad.empty()) {
+        if (err)
+            *err = bad;
+        return false;
     }
     return true;
 }

@@ -169,11 +169,19 @@ std::string toJson(const Report &report);
 std::string toJsonLine(const Report &report);
 
 /**
+ * A count stored as a JSON number: true and `out` set when `x` is a
+ * finite integer in [0, 2^53], the range a double holds exactly.
+ */
+bool countFromJson(double x, std::uint64_t &out);
+
+/**
  * The one report reader: rebuild `r` from a parsed toJson/toJsonLine
  * object, windows and the attribution and resilience blocks included,
  * so a toJsonLine report re-serializes byte for byte. The counters
  * block is not read: no consumer of a stored report uses it. Missing
- * members read as 0. False + *err when `v` is not an object.
+ * members read as 0. False + *err when `v` is not an object, or when
+ * a count (seed, request and window counts, attribution and resilience
+ * counts) is negative, fractional, not finite or above 2^53.
  */
 bool reportFromJson(const sweep::JsonValue &v, Report &r,
                     std::string *err);

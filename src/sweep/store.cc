@@ -45,7 +45,11 @@ ResultStore::parseRecordLine(const std::string &line, JobSpec &job,
             *err = "unknown system slug '" + v.string("system") + "'";
         return false;
     }
-    job.seed = static_cast<std::uint64_t>(v.num("seed"));
+    if (!countFromJson(v.num("seed"), job.seed)) {
+        if (err)
+            *err = "record field 'seed' is not a count";
+        return false;
+    }
     job.overrides.name = v.string("override_name");
     if (!tryParseOverrideSettings(v.string("overrides"),
                                   job.overrides.settings, err))

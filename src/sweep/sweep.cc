@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -72,11 +73,13 @@ int
 parsePositiveInt(const std::string &key, const std::string &value)
 {
     double v = parseDouble(key, value);
-    int i = static_cast<int>(v);
-    if (i < 0 || static_cast<double>(i) != v)
+    // Check the range before the cast: converting nan, inf or a value
+    // outside int's range is undefined behaviour.
+    if (!(v >= 0 && v <= std::numeric_limits<int>::max()) ||
+        std::trunc(v) != v)
         fatal("override " + key + ": expected a nonnegative integer, "
               "got '" + value + "'");
-    return i;
+    return static_cast<int>(v);
 }
 
 } // namespace

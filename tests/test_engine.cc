@@ -217,30 +217,30 @@ class InstanceTest : public ::testing::Test
     Instance inst;
 };
 
-TEST_F(InstanceTest, MostUrgentPicksMinHeadroom)
+TEST_F(InstanceTest, UrgencyPicksMinHeadroom)
 {
     Request a = makeReq(1, 0.0, 512, 10); // deadline 2.0 (prefill)
     Request b = makeReq(2, 0.0, 512, 10);
     b.generated = 2; // deadline 2.5
     inst.enqueuePrefill(&a);
     inst.joinDecode(&b);
-    bool is_prefill = false;
-    Request *u = inst.mostUrgent(1.0, is_prefill);
-    EXPECT_EQ(u, &a);
-    EXPECT_TRUE(is_prefill);
-    EXPECT_DOUBLE_EQ(inst.minHeadroom(1.0), 1.0);
+    Instance::Urgency u = inst.urgency(1.0);
+    EXPECT_EQ(u.prefill, &a);
+    EXPECT_DOUBLE_EQ(u.prefillHeadroom, 1.0);
+    EXPECT_DOUBLE_EQ(u.decodeHeadroom, 1.5);
 }
 
-TEST_F(InstanceTest, MostUrgentCanBeDecode)
+TEST_F(InstanceTest, UrgencyCanBeDecode)
 {
     Request a = makeReq(1, 5.0, 512, 10); // deadline 7.0
     Request b = makeReq(2, 0.0, 512, 10); // decode deadline 2.0
     inst.enqueuePrefill(&a);
     inst.joinDecode(&b);
-    bool is_prefill = true;
-    Request *u = inst.mostUrgent(1.0, is_prefill);
-    EXPECT_EQ(u, &b);
-    EXPECT_FALSE(is_prefill);
+    Instance::Urgency u = inst.urgency(1.0);
+    EXPECT_EQ(u.prefill, &a);
+    EXPECT_DOUBLE_EQ(u.prefillHeadroom, 6.0);
+    EXPECT_DOUBLE_EQ(u.decodeHeadroom, 1.0);
+    EXPECT_LT(u.decodeHeadroom, u.prefillHeadroom);
 }
 
 TEST_F(InstanceTest, BatchAndContextAccounting)
@@ -281,7 +281,12 @@ TEST_F(InstanceTest, RemoveRequestFromEitherQueue)
 
 TEST_F(InstanceTest, EmptyInstanceHasInfiniteHeadroom)
 {
-    EXPECT_TRUE(std::isinf(inst.minHeadroom(0.0)));
+    Instance::Urgency u = inst.urgency(0.0);
+    EXPECT_EQ(u.prefill, nullptr);
+    EXPECT_TRUE(std::isinf(u.prefillHeadroom));
+    EXPECT_TRUE(std::isinf(u.decodeHeadroom));
+    EXPECT_EQ(inst.decodeGrowth(), 0);
+    EXPECT_EQ(inst.earliestPrefill(), nullptr);
 }
 
 } // namespace

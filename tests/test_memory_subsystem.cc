@@ -411,9 +411,8 @@ TEST_P(MemoryStorm, NeverOoms)
             }
         } else if (dice < 0.7) {
             // Random resize on a live instance via the plan path.
-            Instance *inst =
-                live[static_cast<std::size_t>(rng.uniform()) % 1 +
-                     rng.engine()() % live.size()];
+            Instance *inst = live[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1))];
             if (inst->state() == InstanceState::Active ||
                 inst->state() == InstanceState::Loading) {
                 Bytes target = static_cast<Bytes>(
@@ -429,7 +428,8 @@ TEST_P(MemoryStorm, NeverOoms)
             }
         } else if (!live.empty()) {
             // Unload one.
-            std::size_t idx = rng.engine()() % live.size();
+            std::size_t idx = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
             Instance *inst = live[idx];
             if (inst->state() == InstanceState::Active &&
                 !inst->resizeInFlight) {

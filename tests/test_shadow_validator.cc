@@ -1064,7 +1064,8 @@ TEST_F(ShadowFixture, CachedBoundsMatchFreshEvaluationFuzz)
                     for (std::size_t k = 1 + pick(60); k > 0; --k) {
                         std::vector<Request *> batch = d->decodeBatch();
                         for (Request *r : batch)
-                            d->noteDecodeToken(r, now);
+                            if (d->kv.reserve(Instance::tokenGrowth(*r)))
+                                d->noteDecodeToken(r, now);
                     }
                 } else if (Instance *f = loaded(true)) {
                     Request *r = f->prefillQueue()[pick(

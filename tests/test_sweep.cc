@@ -107,6 +107,17 @@ TEST(SweepGrid, OverridesChangeTheHashAndTheConfig)
     bad.settings = {{"no-such-knob", "1"}};
     EXPECT_EXIT(applyOverrides(ExperimentConfig{}, bad),
                 testing::ExitedWithCode(1), "unknown override key");
+
+    // Node counts must be integers that fit an int; the check runs
+    // before the cast, so nan, inf and 1e20 fail instead of being UB.
+    for (const char *value : {"nan", "inf", "1e20", "-1", "2.5"}) {
+        OverrideSet nodes;
+        nodes.settings = {{"gpu-nodes", value}};
+        EXPECT_EXIT(applyOverrides(ExperimentConfig{}, nodes),
+                    testing::ExitedWithCode(1),
+                    "expected a nonnegative integer")
+            << value;
+    }
 }
 
 TEST(SweepRun, ByteIdenticalStoreAndSummaryAtAnyWorkerCount)
@@ -558,6 +569,61 @@ TEST(SweepStore, RecordLinesRoundTrip)
     EXPECT_FALSE(
         ResultStore::parseRecordLine("{\"key\": \"zz\"}", job2, report2,
                                      &err));
+}
+
+TEST(SweepStore, TamperedCountsAreRejected)
+{
+    JobSpec job;
+    job.scenario = "quickstart";
+    job.seed = 3;
+    Report report;
+    report.scenario = "quickstart";
+    report.seed = 3;
+    report.completed = 93;
+    report.windows = {Report::Window{}};
+    report.windows[0].arrived = 12;
+    Report::Attribution &a = report.attribution;
+    a.enabled = true;
+    a.requests = 95;
+    a.perWindow = {{4, 2}};
+    const std::string line = ResultStore::recordLine(job, report);
+
+    JobSpec job2;
+    Report report2;
+    std::string err;
+    ASSERT_TRUE(ResultStore::parseRecordLine(line, job2, report2, &err))
+        << err;
+    // Replace one count of the line at a time with a value no integer
+    // count a double holds exactly can take.
+    struct Count
+    {
+        const char *text, *field;
+    };
+    for (const Count &c : {Count{"\"seed\": 3", "seed"},
+                           Count{"\"completed\": 93", "completed"},
+                           Count{"\"arrived\": 12", "arrived"},
+                           Count{"\"requests\": 95", "requests"},
+                           Count{"[[4, 2]]", "blamed"}}) {
+        const std::string text = c.text;
+        const std::size_t at = line.find(text);
+        ASSERT_NE(at, std::string::npos) << text;
+        const std::size_t digit = text.find_first_of("0123456789");
+        const std::size_t len =
+            std::min(text.find_first_not_of("0123456789", digit),
+                     text.size()) -
+            digit;
+        for (const char *bad : {"-1", "2.5", "1e300", "9007199254740994"}) {
+            std::string tampered = line;
+            tampered.replace(at + digit, len, bad);
+            err.clear();
+            EXPECT_FALSE(ResultStore::parseRecordLine(tampered, job2,
+                                                      report2, &err))
+                << tampered;
+            EXPECT_NE(err.find(std::string("'") + c.field + "'"),
+                      std::string::npos)
+                << err;
+        }
+    }
 }
 
 TEST(SweepPool, RunsEveryTaskExactlyOnceAtAnyWidth)
