@@ -1,6 +1,7 @@
 #include "common/rng.hh"
 
 #include <cmath>
+#include <random>
 
 namespace slinfer
 {
@@ -15,12 +16,52 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed)
+Mt19937_64::Mt19937_64(result_type seed)
 {
-    // Expand the user seed through SplitMix64 so nearby seeds give
-    // uncorrelated streams.
-    std::uint64_t s = seed;
-    engine_.seed(splitMix64(s));
+    state_[0] = seed;
+    for (int i = 1; i < kN; ++i) {
+        const result_type prev = state_[i - 1];
+        state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) +
+                    static_cast<result_type>(i);
+    }
+}
+
+void
+Mt19937_64::twist()
+{
+    constexpr result_type kUpper = ~result_type(0) << 31;
+    constexpr result_type kLower = ~kUpper;
+    constexpr result_type kA = 0xB5026F5AA96619E9ULL;
+    // 0 - (y & 1) is all ones when y is odd: the mask replaces the
+    // branch on the low bit, which mispredicts half the time.
+    auto next = [](result_type cur, result_type succ, result_type far) {
+        const result_type y = (cur & kUpper) | (succ & kLower);
+        return far ^ (y >> 1) ^ (kA & (0 - (y & 1)));
+    };
+    int i = 0;
+    for (; i < kN - kM; ++i)
+        state_[i] = next(state_[i], state_[i + 1], state_[i + kM]);
+    for (; i < kN - 1; ++i)
+        state_[i] = next(state_[i], state_[i + 1], state_[i + kM - kN]);
+    state_[kN - 1] = next(state_[kN - 1], state_[0], state_[kM - 1]);
+    pos_ = 0;
+}
+
+namespace
+{
+
+/** Expand a user seed through SplitMix64 so nearby seeds give
+ *  uncorrelated streams. */
+std::uint64_t
+engineSeed(std::uint64_t seed)
+{
+    return splitMix64(seed);
+}
+
+} // namespace
+
+Rng::Rng(std::uint64_t seed) : engine_(engineSeed(seed)), seed_(seed)
+{
 }
 
 Rng
@@ -31,15 +72,10 @@ Rng::fork(std::uint64_t tag) const
 }
 
 double
-Rng::uniform()
-{
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-}
-
-double
 Rng::uniform(double lo, double hi)
 {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    // std::uniform_real_distribution(lo, hi)'s expression.
+    return uniform() * (hi - lo) + lo;
 }
 
 std::int64_t
@@ -81,7 +117,17 @@ Rng::boundedPareto(double lo, double hi, double alpha)
 double
 Rng::normal()
 {
-    return std::normal_distribution<double>(0.0, 1.0)(engine_);
+    // libstdc++'s polar method for a fresh normal_distribution(0, 1),
+    // term for term, so every draw keeps its bits (DESIGN.md, "Noise
+    // draws"). A fresh distribution discards its spare x * mult.
+    double x, y, r2;
+    do {
+        x = 2.0 * uniform() - 1.0;
+        y = 2.0 * uniform() - 1.0;
+        r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    return y * mult * 1.0 + 0.0;
 }
 
 bool

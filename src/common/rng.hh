@@ -12,10 +12,76 @@
 #define SLINFER_COMMON_RNG_HH
 
 #include <cstdint>
-#include <random>
 
 namespace slinfer
 {
+
+/**
+ * The standard's mt19937_64: the same seeding and the same outputs as
+ * std::mt19937_64, with a twist that selects the xor mask without a
+ * branch. It meets UniformRandomBitGenerator, so a std distribution
+ * drawing from it draws what it drew from std::mt19937_64.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+    static constexpr result_type default_seed = 5489u;
+
+    explicit Mt19937_64(result_type seed = default_seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    result_type
+    operator()()
+    {
+        if (pos_ == kN)
+            twist();
+        result_type y = state_[pos_++];
+        y ^= (y >> 29) & 0x5555555555555555ULL;
+        y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+        y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+        return y ^ (y >> 43);
+    }
+
+  private:
+    static constexpr int kN = 312;
+    static constexpr int kM = 156;
+
+    /** Regenerate all kN state words (the standard's transition). */
+    void twist();
+
+    result_type state_[kN];
+    /** Next state word to temper; kN once the state is used up. */
+    int pos_ = kN;
+};
+
+/**
+ * static_cast<double>(x), correctly rounded, without the branch x86-64
+ * needs to convert an unsigned 64-bit word: both 32-bit halves convert
+ * exactly, the scaling by 2^32 is exact, and the sum rounds once.
+ */
+inline double
+wordToDouble(std::uint64_t x)
+{
+    return static_cast<double>(static_cast<std::uint32_t>(x >> 32)) *
+               0x1p32 +
+           static_cast<double>(static_cast<std::uint32_t>(x));
+}
+
+/**
+ * A uniform double in [0, 1) from one 64-bit engine word, as
+ * libstdc++'s generate_canonical<double, 53> makes it: x / 2^64, with a
+ * result that rounds up to 1.0 clamped to nextafter(1.0, 0.0).
+ * Multiplying by 2^-64 is exact, so it equals the division.
+ */
+inline double
+wordToUnit(std::uint64_t x)
+{
+    const double u = wordToDouble(x) * 0x1p-64;
+    return u >= 1.0 ? 0x1.fffffffffffffp-1 : u;
+}
 
 /**
  * A seeded random stream with the distributions the workload generators
@@ -30,7 +96,7 @@ class Rng
     Rng fork(std::uint64_t tag) const;
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform() { return wordToUnit(engine_()); }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -63,7 +129,7 @@ class Rng
     bool chance(double p);
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     std::uint64_t seed_;
 };
 

@@ -27,7 +27,14 @@ TokenScheduler::noise()
 {
     if (sigma_ <= 0)
         return 1.0;
-    return std::exp(sigma_ * rng_.normal());
+    // rng_ has no other reader, so drawing a block ahead still hands
+    // the k-th iteration the k-th draw.
+    if (noiseNext_ == kNoiseBlock) {
+        for (double &f : noiseBlock_)
+            f = std::exp(sigma_ * rng_.normal());
+        noiseNext_ = 0;
+    }
+    return noiseBlock_[noiseNext_++];
 }
 
 TokenScheduler::Pick

@@ -99,6 +99,8 @@ class TokenScheduler
     void runPrefill(Instance *inst, Request *req);
     void runDecode(Instance *inst);
     void finishIteration();
+    /** The next iteration's lognormal noise factor, exp(sigma *
+     *  normal()) (1.0 when sigma <= 0, drawing nothing). */
     double noise();
 
     Simulator &sim_;
@@ -106,6 +108,11 @@ class TokenScheduler
     SchedPolicy policy_;
     double sigma_;
     Rng rng_;
+    /** Noise factors drawn ahead in one batch; noise() hands them out
+     *  in order (DESIGN.md, "Noise draws"). */
+    static constexpr int kNoiseBlock = 32;
+    double noiseBlock_[kNoiseBlock] = {};
+    int noiseNext_ = kNoiseBlock;
     Callbacks cbs_;
     ClusterStats *stats_;
     /** Feeds the controller's running busy-seconds aggregates. */

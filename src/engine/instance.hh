@@ -60,23 +60,10 @@ class Instance
     unsigned draining = 0;
 
     PagedKvCache kv;
-    /** True while a KV resize blocks this instance's iterations. */
-    bool resizeInFlight = false;
     /** The allocation the latest committed resize will end at. */
     Bytes kvTarget = 0;
-    /** Static allocation (baselines / exclusive fallback): the KV is
-     *  sized once at creation and never resized. */
-    bool staticKv = false;
     /** Bytes held directly on the primary partition (static path). */
     Bytes heldPrimaryBytes = 0;
-    /**
-     * True once the instance's memory (weights + initial KV) is
-     * physically held on the partition. A cold-start load parked in
-     * the reservation station is not yet resident; KV resizes must not
-     * execute before residency (the pending load reads the latest KV
-     * target when it finally executes).
-     */
-    bool memResident = false;
 
     Seconds createdAt = 0.0;
     Seconds activeAt = -1.0;
@@ -91,6 +78,23 @@ class Instance
     Seconds scalingTime = 0.0;
     /** Decode tokens produced (stats). */
     Tokens decodedTokens = 0;
+
+    // These flags share one 8-byte slot with decodeMinDirty_ and
+    // state_, the first private data members: every Instance ever
+    // created stays pooled, so padding costs memory on fleet runs.
+    /** True while a KV resize blocks this instance's iterations. */
+    bool resizeInFlight = false;
+    /** Static allocation (baselines / exclusive fallback): the KV is
+     *  sized once at creation and never resized. */
+    bool staticKv = false;
+    /**
+     * True once the instance's memory (weights + initial KV) is
+     * physically held on the partition. A cold-start load parked in
+     * the reservation station is not yet resident; KV resizes must not
+     * execute before residency (the pending load reads the latest KV
+     * target when it finally executes).
+     */
+    bool memResident = false;
 
     InstanceState state() const { return state_; }
     /** Change the lifecycle state (bumps the partition's admission
@@ -214,9 +218,9 @@ class Instance
     /** Recompute the prefill queue's kept facts from scratch. */
     void rescanPrefill();
 
-    InstanceState state_ = InstanceState::Loading;
-    /** True when decodeMin_ may be stale (sits in state_'s padding). */
+    /** True when decodeMin_ may be stale. */
     mutable bool decodeMinDirty_ = false;
+    InstanceState state_ = InstanceState::Loading;
     std::vector<Request *> prefillQueue_;
     std::vector<Request *> decodeBatch_;
     /** Running Σ contextLen() over each queue. */

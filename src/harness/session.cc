@@ -106,7 +106,7 @@ Session::Session(const ExperimentConfig &cfg)
 
     std::vector<double> avg_out(cfg_.models.size());
     for (std::size_t m = 0; m < cfg_.models.size(); ++m)
-        avg_out[m] = datasets_[m].meanOutput();
+        avg_out[m] = meanOutput(datasets_[m].kind());
     ControllerConfig ctl_cfg = cfg_.controller;
     ctl_cfg.seed = cfg_.seed;
     controller_ = makeSystem(cfg_.system, sim_, cluster_, cfg_.models,
@@ -264,6 +264,16 @@ Session::advanceSampled(Seconds t)
         recordSample();
         nextSample_ += every;
     }
+}
+
+double
+Session::meanOutput(DatasetKind kind)
+{
+    // Each value is a 4096-step integration; fleets share one kind.
+    double &mean = meanOutput_[static_cast<std::size_t>(kind)];
+    if (mean == 0)
+        mean = Dataset(kind).meanOutput();
+    return mean;
 }
 
 void
@@ -466,7 +476,7 @@ Session::applyIntervention(const Intervention &iv)
         // The deployed model samples lengths from the scenario's
         // shared dataset; its arrivals come from later bursts.
         datasets_.emplace_back(cfg_.dataset);
-        controller_->deployModel(iv.spec, datasets_.back().meanOutput());
+        controller_->deployModel(iv.spec, meanOutput(cfg_.dataset));
         break;
       }
       case Intervention::Kind::ModelRedeploy:

@@ -36,6 +36,7 @@
 #ifndef SLINFER_HARNESS_SESSION_HH
 #define SLINFER_HARNESS_SESSION_HH
 
+#include <array>
 #include <deque>
 #include <memory>
 
@@ -175,6 +176,8 @@ class Session
      *  no events, so the run stays byte-identical to an unsampled
      *  one (the PR 5 stepped-advance determinism contract). */
     void advanceSampled(Seconds t);
+    /** Dataset(kind).meanOutput(), integrated once per kind. */
+    double meanOutput(DatasetKind kind);
 
     ExperimentConfig cfg_;
     Seconds duration_ = 0.0;
@@ -183,6 +186,9 @@ class Session
     Recorder recorder_;
     std::unique_ptr<ClusterStats> stats_;
     std::vector<Dataset> datasets_;
+    /** meanOutput()'s values by kind: 0 until first asked (every
+     *  dataset clamps its output lengths to at least 1). */
+    std::array<double, kDatasetKinds> meanOutput_{};
 
     /** Injected arrivals (scale-up clones, bursts): deque so grown
      *  entries never move. extraEvents_ is 1:1, cancellable by a

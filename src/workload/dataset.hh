@@ -14,6 +14,7 @@
 #ifndef SLINFER_WORKLOAD_DATASET_HH
 #define SLINFER_WORKLOAD_DATASET_HH
 
+#include <cstddef>
 #include <string>
 
 #include "common/rng.hh"
@@ -30,6 +31,10 @@ enum class DatasetKind
     ShareGPT,
     LongBench,
 };
+
+/** Number of DatasetKind values (LongBench is the last). */
+constexpr std::size_t kDatasetKinds =
+    static_cast<std::size_t>(DatasetKind::LongBench) + 1;
 
 /** One request's input and target output length. */
 struct LengthSample

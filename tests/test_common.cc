@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -210,6 +212,138 @@ TEST(Rng, RawOutputsArePinned)
                 << pin.sampler << " seed " << pin.seed << " draw " << i;
         }
     }
+}
+
+TEST(Mt19937_64, TenThousandthOutputFromDefaultSeed)
+{
+    // The standard's check value for mt19937_64 ([rand.predef]).
+    Mt19937_64 e;
+    Mt19937_64::result_type x = 0;
+    for (int i = 0; i < 10000; ++i)
+        x = e();
+    EXPECT_EQ(x, 9981545732273789042ULL);
+}
+
+/** The seed Rng(seed) hands its engine. */
+std::uint64_t
+rngEngineSeed(std::uint64_t seed)
+{
+    return splitMix64(seed);
+}
+
+// The standard fixes mt19937_64's outputs exactly, so this comparison
+// holds on every standard library.
+TEST(Mt19937_64, MatchesStdMt19937_64)
+{
+    for (std::uint64_t seed : {std::uint64_t{5489}, std::uint64_t{1},
+                               rngEngineSeed(42)}) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 ref(seed);
+        int mismatches = 0;
+        for (int i = 0; i < 1000000; ++i)
+            mismatches += ours() != ref();
+        EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    }
+}
+
+TEST(Rng, WordToDoubleIsTheRoundedConversion)
+{
+    const std::uint64_t edges[] = {0,
+                                   (1ULL << 32) - 1,
+                                   1ULL << 32,
+                                   (1ULL << 32) + 1,
+                                   1ULL << 53,
+                                   (1ULL << 53) + 1,
+                                   1ULL << 63,
+                                   ~0ULL};
+    for (std::uint64_t x : edges)
+        EXPECT_EQ(wordToDouble(x), static_cast<double>(x)) << x;
+    Mt19937_64 e(7);
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+        const std::uint64_t x = e();
+        mismatches += wordToDouble(x) != static_cast<double>(x);
+    }
+    EXPECT_EQ(mismatches, 0);
+    // 2^64 - 1 rounds to 2^64; the unit draw clamps it below 1.
+    EXPECT_EQ(wordToUnit(~0ULL), std::nextafter(1.0, 0.0));
+    EXPECT_EQ(wordToUnit(0), 0.0);
+}
+
+/*
+ * The tests below compare against libstdc++'s distributions, whose bits
+ * every golden digest pins. The standard leaves the distributions'
+ * algorithms to the library, so they run only on libstdc++.
+ */
+#if defined(__GLIBCXX__)
+#define SLINFER_REQUIRE_LIBSTDCXX()
+#else
+#define SLINFER_REQUIRE_LIBSTDCXX()                                          \
+    GTEST_SKIP() << "compares against libstdc++'s <random> algorithms"
+#endif
+
+/** A bit generator that returns one fixed word. */
+struct FixedWord
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+    result_type operator()() { return word; }
+    result_type word;
+};
+
+TEST(Rng, WordToUnitMatchesGenerateCanonical)
+{
+    SLINFER_REQUIRE_LIBSTDCXX();
+    auto canonical = [](std::uint64_t x) {
+        FixedWord w{x};
+        return std::generate_canonical<double, 53>(w);
+    };
+    // 2^64 - 1024 is the tie that rounds up to 2^64 and clamps;
+    // 2^64 - 1025 rounds down.
+    const std::uint64_t edges[] = {0, (1ULL << 53) + 1, ~0ULL, ~0ULL - 1023,
+                                   ~0ULL - 1024};
+    for (std::uint64_t x : edges)
+        EXPECT_EQ(wordToUnit(x), canonical(x)) << x;
+    Mt19937_64 e(9);
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+        const std::uint64_t x = e();
+        mismatches += wordToUnit(x) != canonical(x);
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Rng, NormalMatchesStdNormalDistribution)
+{
+    SLINFER_REQUIRE_LIBSTDCXX();
+    for (std::uint64_t seed : {1, 42, 0x5eed}) {
+        Rng ours(seed);
+        std::mt19937_64 eng(rngEngineSeed(seed));
+        int mismatches = 0;
+        for (int i = 0; i < 1000000; ++i) {
+            const double want =
+                std::normal_distribution<double>(0.0, 1.0)(eng);
+            mismatches += ours.normal() != want;
+        }
+        EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    }
+}
+
+TEST(Rng, UniformMatchesStdUniformRealDistribution)
+{
+    SLINFER_REQUIRE_LIBSTDCXX();
+    Rng ours(3);
+    std::mt19937_64 eng(rngEngineSeed(3));
+    int mismatches = 0;
+    for (int i = 0; i < 100000; ++i) {
+        mismatches += ours.uniform() !=
+                      std::uniform_real_distribution<double>(0.0, 1.0)(eng);
+        mismatches +=
+            ours.uniform(-2.5, 7.0) !=
+            std::uniform_real_distribution<double>(-2.5, 7.0)(eng);
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Summary, BasicMoments)

@@ -228,6 +228,48 @@ TEST_F(SchedFixture, NoiseIsDeterministicPerSeed)
     EXPECT_DOUBLE_EQ(other.sim.now(), first_run);
 }
 
+/**
+ * Iteration k runs for the perf model's time times the k-th noise draw
+ * of the scheduler's Rng, across the blocks noise() draws ahead.
+ */
+void
+expectNoiseDrawsInOrder(double sigma)
+{
+    SchedHarness h;
+    auto &s = h.makeScheduler(SchedPolicy::Headroom, sigma);
+    Instance &inst = h.addInstance();
+    h.addRequest(inst, 0.0, 512, 80); // 1 prefill + 79 decode steps
+    Rng ref(1); // a copy of the Rng makeScheduler hands the scheduler
+    s.kick();
+    int iters = 0;
+    while (h.part->busy) {
+        const Seconds base =
+            iters == 0
+                ? PerfModel::prefillTime(a100_80g(), llama2_7b(), 512)
+                : PerfModel::decodeTime(a100_80g(), llama2_7b(),
+                                        inst.batchSize(),
+                                        inst.avgContextLen());
+        const double f = sigma > 0 ? std::exp(sigma * ref.normal()) : 1.0;
+        EXPECT_EQ(s.busyUntil(),
+                  h.sim.now() + base * f * h.part->perfFactor)
+            << "iteration " << iters;
+        ++iters;
+        h.sim.runUntil(s.busyUntil());
+    }
+    EXPECT_EQ(iters, 80);
+    EXPECT_EQ(h.done.size(), 1u);
+}
+
+TEST(TokenSchedulerNoise, IterationKGetsTheKthDraw)
+{
+    expectNoiseDrawsInOrder(0.05);
+}
+
+TEST(TokenSchedulerNoise, ZeroSigmaRunsThePerfModelTime)
+{
+    expectNoiseDrawsInOrder(0.0);
+}
+
 TEST_F(SchedFixture, ResizeInFlightBlocksInstanceButNotSiblings)
 {
     auto &s = makeScheduler();
