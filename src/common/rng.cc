@@ -114,22 +114,6 @@ Rng::boundedPareto(double lo, double hi, double alpha)
     return std::pow(x, -1.0 / alpha);
 }
 
-double
-Rng::normal()
-{
-    // libstdc++'s polar method for a fresh normal_distribution(0, 1),
-    // term for term, so every draw keeps its bits (DESIGN.md, "Noise
-    // draws"). A fresh distribution discards its spare x * mult.
-    double x, y, r2;
-    do {
-        x = 2.0 * uniform() - 1.0;
-        y = 2.0 * uniform() - 1.0;
-        r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    const double mult = std::sqrt(-2 * std::log(r2) / r2);
-    return y * mult * 1.0 + 0.0;
-}
-
 bool
 Rng::chance(double p)
 {

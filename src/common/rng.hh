@@ -11,6 +11,7 @@
 #ifndef SLINFER_COMMON_RNG_HH
 #define SLINFER_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace slinfer
@@ -135,6 +136,22 @@ class Rng
 
 /** SplitMix64 step, used for seed derivation. */
 std::uint64_t splitMix64(std::uint64_t &state);
+
+inline double
+Rng::normal()
+{
+    // libstdc++'s polar method for a fresh normal_distribution(0, 1),
+    // term for term, so every draw keeps its bits (DESIGN.md, "Noise
+    // draws"). A fresh distribution discards its spare x * mult.
+    double x, y, r2;
+    do {
+        x = 2.0 * uniform() - 1.0;
+        y = 2.0 * uniform() - 1.0;
+        r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    return y * mult * 1.0 + 0.0;
+}
 
 } // namespace slinfer
 

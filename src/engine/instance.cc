@@ -84,75 +84,6 @@ Instance::notePrefillToken(Request *req, Seconds t)
 }
 
 void
-Instance::noteDecodeToken(Request *req, Seconds t)
-{
-    Tokens grown = tokenGrowth(*req);
-    req->kvReserved += grown;
-    req->noteToken(t);
-    ++decodeCtx_;
-    decodeGrowth_ += tokenGrowth(*req) - grown;
-    decodeMinDirty_ = true;
-}
-
-void
-Instance::endDecodeStep(Seconds minDeadline, int folded)
-{
-    if (folded == batchSize()) {
-        decodeMin_ = minDeadline;
-        decodeMinDirty_ = false;
-    }
-}
-
-Tokens
-Instance::avgContextLen() const
-{
-    if (decodeBatch_.empty())
-        return 1;
-    return std::max<Tokens>(
-        1, decodeCtx_ / static_cast<Tokens>(decodeBatch_.size()));
-}
-
-bool
-Instance::runnable() const
-{
-    if (state_ != InstanceState::Active || resizeInFlight)
-        return false;
-    return !prefillQueue_.empty() || !decodeBatch_.empty();
-}
-
-Instance::Urgency
-Instance::urgency(Seconds now) const
-{
-    Urgency u;
-    if (urgentPrefill_) {
-        // fl(d - now) is monotone in d, so the minimum deadline gives
-        // the minimum headroom, and its first holder is the scan's
-        // pick unless a larger deadline rounds to the same headroom.
-        u.prefillHeadroom = prefillMin_ - now;
-        if (prefillSecond_ - now > u.prefillHeadroom) {
-            u.prefill = urgentPrefill_;
-        } else {
-            for (Request *r : prefillQueue_) {
-                if (r->headroom(now) == u.prefillHeadroom) {
-                    u.prefill = r;
-                    break;
-                }
-            }
-        }
-    }
-    if (!decodeBatch_.empty()) {
-        if (decodeMinDirty_) {
-            decodeMin_ = std::numeric_limits<Seconds>::infinity();
-            for (const Request *r : decodeBatch_)
-                decodeMin_ = std::min(decodeMin_, r->deadlineForNextToken());
-            decodeMinDirty_ = false;
-        }
-        u.decodeHeadroom = decodeMin_ - now;
-    }
-    return u;
-}
-
-void
 Instance::removeRequest(Request *req)
 {
     auto erase_from = [req](std::vector<Request *> &v) {

@@ -8,6 +8,7 @@
 #ifndef SLINFER_ENGINE_INSTANCE_HH
 #define SLINFER_ENGINE_INSTANCE_HH
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -239,6 +240,75 @@ class Instance
     /** The prefill queue's first earliest-arrival request. */
     Request *earliestPrefill_ = nullptr;
 };
+
+inline void
+Instance::noteDecodeToken(Request *req, Seconds t)
+{
+    Tokens grown = tokenGrowth(*req);
+    req->kvReserved += grown;
+    req->noteToken(t);
+    ++decodeCtx_;
+    decodeGrowth_ += tokenGrowth(*req) - grown;
+    decodeMinDirty_ = true;
+}
+
+inline void
+Instance::endDecodeStep(Seconds minDeadline, int folded)
+{
+    if (folded == batchSize()) {
+        decodeMin_ = minDeadline;
+        decodeMinDirty_ = false;
+    }
+}
+
+inline Tokens
+Instance::avgContextLen() const
+{
+    if (decodeBatch_.empty())
+        return 1;
+    return std::max<Tokens>(
+        1, decodeCtx_ / static_cast<Tokens>(decodeBatch_.size()));
+}
+
+inline bool
+Instance::runnable() const
+{
+    if (state_ != InstanceState::Active || resizeInFlight)
+        return false;
+    return !prefillQueue_.empty() || !decodeBatch_.empty();
+}
+
+inline Instance::Urgency
+Instance::urgency(Seconds now) const
+{
+    Urgency u;
+    if (urgentPrefill_) {
+        // fl(d - now) is monotone in d, so the minimum deadline gives
+        // the minimum headroom, and its first holder is the scan's
+        // pick unless a larger deadline rounds to the same headroom.
+        u.prefillHeadroom = prefillMin_ - now;
+        if (prefillSecond_ - now > u.prefillHeadroom) {
+            u.prefill = urgentPrefill_;
+        } else {
+            for (Request *r : prefillQueue_) {
+                if (r->headroom(now) == u.prefillHeadroom) {
+                    u.prefill = r;
+                    break;
+                }
+            }
+        }
+    }
+    if (!decodeBatch_.empty()) {
+        if (decodeMinDirty_) {
+            decodeMin_ = std::numeric_limits<Seconds>::infinity();
+            for (const Request *r : decodeBatch_)
+                decodeMin_ = std::min(decodeMin_, r->deadlineForNextToken());
+            decodeMinDirty_ = false;
+        }
+        u.decodeHeadroom = decodeMin_ - now;
+    }
+    return u;
+}
 
 } // namespace slinfer
 

@@ -12,18 +12,6 @@ PagedKvCache::PagedKvCache(Bytes bytesPerToken, Bytes allocBytes)
         panic("PagedKvCache: zero bytes per token");
 }
 
-Tokens
-PagedKvCache::capacityTokens() const
-{
-    return static_cast<Tokens>(allocBytes_ / bytesPerToken_);
-}
-
-Bytes
-PagedKvCache::usedBytes() const
-{
-    return static_cast<Bytes>(usedTokens_) * bytesPerToken_;
-}
-
 double
 PagedKvCache::utilization() const
 {
@@ -31,29 +19,6 @@ PagedKvCache::utilization() const
         return 0.0;
     return static_cast<double>(usedBytes()) /
            static_cast<double>(allocBytes_);
-}
-
-bool
-PagedKvCache::canFit(Tokens extra) const
-{
-    return usedTokens_ + extra <= capacityTokens();
-}
-
-bool
-PagedKvCache::reserve(Tokens tokens)
-{
-    if (!canFit(tokens))
-        return false;
-    usedTokens_ += tokens;
-    return true;
-}
-
-void
-PagedKvCache::release(Tokens tokens)
-{
-    if (tokens > usedTokens_)
-        panic("PagedKvCache: releasing more than reserved");
-    usedTokens_ -= tokens;
 }
 
 void

@@ -13,6 +13,7 @@
 #ifndef SLINFER_ENGINE_KV_CACHE_HH
 #define SLINFER_ENGINE_KV_CACHE_HH
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace slinfer
@@ -62,6 +63,41 @@ class PagedKvCache
     Bytes allocBytes_;
     Tokens usedTokens_ = 0;
 };
+
+inline Tokens
+PagedKvCache::capacityTokens() const
+{
+    return static_cast<Tokens>(allocBytes_ / bytesPerToken_);
+}
+
+inline Bytes
+PagedKvCache::usedBytes() const
+{
+    return static_cast<Bytes>(usedTokens_) * bytesPerToken_;
+}
+
+inline bool
+PagedKvCache::canFit(Tokens extra) const
+{
+    return usedTokens_ + extra <= capacityTokens();
+}
+
+inline bool
+PagedKvCache::reserve(Tokens tokens)
+{
+    if (!canFit(tokens))
+        return false;
+    usedTokens_ += tokens;
+    return true;
+}
+
+inline void
+PagedKvCache::release(Tokens tokens)
+{
+    if (tokens > usedTokens_)
+        panic("PagedKvCache: releasing more than reserved");
+    usedTokens_ -= tokens;
+}
 
 } // namespace slinfer
 

@@ -125,6 +125,18 @@ struct Request
     Seconds noteToken(Seconds t);
 };
 
+inline Seconds
+Request::noteToken(Seconds t)
+{
+    Seconds slack = deadlineForNextToken() - t;
+    if (slack < 0)
+        sloViolated = true;
+    if (generated == 0)
+        firstTokenTime = t;
+    ++generated;
+    return slack;
+}
+
 } // namespace slinfer
 
 #endif // SLINFER_ENGINE_REQUEST_HH

@@ -4,7 +4,7 @@
  * efficiency factors used by the roofline performance model.
  *
  * Efficiency factors are calibrated so the model reproduces the paper's
- * published latencies (Table I and Figs. 6-8); see perf_model.cc and the
+ * published latencies (Table I and Figs. 6-8); see perf_model.hh and the
  * hw unit tests for the calibration targets.
  */
 

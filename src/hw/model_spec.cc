@@ -7,31 +7,6 @@
 namespace slinfer
 {
 
-Bytes
-ModelSpec::weightBytes() const
-{
-    return static_cast<Bytes>(params * bytesPerParam);
-}
-
-Bytes
-ModelSpec::kvBytesPerToken() const
-{
-    return kvBytesPerLayerToken * static_cast<Bytes>(numLayers);
-}
-
-double
-ModelSpec::flopsPerToken() const
-{
-    return 2.0 * params;
-}
-
-double
-ModelSpec::attnFlops(Tokens len) const
-{
-    double l = static_cast<double>(len);
-    return 4.0 * numLayers * hiddenDim * l * l;
-}
-
 namespace
 {
 

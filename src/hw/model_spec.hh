@@ -56,6 +56,31 @@ struct ModelSpec
     double attnFlops(Tokens len) const;
 };
 
+inline Bytes
+ModelSpec::weightBytes() const
+{
+    return static_cast<Bytes>(params * bytesPerParam);
+}
+
+inline Bytes
+ModelSpec::kvBytesPerToken() const
+{
+    return kvBytesPerLayerToken * static_cast<Bytes>(numLayers);
+}
+
+inline double
+ModelSpec::flopsPerToken() const
+{
+    return 2.0 * params;
+}
+
+inline double
+ModelSpec::attnFlops(Tokens len) const
+{
+    double l = static_cast<double>(len);
+    return 4.0 * numLayers * hiddenDim * l * l;
+}
+
 /** Llama-3.2-3B (28 layers, 3072 dim, GQA-8). */
 ModelSpec llama32_3b();
 /** Llama-2-7B (32 layers, 4096 dim, MHA). */

@@ -1,46 +1,7 @@
 #include "hw/perf_model.hh"
 
-#include <algorithm>
-
-#include "common/log.hh"
-
 namespace slinfer
 {
-
-Seconds
-PerfModel::prefillTime(const HardwareSpec &hw, const ModelSpec &m,
-                       Tokens inputLen)
-{
-    if (inputLen <= 0)
-        panic("prefillTime: non-positive input length");
-    double flops = m.flopsPerToken() * static_cast<double>(inputLen) +
-                   m.attnFlops(inputLen);
-    double t_compute = flops / (hw.peakFlops * hw.effPrefill);
-    double t_mem = static_cast<double>(m.weightBytes()) / hw.effectiveBw();
-    return std::max(t_compute, t_mem) + hw.prefillOverhead;
-}
-
-Seconds
-PerfModel::decodeTime(const HardwareSpec &hw, const ModelSpec &m,
-                      int batchSize, Tokens avgLen)
-{
-    if (batchSize <= 0)
-        panic("decodeTime: non-positive batch size");
-    avgLen = std::max<Tokens>(avgLen, 1);
-    double kv_bytes = static_cast<double>(batchSize) *
-                      static_cast<double>(avgLen) *
-                      static_cast<double>(m.kvBytesPerToken());
-    // KV reads may be served by auxiliary (CPU-offload) bandwidth in
-    // parallel with device memory (the NEO baseline); weights always
-    // stream from device memory.
-    double t_mem =
-        static_cast<double>(m.weightBytes()) / hw.effectiveBw() +
-        kv_bytes / (hw.effectiveBw() + hw.auxKvBandwidth);
-    double t_compute = static_cast<double>(batchSize) * m.flopsPerToken() /
-                       (hw.peakFlops * hw.effDecodeCompute);
-    return t_mem + t_compute + hw.iterOverhead +
-           static_cast<double>(batchSize) * hw.perRequestOverhead;
-}
 
 int
 PerfModel::maxBatchWithinTpot(const HardwareSpec &hw, const ModelSpec &m,

@@ -1,6 +1,8 @@
 #include "scenario/timeline.hh"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sweep/json.hh"
@@ -38,13 +40,32 @@ parseEntry(const sweep::JsonValue &v, std::size_t index, Intervention &iv,
     const sweep::JsonValue *at = v.find("at");
     if (!at || !at->isNumber())
         return fail(err, where + ": missing numeric \"at\"");
-    iv.at = at->number;
 
-    iv.node = static_cast<int>(v.num("node", -1));
-    iv.model = static_cast<int>(v.num("model", -1));
-    iv.factor = v.num("factor", 1.0);
-    iv.rpm = v.num("rpm", 0.0);
-    iv.duration = v.num("duration", 0.0);
+    // An infinite "rpm" would generate arrivals without bound, and an
+    // index outside int range has no defined cast, so both are refused
+    // here rather than at run time.
+    auto finite = [&](const char *key, double value, double &out) {
+        if (!std::isfinite(value))
+            return fail(err, where + ": \"" + key + "\" must be finite");
+        out = value;
+        return true;
+    };
+    auto intField = [&](const char *key, int &out) {
+        double d = 0.0;
+        if (!finite(key, v.num(key, -1), d))
+            return false;
+        if (d < std::numeric_limits<int>::min() ||
+            d > std::numeric_limits<int>::max())
+            return fail(err, where + ": \"" + key + "\" is out of range");
+        out = static_cast<int>(d);
+        return true;
+    };
+    if (!finite("at", at->number, iv.at) || !intField("node", iv.node) ||
+        !intField("model", iv.model) ||
+        !finite("factor", v.num("factor", 1.0), iv.factor) ||
+        !finite("rpm", v.num("rpm", 0.0), iv.rpm) ||
+        !finite("duration", v.num("duration", 0.0), iv.duration))
+        return false;
 
     std::string spec = v.string("spec");
     if (!spec.empty() && !tryModelPreset(spec, iv.spec))

@@ -349,6 +349,14 @@ TEST(PerfModel, AuxKvBandwidthSpeedsDecodeOnly)
                      PerfModel::prefillTime(gpu, llama2_7b(), 1024));
 }
 
+TEST(PerfModel, NonPositiveShapesPanic)
+{
+    EXPECT_DEATH(PerfModel::decodeTime(a100_80g(), llama2_7b(), 0, 512),
+                 "non-positive batch size");
+    EXPECT_DEATH(PerfModel::prefillTime(a100_80g(), llama2_7b(), 0),
+                 "non-positive input length");
+}
+
 // ------------------------------------------------------------------
 // Memory-operation cost model (Fig. 17, §IX-A).
 // ------------------------------------------------------------------

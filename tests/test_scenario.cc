@@ -11,6 +11,7 @@
 #include <set>
 
 #include "scenario/scenario.hh"
+#include "scenario/timeline.hh"
 
 namespace slinfer
 {
@@ -331,6 +332,63 @@ TEST(DurationConsistency, BothSourcesSetIsFatal)
     cfg.trace = generateAzureTrace(tc);
     cfg.arrivals = makeAzure(tc);
     EXPECT_DEATH(runExperiment(cfg), "both");
+}
+
+// ------------------------------------------------------------------
+// Timeline numbers: parsing alone rejects what no run could survive.
+// ------------------------------------------------------------------
+
+/** The error parseTimeline gives for `doc`, "" when it parses. */
+std::string
+timelineError(const std::string &doc)
+{
+    Timeline tl;
+    std::string err;
+    return parseTimeline(doc, tl, &err) ? "" : err;
+}
+
+TEST(TimelineNumbers, NonFiniteValuesAreRejected)
+{
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-burst",
+        "model": 0, "rpm": 1e999, "duration": 60}])"),
+              "timeline[0]: \"rpm\" must be finite");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-scale",
+        "factor": 1e999}])"),
+              "timeline[0]: \"factor\" must be finite");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-burst",
+        "model": 0, "rpm": 60, "duration": -1e999}])"),
+              "timeline[0]: \"duration\" must be finite");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "node-fail", "node": 0},
+        {"at": 1e999, "kind": "node-restore", "node": 0}])"),
+              "timeline[1]: \"at\" must be finite");
+}
+
+TEST(TimelineNumbers, IndicesOutsideIntAreRejected)
+{
+    EXPECT_EQ(timelineError(
+                  R"([{"at": 1, "kind": "node-fail", "node": 1e20}])"),
+              "timeline[0]: \"node\" is out of range");
+    EXPECT_EQ(timelineError(
+                  R"([{"at": 1, "kind": "model-retire", "model": -3e9}])"),
+              "timeline[0]: \"model\" is out of range");
+    EXPECT_EQ(timelineError(
+                  R"([{"at": 1, "kind": "node-fail", "node": 1e999}])"),
+              "timeline[0]: \"node\" must be finite");
+}
+
+TEST(TimelineNumbers, IntBoundsAndFiniteExtremesStillParse)
+{
+    Timeline tl;
+    std::string err;
+    ASSERT_TRUE(parseTimeline(R"([
+        {"at": 1, "kind": "node-fail", "node": 2147483647},
+        {"at": 2, "kind": "model-retire", "model": -2147483648},
+        {"at": 3, "kind": "arrival-scale", "factor": 1e300}
+    ])", tl, &err)) << err;
+    ASSERT_EQ(tl.size(), 3u);
+    EXPECT_EQ(tl[0].node, 2147483647);
+    EXPECT_EQ(tl[1].model, -2147483647 - 1);
+    EXPECT_EQ(tl[2].factor, 1e300);
 }
 
 } // namespace
