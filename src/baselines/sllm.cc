@@ -91,8 +91,7 @@ SllmController::cpuServable(const ModelSpec &spec) const
 bool
 SllmController::admitIfRoom(Request *req, Instance *inst, bool asDecode)
 {
-    if (inst->state() != InstanceState::Active &&
-        inst->state() != InstanceState::Loading)
+    if (!inst->live())
         return false;
     if (inst->draining || inst->primary->failed)
         return false; // being drained by an intervention

@@ -103,7 +103,7 @@ void
 ClusterIndex::onKvTargetChanged(const Instance &inst, Bytes oldTarget,
                                 Bytes newTarget)
 {
-    if (!counted(inst.state()))
+    if (!inst.live())
         return;
     Partition &p = *inst.primary;
     Bytes oldFree = p.mem.capacity() - p.committedBytes;
@@ -113,17 +113,21 @@ ClusterIndex::onKvTargetChanged(const Instance &inst, Bytes oldTarget,
 }
 
 void
-ClusterIndex::onInstanceUnloading(const Instance &inst)
+ClusterIndex::uncount(Instance &inst)
 {
     Partition &p = *inst.primary;
     Bytes oldFree = p.mem.capacity() - p.committedBytes;
     p.committedBytes -= inst.model.weightBytes() + inst.kvTarget;
     moveFreeKey(p, oldFree);
+    if (inst.state() == InstanceState::Active)
+        active_.erase(&inst);
 }
 
 void
-ClusterIndex::onInstanceActivated(Instance &inst)
+ClusterIndex::activate(Instance &inst, Seconds now)
 {
+    inst.setState(InstanceState::Active);
+    inst.activeAt = now;
     active_.insert(&inst);
     ++liveCount_;
     liveActiveAtSum_ += inst.activeAt;
@@ -135,14 +139,21 @@ ClusterIndex::onInstanceActivated(Instance &inst)
 }
 
 void
-ClusterIndex::onInstanceDeactivated(Instance &inst)
+ClusterIndex::beginUnloading(Instance &inst)
 {
-    active_.erase(&inst);
+    if (!inst.live())
+        panic("ClusterIndex: unloading instance " +
+              std::to_string(inst.id) + ", which is not live");
+    uncount(inst);
+    inst.setState(InstanceState::Unloading);
 }
 
 void
-ClusterIndex::onInstanceReclaimed(const Instance &inst)
+ClusterIndex::retire(Instance &inst)
 {
+    if (inst.live())
+        uncount(inst);
+    inst.setState(InstanceState::Reclaimed);
     if (inst.activeAt < 0)
         return;
     --liveCount_;
@@ -188,7 +199,7 @@ ClusterIndex::auditAgainst(
             const Partition &p = *part;
             Bytes scan = 0;
             for (const Instance *inst : p.instances) {
-                if (!counted(inst->state()))
+                if (!inst->live())
                     continue;
                 scan += inst->model.weightBytes() + inst->kvTarget;
             }

@@ -40,12 +40,20 @@
  *    sum of live activation times), making busy/scaling-overhead
  *    queries O(1).
  *
- * The index is the only implementation of these queries. Two checks
- * keep it honest: `auditAgainst` plus pool-walk references in the
- * fuzz test (tests/test_cluster_index.cc) after every transition of
- * a randomized churn, and the golden report digests
- * (tests/golden/reports.txt), which pin every placement decision's
- * effect on the catalog reports.
+ * The index also performs the instance lifecycle transitions
+ * (activate, beginUnloading, retire), so the state and the indices
+ * cannot drift apart.
+ *
+ * The controller answers its placement, autoscaling and sampling
+ * queries from these structures. One report field still scans the
+ * pool: ControllerBase::scalingOverheadFraction sums in pool order,
+ * which the running aggregate here (accumulated in event order) can
+ * differ from in the last ulp; the index's form serves the sampler.
+ * Two checks keep the index honest: `auditAgainst` plus pool-walk
+ * references in the fuzz test (tests/test_cluster_index.cc) after
+ * every transition of a randomized churn, and the golden report
+ * digests (tests/golden/reports.txt), which pin every placement
+ * decision's effect on the catalog reports.
  */
 
 #ifndef SLINFER_CORE_CLUSTER_INDEX_HH
@@ -111,21 +119,30 @@ class ClusterIndex
         return cpuFirst_[viewPos];
     }
 
-    // --- maintenance hooks (called at state transitions) ------------
-    /** A new instance was registered on its primary partition. */
+    // --- instance lifecycle (DESIGN.md, "Instance lifecycle") -------
+    /*
+     * Every lifecycle state change goes through these, on the static
+     * path (ControllerBase) and the elastic one (MemorySubsystem)
+     * alike: each makes the transition and every index update it
+     * implies, so no caller can update one without the other.
+     */
+    /** A new (Loading) instance was registered on its primary
+     *  partition: it joins the partition's optimistic budget. */
     void onInstanceAdded(const Instance &inst);
-    /** kvTarget is about to change from `oldTarget` to `newTarget`
-     *  while the instance still counts toward the budget. */
+    /** kvTarget is about to change from `oldTarget` to `newTarget`;
+     *  the budget follows while the instance is live(). */
     void onKvTargetChanged(const Instance &inst, Bytes oldTarget,
                            Bytes newTarget);
-    /** The instance left the optimistic budget (→ Unloading). */
-    void onInstanceUnloading(const Instance &inst);
-    /** The instance became Active at `activeAt`. */
-    void onInstanceActivated(Instance &inst);
-    /** Active → Unloading: drop from the active registry. */
-    void onInstanceDeactivated(Instance &inst);
-    /** Unloading → Reclaimed: retire its uptime contribution. */
-    void onInstanceReclaimed(const Instance &inst);
+    /** Loading → Active at `now`: stamps activeAt and joins the active
+     *  registry and the uptime aggregates. */
+    void activate(Instance &inst, Seconds now);
+    /** Loading/Active → Unloading: leaves the optimistic budget and
+     *  the active registry; memory is released at retire. */
+    void beginUnloading(Instance &inst);
+    /** → Reclaimed: retires the uptime contribution. A live instance
+     *  (a cold-start load aborted while parked) leaves the budget
+     *  first, with no Unloading state in between. */
+    void retire(Instance &inst);
 
     /** Re-file the partition in the empty sets after its residents,
      *  exclusiveHolder or failed flag changed. */
@@ -191,15 +208,10 @@ class ClusterIndex
         return a->id < b->id;
     }
 
-    /** True while the instance counts toward the optimistic budget. */
-    static bool
-    counted(InstanceState s)
-    {
-        return s != InstanceState::Unloading &&
-               s != InstanceState::Reclaimed;
-    }
-
     void moveFreeKey(const Partition &part, Bytes oldFree);
+    /** Take a live instance off its partition's budget and out of the
+     *  active registry (the shared half of beginUnloading/retire). */
+    void uncount(Instance &inst);
 
     const std::vector<std::unique_ptr<Node>> &nodes_;
     std::vector<Partition *> cpuFirst_;

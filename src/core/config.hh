@@ -44,7 +44,11 @@ struct ResilienceConfig
      * Failover exclusion window: for this many seconds after a node
      * failure, its partitions are skipped as placement candidates even
      * once restored (flapping hardware should not immediately re-host
-     * work). 0 disables the policy.
+     * work). 0 disables the policy. Only SlinferController applies it:
+     * SllmController's placement (the empty-partition walk and the
+     * exclusive whole-node branch) never consults placementExcluded,
+     * so under sllm the window's only effect is the extra retry
+     * wakeup restoreNode schedules at its expiry.
      */
     Seconds failoverExclusion = 0.0;
     /**

@@ -156,8 +156,6 @@ Consolidator::execute(Instance *grower, Request *req,
             panic("Consolidator: victim still owns requests");
         ctl_.doUnload(v);
     }
-    ++ctl_.preemptions_;
-    ++executed_;
 
     // Finally admit the new request to the grown instance.
     auto plan2 = ctl_.subsystemFor(grower->primary)

@@ -43,8 +43,6 @@ class Consolidator
     /** Reactive bin-packing order: largest decode batch first. */
     static void orderLargestBatchFirst(std::vector<Instance *> &insts);
 
-    std::size_t preemptionsExecuted() const { return executed_; }
-
   private:
     struct VictimPlan
     {
@@ -57,7 +55,6 @@ class Consolidator
     void execute(Instance *grower, Request *req, const VictimPlan &plan);
 
     SlinferController &ctl_;
-    std::size_t executed_ = 0;
 };
 
 } // namespace slinfer

@@ -195,8 +195,7 @@ ControllerBase::settleInstance(Instance *inst, bool drop,
         doUnload(inst);
         return true;
     }
-    if (inst->state() == InstanceState::Unloading ||
-        inst->state() == InstanceState::Reclaimed)
+    if (!inst->live())
         return true;
     // An executing load or resize must land first (beginUnload refuses
     // mid-resize); the drain sweep retries shortly after. Fence the
@@ -222,8 +221,7 @@ ControllerBase::drainNodeInstances(Node *node)
         // Copy: unloads and aborts mutate the resident list.
         std::vector<Instance *> insts = part->instances;
         for (Instance *inst : insts) {
-            if (inst->state() == InstanceState::Unloading ||
-                inst->state() == InstanceState::Reclaimed)
+            if (!inst->live())
                 continue;
             if (!settleInstance(inst, false, kDrainNodeFail))
                 unsettled = true;
@@ -246,8 +244,7 @@ ControllerBase::drainInstanceSet(std::vector<Instance *> insts, bool drop)
                         static_cast<double>(insts.size()));
     std::vector<Instance *> remaining;
     for (Instance *inst : insts) {
-        if (inst->state() == InstanceState::Unloading ||
-            inst->state() == InstanceState::Reclaimed)
+        if (!inst->live())
             continue;
         if (!settleInstance(inst, drop, kDrainInstanceSet))
             remaining.push_back(inst);
@@ -462,7 +459,6 @@ ControllerBase::makeInstance(ModelId model, Partition *primary,
     inst->extraHolds = std::move(extraHolds);
     Instance *ptr = inst.get();
     instancePool_.push_back(std::move(inst));
-    ++instancesCreated_;
 
     primary->addInstance(ptr);
     index_.onInstanceAdded(*ptr);
@@ -498,9 +494,7 @@ ControllerBase::startStaticLoad(Instance *inst)
                          static_cast<int>(inst->primary->viewPos),
                          "instance", static_cast<double>(inst->id));
     sim_.schedule(inst->loadDuration, [this, inst] {
-        inst->setState(InstanceState::Active);
-        inst->activeAt = sim_.now();
-        index_.onInstanceActivated(*inst);
+        index_.activate(*inst, sim_.now());
         if (anat_) {
             for (Request *r : inst->prefillQueue())
                 anat_->onInstanceActive(*r, sim_.now());
@@ -516,10 +510,7 @@ ControllerBase::startStaticLoad(Instance *inst)
 void
 ControllerBase::unloadStatic(Instance *inst)
 {
-    index_.onInstanceUnloading(*inst);
-    if (inst->state() == InstanceState::Active)
-        index_.onInstanceDeactivated(*inst);
-    inst->setState(InstanceState::Unloading);
+    index_.beginUnloading(*inst);
     markAllDecodeDirty();
     Seconds unload_dur =
         MemCostModel::weightUnloadTime(inst->primary->spec, inst->model);
@@ -531,9 +522,7 @@ ControllerBase::unloadStatic(Instance *inst)
     sim_.schedule(
         unload_dur,
         [this, inst] {
-            inst->setState(InstanceState::Reclaimed);
-            inst->reclaimedAt = sim_.now();
-            index_.onInstanceReclaimed(*inst);
+            index_.retire(*inst);
             inst->primary->mem.release(inst->heldPrimaryBytes);
             inst->heldPrimaryBytes = 0;
             unregisterInstance(inst);
@@ -870,7 +859,6 @@ ControllerBase::requeueEvicted(Request *req, Instance *inst)
     req->instance = 0;
     req->state = RequestState::Queued;
     ++req->migrations;
-    ++evictions_;
     if (anat_)
         anat_->onEvicted(*req, sim_.now());
     queueRequest(req);
@@ -1007,7 +995,7 @@ SlinferController::subsystemFor(Partition *part)
             kickPartition(part);
             retryPending();
         },
-        &index_, ctr_, trace_, prof_, anat_);
+        index_, ctr_, trace_, prof_, anat_);
     return *slot;
 }
 
@@ -1068,8 +1056,7 @@ SlinferController::tryExistingInstances(Request *req)
     ModelEntry &me = models_[req->model];
     std::vector<Instance *> cands;
     for (Instance *inst : me.instances) {
-        if (inst->state() != InstanceState::Active &&
-            inst->state() != InstanceState::Loading)
+        if (!inst->live())
             continue;
         if (inst->draining || inst->primary->failed)
             continue; // being drained by an intervention
@@ -1100,10 +1087,8 @@ SlinferController::tryExistingInstances(Request *req)
         Partition *p = inst->primary;
         obs::bump(ctr_, obs::kShadowRuns);
         if (!shadow_.canAdmit(*p, inst, *req, sim_.now(),
-                              partBusyUntil(p))) {
-            ++dispatchStats_.rejectShadow;
+                              partBusyUntil(p)))
             continue;
-        }
         if (inst->staticKv) {
             Tokens need = PagedKvCache::roundedTokens(req->contextLen()) +
                           PagedKvCache::kBlockTokens;
@@ -1114,12 +1099,9 @@ SlinferController::tryExistingInstances(Request *req)
         }
         auto plan = subsystemFor(p).planAdmit(*inst, *req,
                                               me.avgOutput);
-        if (!plan.ok) {
-            ++dispatchStats_.rejectMemory;
+        if (!plan.ok)
             continue;
-        }
         subsystemFor(p).commitPlan(*inst, plan);
-        ++dispatchStats_.admitExisting;
         admitTo(req, inst);
         return true;
     }
@@ -1218,11 +1200,8 @@ SlinferController::tryNewInstance(Request *req)
 
     PlacementDemand d = placementDemand(*req);
     PlacementChoice choice = selectPlacement(*req, d);
-    if (!choice.part) {
-        ++dispatchStats_.rejectNoPlacement;
+    if (!choice.part)
         return false;
-    }
-    ++dispatchStats_.admitNew;
 
     Partition *best = choice.part;
     if (trace_)
@@ -1291,10 +1270,8 @@ SlinferController::tryDispatch(Request *req)
     if (tryExistingInstances(req))
         return true;
     if (cfg_.enableConsolidation && !cfg_.pdDisaggregation &&
-        consolidator_->tryPreemptFor(req)) {
-        ++dispatchStats_.admitPreempt;
+        consolidator_->tryPreemptFor(req))
         return true;
-    }
     if (tryNewInstance(req))
         return true;
     // No room anywhere: reclaim idle instances now instead of waiting
@@ -1516,15 +1493,6 @@ SlinferController::tryAbortParkedLoad(Instance *inst)
     unregisterInstance(inst);
     markAllDecodeDirty();
     return true;
-}
-
-std::size_t
-SlinferController::parkedOpsNow() const
-{
-    std::size_t n = 0;
-    for (const auto &sub : mem_)
-        n += sub ? sub->parkedOps() : 0;
-    return n;
 }
 
 std::uint64_t

@@ -47,7 +47,7 @@ struct ModelEntry
     ModelSpec spec;
     /** Historical average output length O_bar (EWMA over completions). */
     double avgOutput = 256.0;
-    /** Live instances (Loading/Active/Draining). */
+    /** Registered instances: live (Loading/Active) or Unloading. */
     std::vector<Instance *> instances;
     /** Retired by an intervention: requests drop, nothing places. */
     bool retired = false;
@@ -150,9 +150,7 @@ class ControllerBase
 
     const ControllerConfig &config() const { return cfg_; }
     const std::vector<ModelEntry> &models() const { return models_; }
-    std::size_t instancesCreated() const { return instancesCreated_; }
-    std::size_t evictions() const { return evictions_; }
-    std::size_t preemptions() const { return preemptions_; }
+    std::size_t instancesCreated() const { return instancePool_.size(); }
 
     /** The incremental cluster indices (tests / benches). */
     const ClusterIndex &clusterIndex() const { return index_; }
@@ -162,18 +160,6 @@ class ControllerBase
     {
         return instancePool_;
     }
-
-    /** Where dispatch attempts land (observability / tests). */
-    struct DispatchStats
-    {
-        std::size_t admitExisting = 0;
-        std::size_t admitPreempt = 0;
-        std::size_t admitNew = 0;
-        std::size_t rejectShadow = 0;   ///< compute validation failures
-        std::size_t rejectMemory = 0;   ///< memory plan failures
-        std::size_t rejectNoPlacement = 0;
-    };
-    const DispatchStats &dispatchStats() const { return dispatchStats_; }
 
     /** Total iteration-execution seconds on nodes of `kind` (tests).
      *  O(1) running aggregate. */
@@ -351,11 +337,6 @@ class ControllerBase
     /** Count of currently fenced nodes (graceful-degradation gate). */
     int failedNodes_ = 0;
 
-    std::size_t instancesCreated_ = 0;
-    std::size_t evictions_ = 0;
-    std::size_t preemptions_ = 0;
-    DispatchStats dispatchStats_;
-
     // Flight-recorder sinks (all nullable; null = off). Shared with
     // the lazily created token schedulers and memory subsystems.
     obs::Counters *ctr_ = nullptr;
@@ -398,9 +379,6 @@ class SlinferController : public ControllerBase
     ~SlinferController() override;
 
     const Quantifier &quantifier() const { return quant_; }
-
-    /** Mean reservation-station occupancy across partitions (tests). */
-    std::size_t parkedOpsNow() const;
 
     /** Total resize operations issued (Fig. 31). */
     std::uint64_t resizeOps() const;

@@ -12,7 +12,7 @@ namespace slinfer
 MemorySubsystem::MemorySubsystem(Simulator &sim, Partition &partition,
                                  double watermark,
                                  std::function<void()> notify,
-                                 ClusterIndex *index,
+                                 ClusterIndex &index,
                                  obs::Counters *ctr,
                                  obs::TraceRecorder *trace,
                                  obs::PhaseProfiler *prof,
@@ -23,30 +23,11 @@ MemorySubsystem::MemorySubsystem(Simulator &sim, Partition &partition,
 {
 }
 
-Bytes
-MemorySubsystem::committed() const
-{
-    if (index_)
-        return part_.committedBytes;
-    Bytes total = 0;
-    for (const Instance *inst : part_.instances) {
-        // Optimistic semantics: an unloading instance's final footprint
-        // is zero (its physical release is covered by the pessimistic
-        // execution checks).
-        if (inst->state() == InstanceState::Reclaimed ||
-            inst->state() == InstanceState::Unloading)
-            continue;
-        total += inst->model.weightBytes() + inst->kvTarget;
-    }
-    return total;
-}
-
 void
 MemorySubsystem::setKvTarget(Instance &inst, Bytes target)
 {
     obs::bump(ctr_, obs::kKvTargetChanges);
-    if (index_)
-        index_->onKvTargetChanged(inst, inst.kvTarget, target);
+    index_.onKvTargetChanged(inst, inst.kvTarget, target);
     inst.kvTarget = target;
 }
 
@@ -143,10 +124,8 @@ MemorySubsystem::tryExecute(Op &op)
     obs::ScopedPhase phase(prof_, obs::kPhaseMemoryOp);
     Instance &inst = *op.inst;
     if (op.kind == OpKind::Resize) {
-        if (inst.state() == InstanceState::Reclaimed ||
-            inst.state() == InstanceState::Unloading) {
+        if (!inst.live())
             return true; // stale op; drop it
-        }
         if (!inst.memResident)
             return true; // superseded by the still-pending load
         Bytes target = inst.kvTarget;
@@ -189,7 +168,7 @@ MemorySubsystem::tryExecute(Op &op)
                             started] {
             inst.kv.setAllocBytes(committed_target);
             part_.mem.release(old_alloc);
-            finishResize(inst, old_alloc, started);
+            finishResize(inst, started);
         });
         return true;
     }
@@ -212,10 +191,7 @@ MemorySubsystem::tryExecute(Op &op)
                          static_cast<double>(inst.id));
     sim_.schedule(MemCostModel::weightLoadTime(part_.spec, inst.model),
                   [this, &inst, done = std::move(op.done)]() mutable {
-                      inst.setState(InstanceState::Active);
-                      inst.activeAt = sim_.now();
-                      if (index_)
-                          index_->onInstanceActivated(inst);
+                      index_.activate(inst, sim_.now());
                       if (anat_) {
                           for (Request *r : inst.prefillQueue())
                               anat_->onInstanceActive(*r, sim_.now());
@@ -234,10 +210,8 @@ MemorySubsystem::tryExecute(Op &op)
 }
 
 void
-MemorySubsystem::finishResize(Instance &inst, Bytes oldAlloc,
-                              Seconds started)
+MemorySubsystem::finishResize(Instance &inst, Seconds started)
 {
-    (void)oldAlloc;
     inst.resizeInFlight = false;
     Seconds blocked = sim_.now() - started;
     inst.scalingTime += blocked;
@@ -250,12 +224,10 @@ MemorySubsystem::finishResize(Instance &inst, Bytes oldAlloc,
     }
     // The report's scaling sum only sees instances with activeAt >= 0;
     // pre-activation accruals are folded in at activation.
-    if (index_ && inst.activeAt >= 0)
-        index_->addScalingSeconds(blocked);
+    if (inst.activeAt >= 0)
+        index_.addScalingSeconds(blocked);
     // Coalesced follow-up demand issued while this op ran.
-    if (inst.kvTarget != inst.kv.allocBytes() &&
-        inst.state() != InstanceState::Reclaimed &&
-        inst.state() != InstanceState::Unloading) {
+    if (inst.kvTarget != inst.kv.allocBytes() && inst.live()) {
         Op op{OpKind::Resize, &inst, nullptr};
         if (!tryExecute(op)) {
             parkedResize_.insert(inst.id);
@@ -283,12 +255,7 @@ MemorySubsystem::beginUnload(Instance &inst, DoneFn unloaded)
     obs::ScopedPhase phase(prof_, obs::kPhaseMemoryOp);
     if (inst.resizeInFlight)
         panic("MemorySubsystem: unload during resize");
-    if (index_) {
-        index_->onInstanceUnloading(inst);
-        if (inst.state() == InstanceState::Active)
-            index_->onInstanceDeactivated(inst);
-    }
-    inst.setState(InstanceState::Unloading);
+    index_.beginUnloading(inst);
     parkedResize_.erase(inst.id);
     Bytes footprint = inst.model.weightBytes() + inst.kv.allocBytes();
     if (trace_)
@@ -300,10 +267,7 @@ MemorySubsystem::beginUnload(Instance &inst, DoneFn unloaded)
     sim_.schedule(MemCostModel::weightUnloadTime(part_.spec, inst.model),
                   [this, &inst, footprint,
                    done = std::move(unloaded)]() mutable {
-                      inst.setState(InstanceState::Reclaimed);
-                      inst.reclaimedAt = sim_.now();
-                      if (index_)
-                          index_->onInstanceReclaimed(inst);
+                      index_.retire(inst);
                       part_.mem.release(footprint);
                       if (done)
                           done();
@@ -376,14 +340,9 @@ MemorySubsystem::abortParkedLoad(Instance &inst)
     for (auto it = station_.begin(); it != station_.end(); ++it) {
         if (it->kind != OpKind::Load || it->inst != &inst)
             continue;
-        // The load never executed: nothing is physically held, but the
-        // instance still counts toward the optimistic budget.
-        if (index_)
-            index_->onInstanceUnloading(inst);
-        inst.setState(InstanceState::Reclaimed);
-        inst.reclaimedAt = sim_.now();
-        if (index_)
-            index_->onInstanceReclaimed(inst);
+        // The load never executed: nothing is physically held, and
+        // retire takes the still-counted instance off the budget.
+        index_.retire(inst);
         station_.erase(it);
         return true;
     }

@@ -19,11 +19,10 @@
  * which a property test drives with random scaling storms.
  *
  * The optimistic budget is maintained incrementally: every kvTarget
- * mutation and load/unload transition goes through this class, which
- * updates `Partition::committedBytes` and the controller's
- * free-capacity index (core/cluster_index.hh), so `committed()` is
- * O(1) on the admission hot path. A subsystem built without an index
- * (unit tests) walks the partition's instances instead.
+ * mutation goes through this class and every load/unload transition
+ * through the cluster index (core/cluster_index.hh), which keep
+ * `Partition::committedBytes` and the free-capacity index current, so
+ * `committed()` is O(1) on the admission hot path.
  *
  * Per-op callbacks (`beginLoad`/`beginUnload`) are stored in a
  * small-buffer `DoneFn` (the 16-byte instantiation of the event
@@ -61,18 +60,17 @@ class MemorySubsystem
     using DoneFn = BasicInlineCallback<16>;
 
     MemorySubsystem(Simulator &sim, Partition &partition, double watermark,
-                    std::function<void()> notify,
-                    ClusterIndex *index = nullptr,
+                    std::function<void()> notify, ClusterIndex &index,
                     obs::Counters *ctr = nullptr,
                     obs::TraceRecorder *trace = nullptr,
                     obs::PhaseProfiler *prof = nullptr,
                     obs::AnatomyLedger *anatomy = nullptr);
 
-    /** Optimistic budget: weights + committed KV target of every
-     *  non-reclaimed instance on the partition. O(1) via the running
-     *  partition total when an index is attached, a walk of the
-     *  partition's instances otherwise. */
-    Bytes committed() const;
+    /** Optimistic budget: weights + committed KV target of every live
+     *  instance on the partition (an unloading instance's final
+     *  footprint is zero; the pessimistic execution checks cover its
+     *  physical release). O(1): the index's running partition total. */
+    Bytes committed() const { return part_.committedBytes; }
 
     Bytes capacity() const { return part_.mem.capacity(); }
 
@@ -171,14 +169,14 @@ class MemorySubsystem
 
     void issueResize(Instance &inst);
     bool tryExecute(Op &op);
-    void finishResize(Instance &inst, Bytes oldAlloc, Seconds started);
+    void finishResize(Instance &inst, Seconds started);
     void drainStation();
 
     Simulator &sim_;
     Partition &part_;
     double watermark_;
     std::function<void()> notify_;
-    ClusterIndex *index_;
+    ClusterIndex &index_;
     /** Flight-recorder sinks (any may be null = off). */
     obs::Counters *ctr_;
     obs::TraceRecorder *trace_;

@@ -92,11 +92,8 @@ ShadowValidator::buildState(const Partition &part, Seconds now,
     for (const Instance *inst : part.instances) {
         if (exclude.count(inst))
             continue;
-        if (inst->state() == InstanceState::Reclaimed ||
-            inst->state() == InstanceState::Unloading ||
-            inst->state() == InstanceState::Draining) {
+        if (!inst->live())
             continue;
-        }
         SimInst &s = slotAt(n++);
         s.table = &tableOf(*inst);
         s.availAt = inst->state() == InstanceState::Loading
@@ -446,11 +443,8 @@ ShadowValidator::aggregateDecode(
     for (const Instance *inst : part.instances) {
         if (exclude.count(inst))
             continue;
-        if (inst->state() == InstanceState::Reclaimed ||
-            inst->state() == InstanceState::Unloading ||
-            inst->state() == InstanceState::Draining) {
+        if (!inst->live())
             continue;
-        }
         // Steady state: every admitted request is in the decode batch.
         int batch = inst->loadSize() + (inst == target ? extraOnTarget : 0);
         if (batch == 0)
@@ -483,11 +477,8 @@ ShadowValidator::canAdmit(const Partition &part, const Instance *target,
     for (const Instance *inst : part.instances) {
         if (exclude.count(inst))
             continue;
-        if (inst->state() == InstanceState::Reclaimed ||
-            inst->state() == InstanceState::Unloading ||
-            inst->state() == InstanceState::Draining) {
+        if (!inst->live())
             continue;
-        }
         if (inst == target) {
             state_[live].prefills.push_back({req.deadlineForNextToken(),
                                              req.contextLen(), true, -1});
@@ -531,8 +522,7 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
     }
     Seconds others = 0.0;
     for (const Instance *inst : part.instances) {
-        if (inst->state() == InstanceState::Reclaimed ||
-            inst->state() == InstanceState::Unloading)
+        if (!inst->live())
             continue;
         int batch = inst->loadSize();
         if (batch == 0)

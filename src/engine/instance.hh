@@ -25,7 +25,6 @@ enum class InstanceState
 {
     Loading,   ///< weights streaming in (cold start)
     Active,
-    Draining,  ///< preempted; finishing migration of its requests
     Unloading, ///< keep-alive expired; weights being torn down
     Reclaimed,
 };
@@ -68,7 +67,6 @@ class Instance
 
     Seconds createdAt = 0.0;
     Seconds activeAt = -1.0;
-    Seconds reclaimedAt = -1.0;
     /** Cold-start duration (grace window for requests it admits). */
     Seconds loadDuration = 0.0;
     EventHandle keepAliveEv;
@@ -98,8 +96,17 @@ class Instance
     bool memResident = false;
 
     InstanceState state() const { return state_; }
+    /** Loading or Active: the instance counts on its partition (the
+     *  optimistic budget, admission bounds and shadow validation). */
+    bool live() const
+    {
+        return state_ == InstanceState::Loading ||
+               state_ == InstanceState::Active;
+    }
     /** Change the lifecycle state (bumps the partition's admission
-     *  epoch: a state change can drop the instance from a bound). */
+     *  epoch: a state change can drop the instance from a bound).
+     *  The simulator's transitions go through ClusterIndex (activate,
+     *  beginUnloading, retire); tests may set a state directly. */
     void setState(InstanceState s);
 
     /** Admitted requests whose prefill has not run yet. */

@@ -47,8 +47,7 @@ class Recorder
     /** Total generated tokens across completed requests. */
     Tokens generatedTokens() const { return generatedTokens_; }
 
-    /** Requests that were evicted/migrated at least once. */
-    std::size_t migratedRequests() const { return migrated_; }
+    /** Fraction of requests evicted/migrated at least once. */
     double migrationRate() const;
 
     /** Per-window accumulators (empty unless enableWindows ran). */

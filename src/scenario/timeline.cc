@@ -43,16 +43,27 @@ parseEntry(const sweep::JsonValue &v, std::size_t index, Intervention &iv,
 
     // An infinite "rpm" would generate arrivals without bound, and an
     // index outside int range has no defined cast, so both are refused
-    // here rather than at run time.
+    // here rather than at run time. So is a key of the wrong JSON type:
+    // read as absent, "factor": "2.5" would run at the default factor.
     auto finite = [&](const char *key, double value, double &out) {
         if (!std::isfinite(value))
             return fail(err, where + ": \"" + key + "\" must be finite");
         out = value;
         return true;
     };
+    auto number = [&](const char *key, double dflt, double &out) {
+        const sweep::JsonValue *f = v.find(key);
+        if (!f) {
+            out = dflt;
+            return true;
+        }
+        if (!f->isNumber())
+            return fail(err, where + ": \"" + key + "\" must be a number");
+        return finite(key, f->number, out);
+    };
     auto intField = [&](const char *key, int &out) {
         double d = 0.0;
-        if (!finite(key, v.num(key, -1), d))
+        if (!number(key, -1, d))
             return false;
         if (d < std::numeric_limits<int>::min() ||
             d > std::numeric_limits<int>::max())
@@ -62,11 +73,14 @@ parseEntry(const sweep::JsonValue &v, std::size_t index, Intervention &iv,
     };
     if (!finite("at", at->number, iv.at) || !intField("node", iv.node) ||
         !intField("model", iv.model) ||
-        !finite("factor", v.num("factor", 1.0), iv.factor) ||
-        !finite("rpm", v.num("rpm", 0.0), iv.rpm) ||
-        !finite("duration", v.num("duration", 0.0), iv.duration))
+        !number("factor", 1.0, iv.factor) ||
+        !number("rpm", 0.0, iv.rpm) ||
+        !number("duration", 0.0, iv.duration))
         return false;
 
+    const sweep::JsonValue *specv = v.find("spec");
+    if (specv && !specv->isString())
+        return fail(err, where + ": \"spec\" must be a string");
     std::string spec = v.string("spec");
     if (!spec.empty() && !tryModelPreset(spec, iv.spec))
         return fail(err, where + ": unknown model preset '" + spec + "'");

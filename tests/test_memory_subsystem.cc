@@ -20,21 +20,33 @@ namespace
 
 struct MemFixture : public ::testing::Test
 {
-    MemFixture() : node(0, a100_80g(), 1)
+    MemFixture()
     {
-        part = node.partitions()[0].get();
-        sub = std::make_unique<MemorySubsystem>(sim, *part, 0.25,
-                                                [this] { ++notifies; });
+        nodes.push_back(std::make_unique<Node>(0, a100_80g(), 1));
+        part = nodes[0]->partitions()[0].get();
+        index = std::make_unique<ClusterIndex>(nodes);
+        sub = std::make_unique<MemorySubsystem>(
+            sim, *part, 0.25, [this] { ++notifies; }, *index);
     }
 
+    /** Register an instance as ControllerBase::makeInstance does. */
     Instance &
     addInstance(Bytes kvInit, const ModelSpec &m = llama2_7b())
     {
         auto inst = std::make_unique<Instance>(nextId++, 0, m, part,
                                                a100_80g(), kvInit);
         part->addInstance(inst.get());
+        index->onInstanceAdded(*inst);
+        index->syncEmpty(*part);
         pool.push_back(std::move(inst));
         return *pool.back();
+    }
+
+    /** The partition's current key in the GPU free index. */
+    ClusterIndex::FreeKey
+    freeKey() const
+    {
+        return {part->mem.capacity() - part->committedBytes, part->viewPos};
     }
 
     /** Create an instance and run its load to completion. */
@@ -61,8 +73,9 @@ struct MemFixture : public ::testing::Test
     }
 
     Simulator sim;
-    Node node;
+    std::vector<std::unique_ptr<Node>> nodes;
     Partition *part;
+    std::unique_ptr<ClusterIndex> index;
     std::unique_ptr<MemorySubsystem> sub;
     std::vector<std::unique_ptr<Instance>> pool;
     std::vector<std::unique_ptr<Request>> reqs;
@@ -265,7 +278,6 @@ TEST_F(MemFixture, ResizeOnParkedLoadDoesNotCorruptLedger)
     sub->beginLoad(inst, nullptr);
     ASSERT_EQ(sub->parkedOps(), 1u);
     Bytes used_before = part->mem.used();
-    inst.kvTarget = 8ULL << 30;
     // This must be a no-op while the load is parked.
     MemorySubsystem::Plan plan;
     plan.ok = true;
@@ -280,6 +292,74 @@ TEST_F(MemFixture, ResizeOnParkedLoadDoesNotCorruptLedger)
     sim.run();
     EXPECT_EQ(inst.state(), InstanceState::Active);
     EXPECT_EQ(inst.kv.allocBytes(), 8ULL << 30);
+    EXPECT_EQ(index->auditAgainst(pool), "");
+}
+
+TEST_F(MemFixture, AbortedParkedLoadLeavesNoTrace)
+{
+    Instance &hog = addLoadedInstance(60ULL << 30);
+    const Bytes committed_before = part->committedBytes;
+    const ClusterIndex::FreeKey key_before = freeKey();
+    Instance &inst = addInstance(4ULL << 30);
+    sub->beginLoad(inst, nullptr);
+    ASSERT_EQ(sub->parkedOps(), 1u);
+    ASSERT_EQ(inst.state(), InstanceState::Loading);
+    ASSERT_GT(part->committedBytes, committed_before);
+    // An executed load is not abortable: only an unload releases it.
+    EXPECT_FALSE(sub->abortParkedLoad(hog));
+
+    const std::uint64_t epoch = part->admitEpoch;
+    EXPECT_TRUE(sub->abortParkedLoad(inst));
+    // Loading -> Reclaimed directly: one state change, no Unloading.
+    EXPECT_EQ(inst.state(), InstanceState::Reclaimed);
+    EXPECT_EQ(part->admitEpoch, epoch + 1);
+    EXPECT_EQ(sub->parkedOps(), 0u);
+    EXPECT_EQ(part->committedBytes, committed_before);
+    EXPECT_EQ(freeKey(), key_before);
+    EXPECT_EQ(index->freeSet(HwKind::Gpu).count(key_before), 1u);
+    EXPECT_EQ(index->freeSet(HwKind::Gpu).size(), 1u);
+    EXPECT_EQ(index->auditAgainst(pool), "");
+    EXPECT_FALSE(sub->abortParkedLoad(inst)); // nothing left parked
+
+    // The aborted load never runs, even after the hog's release.
+    sub->beginUnload(hog, nullptr);
+    sim.run();
+    EXPECT_EQ(inst.state(), InstanceState::Reclaimed);
+    EXPECT_FALSE(inst.memResident);
+    EXPECT_EQ(part->mem.used(), 0u);
+    EXPECT_EQ(part->committedBytes, 0u);
+}
+
+TEST_F(MemFixture, StaticInstanceLifecycleThroughTheIndex)
+{
+    // The static-KV path (baselines, exclusive fallback) makes the
+    // same three transitions without a memory subsystem.
+    Instance &inst = addInstance(4ULL << 30);
+    inst.staticKv = true;
+    const Bytes footprint = inst.model.weightBytes() + (4ULL << 30);
+    EXPECT_EQ(part->committedBytes, footprint);
+    EXPECT_TRUE(index->activeInstances().empty());
+
+    index->activate(inst, 2.0);
+    EXPECT_EQ(inst.state(), InstanceState::Active);
+    EXPECT_EQ(inst.activeAt, 2.0);
+    ASSERT_EQ(index->activeInstances().size(), 1u);
+    EXPECT_EQ(*index->activeInstances().begin(), &inst);
+    EXPECT_EQ(part->committedBytes, footprint);
+    EXPECT_EQ(index->auditAgainst(pool), "");
+
+    index->beginUnloading(inst);
+    EXPECT_EQ(inst.state(), InstanceState::Unloading);
+    EXPECT_TRUE(index->activeInstances().empty());
+    EXPECT_EQ(part->committedBytes, 0u);
+    EXPECT_EQ(freeKey().first, part->mem.capacity());
+    EXPECT_EQ(index->auditAgainst(pool), "");
+
+    index->retire(inst);
+    EXPECT_EQ(inst.state(), InstanceState::Reclaimed);
+    EXPECT_TRUE(index->activeInstances().empty());
+    EXPECT_EQ(part->committedBytes, 0u);
+    EXPECT_EQ(index->auditAgainst(pool), "");
 }
 
 // ------------------------------------------------------------------
@@ -383,9 +463,11 @@ class MemoryStorm : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(MemoryStorm, NeverOoms)
 {
     Simulator sim;
-    Node node(0, a100_80g(), 1);
-    Partition *part = node.partitions()[0].get();
-    MemorySubsystem sub(sim, *part, 0.25, [] {});
+    std::vector<std::unique_ptr<Node>> nodes;
+    nodes.push_back(std::make_unique<Node>(0, a100_80g(), 1));
+    Partition *part = nodes[0]->partitions()[0].get();
+    ClusterIndex index(nodes);
+    MemorySubsystem sub(sim, *part, 0.25, [] {}, index);
     Rng rng(GetParam());
 
     std::vector<std::unique_ptr<Instance>> pool;
@@ -405,6 +487,8 @@ TEST_P(MemoryStorm, NeverOoms)
                                                        part, a100_80g(),
                                                        kv);
                 part->addInstance(inst.get());
+                index.onInstanceAdded(*inst);
+                index.syncEmpty(*part);
                 live.push_back(inst.get());
                 sub.beginLoad(*inst, nullptr);
                 pool.push_back(std::move(inst));
@@ -442,9 +526,11 @@ TEST_P(MemoryStorm, NeverOoms)
         // The invariant the orchestrator exists to defend:
         ASSERT_EQ(part->mem.oomEvents(), 0u) << "step " << step;
         ASSERT_LE(part->mem.used(), part->mem.capacity());
+        ASSERT_EQ(index.auditAgainst(pool), "") << "step " << step;
     }
     sim.run();
     EXPECT_EQ(part->mem.oomEvents(), 0u);
+    EXPECT_EQ(index.auditAgainst(pool), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoryStorm,

@@ -391,6 +391,48 @@ TEST(TimelineNumbers, IntBoundsAndFiniteExtremesStillParse)
     EXPECT_EQ(tl[2].factor, 1e300);
 }
 
+TEST(TimelineNumbers, WrongJsonTypesAreRejected)
+{
+    // Read as absent, these would run at the key's default instead.
+    EXPECT_EQ(timelineError(R"([{"at": 10, "kind": "arrival-scale",
+        "factor": "2.5"}])"),
+              "timeline[0]: \"factor\" must be a number");
+    EXPECT_EQ(timelineError(
+                  R"([{"at": 1, "kind": "node-fail", "node": "3"}])"),
+              "timeline[0]: \"node\" must be a number");
+    EXPECT_EQ(timelineError(
+                  R"([{"at": 1, "kind": "model-retire", "model": [0]}])"),
+              "timeline[0]: \"model\" must be a number");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-burst",
+        "model": 0, "rpm": true, "duration": 60}])"),
+              "timeline[0]: \"rpm\" must be a number");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-burst",
+        "model": 0, "rpm": 60, "duration": null}])"),
+              "timeline[0]: \"duration\" must be a number");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "node-fail", "node": 0},
+        {"at": 2, "kind": "model-deploy", "spec": 7}])"),
+              "timeline[1]: \"spec\" must be a string");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "model-deploy",
+        "spec": {"name": "llama2-7b"}}])"),
+              "timeline[0]: \"spec\" must be a string");
+}
+
+TEST(TimelineNumbers, AbsentKeysKeepTheirDefaults)
+{
+    Timeline tl;
+    std::string err;
+    ASSERT_TRUE(parseTimeline(
+        R"([{"at": 1, "kind": "arrival-scale", "factor": 2.5},
+            {"at": 2, "kind": "arrival-scale"}])",
+        tl, &err))
+        << err;
+    ASSERT_EQ(tl.size(), 2u);
+    EXPECT_EQ(tl[0].factor, 2.5);
+    EXPECT_EQ(tl[1].factor, 1.0);
+    EXPECT_EQ(tl[1].node, -1);
+    EXPECT_EQ(tl[1].rpm, 0.0);
+}
+
 } // namespace
 } // namespace scenario
 } // namespace slinfer

@@ -360,8 +360,6 @@ class ScanValidator
                 quant_.tableFor(inst->execSpec, inst->model);
             others += Quantifier::decodeEstimate(table, batch, decode_avg) *
                       cfg_.overestimate;
-            if (inst->state() == InstanceState::Draining)
-                continue;
             aggregate += Quantifier::decodeEstimate(
                              table, batch,
                              std::max<Tokens>(1, all_ctx / batch)) *
@@ -403,8 +401,7 @@ class ScanValidator
     {
         return !exclude.count(inst) &&
                inst->state() != InstanceState::Reclaimed &&
-               inst->state() != InstanceState::Unloading &&
-               inst->state() != InstanceState::Draining;
+               inst->state() != InstanceState::Unloading;
     }
 
     static SimInst
@@ -662,7 +659,6 @@ TEST_F(ShadowFixture, FastPathMatchesScanReferenceFuzz)
                     roll = roll < 85 ? 0 : 80;
                 inst->setState(roll < 70   ? InstanceState::Active
                                : roll < 88 ? InstanceState::Loading
-                               : roll < 94 ? InstanceState::Draining
                                            : InstanceState::Unloading);
                 inst->createdAt = now - 0.5 * static_cast<double>(pick(4));
                 inst->loadDuration = 0.5 * static_cast<double>(1 + pick(6));
@@ -1078,9 +1074,8 @@ TEST_F(ShadowFixture, CachedBoundsMatchFreshEvaluationFuzz)
             } else if (op < 85 && inst) {
                 const InstanceState states[] = {
                     InstanceState::Loading, InstanceState::Active,
-                    InstanceState::Draining, InstanceState::Unloading,
-                    InstanceState::Reclaimed};
-                inst->setState(states[pick(5)]);
+                    InstanceState::Unloading, InstanceState::Reclaimed};
+                inst->setState(states[pick(4)]);
             } else if (op < 95) {
                 if (inst && coin(50))
                     p->removeInstance(inst);
