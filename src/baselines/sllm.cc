@@ -208,10 +208,10 @@ SllmController::tryDispatch(Request *req)
                                               : InstanceRole::Unified;
     // Existing instances, in creation order (CPU instances were placed
     // first under +c, so CPU is naturally preferred).
-    for (Instance *inst : me.instances) {
+    for (const auto &inst : me.instances) {
         if (inst->role != want)
             continue;
-        if (admitIfRoom(req, inst, false))
+        if (admitIfRoom(req, inst.get(), false))
             return true;
     }
     Instance *inst = createInstanceFor(req->model, want);
@@ -225,12 +225,12 @@ bool
 SllmController::tryDispatchDecode(Request *req)
 {
     ModelEntry &me = models_[req->model];
-    for (Instance *inst : me.instances) {
+    for (const auto &inst : me.instances) {
         if (inst->role != InstanceRole::DecodeOnly)
             continue;
         if (inst->state() != InstanceState::Active)
             continue;
-        if (admitIfRoom(req, inst, true))
+        if (admitIfRoom(req, inst.get(), true))
             return true;
     }
     Instance *inst =

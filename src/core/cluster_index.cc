@@ -186,10 +186,10 @@ ClusterIndex::kvUtilizationNow() const
 }
 
 std::string
-ClusterIndex::auditAgainst(
-    const std::vector<std::unique_ptr<Instance>> &pool) const
+ClusterIndex::audit() const
 {
     std::ostringstream err;
+    std::vector<const Instance *> activeScan;
     // Per-partition committed totals and free-set keys.
     std::size_t freeCount[2] = {free_[0].size(), free_[1].size()};
     std::size_t partCount[2] = {0, 0};
@@ -199,9 +199,10 @@ ClusterIndex::auditAgainst(
             const Partition &p = *part;
             Bytes scan = 0;
             for (const Instance *inst : p.instances) {
-                if (!inst->live())
-                    continue;
-                scan += inst->model.weightBytes() + inst->kvTarget;
+                if (inst->state() == InstanceState::Active)
+                    activeScan.push_back(inst);
+                if (inst->live())
+                    scan += inst->model.weightBytes() + inst->kvTarget;
             }
             if (scan != p.committedBytes) {
                 err << "partition " << p.node << "/" << p.index
@@ -256,12 +257,11 @@ ClusterIndex::auditAgainst(
             return err.str();
         }
     }
-    // Active registry vs the pool scan.
+    // Active registry vs the residents' scan, in id order.
+    std::sort(activeScan.begin(), activeScan.end(), idLess);
     auto it = active_.begin();
-    for (const auto &inst : pool) {
-        if (inst->state() != InstanceState::Active)
-            continue;
-        if (it == active_.end() || *it != inst.get()) {
+    for (const Instance *inst : activeScan) {
+        if (it == active_.end() || *it != inst) {
             err << "active registry diverges at instance " << inst->id;
             return err.str();
         }

@@ -7,10 +7,10 @@
  * query re-walked the cluster: `allPartitions()` materialized fresh
  * vectors per call, `MemorySubsystem::committed()` summed a
  * partition's instances per admission check, and the report-time
- * aggregates walked the entire `instancePool_` (which only ever
- * grows — a serverless run churns through far more instances than
- * are ever live at once). At fleet scale (6400 models on 800
- * partitions) those walks dominate controller time.
+ * aggregates walked every instance the run ever created (a serverless
+ * run churns through far more instances than are ever live at once).
+ * At fleet scale (6400 models on 800 partitions) those walks dominate
+ * controller time.
  *
  * The index maintains, updated at the transitions that change them:
  *
@@ -31,29 +31,24 @@
  *    instance, ascending — the sllm baseline's first-empty search in
  *    view order becomes the first element that passes its checks.
  *  - **Active-instance registry**: the id-ordered set of Active
- *    instances. KV-utilization sampling walks this set in id order —
- *    the same elements in the same order as a scan of the instance
- *    pool, so the sampled double is bit-identical — at O(live)
- *    instead of O(ever-created).
+ *    instances. KV-utilization sampling walks this set in id order,
+ *    at O(live) instead of O(ever-created).
  *  - **Running aggregates**: busy seconds per hardware kind, scaling
  *    seconds, and the uptime components (retired uptime, live count,
  *    sum of live activation times), making busy/scaling-overhead
- *    queries O(1).
+ *    queries O(1). A retired instance's terms live on only here: the
+ *    controller frees the instance once it is unregistered.
  *
  * The index also performs the instance lifecycle transitions
  * (activate, beginUnloading, retire), so the state and the indices
  * cannot drift apart.
  *
- * The controller answers its placement, autoscaling and sampling
- * queries from these structures. One report field still scans the
- * pool: ControllerBase::scalingOverheadFraction sums in pool order,
- * which the running aggregate here (accumulated in event order) can
- * differ from in the last ulp; the index's form serves the sampler.
- * Two checks keep the index honest: `auditAgainst` plus pool-walk
- * references in the fuzz test (tests/test_cluster_index.cc) after
- * every transition of a randomized churn, and the golden report
- * digests (tests/golden/reports.txt), which pin every placement
- * decision's effect on the catalog reports.
+ * The controller answers its placement, autoscaling, sampling and
+ * report queries from these structures. Two checks keep the index
+ * honest: `audit` plus scan references in the fuzz test
+ * (tests/test_cluster_index.cc) through a randomized churn, and the
+ * golden report digests (tests/golden/reports.txt), which pin every
+ * placement decision's effect on the catalog reports.
  */
 
 #ifndef SLINFER_CORE_CLUSTER_INDEX_HH
@@ -173,14 +168,12 @@ class ClusterIndex
         return busySeconds_[kind == HwKind::Cpu ? 0 : 1];
     }
 
-    /** Fraction of total instance uptime spent blocked on resizes
-     *  (the running-aggregate form of the report's pool scan,
-     *  ControllerBase::scalingOverheadFraction). */
+    /** Fraction of total instance uptime spent blocked on KV resizes
+     *  (Fig. 31), across every instance activated so far. */
     double scalingOverheadFraction(Seconds now) const;
 
-    /** Mean KV allocation utilization across live loaded instances,
-     *  walking the id-ordered active registry — element-for-element
-     *  a pool scan, so the result is bit-identical. */
+    /** Mean KV allocation utilization across live loaded instances
+     *  (Fig. 31), walking the id-ordered active registry. */
     double kvUtilizationNow() const;
 
     /** Id-ordered Active instances (tests / stats). */
@@ -193,13 +186,13 @@ class ClusterIndex
 
     // --- consistency audit (fuzz test / debugging) ------------------
     /**
-     * Cross-check every index against scans over `pool`:
-     * per-partition committed totals, free-set membership and keys,
-     * the empty sets, and the active registry. Returns an empty string when
-     * consistent, else a description of the first mismatch.
+     * Cross-check every index against scans of the partitions'
+     * resident lists: per-partition committed totals, free-set
+     * membership and keys, the empty sets, and the active registry.
+     * Returns an empty string when consistent, else a description of
+     * the first mismatch.
      */
-    std::string auditAgainst(
-        const std::vector<std::unique_ptr<Instance>> &pool) const;
+    std::string audit() const;
 
   private:
     static bool

@@ -69,8 +69,8 @@ Consolidator::planVictims(Instance *grower, Request *req, VictimPlan &plan)
                          v->decodeBatch().end());
         for (Request *r : displaced) {
             Instance *dest = nullptr;
-            for (Instance *cand :
-                 ctl_.models_[r->model].instances) {
+            for (const auto &owned : ctl_.models_[r->model].instances) {
+                Instance *cand = owned.get();
                 if (cand == v || excluded.count(cand))
                     continue;
                 if (cand->state() != InstanceState::Active || cand->staticKv)
@@ -171,14 +171,14 @@ Consolidator::tryPreemptFor(Request *req)
 {
     ModelEntry &me = ctl_.models_[req->model];
     std::vector<Instance *> growers;
-    for (Instance *inst : me.instances) {
+    for (const auto &inst : me.instances) {
         if (inst->state() != InstanceState::Active || inst->staticKv)
             continue;
         if (inst->draining || inst->primary->failed)
             continue; // being drained by an intervention
         if (inst->role != InstanceRole::Unified)
             continue;
-        growers.push_back(inst);
+        growers.push_back(inst.get());
     }
     orderLargestBatchFirst(growers);
     for (Instance *grower : growers) {

@@ -234,26 +234,41 @@ ControllerBase::drainNodeInstances(Node *node)
     retryPending();
 }
 
+std::vector<InstanceId>
+ControllerBase::instanceIds(const ModelEntry &me)
+{
+    std::vector<InstanceId> ids;
+    for (const auto &inst : me.instances)
+        ids.push_back(inst->id);
+    return ids;
+}
+
 void
-ControllerBase::drainInstanceSet(std::vector<Instance *> insts, bool drop)
+ControllerBase::drainInstanceSet(ModelId model, std::vector<InstanceId> ids,
+                                 bool drop)
 {
     obs::bump(ctr_, obs::kDrainSweeps);
     if (trace_)
         trace_->instant(obs::kCatController, "drain-set", sim_.now(),
                         obs::kPidController, 0, "instances",
-                        static_cast<double>(insts.size()));
-    std::vector<Instance *> remaining;
-    for (Instance *inst : insts) {
-        if (!inst->live())
+                        static_cast<double>(ids.size()));
+    std::vector<InstanceId> remaining;
+    for (InstanceId id : ids) {
+        // Resolve afresh: the instance may be gone since the last sweep.
+        const auto &mv = models_[model].instances;
+        auto it = std::find_if(mv.begin(), mv.end(),
+                               [id](const std::unique_ptr<Instance> &p) {
+                                   return p->id == id;
+                               });
+        if (it == mv.end() || !(*it)->live())
             continue;
-        if (!settleInstance(inst, drop, kDrainInstanceSet))
-            remaining.push_back(inst);
+        if (!settleInstance(it->get(), drop, kDrainInstanceSet))
+            remaining.push_back(id);
     }
     if (!remaining.empty()) {
         sim_.schedule(kDrainSweepInterval,
-                      [this, remaining = std::move(remaining), drop] {
-                          drainInstanceSet(remaining, drop);
-                      });
+                      [this, model, remaining = std::move(remaining),
+                       drop] { drainInstanceSet(model, remaining, drop); });
     }
     retryPending();
 }
@@ -367,7 +382,7 @@ ControllerBase::redeployModel(ModelId model)
         return;
     // Only the instances of the *current* version drain; replacements
     // created while the sweep settles are left alone.
-    drainInstanceSet(me.instances, false);
+    drainInstanceSet(model, instanceIds(me), false);
 }
 
 void
@@ -395,7 +410,7 @@ ControllerBase::retireModel(ModelId model)
             maybeReclaim(req); // settled ghost: last ref just left
     }
     dq.clear();
-    drainInstanceSet(me.instances, true);
+    drainInstanceSet(model, instanceIds(me), true);
 }
 
 std::vector<std::size_t>
@@ -451,14 +466,14 @@ ControllerBase::makeInstance(ModelId model, Partition *primary,
                              bool staticKv)
 {
     auto inst = std::make_unique<Instance>(
-        static_cast<InstanceId>(instancePool_.size() + 1), model,
+        static_cast<InstanceId>(++instancesCreated_), model,
         models_[model].spec, primary, std::move(execSpec), kvAlloc);
     inst->role = role;
     inst->staticKv = staticKv;
     inst->createdAt = sim_.now();
     inst->extraHolds = std::move(extraHolds);
     Instance *ptr = inst.get();
-    instancePool_.push_back(std::move(inst));
+    models_[model].instances.push_back(std::move(inst));
 
     primary->addInstance(ptr);
     index_.onInstanceAdded(*ptr);
@@ -471,7 +486,6 @@ ControllerBase::makeInstance(ModelId model, Partition *primary,
     if (!ptr->extraHolds.empty())
         primary->exclusiveHolder = ptr;
     index_.syncEmpty(*primary);
-    models_[model].instances.push_back(ptr);
     schedulerFor(primary); // ensure the scheduler exists
     return ptr;
 }
@@ -534,6 +548,11 @@ ControllerBase::unloadStatic(Instance *inst)
 void
 ControllerBase::unregisterInstance(Instance *inst)
 {
+    // Every unload path evicts the requests and the keep-alive timer.
+    if (inst->loadSize() != 0 || inst->keepAliveEv.pending())
+        panic("unregisterInstance: instance " + std::to_string(inst->id) +
+              " still holds requests or a keep-alive timer");
+    schedulerFor(inst->primary).forget(*inst);
     inst->primary->removeInstance(inst);
     if (inst->primary->exclusiveHolder == inst)
         inst->primary->exclusiveHolder = nullptr;
@@ -546,7 +565,10 @@ ControllerBase::unregisterInstance(Instance *inst)
         }
     }
     auto &mv = models_[inst->modelId].instances;
-    mv.erase(std::remove(mv.begin(), mv.end(), inst), mv.end());
+    mv.erase(std::find_if(mv.begin(), mv.end(),
+                          [inst](const std::unique_ptr<Instance> &p) {
+                              return p.get() == inst;
+                          })); // frees the instance
 }
 
 void
@@ -918,43 +940,6 @@ ControllerBase::takeAfterPrefill(Request *req, Instance *inst)
     return true;
 }
 
-double
-ControllerBase::scalingOverheadFraction() const
-{
-    // Always the exact pool scan: this figure lands verbatim in every
-    // report, and the running aggregate accumulates in event order,
-    // whose last-ulp rounding can differ from the pool-order sum the
-    // reports have always carried. The scan runs once per experiment;
-    // the timeseries sampler needs O(1) and reads
-    // clusterIndex().scalingOverheadFraction(now) instead (the fuzz
-    // test keeps the two within 1e-9 of each other).
-    double scaling = 0.0;
-    double uptime = 0.0;
-    for (const auto &inst : instancePool_) {
-        if (inst->activeAt < 0)
-            continue;
-        Seconds end = inst->state() == InstanceState::Reclaimed
-                          ? inst->activeAt + inst->busyTime +
-                                inst->scalingTime
-                          : sim_.now();
-        scaling += inst->scalingTime;
-        uptime += std::max<Seconds>(end - inst->activeAt, 1e-9);
-    }
-    return uptime > 0 ? scaling / uptime : 0.0;
-}
-
-double
-ControllerBase::totalBusySeconds(HwKind kind) const
-{
-    return index_.busySeconds(kind);
-}
-
-double
-ControllerBase::kvUtilizationNow() const
-{
-    return index_.kvUtilizationNow();
-}
-
 // ====================================================================
 // SlinferController
 // ====================================================================
@@ -1055,7 +1040,7 @@ SlinferController::tryExistingInstances(Request *req)
 {
     ModelEntry &me = models_[req->model];
     std::vector<Instance *> cands;
-    for (Instance *inst : me.instances) {
+    for (const auto &inst : me.instances) {
         if (!inst->live())
             continue;
         if (inst->draining || inst->primary->failed)
@@ -1065,7 +1050,7 @@ SlinferController::tryExistingInstances(Request *req)
             continue;
         if (!cfg_.pdDisaggregation && inst->role != InstanceRole::Unified)
             continue;
-        cands.push_back(inst);
+        cands.push_back(inst.get());
     }
     // Reactive bin-packing (§VIII-B): the largest-batch instance takes
     // new requests first so fragments drain; ties prefer CPU residents
@@ -1347,14 +1332,14 @@ SlinferController::tryDispatchDecode(Request *req)
 {
     ModelEntry &me = models_[req->model];
     std::vector<Instance *> cands;
-    for (Instance *inst : me.instances) {
+    for (const auto &inst : me.instances) {
         if (inst->role != InstanceRole::DecodeOnly)
             continue;
         if (inst->state() != InstanceState::Active)
             continue;
         if (inst->draining || inst->primary->failed)
             continue; // being drained by an intervention
-        cands.push_back(inst);
+        cands.push_back(inst.get());
     }
     Consolidator::orderLargestBatchFirst(cands);
     for (Instance *inst : cands) {
@@ -1417,10 +1402,13 @@ SlinferController::handleKvShortage(Instance *inst)
         // stalls briefly, which cumulative headroom usually absorbs.
         // Guard against an all-parked partition with a timeout: if the
         // instance still cannot progress after two TPOT budgets, evict
-        // to unfreeze it.
+        // to unfreeze it. The timeout keys on the id, which
+        // unregisterInstance erases: a timeout that finds its id gone
+        // never touches the (freed) instance.
         shortageTimeouts_.insert(inst->id);
-        sim_.schedule(2.0 * cfg_.slo.tpot, [this, inst] {
-            shortageTimeouts_.erase(inst->id);
+        sim_.schedule(2.0 * cfg_.slo.tpot, [this, inst, id = inst->id] {
+            if (!shortageTimeouts_.erase(id))
+                return;
             if (inst->state() == InstanceState::Active &&
                 !inst->resizeInFlight &&
                 inst->kvTarget > inst->kv.allocBytes() &&
@@ -1483,6 +1471,13 @@ void
 SlinferController::onModelDeployed(ModelId m)
 {
     profileModel(models_[m].spec);
+}
+
+void
+SlinferController::unregisterInstance(Instance *inst)
+{
+    shortageTimeouts_.erase(inst->id);
+    ControllerBase::unregisterInstance(inst);
 }
 
 bool

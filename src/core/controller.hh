@@ -47,8 +47,9 @@ struct ModelEntry
     ModelSpec spec;
     /** Historical average output length O_bar (EWMA over completions). */
     double avgOutput = 256.0;
-    /** Registered instances: live (Loading/Active) or Unloading. */
-    std::vector<Instance *> instances;
+    /** Registered instances, live (Loading/Active) or Unloading; their
+     *  sole owner (unregisterInstance frees them). */
+    std::vector<std::unique_ptr<Instance>> instances;
     /** Retired by an intervention: requests drop, nothing places. */
     bool retired = false;
 };
@@ -150,32 +151,12 @@ class ControllerBase
 
     const ControllerConfig &config() const { return cfg_; }
     const std::vector<ModelEntry> &models() const { return models_; }
-    std::size_t instancesCreated() const { return instancePool_.size(); }
+    /** Instances created so far; also the last id handed out. */
+    std::size_t instancesCreated() const { return instancesCreated_; }
 
-    /** The incremental cluster indices (tests / benches). */
+    /** The incremental cluster indices: placement views, busy and
+     *  scaling aggregates, KV utilization. */
     const ClusterIndex &clusterIndex() const { return index_; }
-    /** Stable-storage instance pool (index audits in tests). */
-    const std::vector<std::unique_ptr<Instance>> &
-    instancePool() const
-    {
-        return instancePool_;
-    }
-
-    /** Total iteration-execution seconds on nodes of `kind` (tests).
-     *  O(1) running aggregate. */
-    double totalBusySeconds(HwKind kind) const;
-
-    /** Fraction of total instance uptime spent blocked on KV resizes
-     *  (Fig. 31), across all instances ever created. Exact pool scan
-     *  (a report field — byte-stability trumps O(1) for a
-     *  once-per-run query); clusterIndex().scalingOverheadFraction()
-     *  is the O(1) running-aggregate form. */
-    double scalingOverheadFraction() const;
-
-    /** Mean KV allocation utilization across live instances, sampled
-     *  now (Fig. 31). O(live) over the id-ordered active registry —
-     *  bit-identical to a walk of the instance pool. */
-    double kvUtilizationNow() const;
 
   protected:
     /** Dispatch a fresh (or re-queued) request; false leaves it queued. */
@@ -205,7 +186,8 @@ class ControllerBase
     TokenScheduler &schedulerFor(Partition *part);
     void kickPartition(Partition *part);
 
-    /** Allocate an Instance object and register it everywhere. */
+    /** Allocate an Instance, owned by its model's entry, and register
+     *  it everywhere. */
     Instance *makeInstance(ModelId model, Partition *primary,
                            HardwareSpec execSpec, Bytes kvAlloc,
                            InstanceRole role,
@@ -215,8 +197,9 @@ class ControllerBase
     void startStaticLoad(Instance *inst);
     /** Release a static instance (unload latency, then memory). */
     void unloadStatic(Instance *inst);
-    /** Remove a Reclaimed instance from all registries. */
-    void unregisterInstance(Instance *inst);
+    /** Remove a Reclaimed instance from all registries and free it;
+     *  nothing may hold the pointer afterwards. */
+    virtual void unregisterInstance(Instance *inst);
     void scheduleKeepAlive(Instance *inst);
     void cancelKeepAlive(Instance *inst);
 
@@ -262,8 +245,11 @@ class ControllerBase
     bool settleInstance(Instance *inst, bool drop, unsigned reasonBit);
     /** Sweep a fenced node until every resident is unloaded. */
     void drainNodeInstances(Node *node);
-    /** Sweep a captured instance set (redeploy/retire) to unload. */
-    void drainInstanceSet(std::vector<Instance *> insts, bool drop);
+    static std::vector<InstanceId> instanceIds(const ModelEntry &me);
+    /** Sweep a captured set of `model`'s instances (redeploy/retire)
+     *  to unload; ids whose instance is gone are skipped. */
+    void drainInstanceSet(ModelId model, std::vector<InstanceId> ids,
+                          bool drop);
     void requestDone(Request *req, Instance *inst);
     /** Hand `req` to the reclaim hook iff it is settled (Completed or
      *  Dropped) and no pending queue still references it. Call after
@@ -307,9 +293,7 @@ class ControllerBase
     Rng rng_;
     ClusterIndex index_;
 
-    /** Stable storage: instances are never destroyed mid-run so that
-     *  in-flight events can safely reference them. */
-    std::vector<std::unique_ptr<Instance>> instancePool_;
+    std::size_t instancesCreated_ = 0;
     /** Per-partition token schedulers, indexed by Partition::viewPos
      *  (O(1) on the dispatch hot path; created lazily). */
     std::vector<std::unique_ptr<TokenScheduler>> scheds_;
@@ -393,6 +377,7 @@ class SlinferController : public ControllerBase
     void onModelDeployed(ModelId m) override;
     void onObsAttached() override { shadow_.attachCounters(ctr_); }
     bool tryAbortParkedLoad(Instance *inst) override;
+    void unregisterInstance(Instance *inst) override;
 
   private:
     friend class Consolidator;

@@ -124,8 +124,6 @@ MemorySubsystem::tryExecute(Op &op)
     obs::ScopedPhase phase(prof_, obs::kPhaseMemoryOp);
     Instance &inst = *op.inst;
     if (op.kind == OpKind::Resize) {
-        if (!inst.live())
-            return true; // stale op; drop it
         if (!inst.memResident)
             return true; // superseded by the still-pending load
         Bytes target = inst.kvTarget;
@@ -256,7 +254,13 @@ MemorySubsystem::beginUnload(Instance &inst, DoneFn unloaded)
     if (inst.resizeInFlight)
         panic("MemorySubsystem: unload during resize");
     index_.beginUnloading(inst);
-    parkedResize_.erase(inst.id);
+    // Purge a parked resize: the station must not outlive the instance.
+    if (parkedResize_.erase(inst.id)) {
+        station_.erase(std::find_if(
+            station_.begin(), station_.end(), [&inst](const Op &op) {
+                return op.kind == OpKind::Resize && op.inst == &inst;
+            }));
+    }
     Bytes footprint = inst.model.weightBytes() + inst.kv.allocBytes();
     if (trace_)
         trace_->complete(

@@ -166,6 +166,9 @@ TokenScheduler::runDecode(Instance *inst)
     int batch = inst->batchSize();
     if (batch == 0)
         panic("TokenScheduler: decode with empty batch");
+    // finishIteration records the step under the partition's kind.
+    if (inst->execSpec.kind != part_.spec.kind)
+        panic("TokenScheduler: instance runs off its partition's kind");
     Seconds dur = PerfModel::decodeTime(inst->execSpec, inst->model, batch,
                                         inst->avgContextLen()) *
                   noise() * part_.perfFactor;
@@ -207,7 +210,13 @@ TokenScheduler::finishIteration()
     std::vector<Request *> &done = finished_;
     std::vector<Instance *> shortages;
 
-    if (prefill) {
+    if (!inst) {
+        // Retired mid-iteration (forget): its requests all left before
+        // the unload, so only the step's statistic remains.
+        if (!prefill && stats_)
+            stats_->onDecodeIteration(part_.spec.kind,
+                                      static_cast<int>(batch.size()), 0);
+    } else if (prefill) {
         // The request may have been dropped/evicted mid-prefill; only
         // apply effects if it is still ours.
         bool still_ours = std::find(inst->prefillQueue().begin(),
@@ -275,7 +284,7 @@ TokenScheduler::finishIteration()
         }
         inst->endDecodeStep(min_deadline, folded);
         if (stats_)
-            stats_->onDecodeIteration(inst->execSpec.kind,
+            stats_->onDecodeIteration(part_.spec.kind,
                                       static_cast<int>(batch.size()),
                                       emitted);
     }

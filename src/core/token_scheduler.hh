@@ -73,6 +73,15 @@ class TokenScheduler
     /** Time the in-flight iteration finishes (== now when idle). */
     Seconds busyUntil() const { return busyUntil_; }
 
+    /** `inst` is about to be freed: an iteration of it still in
+     *  flight runs out its duration without touching it. */
+    void
+    forget(const Instance &inst)
+    {
+        if (curInst_ == &inst)
+            curInst_ = nullptr;
+    }
+
     /** One scheduling decision: the iteration to run next. */
     struct Pick
     {
@@ -124,6 +133,7 @@ class TokenScheduler
     Seconds busyUntil_ = 0.0;
 
     // In-flight iteration state (one iteration per partition at a time).
+    /** Null during an iteration when its instance was forgotten. */
     Instance *curInst_ = nullptr;
     Request *curPrefill_ = nullptr;
     std::vector<Request *> curBatch_;

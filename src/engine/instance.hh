@@ -79,8 +79,7 @@ class Instance
     Tokens decodedTokens = 0;
 
     // These flags share one 8-byte slot with decodeMinDirty_ and
-    // state_, the first private data members: every Instance ever
-    // created stays pooled, so padding costs memory on fleet runs.
+    // state_, the first private data members.
     /** True while a KV resize blocks this instance's iterations. */
     bool resizeInFlight = false;
     /** Static allocation (baselines / exclusive fallback): the KV is

@@ -69,7 +69,7 @@ struct Partition
      * incrementally by ClusterIndex at instance registration, KV
      * target changes and unload transitions. Integer arithmetic, so
      * the running value is exactly a scan of the residents
-     * (ClusterIndex::auditAgainst checks it).
+     * (ClusterIndex::audit checks it).
      */
     Bytes committedBytes = 0;
     /** Position in the controller's canonical cpu-first partition

@@ -146,6 +146,9 @@ ExperimentConfig::validate() const
             fatal("ExperimentConfig: timeline 'arrival-burst' needs "
                   "positive `rpm` and `duration`");
         }
+        std::string bound = burstBoundError(iv);
+        if (!bound.empty())
+            fatal("ExperimentConfig: timeline 'arrival-burst': " + bound);
     }
 
     // Per-node fail/restore pairing: replay the fail-kind events in

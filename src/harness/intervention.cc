@@ -22,6 +22,22 @@ interventionKindName(Intervention::Kind kind)
     return "?";
 }
 
+std::string
+burstBoundError(const Intervention &iv)
+{
+    if (iv.kind != Intervention::Kind::ArrivalBurst)
+        return "";
+    if (iv.rpm > kMaxBurstRpm)
+        return "\"rpm\" exceeds the burst rate bound (" +
+               std::to_string(static_cast<long long>(kMaxBurstRpm)) +
+               " requests/minute)";
+    if (iv.rpm / 60.0 * iv.duration > kMaxBurstArrivals)
+        return "\"rpm\" over \"duration\" expects more than " +
+               std::to_string(static_cast<long long>(kMaxBurstArrivals)) +
+               " arrivals";
+    return "";
+}
+
 bool
 tryParseInterventionKind(const std::string &name, Intervention::Kind &out)
 {

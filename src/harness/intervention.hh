@@ -80,6 +80,20 @@ struct Intervention
     Seconds duration = 0.0;
 };
 
+/** Most arrivals a burst may expect (rpm / 60 * duration): a burst
+ *  materializes them all when it fires, each a 144-byte request plus
+ *  an event, so 10^5 stay in the tens of MB (the catalog's expects
+ *  180). */
+constexpr double kMaxBurstArrivals = 1e5;
+/** Fastest burst rate, requests/minute (10^5/s). A burst steps its
+ *  clock by exponential gaps; a mean gap near one ulp of the clock
+ *  stops it advancing and the burst allocates without bound. 10 us is
+ *  about 100 ulps of a clock at 10^9 s. */
+constexpr double kMaxBurstRpm = 6e6;
+
+/** Why ArrivalBurst `iv` breaks a burst bound, "" if it does not. */
+std::string burstBoundError(const Intervention &iv);
+
 /** Timeline slug of the kind ("node-fail", "model-redeploy", ...). */
 const char *interventionKindName(Intervention::Kind kind);
 

@@ -222,7 +222,7 @@ Session::acquirePooled(const stream::TraceRecord &rec)
 void
 Session::sampleKv()
 {
-    double u = controller_->kvUtilizationNow();
+    double u = controller_->clusterIndex().kvUtilizationNow();
     if (u > 0) {
         kvSampling_.sum += u;
         ++kvSampling_.n;
@@ -332,7 +332,8 @@ Session::finish()
                                   *stats_, cfg_.ttftCdfPoints);
     report.kvUtilization =
         kvSampling_.n ? kvSampling_.sum / kvSampling_.n : 0.0;
-    report.scalingOverhead = controller_->scalingOverheadFraction();
+    report.scalingOverhead =
+        controller_->clusterIndex().scalingOverheadFraction(sim_.now());
     if (obs_ && obs_->counters()) {
         const obs::Counters &c = *obs_->counters();
         report.counters.reserve(obs::kNumCounters);
@@ -406,7 +407,7 @@ Session::sample() const
     const ClusterIndex &index = controller_->clusterIndex();
     v.instancesLive = index.activeInstances().size();
     v.instancesCreated = controller_->instancesCreated();
-    v.kvUtilization = controller_->kvUtilizationNow();
+    v.kvUtilization = index.kvUtilizationNow();
     v.busySecondsCpu = index.busySeconds(HwKind::Cpu);
     v.busySecondsGpu = index.busySeconds(HwKind::Gpu);
     v.scalingOverhead = index.scalingOverheadFraction(sim_.now());

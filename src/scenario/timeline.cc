@@ -86,6 +86,9 @@ parseEntry(const sweep::JsonValue &v, std::size_t index, Intervention &iv,
         return fail(err, where + ": unknown model preset '" + spec + "'");
     if (iv.kind == Intervention::Kind::ModelDeploy && spec.empty())
         return fail(err, where + ": model-deploy needs \"spec\"");
+    std::string bound = burstBoundError(iv);
+    if (!bound.empty())
+        return fail(err, where + ": " + bound);
     return true;
 }
 

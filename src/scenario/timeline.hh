@@ -18,8 +18,9 @@
  *   ]
  *
  * "spec" names a built-in model preset (hw/model_spec.hh,
- * tryModelPreset). Every number must be finite, and "node" and
- * "model" must fit an int. The parsed Timeline slots into
+ * tryModelPreset). Every number must be finite, "node" and "model"
+ * must fit an int, and a burst must stay within the burst bounds
+ * (harness/intervention.hh). The parsed Timeline slots into
  * ExperimentConfig::timeline / Scenario::timeline verbatim; field
  * validation beyond shape (node/model ranges) happens in
  * ExperimentConfig::validate and at fire time.

@@ -100,8 +100,8 @@ TEST_F(SllmFixture, SllmNeverUsesCpu)
     submitAt(0, 0.0, 1024, 50);
     sim.run();
     EXPECT_EQ(recorder.completed(), 1u);
-    EXPECT_EQ(ctl->totalBusySeconds(HwKind::Cpu), 0.0);
-    EXPECT_GT(ctl->totalBusySeconds(HwKind::Gpu), 0.0);
+    EXPECT_EQ(ctl->clusterIndex().busySeconds(HwKind::Cpu), 0.0);
+    EXPECT_GT(ctl->clusterIndex().busySeconds(HwKind::Gpu), 0.0);
 }
 
 TEST_F(SllmFixture, ExclusiveAllocationOnePerNode)
@@ -148,7 +148,7 @@ TEST_F(SllmFixture, CpuBlindnessServes34BOnGpuOnly)
     Request &r = submitAt(0, 0.0, 2048, 30);
     sim.run();
     EXPECT_EQ(r.state, RequestState::Completed);
-    EXPECT_EQ(ctl->totalBusySeconds(HwKind::Cpu), 0.0);
+    EXPECT_EQ(ctl->clusterIndex().busySeconds(HwKind::Cpu), 0.0);
 }
 
 TEST_F(SllmFixture, StaticShareHostsTwoPerNode)
@@ -184,7 +184,7 @@ TEST_F(SllmFixture, ThirteenBOnSharedCpuTakesWholeNode)
     // The first 13B claimed both CPU half-partitions (the paper's
     // exception); the second went elsewhere (GPU halves).
     ASSERT_EQ(ctl->models()[0].instances.size(), 1u);
-    const Instance *first = ctl->models()[0].instances[0];
+    const Instance *first = ctl->models()[0].instances[0].get();
     EXPECT_EQ(first->execSpec.kind, HwKind::Cpu);
     EXPECT_EQ(first->extraHolds.size(), 1u);
     // Its exec spec is the full node, not the half partition.

@@ -104,7 +104,7 @@ TEST_F(PreemptFixture, IdleFragmentIsPreemptedForGrowth)
     EXPECT_TRUE(ctl->models()[1].instances.empty());
     EXPECT_GE(ctl->models()[0].instances.size(), 1u);
     std::size_t batch = 0;
-    for (const Instance *inst : ctl->models()[0].instances)
+    for (const auto &inst : ctl->models()[0].instances)
         batch = std::max(batch,
                          static_cast<std::size_t>(inst->batchSize()));
     EXPECT_GE(batch, 4u);
@@ -145,7 +145,7 @@ TEST_F(PreemptFixture, NoPreemptionOfLargerBatches)
     sim.runUntil(4.0);
     // Model 1 still holds its big batch.
     std::size_t batch = 0;
-    for (const Instance *inst : ctl->models()[1].instances)
+    for (const auto &inst : ctl->models()[1].instances)
         batch = std::max(batch,
                          static_cast<std::size_t>(inst->batchSize()));
     EXPECT_GE(batch, 6u);

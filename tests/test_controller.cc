@@ -119,7 +119,7 @@ TEST_F(CtlFixture, NoCpuAblationUsesGpuOnly)
         EXPECT_TRUE(me.instances.empty()); // reclaimed by now
     EXPECT_EQ(recorder.completed(), 1u);
     // The CPU node was never used.
-    EXPECT_EQ(ctl->totalBusySeconds(HwKind::Cpu), 0.0);
+    EXPECT_EQ(ctl->clusterIndex().busySeconds(HwKind::Cpu), 0.0);
 }
 
 TEST_F(CtlFixture, KeepAliveReclaimsIdleInstances)
@@ -208,7 +208,7 @@ TEST_F(CtlFixture, ExclusiveFallbackFor34B)
     Request &r = submitAt(0, 0.0, 2048, 50);
     sim.runUntil(8.0);
     ASSERT_EQ(ctl->models()[0].instances.size(), 1u);
-    const Instance *inst = ctl->models()[0].instances[0];
+    const Instance *inst = ctl->models()[0].instances[0].get();
     EXPECT_TRUE(inst->staticKv);
     EXPECT_EQ(inst->extraHolds.size(), 1u); // TP=2 holds a second GPU
     EXPECT_EQ(inst->execSpec.kind, HwKind::Gpu);
@@ -289,7 +289,7 @@ TEST_F(CtlFixture, ScalingOverheadFractionIsSmallAtDefaults)
         submitAt(i % 2, 0.3 * i, 1024, 80);
     sim.run();
     // §IX-I5: with the 25% watermark the scaling overhead is ~1.4%.
-    EXPECT_LT(ctl->scalingOverheadFraction(), 0.08);
+    EXPECT_LT(ctl->clusterIndex().scalingOverheadFraction(sim.now()), 0.08);
 }
 
 } // namespace

@@ -292,7 +292,7 @@ TEST_F(MemFixture, ResizeOnParkedLoadDoesNotCorruptLedger)
     sim.run();
     EXPECT_EQ(inst.state(), InstanceState::Active);
     EXPECT_EQ(inst.kv.allocBytes(), 8ULL << 30);
-    EXPECT_EQ(index->auditAgainst(pool), "");
+    EXPECT_EQ(index->audit(), "");
 }
 
 TEST_F(MemFixture, AbortedParkedLoadLeavesNoTrace)
@@ -318,7 +318,7 @@ TEST_F(MemFixture, AbortedParkedLoadLeavesNoTrace)
     EXPECT_EQ(freeKey(), key_before);
     EXPECT_EQ(index->freeSet(HwKind::Gpu).count(key_before), 1u);
     EXPECT_EQ(index->freeSet(HwKind::Gpu).size(), 1u);
-    EXPECT_EQ(index->auditAgainst(pool), "");
+    EXPECT_EQ(index->audit(), "");
     EXPECT_FALSE(sub->abortParkedLoad(inst)); // nothing left parked
 
     // The aborted load never runs, even after the hog's release.
@@ -346,20 +346,20 @@ TEST_F(MemFixture, StaticInstanceLifecycleThroughTheIndex)
     ASSERT_EQ(index->activeInstances().size(), 1u);
     EXPECT_EQ(*index->activeInstances().begin(), &inst);
     EXPECT_EQ(part->committedBytes, footprint);
-    EXPECT_EQ(index->auditAgainst(pool), "");
+    EXPECT_EQ(index->audit(), "");
 
     index->beginUnloading(inst);
     EXPECT_EQ(inst.state(), InstanceState::Unloading);
     EXPECT_TRUE(index->activeInstances().empty());
     EXPECT_EQ(part->committedBytes, 0u);
     EXPECT_EQ(freeKey().first, part->mem.capacity());
-    EXPECT_EQ(index->auditAgainst(pool), "");
+    EXPECT_EQ(index->audit(), "");
 
     index->retire(inst);
     EXPECT_EQ(inst.state(), InstanceState::Reclaimed);
     EXPECT_TRUE(index->activeInstances().empty());
     EXPECT_EQ(part->committedBytes, 0u);
-    EXPECT_EQ(index->auditAgainst(pool), "");
+    EXPECT_EQ(index->audit(), "");
 }
 
 // ------------------------------------------------------------------
@@ -395,6 +395,29 @@ TEST_F(MemFixture, ScaleUpParksUntilScaleDownCompletes)
     EXPECT_EQ(b.kv.allocBytes(), kBUp);
     EXPECT_EQ(sub->parkedOps(), 0u);
     EXPECT_EQ(part->mem.oomEvents(), 0u);
+}
+
+TEST_F(MemFixture, UnloadPurgesParkedResize)
+{
+    // The reservation station must never outlive an instance: the
+    // controller frees it once the unload lands.
+    Instance &a = addLoadedInstance(30'000'000'000);
+    Instance &b = addLoadedInstance(12'000'000'000);
+    MemorySubsystem::Plan up;
+    up.ok = true;
+    up.needsResize = true;
+    up.target = 30'000'000'000;
+    sub->commitPlan(b, up);
+    ASSERT_FALSE(b.resizeInFlight);
+    ASSERT_EQ(sub->parkedOps(), 1u);
+
+    sub->beginUnload(b, nullptr);
+    EXPECT_EQ(sub->parkedOps(), 0u);
+    sim.run();
+    EXPECT_EQ(b.state(), InstanceState::Reclaimed);
+    EXPECT_EQ(part->mem.used(), a.model.weightBytes() + a.kv.allocBytes());
+    EXPECT_EQ(part->mem.oomEvents(), 0u);
+    EXPECT_EQ(index->audit(), "");
 }
 
 TEST_F(MemFixture, FollowUpResizeCoalesces)
@@ -526,11 +549,11 @@ TEST_P(MemoryStorm, NeverOoms)
         // The invariant the orchestrator exists to defend:
         ASSERT_EQ(part->mem.oomEvents(), 0u) << "step " << step;
         ASSERT_LE(part->mem.used(), part->mem.capacity());
-        ASSERT_EQ(index.auditAgainst(pool), "") << "step " << step;
+        ASSERT_EQ(index.audit(), "") << "step " << step;
     }
     sim.run();
     EXPECT_EQ(part->mem.oomEvents(), 0u);
-    EXPECT_EQ(index.auditAgainst(pool), "");
+    EXPECT_EQ(index.audit(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoryStorm,

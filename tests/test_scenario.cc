@@ -363,6 +363,41 @@ TEST(TimelineNumbers, NonFiniteValuesAreRejected)
               "timeline[1]: \"at\" must be finite");
 }
 
+TEST(TimelineNumbers, UnboundedBurstsAreRejected)
+{
+    // A finite rate can still outrun the clock: at 1e300 requests a
+    // minute every gap rounds away and the burst never ends.
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-burst",
+        "model": 0, "rpm": 1e300, "duration": 60}])"),
+              "timeline[0]: \"rpm\" exceeds the burst rate bound "
+              "(6000000 requests/minute)");
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-burst",
+        "model": 0, "rpm": 600000, "duration": 60}])"),
+              "timeline[0]: \"rpm\" over \"duration\" expects more "
+              "than 100000 arrivals");
+    // The catalog's surge burst (about 180 arrivals) parses.
+    EXPECT_EQ(timelineError(R"([{"at": 1, "kind": "arrival-burst",
+        "model": 0, "rpm": 90, "duration": 120}])"),
+              "");
+
+    // validate() refuses the same burst built in code; no Session
+    // ever runs it.
+    ExperimentConfig cfg;
+    cfg.models = replicateModel(llama2_7b(), 1);
+    cfg.duration = 120.0;
+    cfg.cluster.gpuNodes = 1;
+    Intervention burst;
+    burst.kind = Intervention::Kind::ArrivalBurst;
+    burst.at = 10.0;
+    burst.model = 0;
+    burst.rpm = 1e300;
+    burst.duration = 60.0;
+    cfg.timeline = {burst};
+    EXPECT_DEATH(cfg.validate(), "burst rate bound");
+    cfg.timeline[0].rpm = 600000.0;
+    EXPECT_DEATH(cfg.validate(), "expects more than 100000 arrivals");
+}
+
 TEST(TimelineNumbers, IndicesOutsideIntAreRejected)
 {
     EXPECT_EQ(timelineError(

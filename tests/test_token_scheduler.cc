@@ -31,7 +31,7 @@ struct SchedHarness
 
     TokenScheduler &
     makeScheduler(SchedPolicy policy = SchedPolicy::Headroom,
-                  double noise = 0.0)
+                  double noise = 0.0, ClusterStats *stats = nullptr)
     {
         TokenScheduler::Callbacks cbs;
         cbs.onRequestDone = [this](Request *r, Instance *i) {
@@ -39,7 +39,7 @@ struct SchedHarness
         };
         cbs.onKvShortage = [this](Instance *i) { shortages.push_back(i); };
         sched = std::make_unique<TokenScheduler>(sim, *part, policy, noise,
-                                                 Rng(1), cbs, nullptr);
+                                                 Rng(1), cbs, stats);
         return *sched;
     }
 
@@ -314,6 +314,41 @@ TEST_F(SchedFixture, EvictedMidIterationRequestSkipsToken)
     sim.run();
     EXPECT_EQ(r1.generated, 100);
     EXPECT_LT(r2.generated, 100);
+}
+
+TEST_F(SchedFixture, InstanceRetiredMidIterationIsNotTouched)
+{
+    // The controller frees an instance at unregisterInstance, which can
+    // land while the instance's decode iteration is still in flight.
+    std::vector<std::unique_ptr<Node>> no_nodes;
+    ClusterStats stats(sim, no_nodes);
+    auto &s = makeScheduler(SchedPolicy::Headroom, 0.0, &stats);
+    Instance &inst = addInstance();
+    Request &r = addRequest(inst, 0.0, 512, 100);
+    s.kick();
+    Seconds pf = PerfModel::prefillTime(a100_80g(), llama2_7b(), 512);
+    sim.runUntil(pf + 1e-6);
+    ASSERT_EQ(r.state, RequestState::Decode);
+    ASSERT_GT(s.busyUntil(), sim.now()); // the first decode step runs
+    ASSERT_EQ(stats.batchCdf().count(), 0u);
+
+    // Retire it as the controller does: evict, unregister, free.
+    inst.removeRequest(&r);
+    inst.kv.release(r.kvReserved);
+    r.kvReserved = 0;
+    r.instance = 0;
+    r.state = RequestState::Queued;
+    part->removeInstance(&inst);
+    s.forget(inst);
+    pool.clear(); // under ASan, any later touch is a use-after-free
+
+    sim.run();
+    EXPECT_FALSE(part->busy);
+    EXPECT_EQ(r.generated, 1); // the prefill's token only
+    EXPECT_TRUE(done.empty());
+    // The step still counts, with its batch and no tokens.
+    EXPECT_EQ(stats.batchCdf().count(), 1u);
+    EXPECT_EQ(stats.decodeTokens(HwKind::Gpu), 0);
 }
 
 // ------------------------------------------------------------------
