@@ -47,6 +47,15 @@ Mt19937_64::twist()
     pos_ = 0;
 }
 
+void
+Mt19937_64::nextBlock(result_type (&out)[kBlockWords])
+{
+    twist();
+    for (int i = 0; i < kN; ++i)
+        out[i] = temper(state_[i]);
+    pos_ = kN;
+}
+
 namespace
 {
 
@@ -112,6 +121,37 @@ Rng::boundedPareto(double lo, double hi, double alpha)
     double ha = std::pow(hi, alpha);
     double x = -(u * ha - u * la - ha) / (ha * la);
     return std::pow(x, -1.0 / alpha);
+}
+
+int
+Rng::logNormalBlock(double sigma, double (&out)[kBlockPairs])
+{
+    if (!engine_.atBlockStart())
+        return 0;
+    std::uint64_t words[Mt19937_64::kBlockWords];
+    engine_.nextBlock(words);
+    // Every candidate is written at the next free place and kept by
+    // advancing k, so the accepted pairs stay in draw order and a
+    // rejected one is overwritten without a branch.
+    double r2s[kBlockPairs];
+    int k = 0;
+    for (int i = 0; i < kBlockPairs; ++i) {
+        const PolarPair p = polarPair(words[2 * i], words[2 * i + 1]);
+        out[k] = p.y;
+        r2s[k] = p.r2;
+        k += !polarRejects(p.r2);
+    }
+    // normal()'s operations in three passes, so the libm calls run
+    // back to back and the arithmetic between them vectorises; each
+    // element goes through the same operations on the same operands.
+    double logs[kBlockPairs];
+    for (int j = 0; j < k; ++j)
+        logs[j] = std::log(r2s[j]);
+    for (int j = 0; j < k; ++j)
+        out[j] = sigma * polarNormal(out[j], r2s[j], logs[j]);
+    for (int j = 0; j < k; ++j)
+        out[j] = std::exp(out[j]);
+    return k;
 }
 
 bool

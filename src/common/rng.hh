@@ -34,21 +34,42 @@ class Mt19937_64
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type(0); }
 
+    /** Words per block: one twist regenerates this many outputs. */
+    static constexpr int kBlockWords = 312;
+
     result_type
     operator()()
     {
         if (pos_ == kN)
             twist();
-        result_type y = state_[pos_++];
+        return temper(state_[pos_++]);
+    }
+
+    /** True when the next output starts a block, i.e. the next call
+     *  twists. */
+    bool atBlockStart() const { return pos_ == kN; }
+
+    /**
+     * The next kBlockWords outputs, in order, as kBlockWords calls of
+     * operator() would return them: one twist, then every word
+     * tempered. Only at a block start (atBlockStart()); the engine is
+     * at the next one afterwards.
+     */
+    void nextBlock(result_type (&out)[kBlockWords]);
+
+  private:
+    static constexpr int kN = kBlockWords;
+    static constexpr int kM = 156;
+
+    /** The standard's tempering of one state word into an output. */
+    static result_type
+    temper(result_type y)
+    {
         y ^= (y >> 29) & 0x5555555555555555ULL;
         y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
         y ^= (y << 37) & 0xFFF7EEE000000000ULL;
         return y ^ (y >> 43);
     }
-
-  private:
-    static constexpr int kN = 312;
-    static constexpr int kM = 156;
 
     /** Regenerate all kN state words (the standard's transition). */
     void twist();
@@ -82,6 +103,43 @@ wordToUnit(std::uint64_t x)
 {
     const double u = wordToDouble(x) * 0x1p-64;
     return u >= 1.0 ? 0x1.fffffffffffffp-1 : u;
+}
+
+/**
+ * One candidate pair of libstdc++'s polar method: x = 2u - 1 and
+ * y = 2u - 1 from two consecutive engine words, and r2 = x^2 + y^2.
+ * Rng::normal() and Rng::logNormalBlock() both build their pairs here,
+ * so both round the same way.
+ */
+struct PolarPair
+{
+    double y;
+    double r2;
+};
+
+inline PolarPair
+polarPair(std::uint64_t wordX, std::uint64_t wordY)
+{
+    const double x = 2.0 * wordToUnit(wordX) - 1.0;
+    const double y = 2.0 * wordToUnit(wordY) - 1.0;
+    return {y, x * x + y * y};
+}
+
+/** The polar method retries a pair outside the unit disc or at its
+ *  centre (`r2 > 1.0 || r2 == 0.0`, evaluated without a branch). */
+inline bool
+polarRejects(double r2)
+{
+    return (r2 > 1.0) | (r2 == 0.0);
+}
+
+/** The normal draw of an accepted pair, given log(r2):
+ *  y * sqrt(-2 * log(r2) / r2) * 1.0 + 0.0, libstdc++'s expression. */
+inline double
+polarNormal(double y, double r2, double logR2)
+{
+    const double mult = std::sqrt(-2 * logR2 / r2);
+    return y * mult * 1.0 + 0.0;
 }
 
 /**
@@ -126,6 +184,22 @@ class Rng
     /** Standard normal draw. */
     double normal();
 
+    /** Candidate pairs, hence at most this many draws, in one engine
+     *  block. */
+    static constexpr int kBlockPairs = Mt19937_64::kBlockWords / 2;
+
+    /**
+     * Fill `out` with exp(sigma * normal()) for the successive normal()
+     * draws whose pairs the engine's next block holds, in draw order,
+     * and return how many (about 122). The draws are the ones that
+     * many normal() calls would make, bit for bit (DESIGN.md, "Noise
+     * draws"). Draws nothing and returns 0 unless the engine is at a
+     * block start, where no draw straddles a twist; it also returns 0
+     * in the rare block that rejects all of its pairs. Either way the
+     * stream's next draw is then normal()'s.
+     */
+    int logNormalBlock(double sigma, double (&out)[kBlockPairs]);
+
     /** Bernoulli with probability p of true. */
     bool chance(double p);
 
@@ -143,14 +217,12 @@ Rng::normal()
     // libstdc++'s polar method for a fresh normal_distribution(0, 1),
     // term for term, so every draw keeps its bits (DESIGN.md, "Noise
     // draws"). A fresh distribution discards its spare x * mult.
-    double x, y, r2;
+    PolarPair p;
     do {
-        x = 2.0 * uniform() - 1.0;
-        y = 2.0 * uniform() - 1.0;
-        r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    const double mult = std::sqrt(-2 * std::log(r2) / r2);
-    return y * mult * 1.0 + 0.0;
+        const std::uint64_t wordX = engine_();
+        p = polarPair(wordX, engine_());
+    } while (polarRejects(p.r2));
+    return polarNormal(p.y, p.r2, std::log(p.r2));
 }
 
 } // namespace slinfer

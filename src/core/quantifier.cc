@@ -62,7 +62,8 @@ template <typename T>
 void
 checkGridDoubles(const std::vector<T> &grid, const char *what)
 {
-    bool ok = !grid.empty() && grid.front() > 0;
+    bool ok = !grid.empty() && grid.front() > 0 &&
+              (grid.front() & (grid.front() - 1)) == 0;
     for (std::size_t i = 1; ok && i + 1 < grid.size(); ++i)
         ok = grid[i] == static_cast<std::int64_t>(grid[i - 1]) * 2;
     if (ok && grid.size() >= 2)
@@ -128,6 +129,7 @@ namespace
  * grid. Below the top, grid[i] = grid[0] * 2^i, so an interior x lies
  * in (grid[hi - 1], grid[hi]] for hi = bit_width(ceil(x / grid[0]) - 1),
  * capped at the top index: the first point at or above x, in O(1).
+ * grid[0] is a power of two, so the division is a shift.
  */
 template <typename T>
 void
@@ -144,10 +146,11 @@ bracket(const std::vector<T> &grid, std::int64_t x, std::size_t &lo,
         w = 0.0;
         return;
     }
-    // ceil(x / g) - 1 == (x - 1) / g for positive x and g; it is >= 1
-    // here because x > grid[0].
-    const auto steps =
-        static_cast<unsigned long long>((x - 1) / grid.front());
+    // ceil(x / g) - 1 == (x - 1) / g == (x - 1) >> log2(g) for positive
+    // x and power-of-two g; it is >= 1 here because x > grid[0].
+    const auto steps = static_cast<unsigned long long>(x - 1) >>
+                       __builtin_ctzll(static_cast<unsigned long long>(
+                           grid.front()));
     hi = std::min<std::size_t>(64 - __builtin_clzll(steps),
                                grid.size() - 1);
     lo = hi - 1;

@@ -42,9 +42,9 @@ class Quantifier
     bool profiled(const HardwareSpec &hw, const ModelSpec &m) const;
 
     /**
-     * One pair's profiled grid. Both grids double from their front
-     * below the top: lenGrid is 16 * 2^i then maxContext, batchGrid
-     * 1..kMaxBatch. The estimates bracket a query in O(1) on that
+     * One pair's profiled grid. Both grids double from a power-of-two
+     * front below the top: lenGrid is 16 * 2^i then maxContext,
+     * batchGrid 1..kMaxBatch. The estimates bracket a query in O(1) on that
      * shape (DESIGN.md, "Shadow validation fast path").
      */
     struct ProfileTable
@@ -57,9 +57,9 @@ class Quantifier
 
     /**
      * Panic unless both grids of `t` have the shape the O(1) bracket
-     * needs: a positive front, every point below the top equal to the
-     * front times 2^i, and a top above the point before it. profile()
-     * checks every table it builds.
+     * needs: a front that is a power of two, every point below the top
+     * equal to the front times 2^i, and a top above the point before
+     * it. profile() checks every table it builds.
      */
     static void checkDoubling(const ProfileTable &t);
 

@@ -17,8 +17,8 @@ TokenScheduler::TokenScheduler(Simulator &sim, Partition &partition,
                                obs::TraceRecorder *trace,
                                obs::AnatomyLedger *anatomy)
     : sim_(sim), part_(partition), policy_(policy), sigma_(noiseSigma),
-      rng_(rng), cbs_(std::move(cbs)), stats_(stats), index_(index),
-      trace_(trace), anat_(anatomy)
+      cbs_(std::move(cbs)), stats_(stats), index_(index), trace_(trace),
+      anat_(anatomy), rng_(rng)
 {
 }
 
@@ -29,10 +29,13 @@ TokenScheduler::noise()
         return 1.0;
     // rng_ has no other reader, so drawing a block ahead still hands
     // the k-th iteration the k-th draw.
-    if (noiseNext_ == kNoiseBlock) {
-        for (double &f : noiseBlock_)
-            f = std::exp(sigma_ * rng_.normal());
+    if (noiseNext_ == noiseEnd_) {
         noiseNext_ = 0;
+        noiseEnd_ = rng_.logNormalBlock(sigma_, noiseBlock_);
+        // Off a block start, draw one at a time until the stream is
+        // back on one; the draw is the same either way.
+        if (noiseEnd_ == 0)
+            return std::exp(sigma_ * rng_.normal());
     }
     return noiseBlock_[noiseNext_++];
 }
@@ -265,7 +268,6 @@ TokenScheduler::finishIteration()
                 shortages.push_back(inst);
             } else {
                 inst->noteDecodeToken(r, sim_.now());
-                ++inst->decodedTokens;
                 ++emitted;
                 if (r->finishedGenerating()) {
                     inst->removeRequest(r);

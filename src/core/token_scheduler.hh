@@ -116,12 +116,6 @@ class TokenScheduler
     Partition &part_;
     SchedPolicy policy_;
     double sigma_;
-    Rng rng_;
-    /** Noise factors drawn ahead in one batch; noise() hands them out
-     *  in order (DESIGN.md, "Noise draws"). */
-    static constexpr int kNoiseBlock = 32;
-    double noiseBlock_[kNoiseBlock] = {};
-    int noiseNext_ = kNoiseBlock;
     Callbacks cbs_;
     ClusterStats *stats_;
     /** Feeds the controller's running busy-seconds aggregates. */
@@ -148,6 +142,16 @@ class TokenScheduler
     std::vector<Request *> doneBatch_;
     /** Scratch for completed-request callbacks, recycled likewise. */
     std::vector<Request *> finished_;
+
+    // The noise stream and its drawn-ahead factors sit last, so the
+    // per-iteration fields above share the object's first cache lines.
+    /** Next factor noise() hands out, and one past the last drawn. */
+    int noiseNext_ = 0;
+    int noiseEnd_ = 0;
+    Rng rng_;
+    /** Noise factors drawn ahead one engine block at a time; noise()
+     *  hands them out in order (DESIGN.md, "Noise draws"). */
+    double noiseBlock_[Rng::kBlockPairs] = {};
 };
 
 } // namespace slinfer

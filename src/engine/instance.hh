@@ -75,8 +75,6 @@ class Instance
     Seconds busyTime = 0.0;
     /** Cumulative seconds blocked on KV resizes (Fig. 31). */
     Seconds scalingTime = 0.0;
-    /** Decode tokens produced (stats). */
-    Tokens decodedTokens = 0;
 
     // These flags share one 8-byte slot with decodeMinDirty_ and
     // state_, the first private data members.

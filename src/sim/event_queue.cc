@@ -49,24 +49,52 @@ EventQueue::heapPush(const Entry &e)
     heap_[pos] = e;
 }
 
+namespace
+{
+
+/** 1 when `a` fires before `b`, computed without a branch: the fire
+ *  order (when, seq) as bitwise arithmetic on the two compares. */
+template <typename E>
+std::size_t
+firesBefore(const E &a, const E &b)
+{
+    return static_cast<std::size_t>((a.when < b.when) |
+                                    ((a.when == b.when) & (a.seq < b.seq)));
+}
+
+} // namespace
+
 void
 EventQueue::siftDown(std::size_t pos)
 {
     const std::size_t n = heap_.size();
+    const Entry *h = heap_.data();
     Entry e = heap_[pos];
     for (;;) {
         std::size_t first = 4 * pos + 1;
-        if (first >= n)
-            break;
-        std::size_t last = first + 4 < n ? first + 4 : n;
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (heap_[c].fires_before(heap_[best]))
-                best = c;
+        std::size_t best;
+        if (first + 4 <= n) {
+            // A full group: a two-level tournament whose selects are
+            // arithmetic, because which child wins is close to random
+            // and a branch on it mispredicts. seq is unique, so the
+            // earliest child is unique and any tournament finds the
+            // one the scan below would.
+            const std::size_t a = first + firesBefore(h[first + 1], h[first]);
+            const std::size_t b =
+                first + 2 + firesBefore(h[first + 3], h[first + 2]);
+            best = a + (b - a) * firesBefore(h[b], h[a]);
+        } else {
+            if (first >= n)
+                break;
+            best = first;
+            for (std::size_t c = first + 1; c < n; ++c) {
+                if (h[c].fires_before(h[best]))
+                    best = c;
+            }
         }
-        if (!heap_[best].fires_before(e))
+        if (!h[best].fires_before(e))
             break;
-        heap_[pos] = heap_[best];
+        heap_[pos] = h[best];
         pos = best;
     }
     heap_[pos] = e;

@@ -25,23 +25,25 @@ class Simulator
     /** Current simulated time. */
     Seconds now() const { return now_; }
 
-    /** Schedule `cb` after `delay` seconds (>= 0). */
+    /** Schedule `cb` after `delay` seconds (>= 0, not NaN). */
     template <typename F>
     EventHandle
     schedule(Seconds delay, F &&cb)
     {
-        if (delay < 0)
-            panic("Simulator::schedule with negative delay");
+        // One compare that NaN fails too: a NaN time compares false
+        // both ways and would break the heap order.
+        if (!(delay >= 0))
+            panic("Simulator::schedule with negative or NaN delay");
         return queue_.schedule(now_ + delay, std::forward<F>(cb));
     }
 
-    /** Schedule `cb` at absolute time `when` (>= now). */
+    /** Schedule `cb` at absolute time `when` (>= now, not NaN). */
     template <typename F>
     EventHandle
     scheduleAt(Seconds when, F &&cb)
     {
-        if (when < now_)
-            panic("Simulator::scheduleAt in the past");
+        if (!(when >= now_))
+            panic("Simulator::scheduleAt in the past or at NaN");
         return queue_.schedule(when, std::forward<F>(cb));
     }
 
@@ -53,14 +55,14 @@ class Simulator
         return queue_.reserveSeqBand(width);
     }
 
-    /** Schedule `cb` at absolute time `when` (>= now) with an explicit
-     *  sequence number from a reserved band. */
+    /** Schedule `cb` at absolute time `when` (>= now, not NaN) with
+     *  an explicit sequence number from a reserved band. */
     template <typename F>
     EventHandle
     scheduleAtSeq(Seconds when, std::uint64_t seq, F &&cb)
     {
-        if (when < now_)
-            panic("Simulator::scheduleAtSeq in the past");
+        if (!(when >= now_))
+            panic("Simulator::scheduleAtSeq in the past or at NaN");
         return queue_.scheduleAtSeq(when, seq, std::forward<F>(cb));
     }
 

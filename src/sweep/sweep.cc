@@ -69,6 +69,23 @@ parseDouble(const std::string &key, const std::string &value)
     return v;
 }
 
+/**
+ * A nonnegative number; +inf only where `allowInfinity`. NaN fails the
+ * one compare, so a NaN never reaches the config (a NaN keep-alive
+ * would schedule events at a NaN time).
+ */
+double
+parseNonnegative(const std::string &key, const std::string &value,
+                 bool allowInfinity)
+{
+    double v = parseDouble(key, value);
+    if (!(v >= 0) || (!allowInfinity && std::isinf(v)))
+        fatal("override " + key + ": expected a nonnegative " +
+              (allowInfinity ? "" : "finite ") + "number, got '" + value +
+              "'");
+    return v;
+}
+
 int
 parsePositiveInt(const std::string &key, const std::string &value)
 {
@@ -318,13 +335,15 @@ applyOverrides(ExperimentConfig cfg, const OverrideSet &overrides)
         } else if (key == "gpu-nodes") {
             cfg.cluster.gpuNodes = parsePositiveInt(key, value);
         } else if (key == "keep-alive") {
-            cfg.controller.keepAlive = parseDouble(key, value);
+            // +inf: an idle instance is never unloaded.
+            cfg.controller.keepAlive = parseNonnegative(key, value, true);
         } else if (key == "watermark") {
-            cfg.controller.watermark = parseDouble(key, value);
+            cfg.controller.watermark = parseNonnegative(key, value, false);
         } else if (key == "overestimate") {
-            cfg.controller.overestimate = parseDouble(key, value);
+            cfg.controller.overestimate =
+                parseNonnegative(key, value, false);
         } else if (key == "tpot-slo") {
-            cfg.controller.slo.tpot = parseDouble(key, value);
+            cfg.controller.slo.tpot = parseNonnegative(key, value, false);
         } else {
             fatal("unknown override key '" + key + "' (supported: "
                   "cpu-nodes, gpu-nodes, keep-alive, watermark, "

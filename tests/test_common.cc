@@ -246,6 +246,28 @@ TEST(Mt19937_64, MatchesStdMt19937_64)
     }
 }
 
+TEST(Mt19937_64, NextBlockIsTheNextOutputs)
+{
+    Mt19937_64 blocked(rngEngineSeed(11));
+    Mt19937_64 ref(rngEngineSeed(11));
+    ASSERT_TRUE(blocked.atBlockStart());
+    Mt19937_64::result_type words[Mt19937_64::kBlockWords];
+    int mismatches = 0;
+    for (int block = 0; block < 4; ++block) {
+        blocked.nextBlock(words);
+        EXPECT_TRUE(blocked.atBlockStart());
+        for (Mt19937_64::result_type w : words)
+            mismatches += w != ref();
+    }
+    EXPECT_EQ(mismatches, 0);
+    // Per-word draws leave the block start until the block is used up.
+    blocked();
+    EXPECT_FALSE(blocked.atBlockStart());
+    for (int i = 1; i < Mt19937_64::kBlockWords; ++i)
+        blocked();
+    EXPECT_TRUE(blocked.atBlockStart());
+}
+
 TEST(Rng, WordToDoubleIsTheRoundedConversion)
 {
     const std::uint64_t edges[] = {0,
@@ -327,6 +349,76 @@ TEST(Rng, NormalMatchesStdNormalDistribution)
             mismatches += ours.normal() != want;
         }
         EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    }
+}
+
+/**
+ * The token scheduler's noise loop: whole engine blocks while the
+ * stream sits on a block start, one exp(sigma * normal()) at a time
+ * otherwise.
+ */
+struct BlockNoise
+{
+    BlockNoise(Rng r, double s) : rng(r), sigma(s) {}
+
+    double
+    next()
+    {
+        if (nextIdx == end) {
+            nextIdx = 0;
+            end = rng.logNormalBlock(sigma, block);
+            if (end == 0) {
+                ++single;
+                return std::exp(sigma * rng.normal());
+            }
+            ++blocks;
+        }
+        return block[nextIdx++];
+    }
+
+    Rng rng;
+    double sigma;
+    double block[Rng::kBlockPairs] = {};
+    int nextIdx = 0;
+    int end = 0;
+    long blocks = 0;
+    long single = 0;
+};
+
+TEST(Rng, LogNormalBlockIsTheLognormalOfEachDraw)
+{
+    // `advance` uniform() calls before the first draw: 0 starts on a
+    // block. 2 draws singles until a draw ends on a block's last pair
+    // (one block in about 1.3, as the pair is accepted with
+    // probability pi / 4). 3 leaves every later draw straddling a
+    // twist, so the stream never returns to a block start and every
+    // draw is a single one.
+    const int kDraws = 1000000;
+    for (std::uint64_t seed : {1, 42, 0x5eed}) {
+        for (double sigma : {0.03, 0.05, 0.5}) {
+            for (int advance : {0, 2, 3}) {
+                Rng start(seed);
+                for (int i = 0; i < advance; ++i)
+                    start.uniform();
+                Rng ref = start;
+                BlockNoise ours(start, sigma);
+                int mismatches = 0;
+                for (int i = 0; i < kDraws; ++i)
+                    mismatches +=
+                        ours.next() != std::exp(sigma * ref.normal());
+                EXPECT_EQ(mismatches, 0) << "seed " << seed << " sigma "
+                                         << sigma << " advance " << advance;
+                if (advance % 2 == 0) {
+                    // About 122 draws a block.
+                    EXPECT_GT(ours.blocks, kDraws / 130);
+                    EXPECT_EQ(ours.single == 0, advance == 0);
+                    EXPECT_LT(ours.single, 10 * Rng::kBlockPairs);
+                } else {
+                    EXPECT_EQ(ours.blocks, 0);
+                    EXPECT_EQ(ours.single, kDraws);
+                }
+            }
+        }
     }
 }
 

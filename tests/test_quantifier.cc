@@ -360,6 +360,11 @@ TEST(QuantifierDeath, GridThatDoesNotDoublePanics)
     t = good;
     t.batchGrid.front() = 0;
     EXPECT_DEATH(Quantifier::checkDoubling(t), "batch grid does not double");
+    // Doubling from a front that is not a power of two: the bracket
+    // shifts by log2(front) instead of dividing.
+    t = good;
+    t.lenGrid = {24, 48, 96, 100};
+    EXPECT_DEATH(Quantifier::checkDoubling(t), "length grid does not double");
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -307,8 +308,9 @@ class RefQueue
  * queue type and return the fire sequence (event ids in fire order).
  * The program mixes arbitrary times (including times earlier than
  * already-fired events' — pure queue semantics, no simulator clock),
- * cancellations of random outstanding handles, stale cancels, and a
- * nested-scheduling drain phase.
+ * cancellations of random outstanding handles, stale cancels, a
+ * nested-scheduling drain phase and a steady-state phase in which
+ * every fire schedules its successor.
  */
 template <typename Queue, typename Handle>
 std::vector<int>
@@ -367,6 +369,30 @@ fuzzProgram(std::uint64_t seed)
                 q.schedule(t, [&fired, id] { fired.push_back(id); }));
         }
     }
+
+    // Steady state, the simulator's dominant pattern: every fired event
+    // schedules exactly one successor, so the queue holds its size
+    // while it runs. The size sweeps 1..130, so each sift meets every
+    // shape of the 4-ary heap's last child group (n mod 4). Successors
+    // land 0-3 grid steps after their parent, so equal times, broken
+    // by seq, reach all four child positions.
+    bool chain = true;
+    std::function<void(Seconds)> scheduleChained = [&](Seconds t) {
+        int id = next_id++;
+        handles.push_back(q.schedule(t, [&, id, t] {
+            fired.push_back(id);
+            if (chain)
+                scheduleChained(t + static_cast<double>(rnd(4)) * 0.25);
+        }));
+    };
+    for (std::size_t n = 1; n <= 130; ++n) {
+        scheduleChained(static_cast<double>(rnd(16)) * 0.25);
+        for (std::size_t pop = 0; pop < n + 4; ++pop)
+            q.popAndRun();
+    }
+    chain = false;
+    while (!q.empty())
+        q.popAndRun();
     return fired;
 }
 
@@ -451,6 +477,25 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime)
     // The zero-delay event lands at t=1 but after the already-queued
     // same-time event (FIFO by insertion).
     EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(Simulator, RefusesNegativeAndNaNTimes)
+{
+    // NaN compares false both ways, so a NaN time would silently break
+    // the heap order; every schedule entry point refuses it.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Simulator sim;
+    EXPECT_DEATH(sim.schedule(nan, [] {}), "negative or NaN delay");
+    EXPECT_DEATH(sim.schedule(-1.0, [] {}), "negative or NaN delay");
+    EXPECT_DEATH(sim.scheduleAt(nan, [] {}), "in the past or at NaN");
+    EXPECT_DEATH(sim.scheduleAtSeq(nan, sim.reserveSeqBand(1), [] {}),
+                 "in the past or at NaN");
+    sim.schedule(2.0, [] {});
+    sim.run();
+    EXPECT_DEATH(sim.scheduleAt(1.0, [] {}), "in the past or at NaN");
+    // +inf is a time like any other: the event never comes due.
+    sim.schedule(std::numeric_limits<double>::infinity(), [] {});
+    EXPECT_FALSE(sim.idle());
 }
 
 TEST(Simulator, ManyEventsStressOrdering)

@@ -16,7 +16,9 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/log.hh"
 #include "sweep/compare.hh"
@@ -118,6 +120,33 @@ TEST(SweepGrid, OverridesChangeTheHashAndTheConfig)
                     "expected a nonnegative integer")
             << value;
     }
+
+    // The real-valued knobs refuse NaN and negative values: a NaN
+    // keep-alive would schedule events at a NaN time, which breaks the
+    // queue's order, and a negative one panics mid-run. Only keep-alive
+    // takes +inf ("never unload").
+    for (const char *key :
+         {"keep-alive", "watermark", "overestimate", "tpot-slo"}) {
+        std::vector<const char *> refused = {"nan", "-nan", "-1", "-inf"};
+        if (std::string(key) != "keep-alive")
+            refused.push_back("inf");
+        for (const char *value : refused) {
+            OverrideSet knob;
+            knob.settings = {{key, value}};
+            EXPECT_EXIT(applyOverrides(ExperimentConfig{}, knob),
+                        testing::ExitedWithCode(1),
+                        std::string("override ") + key +
+                            ": expected a nonnegative")
+                << key << "=" << value;
+        }
+        OverrideSet zero;
+        zero.settings = {{key, "0"}};
+        applyOverrides(ExperimentConfig{}, zero);
+    }
+    OverrideSet never;
+    never.settings = {{"keep-alive", "inf"}};
+    EXPECT_TRUE(std::isinf(
+        applyOverrides(ExperimentConfig{}, never).controller.keepAlive));
 }
 
 TEST(SweepRun, ByteIdenticalStoreAndSummaryAtAnyWorkerCount)

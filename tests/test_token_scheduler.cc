@@ -102,7 +102,8 @@ TEST_F(SchedFixture, PrefillThenDecodeToCompletion)
     // First token comes from the prefill; 4 decode iterations follow.
     Seconds pf = PerfModel::prefillTime(a100_80g(), llama2_7b(), 1024);
     EXPECT_NEAR(r.firstTokenTime, pf, 1e-9);
-    EXPECT_EQ(inst.decodedTokens, 4);
+    // The prefill emits one token; the decode steps emit the rest.
+    EXPECT_EQ(r.generated - 1, 4);
     // KV fully released at completion.
     EXPECT_EQ(inst.kv.usedTokens(), 0);
     EXPECT_EQ(inst.batchSize(), 0);
@@ -178,8 +179,9 @@ TEST_F(SchedFixture, DecodeBatchesWholeInstance)
     s.kick();
     sim.run();
     EXPECT_EQ(done.size(), 2u);
-    // Both decoded together: 2 prefills + 3 decode rounds of batch 2.
-    EXPECT_EQ(inst.decodedTokens, 6);
+    // Both decoded together: 2 prefills + 3 decode rounds of batch 2,
+    // so the decode steps emitted all but one token per request.
+    EXPECT_EQ((r1.generated - 1) + (r2.generated - 1), 6);
     EXPECT_EQ(r1.generated, 4);
     EXPECT_EQ(r2.generated, 4);
 }
@@ -230,7 +232,8 @@ TEST_F(SchedFixture, NoiseIsDeterministicPerSeed)
 
 /**
  * Iteration k runs for the perf model's time times the k-th noise draw
- * of the scheduler's Rng, across the blocks noise() draws ahead.
+ * of the scheduler's Rng, across the blocks noise() draws ahead: 400
+ * iterations span four engine blocks of about 122 draws each.
  */
 void
 expectNoiseDrawsInOrder(double sigma)
@@ -238,7 +241,7 @@ expectNoiseDrawsInOrder(double sigma)
     SchedHarness h;
     auto &s = h.makeScheduler(SchedPolicy::Headroom, sigma);
     Instance &inst = h.addInstance();
-    h.addRequest(inst, 0.0, 512, 80); // 1 prefill + 79 decode steps
+    h.addRequest(inst, 0.0, 512, 400); // 1 prefill + 399 decode steps
     Rng ref(1); // a copy of the Rng makeScheduler hands the scheduler
     s.kick();
     int iters = 0;
@@ -256,7 +259,7 @@ expectNoiseDrawsInOrder(double sigma)
         ++iters;
         h.sim.runUntil(s.busyUntil());
     }
-    EXPECT_EQ(iters, 80);
+    EXPECT_EQ(iters, 400);
     EXPECT_EQ(h.done.size(), 1u);
 }
 
