@@ -12,6 +12,7 @@
  *   ./build/examples/quickstart
  */
 
+#include <cinttypes>
 #include <cstdio>
 
 #include "scenario/scenario.hh"
@@ -32,7 +33,8 @@ main()
     std::printf("scenario:      %s (%s)\n", sc->name.c_str(),
                 sc->summary.c_str());
     std::printf("system:        %s\n", report.system.c_str());
-    std::printf("requests:      %zu (completed %zu, dropped %zu)\n",
+    std::printf("requests:      %" PRIu64 " (completed %" PRIu64
+                ", dropped %" PRIu64 ")\n",
                 report.totalRequests, report.completed, report.dropped);
     std::printf("SLO attainment: %.1f%%\n", report.sloRate * 100.0);
     std::printf("median TTFT:   %.2f s (p95 %.2f s)\n", report.p50Ttft,

@@ -279,23 +279,7 @@ Session::meanOutput(DatasetKind kind)
 void
 Session::recordSample()
 {
-    MetricsView v = sample();
-    obs::TimeseriesSample s;
-    s.time = v.time;
-    s.arrived = v.arrived;
-    s.completed = v.completed;
-    s.dropped = v.dropped;
-    s.inFlight = v.inFlight;
-    s.queueDepth = 0;
-    for (std::size_t depth : v.queueDepthPerModel)
-        s.queueDepth += depth;
-    s.instancesLive = v.instancesLive;
-    s.instancesCreated = v.instancesCreated;
-    s.kvUtilization = v.kvUtilization;
-    s.busySecondsCpu = v.busySecondsCpu;
-    s.busySecondsGpu = v.busySecondsGpu;
-    s.scalingOverhead = v.scalingOverhead;
-    obs_->timeseries()->record(s);
+    obs_->timeseries()->record(sample());
 }
 
 void
@@ -404,6 +388,8 @@ Session::sample() const
     v.dropped = recorder_.dropped();
     v.inFlight = v.arrived - v.completed - v.dropped;
     v.queueDepthPerModel = controller_->pendingPerModel();
+    for (std::size_t depth : v.queueDepthPerModel)
+        v.queueDepth += depth;
     const ClusterIndex &index = controller_->clusterIndex();
     v.instancesLive = index.activeInstances().size();
     v.instancesCreated = controller_->instancesCreated();

@@ -55,34 +55,15 @@ class ResilienceProbe;
 /**
  * A consistent snapshot of the live run at sample() time, read off
  * the recorder and the controller's incremental cluster indices
- * (core/cluster_index.hh) — sampling never perturbs the run.
+ * (core/cluster_index.hh) — sampling never perturbs the run. Its
+ * scalars are a timeseries sample's (obs/timeseries.hh), which the
+ * sampler records as they are.
  */
-struct MetricsView
+struct MetricsView : obs::TimeseriesSample
 {
-    /** Simulated time of the snapshot. */
-    Seconds time = 0.0;
-
-    /** Requests submitted so far. */
-    std::size_t arrived = 0;
-    std::size_t completed = 0;
-    std::size_t dropped = 0;
-    /** Submitted but neither completed nor dropped. */
-    std::size_t inFlight = 0;
-
-    /** Queued (pending dispatch) requests per model id. */
+    /** Queued (pending dispatch) requests per model id; queueDepth is
+     *  their sum. */
     std::vector<std::size_t> queueDepthPerModel;
-
-    /** Active instances right now / ever created. */
-    std::size_t instancesLive = 0;
-    std::size_t instancesCreated = 0;
-
-    /** Mean KV allocation utilization across live instances. */
-    double kvUtilization = 0.0;
-    /** Running busy-seconds aggregates per hardware kind. */
-    double busySecondsCpu = 0.0;
-    double busySecondsGpu = 0.0;
-    /** Running scaling-overhead fraction (O(1) index form). */
-    double scalingOverhead = 0.0;
 };
 
 class Session

@@ -94,27 +94,136 @@ Report::build(const std::string &system, const Recorder &rec,
     return r;
 }
 
+namespace
+{
+
+using Attribution = Report::Attribution;
+using Resilience = Report::Resilience;
+using Segment = Report::Attribution::Segment;
+using Window = Report::Window;
+
+// Keys that two tables, two writers or a writer and the reader share.
+constexpr const char *kSystem = "system";
+constexpr const char *kScenario = "scenario";
+constexpr const char *kSeed = "seed";
+constexpr const char *kCompleted = "completed";
+constexpr const char *kDropped = "dropped";
+constexpr const char *kP50Ttft = "p50_ttft";
+constexpr const char *kP95Ttft = "p95_ttft";
+constexpr const char *kTtftCdf = "ttft_cdf";
+constexpr const char *kGpuTimeline = "gpu_timeline";
+constexpr const char *kWindows = "windows";
+constexpr const char *kAttribution = "attribution";
+constexpr const char *kResilience = "resilience";
+constexpr const char *kViolations = "violations";
+constexpr const char *kSegments = "segments";
+constexpr const char *kName = "name";
+constexpr const char *kPerModel = "per_model";
+constexpr const char *kModel = "model";
+constexpr const char *kBlamed = "blamed";
+constexpr const char *kWindowLen = "window_len";
+constexpr const char *kPerWindow = "per_window";
+/** A segment's name as a CSV column and a rendered header (JSON calls
+ *  it kName). */
+constexpr const char *kSegment = "segment";
+constexpr const char *kValue = "value";
+
+// The field tables, in emission order. A count prints as an integer
+// except in the report's top-level JSON, which prints every scalar as a
+// double (see emitJson). A third number is a rendered real's decimals.
+
+constexpr Field<Report> kScalarFields[] = {
+    {"total_requests", &Report::totalRequests},
+    {kCompleted, &Report::completed},
+    {kDropped, &Report::dropped},
+    {"slo_met", &Report::sloMet},
+    {"slo_rate", &Report::sloRate},
+    {"avg_cpu_nodes_used", &Report::avgCpuNodesUsed},
+    {"avg_gpu_nodes_used", &Report::avgGpuNodesUsed},
+    {"decode_speed_cpu", &Report::decodeSpeedCpu},
+    {"decode_speed_gpu", &Report::decodeSpeedGpu},
+    {kP50Ttft, &Report::p50Ttft},
+    {kP95Ttft, &Report::p95Ttft},
+    {"gpu_mem_util_mean", &Report::gpuMemUtilMean},
+    {"batch_mean", &Report::batchMean},
+    {"migration_rate", &Report::migrationRate},
+    {"kv_utilization", &Report::kvUtilization},
+    {"scaling_overhead", &Report::scalingOverhead},
+};
+
+constexpr Field<Window> kWindowFields[] = {
+    {"start", &Window::start},
+    {"end", &Window::end},
+    {"arrived", &Window::arrived},
+    {kCompleted, &Window::completed},
+    {kDropped, &Window::dropped},
+    {kP50Ttft, &Window::p50Ttft},
+    {kP95Ttft, &Window::p95Ttft},
+    {"completed_per_sec", &Window::completedPerSec},
+    {"tokens_per_sec", &Window::tokensPerSec},
+};
+
+constexpr Field<Attribution> kAttributionFields[] = {
+    {"requests", &Attribution::requests},
+    {kViolations, &Attribution::violations},
+};
+
+constexpr Field<Segment> kSegmentFields[] = {
+    {"count", &Segment::count},
+    {"total_s", &Segment::totalS, 3},
+    {"p50_s", &Segment::p50s, 4},
+    {"p95_s", &Segment::p95s, 4},
+    {"p99_s", &Segment::p99s, 4},
+    {kBlamed, &Segment::blamed},
+};
+
+constexpr Field<Resilience> kResilienceFields[] = {
+    {"fault_events", &Resilience::faultEvents},
+    {"restores", &Resilience::restores},
+    {"availability", &Resilience::availability, 4},
+    {"mttr_mean_s", &Resilience::mttrMeanS},
+    {"degraded_time_s", &Resilience::degradedTimeS},
+    {"lost_per_fault", &Resilience::lostPerFault},
+    {"goodput_fault_rpm", &Resilience::goodputFaultRpm},
+    {"goodput_healthy_rpm", &Resilience::goodputHealthyRpm},
+    {"recovery_mean_s", &Resilience::recoveryMeanS},
+};
+
+/** Writes `"key": `. */
+struct JsonKey
+{
+    const char *key;
+};
+
+std::ostream &
+operator<<(std::ostream &os, JsonKey k)
+{
+    return os << '"' << k.key << "\": ";
+}
+
+/** The system,scenario,seed columns every CSV table starts with. */
+std::string
+csvIdHeader()
+{
+    return std::string(kSystem) + ',' + kScenario + ',' + kSeed;
+}
+
+void
+writeCsvId(std::ostream &os, const Report &r)
+{
+    os << csvField(r.system) << ',' << csvField(r.scenario) << ','
+       << r.seed;
+}
+
+} // namespace
+
 std::vector<std::pair<std::string, double>>
 reportScalarMetrics(const Report &r)
 {
-    return {
-        {"total_requests", static_cast<double>(r.totalRequests)},
-        {"completed", static_cast<double>(r.completed)},
-        {"dropped", static_cast<double>(r.dropped)},
-        {"slo_met", static_cast<double>(r.sloMet)},
-        {"slo_rate", r.sloRate},
-        {"avg_cpu_nodes_used", r.avgCpuNodesUsed},
-        {"avg_gpu_nodes_used", r.avgGpuNodesUsed},
-        {"decode_speed_cpu", r.decodeSpeedCpu},
-        {"decode_speed_gpu", r.decodeSpeedGpu},
-        {"p50_ttft", r.p50Ttft},
-        {"p95_ttft", r.p95Ttft},
-        {"gpu_mem_util_mean", r.gpuMemUtilMean},
-        {"batch_mean", r.batchMean},
-        {"migration_rate", r.migrationRate},
-        {"kv_utilization", r.kvUtilization},
-        {"scaling_overhead", r.scalingOverhead},
-    };
+    std::vector<std::pair<std::string, double>> out;
+    for (const Field<Report> &f : kScalarFields)
+        out.emplace_back(f.key, f.value(r));
+    return out;
 }
 
 std::vector<std::pair<std::string, double>>
@@ -123,13 +232,16 @@ reportAttributionMetrics(const Report &r)
     std::vector<std::pair<std::string, double>> out;
     if (!r.attribution.enabled)
         return out;
-    out.emplace_back("attr_violations",
+    out.emplace_back(std::string("attr_") + kViolations,
                      static_cast<double>(r.attribution.violations));
-    for (const Report::Attribution::Segment &s : r.attribution.segments) {
-        out.emplace_back("seg_" + s.name + "_total_s", s.totalS);
-        out.emplace_back("seg_" + s.name + "_p95_s", s.p95s);
-        out.emplace_back("seg_" + s.name + "_blamed",
-                         static_cast<double>(s.blamed));
+    // A sweep summarizes three of a segment's fields.
+    for (const Segment &s : r.attribution.segments) {
+        for (const Field<Segment> &f : kSegmentFields) {
+            if (f.real == &Segment::totalS || f.real == &Segment::p95s ||
+                f.count == &Segment::blamed)
+                out.emplace_back("seg_" + s.name + "_" + f.key,
+                                 f.value(s));
+        }
     }
     return out;
 }
@@ -140,43 +252,35 @@ reportResilienceMetrics(const Report &r)
     std::vector<std::pair<std::string, double>> out;
     if (!r.resilience.enabled)
         return out;
-    const Report::Resilience &s = r.resilience;
-    out.emplace_back("res_fault_events",
-                     static_cast<double>(s.faultEvents));
-    out.emplace_back("res_restores", static_cast<double>(s.restores));
-    out.emplace_back("res_availability", s.availability);
-    out.emplace_back("res_mttr_mean_s", s.mttrMeanS);
-    out.emplace_back("res_degraded_time_s", s.degradedTimeS);
-    out.emplace_back("res_lost_per_fault", s.lostPerFault);
-    out.emplace_back("res_goodput_fault_rpm", s.goodputFaultRpm);
-    out.emplace_back("res_goodput_healthy_rpm", s.goodputHealthyRpm);
-    out.emplace_back("res_recovery_mean_s", s.recoveryMeanS);
+    for (const Field<Resilience> &f : kResilienceFields)
+        out.emplace_back(std::string("res_") + f.key, f.value(r.resilience));
     return out;
 }
 
 void
-writeAttributionFields(std::ostream &os, const Report::Attribution &a)
+writeAttributionFields(std::ostream &os, const Attribution &a)
 {
-    os << "\"requests\": " << a.requests
-       << ", \"violations\": " << a.violations << ", \"segments\": [";
+    writeFields(os, a, kAttributionFields, true);
+    os << ", " << JsonKey{kSegments} << "[";
     for (std::size_t i = 0; i < a.segments.size(); ++i) {
-        const Report::Attribution::Segment &s = a.segments[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << jsonEscape(s.name)
-           << "\", \"count\": " << s.count << ", \"total_s\": " << s.totalS
-           << ", \"p50_s\": " << s.p50s << ", \"p95_s\": " << s.p95s
-           << ", \"p99_s\": " << s.p99s << ", \"blamed\": " << s.blamed
-           << "}";
+        const Segment &s = a.segments[i];
+        os << (i ? ", " : "") << "{" << JsonKey{kName} << "\""
+           << jsonEscape(s.name) << "\", ";
+        writeFields(os, s, kSegmentFields, true);
+        os << "}";
     }
-    os << "], \"per_model\": [";
+    os << "], " << JsonKey{kPerModel} << "[";
     for (std::size_t i = 0; i < a.perModel.size(); ++i) {
-        os << (i ? ", " : "") << "{\"model\": \""
-           << jsonEscape(a.perModel[i].model) << "\", \"blamed\": [";
+        os << (i ? ", " : "") << "{" << JsonKey{kModel} << "\""
+           << jsonEscape(a.perModel[i].model) << "\", " << JsonKey{kBlamed}
+           << "[";
         const std::vector<std::uint64_t> &b = a.perModel[i].blamed;
         for (std::size_t j = 0; j < b.size(); ++j)
             os << (j ? ", " : "") << b[j];
         os << "]}";
     }
-    os << "], \"window_len\": " << a.windowLen << ", \"per_window\": [";
+    os << "], " << JsonKey{kWindowLen} << a.windowLen << ", "
+       << JsonKey{kPerWindow} << "[";
     for (std::size_t i = 0; i < a.perWindow.size(); ++i) {
         os << (i ? ", " : "") << "[";
         for (std::size_t j = 0; j < a.perWindow[i].size(); ++j)
@@ -197,42 +301,35 @@ emitJson(const Report &r, const char *nl, const char *indent,
     std::ostringstream os;
     os.precision(precision);
     os << "{" << nl;
-    os << indent << "\"system\": \"" << jsonEscape(r.system) << "\","
-       << nl;
-    os << indent << "\"scenario\": \"" << jsonEscape(r.scenario) << "\","
-       << nl;
-    os << indent << "\"seed\": " << r.seed << "," << nl;
-    // The integer counters are exact in a double and default ostream
-    // formatting prints them without a decimal point, so one loop
-    // serializes the whole metric table.
-    for (const auto &[key, value] : reportScalarMetrics(r))
-        os << indent << "\"" << key << "\": " << value << "," << nl;
-    os << indent << "\"ttft_cdf\": [";
-    for (std::size_t i = 0; i < r.ttftCdf.size(); ++i) {
-        os << (i ? ", " : "") << "[" << r.ttftCdf[i].first << ", "
-           << r.ttftCdf[i].second << "]";
-    }
-    os << "]," << nl;
-    os << indent << "\"gpu_timeline\": [";
-    for (std::size_t i = 0; i < r.gpuTimeline.size(); ++i) {
-        os << (i ? ", " : "") << "[" << r.gpuTimeline[i].first << ", "
-           << r.gpuTimeline[i].second << "]";
-    }
-    os << "]";
+    os << indent << JsonKey{kSystem} << "\"" << jsonEscape(r.system)
+       << "\"," << nl;
+    os << indent << JsonKey{kScenario} << "\"" << jsonEscape(r.scenario)
+       << "\"," << nl;
+    os << indent << JsonKey{kSeed} << r.seed << "," << nl;
+    // The scalars print as doubles, counts included: exact below 2^53,
+    // and without a decimal point at these precisions.
+    for (const Field<Report> &f : kScalarFields)
+        os << indent << JsonKey{f.key} << f.value(r) << "," << nl;
+    auto pairs = [&os](const std::vector<std::pair<double, double>> &v) {
+        os << "[";
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            os << (i ? ", " : "") << "[" << v[i].first << ", "
+               << v[i].second << "]";
+        }
+        os << "]";
+    };
+    os << indent << JsonKey{kTtftCdf};
+    pairs(r.ttftCdf);
+    os << "," << nl << indent << JsonKey{kGpuTimeline};
+    pairs(r.gpuTimeline);
     // Windowed rows only when the run was windowed, so unwindowed
     // reports stay byte-identical to the pre-window format.
     if (!r.windows.empty()) {
-        os << "," << nl << indent << "\"windows\": [";
+        os << "," << nl << indent << JsonKey{kWindows} << "[";
         for (std::size_t i = 0; i < r.windows.size(); ++i) {
-            const Report::Window &w = r.windows[i];
-            os << (i ? ", " : "") << "{\"start\": " << w.start
-               << ", \"end\": " << w.end << ", \"arrived\": " << w.arrived
-               << ", \"completed\": " << w.completed
-               << ", \"dropped\": " << w.dropped
-               << ", \"p50_ttft\": " << w.p50Ttft
-               << ", \"p95_ttft\": " << w.p95Ttft
-               << ", \"completed_per_sec\": " << w.completedPerSec
-               << ", \"tokens_per_sec\": " << w.tokensPerSec << "}";
+            os << (i ? ", " : "") << "{";
+            writeFields(os, r.windows[i], kWindowFields, true);
+            os << "}";
         }
         os << "]";
     }
@@ -240,7 +337,7 @@ emitJson(const Report &r, const char *nl, const char *indent,
     // flight-recorder counter registry; instrumented-off reports stay
     // byte-identical to the pre-obs format.
     if (!r.counters.empty()) {
-        os << "," << nl << indent << "\"counters\": {";
+        os << "," << nl << indent << JsonKey{"counters"} << "{";
         for (std::size_t i = 0; i < r.counters.size(); ++i) {
             os << (i ? ", " : "") << "\""
                << jsonEscape(r.counters[i].first)
@@ -251,27 +348,51 @@ emitJson(const Report &r, const char *nl, const char *indent,
     // Attribution only when the run enabled the anatomy ledger, so
     // uninstrumented reports stay byte-identical.
     if (r.attribution.enabled) {
-        os << "," << nl << indent << "\"attribution\": {";
+        os << "," << nl << indent << JsonKey{kAttribution} << "{";
         writeAttributionFields(os, r.attribution);
         os << "}";
     }
     // Resilience only when the run attached the chaos probe, so
     // chaos-free reports stay byte-identical.
     if (r.resilience.enabled) {
-        const Report::Resilience &s = r.resilience;
-        os << "," << nl << indent << "\"resilience\": {";
-        os << "\"fault_events\": " << s.faultEvents
-           << ", \"restores\": " << s.restores
-           << ", \"availability\": " << s.availability
-           << ", \"mttr_mean_s\": " << s.mttrMeanS
-           << ", \"degraded_time_s\": " << s.degradedTimeS
-           << ", \"lost_per_fault\": " << s.lostPerFault
-           << ", \"goodput_fault_rpm\": " << s.goodputFaultRpm
-           << ", \"goodput_healthy_rpm\": " << s.goodputHealthyRpm
-           << ", \"recovery_mean_s\": " << s.recoveryMeanS << "}";
+        os << "," << nl << indent << JsonKey{kResilience} << "{";
+        writeFields(os, r.resilience, kResilienceFields, true);
+        os << "}";
     }
     os << nl << "}";
     return os.str();
+}
+
+/** Counts read from a stored report; remembers the first value that
+ *  is not one. */
+struct CountReader
+{
+    std::string bad;
+
+    std::uint64_t
+    operator()(double x, const char *key)
+    {
+        std::uint64_t n = 0;
+        if (!countFromJson(x, n) && bad.empty()) {
+            std::ostringstream os;
+            os << "report field '" << key << "' is not a count: " << x;
+            bad = os.str();
+        }
+        return n;
+    }
+};
+
+template <class R, class Fields>
+void
+readFields(const sweep::JsonValue &v, const Fields &fields, R &r,
+           CountReader &count)
+{
+    for (const Field<R> &f : fields) {
+        if (f.count)
+            r.*f.count = count(v.num(f.key), f.key);
+        else
+            r.*f.real = v.num(f.key);
+    }
 }
 
 } // namespace
@@ -311,37 +432,14 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     r = Report();
     // Counts are stored as JSON numbers; a tampered or corrupt store
     // must fail here instead of reaching an unchecked cast.
-    std::string bad;
-    auto count = [&bad](double x, const char *key) -> std::uint64_t {
-        std::uint64_t n = 0;
-        if (!countFromJson(x, n) && bad.empty()) {
-            std::ostringstream os;
-            os << "report field '" << key << "' is not a count: " << x;
-            bad = os.str();
-        }
-        return n;
-    };
-    r.system = v.string("system");
-    r.scenario = v.string("scenario");
-    r.seed = count(v.num("seed"), "seed");
-    r.totalRequests = count(v.num("total_requests"), "total_requests");
-    r.completed = count(v.num("completed"), "completed");
-    r.dropped = count(v.num("dropped"), "dropped");
-    r.sloMet = count(v.num("slo_met"), "slo_met");
-    r.sloRate = v.num("slo_rate");
-    r.avgCpuNodesUsed = v.num("avg_cpu_nodes_used");
-    r.avgGpuNodesUsed = v.num("avg_gpu_nodes_used");
-    r.decodeSpeedCpu = v.num("decode_speed_cpu");
-    r.decodeSpeedGpu = v.num("decode_speed_gpu");
-    r.p50Ttft = v.num("p50_ttft");
-    r.p95Ttft = v.num("p95_ttft");
-    r.gpuMemUtilMean = v.num("gpu_mem_util_mean");
-    r.batchMean = v.num("batch_mean");
-    r.migrationRate = v.num("migration_rate");
-    r.kvUtilization = v.num("kv_utilization");
-    r.scalingOverhead = v.num("scaling_overhead");
-    auto pairs = [](const JsonValue *arr,
-                    std::vector<std::pair<double, double>> &out) {
+    CountReader count;
+    r.system = v.string(kSystem);
+    r.scenario = v.string(kScenario);
+    r.seed = count(v.num(kSeed), kSeed);
+    readFields(v, kScalarFields, r, count);
+    auto pairs = [&v](const char *key,
+                      std::vector<std::pair<double, double>> &out) {
+        const JsonValue *arr = v.find(key);
         if (!arr || !arr->isArray())
             return;
         for (const JsonValue &e : arr->array) {
@@ -349,65 +447,51 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
                 out.emplace_back(e.array[0].number, e.array[1].number);
         }
     };
-    pairs(v.find("ttft_cdf"), r.ttftCdf);
-    pairs(v.find("gpu_timeline"), r.gpuTimeline);
-    if (const JsonValue *ws = v.find("windows"); ws && ws->isArray()) {
+    pairs(kTtftCdf, r.ttftCdf);
+    pairs(kGpuTimeline, r.gpuTimeline);
+    if (const JsonValue *ws = v.find(kWindows); ws && ws->isArray()) {
         for (const JsonValue &wv : ws->array) {
-            Report::Window w;
-            w.start = wv.num("start");
-            w.end = wv.num("end");
-            w.arrived = count(wv.num("arrived"), "arrived");
-            w.completed = count(wv.num("completed"), "completed");
-            w.dropped = count(wv.num("dropped"), "dropped");
-            w.p50Ttft = wv.num("p50_ttft");
-            w.p95Ttft = wv.num("p95_ttft");
-            w.completedPerSec = wv.num("completed_per_sec");
-            w.tokensPerSec = wv.num("tokens_per_sec");
+            Window w;
+            readFields(wv, kWindowFields, w, count);
             r.windows.push_back(w);
         }
     }
     // The attribution block must round-trip: resumed/compacted sweeps
     // aggregate cached reports, and the summary's seg_* metrics have
     // to come out identical to a fresh run's.
-    const JsonValue *attr = v.find("attribution");
+    const JsonValue *attr = v.find(kAttribution);
     if (attr && attr->isObject()) {
-        Report::Attribution &a = r.attribution;
+        Attribution &a = r.attribution;
         a.enabled = true;
-        a.requests = count(attr->num("requests"), "requests");
-        a.violations = count(attr->num("violations"), "violations");
-        if (const JsonValue *segs = attr->find("segments");
+        readFields(*attr, kAttributionFields, a, count);
+        if (const JsonValue *segs = attr->find(kSegments);
             segs && segs->isArray()) {
             for (const JsonValue &sv : segs->array) {
-                Report::Attribution::Segment s;
-                s.name = sv.string("name");
-                s.count = count(sv.num("count"), "count");
-                s.totalS = sv.num("total_s");
-                s.p50s = sv.num("p50_s");
-                s.p95s = sv.num("p95_s");
-                s.p99s = sv.num("p99_s");
-                s.blamed = count(sv.num("blamed"), "blamed");
+                Segment s;
+                s.name = sv.string(kName);
+                readFields(sv, kSegmentFields, s, count);
                 a.segments.push_back(std::move(s));
             }
         }
         auto blameRow = [&count](const JsonValue &arr) {
             std::vector<std::uint64_t> out;
             for (const JsonValue &e : arr.array)
-                out.push_back(count(e.number, "blamed"));
+                out.push_back(count(e.number, kBlamed));
             return out;
         };
-        if (const JsonValue *pm = attr->find("per_model");
+        if (const JsonValue *pm = attr->find(kPerModel);
             pm && pm->isArray()) {
             for (const JsonValue &mv : pm->array) {
-                Report::Attribution::ModelBlame row;
-                row.model = mv.string("model");
-                if (const JsonValue *b = mv.find("blamed");
+                Attribution::ModelBlame row;
+                row.model = mv.string(kModel);
+                if (const JsonValue *b = mv.find(kBlamed);
                     b && b->isArray())
                     row.blamed = blameRow(*b);
                 a.perModel.push_back(std::move(row));
             }
         }
-        a.windowLen = attr->num("window_len");
-        if (const JsonValue *pw = attr->find("per_window");
+        a.windowLen = attr->num(kWindowLen);
+        if (const JsonValue *pw = attr->find(kPerWindow);
             pw && pw->isArray()) {
             for (const JsonValue &wv : pw->array) {
                 if (wv.isArray())
@@ -418,56 +502,41 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     // The resilience block round-trips for the same reason: cached
     // chaos runs must summarize identically to fresh ones, or the
     // recovery-metrics gate would flap on resumed sweeps.
-    const JsonValue *res = v.find("resilience");
+    const JsonValue *res = v.find(kResilience);
     if (res && res->isObject()) {
-        Report::Resilience &rs = r.resilience;
-        rs.enabled = true;
-        rs.faultEvents = count(res->num("fault_events"), "fault_events");
-        rs.restores = count(res->num("restores"), "restores");
-        rs.availability = res->num("availability");
-        rs.mttrMeanS = res->num("mttr_mean_s");
-        rs.degradedTimeS = res->num("degraded_time_s");
-        rs.lostPerFault = res->num("lost_per_fault");
-        rs.goodputFaultRpm = res->num("goodput_fault_rpm");
-        rs.goodputHealthyRpm = res->num("goodput_healthy_rpm");
-        rs.recoveryMeanS = res->num("recovery_mean_s");
+        r.resilience.enabled = true;
+        readFields(*res, kResilienceFields, r.resilience, count);
     }
-    if (!bad.empty()) {
+    if (!count.bad.empty()) {
         if (err)
-            *err = bad;
+            *err = count.bad;
         return false;
     }
     return true;
 }
 
-
 std::string
 reportCsvHeader()
 {
-    return "system,scenario,seed,total_requests,completed,dropped,"
-           "slo_met,slo_rate,avg_cpu_nodes_used,avg_gpu_nodes_used,"
-           "decode_speed_cpu,decode_speed_gpu,p50_ttft,p95_ttft,"
-           "gpu_mem_util_mean,batch_mean,migration_rate,"
-           "kv_utilization,scaling_overhead";
+    return csvIdHeader() + ',' + fieldKeys(kScalarFields);
 }
 
 std::string
 reportWindowsCsvHeader()
 {
-    return "system,scenario,seed,window,start,end,arrived,completed,"
-           "dropped,p50_ttft,p95_ttft,completed_per_sec,tokens_per_sec";
+    return csvIdHeader() + ",window," + fieldKeys(kWindowFields);
 }
 
 std::string
 reportCountersCsvHeader()
 {
-    return "system,scenario,seed,counter,value";
+    return csvIdHeader() + ",counter," + kValue;
 }
 
 std::string
 renderAttribution(const Report &r)
 {
-    const Report::Attribution &a = r.attribution;
+    const Attribution &a = r.attribution;
     if (!a.enabled)
         return "";
     std::ostringstream os;
@@ -477,13 +546,15 @@ renderAttribution(const Report &r)
     os << "\n  requests closed: " << a.requests
        << "   slo violations: " << a.violations << "\n\n";
 
-    Table segs({"segment", "count", "total_s", "p50_s", "p95_s", "p99_s",
-                "blamed"});
-    for (const Report::Attribution::Segment &s : a.segments) {
-        segs.addRow({s.name, Table::num((long long)s.count),
-                     Table::num(s.totalS, 3), Table::num(s.p50s, 4),
-                     Table::num(s.p95s, 4), Table::num(s.p99s, 4),
-                     Table::num((long long)s.blamed)});
+    std::vector<std::string> header = {kSegment};
+    for (const Field<Segment> &f : kSegmentFields)
+        header.push_back(f.key);
+    Table segs(header);
+    for (const Segment &s : a.segments) {
+        std::vector<std::string> row = {s.name};
+        for (const Field<Segment> &f : kSegmentFields)
+            row.push_back(f.cell(s));
+        segs.addRow(row);
     }
     segs.print(os);
 
@@ -510,7 +581,7 @@ renderAttribution(const Report &r)
 
     if (!a.perModel.empty()) {
         os << "\nviolation blame by model:\n";
-        for (const Report::Attribution::ModelBlame &m : a.perModel)
+        for (const Attribution::ModelBlame &m : a.perModel)
             os << "  " << m.model << ": " << blameLine(m.blamed) << "\n";
     }
     if (!a.perWindow.empty()) {
@@ -528,8 +599,7 @@ renderAttribution(const Report &r)
 std::string
 reportAttributionCsvHeader()
 {
-    return "system,scenario,seed,segment,count,total_s,p50_s,p95_s,"
-           "p99_s,blamed";
+    return csvIdHeader() + ',' + kSegment + ',' + fieldKeys(kSegmentFields);
 }
 
 std::string
@@ -537,11 +607,11 @@ toAttributionCsvRows(const Report &r)
 {
     std::ostringstream os;
     os.precision(10);
-    for (const Report::Attribution::Segment &s : r.attribution.segments) {
-        os << csvField(r.system) << ',' << csvField(r.scenario) << ','
-           << r.seed << ',' << csvField(s.name) << ',' << s.count << ','
-           << s.totalS << ',' << s.p50s << ',' << s.p95s << ','
-           << s.p99s << ',' << s.blamed << '\n';
+    for (const Segment &s : r.attribution.segments) {
+        writeCsvId(os, r);
+        os << ',' << csvField(s.name) << ',';
+        writeFields(os, s, kSegmentFields, false);
+        os << '\n';
     }
     return os.str();
 }
@@ -549,24 +619,21 @@ toAttributionCsvRows(const Report &r)
 std::string
 renderResilience(const Report &r)
 {
-    const Report::Resilience &s = r.resilience;
+    const Resilience &s = r.resilience;
     if (!s.enabled)
         return "";
     std::ostringstream os;
-    os << "resilience";
+    os << kResilience;
     if (!r.scenario.empty())
         os << ": " << r.scenario << "/" << r.system << " seed " << r.seed;
     os << "\n  fault events: " << s.faultEvents
        << "   restores: " << s.restores << "\n";
-    Table t({"metric", "value"});
-    t.addRow({"availability", Table::num(s.availability, 4)});
-    t.addRow({"mttr_mean_s", Table::num(s.mttrMeanS, 2)});
-    t.addRow({"degraded_time_s", Table::num(s.degradedTimeS, 2)});
-    t.addRow({"lost_per_fault", Table::num(s.lostPerFault, 2)});
-    t.addRow({"goodput_fault_rpm", Table::num(s.goodputFaultRpm, 2)});
-    t.addRow({"goodput_healthy_rpm",
-              Table::num(s.goodputHealthyRpm, 2)});
-    t.addRow({"recovery_mean_s", Table::num(s.recoveryMeanS, 2)});
+    // The counts head the block; the table lists the reals.
+    Table t({"metric", kValue});
+    for (const Field<Resilience> &f : kResilienceFields) {
+        if (f.real)
+            t.addRow({f.key, f.cell(s)});
+    }
     t.print(os);
     return os.str();
 }
@@ -574,9 +641,7 @@ renderResilience(const Report &r)
 std::string
 reportResilienceCsvHeader()
 {
-    return "system,scenario,seed,fault_events,restores,availability,"
-           "mttr_mean_s,degraded_time_s,lost_per_fault,"
-           "goodput_fault_rpm,goodput_healthy_rpm,recovery_mean_s";
+    return csvIdHeader() + ',' + fieldKeys(kResilienceFields);
 }
 
 std::string
@@ -584,15 +649,12 @@ toResilienceCsvRows(const Report &r)
 {
     if (!r.resilience.enabled)
         return "";
-    const Report::Resilience &s = r.resilience;
     std::ostringstream os;
     os.precision(10);
-    os << csvField(r.system) << ',' << csvField(r.scenario) << ','
-       << r.seed << ',' << s.faultEvents << ',' << s.restores << ','
-       << s.availability << ',' << s.mttrMeanS << ','
-       << s.degradedTimeS << ',' << s.lostPerFault << ','
-       << s.goodputFaultRpm << ',' << s.goodputHealthyRpm << ','
-       << s.recoveryMeanS << '\n';
+    writeCsvId(os, r);
+    os << ',';
+    writeFields(os, r.resilience, kResilienceFields, false);
+    os << '\n';
     return os.str();
 }
 
@@ -601,8 +663,8 @@ toCountersCsvRows(const Report &r)
 {
     std::ostringstream os;
     for (const auto &[name, value] : r.counters) {
-        os << csvField(r.system) << ',' << csvField(r.scenario) << ','
-           << r.seed << ',' << csvField(name) << ',' << value << '\n';
+        writeCsvId(os, r);
+        os << ',' << csvField(name) << ',' << value << '\n';
     }
     return os.str();
 }
@@ -613,12 +675,10 @@ toWindowsCsvRows(const Report &r)
     std::ostringstream os;
     os.precision(10);
     for (std::size_t i = 0; i < r.windows.size(); ++i) {
-        const Report::Window &w = r.windows[i];
-        os << csvField(r.system) << ',' << csvField(r.scenario) << ','
-           << r.seed << ',' << i << ',' << w.start << ',' << w.end << ','
-           << w.arrived << ',' << w.completed << ',' << w.dropped << ','
-           << w.p50Ttft << ',' << w.p95Ttft << ',' << w.completedPerSec
-           << ',' << w.tokensPerSec << '\n';
+        writeCsvId(os, r);
+        os << ',' << i << ',';
+        writeFields(os, r.windows[i], kWindowFields, false);
+        os << '\n';
     }
     return os.str();
 }
@@ -643,15 +703,9 @@ toCsvRow(const Report &r)
 {
     std::ostringstream os;
     os.precision(10);
-    os << csvField(r.system) << ',' << csvField(r.scenario) << ','
-       << r.seed << ','
-       << r.totalRequests << ',' << r.completed << ',' << r.dropped << ','
-       << r.sloMet << ',' << r.sloRate << ',' << r.avgCpuNodesUsed << ','
-       << r.avgGpuNodesUsed << ',' << r.decodeSpeedCpu << ','
-       << r.decodeSpeedGpu << ',' << r.p50Ttft << ',' << r.p95Ttft << ','
-       << r.gpuMemUtilMean << ',' << r.batchMean << ','
-       << r.migrationRate << ',' << r.kvUtilization << ','
-       << r.scalingOverhead;
+    writeCsvId(os, r);
+    os << ',';
+    writeFields(os, r, kScalarFields, false);
     return os.str();
 }
 

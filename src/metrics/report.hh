@@ -24,6 +24,11 @@ namespace sweep
 class JsonValue;
 }
 
+/**
+ * Every numeric field below has its key and format declared once, in a
+ * field table in report.cc that all writers and the reader loop over
+ * (DESIGN.md, "Output field tables").
+ */
 struct Report
 {
     std::string system;
@@ -32,10 +37,10 @@ struct Report
     std::string scenario;
     std::uint64_t seed = 0;
 
-    std::size_t totalRequests = 0;
-    std::size_t completed = 0;
-    std::size_t dropped = 0;
-    std::size_t sloMet = 0;
+    std::uint64_t totalRequests = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t sloMet = 0;
     double sloRate = 0.0;
 
     double avgCpuNodesUsed = 0.0;
@@ -66,9 +71,9 @@ struct Report
     {
         Seconds start = 0.0;
         Seconds end = 0.0;
-        std::size_t arrived = 0;
-        std::size_t completed = 0;
-        std::size_t dropped = 0;
+        std::uint64_t arrived = 0;
+        std::uint64_t completed = 0;
+        std::uint64_t dropped = 0;
         double p50Ttft = 0.0;
         double p95Ttft = 0.0;
         /** Completions per second inside the window. */

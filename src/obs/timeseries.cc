@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/table.hh"
+
 namespace slinfer
 {
 namespace obs
@@ -10,10 +12,23 @@ namespace obs
 namespace
 {
 
-constexpr const char *kColumns =
-    "time,arrived,completed,dropped,in_flight,queue_depth,"
-    "instances_live,instances_created,kv_utilization,busy_cpu_s,"
-    "busy_gpu_s,scaling_overhead_s";
+using S = TimeseriesSample;
+
+/** The sample's fields in column order. */
+constexpr Field<S> kFields[] = {
+    {"time", &S::time},
+    {"arrived", &S::arrived},
+    {"completed", &S::completed},
+    {"dropped", &S::dropped},
+    {"in_flight", &S::inFlight},
+    {"queue_depth", &S::queueDepth},
+    {"instances_live", &S::instancesLive},
+    {"instances_created", &S::instancesCreated},
+    {"kv_utilization", &S::kvUtilization},
+    {"busy_cpu_s", &S::busySecondsCpu},
+    {"busy_gpu_s", &S::busySecondsGpu},
+    {"scaling_overhead_s", &S::scalingOverhead},
+};
 
 } // namespace
 
@@ -22,13 +37,10 @@ Timeseries::toCsv() const
 {
     std::ostringstream os;
     os.precision(10);
-    os << kColumns << "\n";
+    os << fieldKeys(kFields) << "\n";
     for (const TimeseriesSample &s : samples_) {
-        os << s.time << ',' << s.arrived << ',' << s.completed << ','
-           << s.dropped << ',' << s.inFlight << ',' << s.queueDepth
-           << ',' << s.instancesLive << ',' << s.instancesCreated << ','
-           << s.kvUtilization << ',' << s.busySecondsCpu << ','
-           << s.busySecondsGpu << ',' << s.scalingOverhead << "\n";
+        writeFields(os, s, kFields, false);
+        os << "\n";
     }
     return os.str();
 }
@@ -40,19 +52,9 @@ Timeseries::toJson() const
     os.precision(10);
     os << "[\n";
     for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const TimeseriesSample &s = samples_[i];
-        os << "  {\"time\": " << s.time << ", \"arrived\": " << s.arrived
-           << ", \"completed\": " << s.completed
-           << ", \"dropped\": " << s.dropped
-           << ", \"in_flight\": " << s.inFlight
-           << ", \"queue_depth\": " << s.queueDepth
-           << ", \"instances_live\": " << s.instancesLive
-           << ", \"instances_created\": " << s.instancesCreated
-           << ", \"kv_utilization\": " << s.kvUtilization
-           << ", \"busy_cpu_s\": " << s.busySecondsCpu
-           << ", \"busy_gpu_s\": " << s.busySecondsGpu
-           << ", \"scaling_overhead_s\": " << s.scalingOverhead << "}"
-           << (i + 1 < samples_.size() ? ",\n" : "\n");
+        os << "  {";
+        writeFields(os, samples_[i], kFields, true);
+        os << "}" << (i + 1 < samples_.size() ? ",\n" : "\n");
     }
     os << "]\n";
     return os.str();

@@ -15,6 +15,7 @@
 #define SLINFER_OBS_TIMESERIES_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,20 +25,30 @@ namespace obs
 {
 
 /** One sample: the MetricsView scalars at a sim-time instant
- *  (per-model queue depths collapsed to their sum). */
+ *  (per-model queue depths collapsed to their sum). MetricsView
+ *  extends it, so a sample is a MetricsView sliced to this base. Its
+ *  fields are declared for output once, in timeseries.cc. */
 struct TimeseriesSample
 {
+    /** Simulated time of the snapshot. */
     double time = 0.0;
-    std::size_t arrived = 0;
-    std::size_t completed = 0;
-    std::size_t dropped = 0;
-    std::size_t inFlight = 0;
-    std::size_t queueDepth = 0;
-    std::size_t instancesLive = 0;
-    std::size_t instancesCreated = 0;
+    /** Requests submitted so far. */
+    std::uint64_t arrived = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t dropped = 0;
+    /** Submitted but neither completed nor dropped. */
+    std::uint64_t inFlight = 0;
+    /** Queued (pending dispatch) requests, all models. */
+    std::uint64_t queueDepth = 0;
+    /** Active instances right now / ever created. */
+    std::uint64_t instancesLive = 0;
+    std::uint64_t instancesCreated = 0;
+    /** Mean KV allocation utilization across live instances. */
     double kvUtilization = 0.0;
+    /** Running busy-seconds aggregates per hardware kind. */
     double busySecondsCpu = 0.0;
     double busySecondsGpu = 0.0;
+    /** Running scaling-overhead fraction (O(1) index form). */
     double scalingOverhead = 0.0;
 };
 
