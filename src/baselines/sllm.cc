@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "hw/perf_model.hh"
 
 namespace slinfer
 {
@@ -70,7 +69,7 @@ SllmController::schedPolicy() const
 bool
 SllmController::cpuServable(const ModelSpec &spec) const
 {
-    if (!opts_.useCpu)
+    if (!cfg_.useCpu)
         return false;
     switch (spec.klass) {
       case ModelClass::Small3B:
@@ -120,38 +119,9 @@ SllmController::createInstanceFor(ModelId model, InstanceRole role)
     const ModelSpec &spec = models_[model].spec;
 
     // Large models take whole GPU nodes (tensor parallel if needed).
-    bool exclusive = spec.klass == ModelClass::Huge22B ||
-                     spec.klass == ModelClass::Huge34B;
-    if (exclusive) {
-        int degree = std::max(1, spec.tpDegree);
-        std::vector<Node *> free_nodes;
-        for (const auto &node : nodes_) {
-            if (node->isCpu() || node->inUse() || node->failed())
-                continue;
-            free_nodes.push_back(node.get());
-            if (static_cast<int>(free_nodes.size()) == degree)
-                break;
-        }
-        if (static_cast<int>(free_nodes.size()) < degree)
-            return nullptr;
-        HardwareSpec exec =
-            PerfModel::tensorParallel(free_nodes[0]->spec(), degree);
-        Bytes total_cap = 0;
-        std::vector<Partition *> holds;
-        for (Node *n : free_nodes) {
-            for (auto &p : n->partitions()) {
-                total_cap += p->mem.capacity();
-                holds.push_back(p.get());
-            }
-        }
-        Partition *primary = holds.front();
-        holds.erase(holds.begin());
-        Instance *inst = makeInstance(model, primary, exec,
-                                      total_cap - spec.weightBytes(), role,
-                                      holds, true);
-        startStaticLoad(inst);
-        return inst;
-    }
+    if (spec.klass == ModelClass::Huge22B ||
+        spec.klass == ModelClass::Huge34B)
+        return claimWholeNodes(model, role);
 
     // The first open, empty partition in cpu-first view order: the
     // index's empty sets hold exactly those, ascending by view

@@ -26,10 +26,10 @@
 namespace slinfer
 {
 
+/** CPU nodes are used (the +c variants) when ControllerConfig::useCpu
+ *  is set. */
 struct SllmOptions
 {
-    /** Consider CPU nodes (the +c variants). */
-    bool useCpu = false;
     /** Static half-node sharing (the +s variant); requires nodes to be
      *  built with two partitions. */
     bool staticShare = false;

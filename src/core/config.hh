@@ -25,42 +25,40 @@ struct ResilienceConfig
 {
     /**
      * Placement attempts charged per retryPending() round before the
-     * rest of the queue is deferred to the next wakeup. The historic
-     * hard-coded cap was 16.
+     * rest of the queue is deferred to the next wakeup.
      */
-    int retryCap = 16;
+    static constexpr int kRetryCap = 16;
     /**
      * Exponential backoff between dispatch attempts of one request:
      * after its n-th consecutive failure a request may not be retried
-     * for min(backoffBase * 2^(n-1), backoffMax) seconds. Requests
+     * for min(kBackoffBase * 2^(n-1), kBackoffMax) seconds. Requests
      * whose next permitted attempt would land past their TTFT drop
      * deadline are dropped immediately (deadline-aware give-up)
      * instead of burning retry rounds they can never win.
      */
     bool backoff = false;
-    Seconds backoffBase = 0.05;
-    Seconds backoffMax = 1.0;
+    static constexpr Seconds kBackoffBase = 0.05;
+    static constexpr Seconds kBackoffMax = 1.0;
     /**
      * Failover exclusion window: for this many seconds after a node
      * failure, its partitions are skipped as placement candidates even
      * once restored (flapping hardware should not immediately re-host
-     * work). 0 disables the policy. Only SlinferController applies it:
-     * SllmController's placement (the empty-partition walk and the
-     * exclusive whole-node branch) never consults placementExcluded,
-     * so under sllm the window's only effect is the extra retry
-     * wakeup restoreNode schedules at its expiry.
+     * work). 0 disables the policy. Every whole-GPU-node claim
+     * (ControllerBase::claimWholeNodes) and SlinferController's
+     * placement honour it; only SllmController's empty-partition walk
+     * never consults placementExcluded.
      */
     Seconds failoverExclusion = 0.0;
     /**
      * Graceful degradation: while any node is failed, requests whose
      * TTFT SLO is at least batchSloCutoff (batch-class work) are
      * queued without a dispatch attempt once the pending queue reaches
-     * shedQueueDepth, and shed outright at twice that depth —
+     * kShedQueueDepth, and shed outright at twice that depth —
      * preserving the remaining capacity for latency-critical traffic.
      */
     bool shedBatchFirst = false;
     Seconds batchSloCutoff = 10.0;
-    std::size_t shedQueueDepth = 64;
+    static constexpr std::size_t kShedQueueDepth = 64;
 };
 
 struct ControllerConfig
@@ -72,7 +70,7 @@ struct ControllerConfig
     /** Shadow validation per-iteration overestimation factor. */
     double overestimate = 1.10;
     /** Lognormal sigma of ground-truth iteration noise. */
-    double noiseSigma = 0.03;
+    static constexpr double kNoiseSigma = 0.03;
     /** Consider CPU nodes at all (ablation: w/o CPU). */
     bool useCpu = true;
     /** Allow colocating different models on one partition

@@ -91,11 +91,11 @@ ControllerBase::submit(Request *req)
     const ResilienceConfig &res = cfg_.resilience;
     if (res.shedBatchFirst && failedNodes_ > 0 &&
         req->ttftSlo >= res.batchSloCutoff) {
-        if (pending_.size() >= 2 * res.shedQueueDepth) {
+        if (pending_.size() >= 2 * ResilienceConfig::kShedQueueDepth) {
             dropRequest(req);
             return;
         }
-        if (pending_.size() >= res.shedQueueDepth) {
+        if (pending_.size() >= ResilienceConfig::kShedQueueDepth) {
             queueRequest(req);
             return;
         }
@@ -142,11 +142,7 @@ static constexpr Seconds kDrainSweepInterval = 0.05;
 void
 ControllerBase::dropRequest(Request *req)
 {
-    auto it = dropEvents_.find(req->id);
-    if (it != dropEvents_.end()) {
-        it->second.cancel();
-        dropEvents_.erase(it);
-    }
+    req->dropEv.cancel(); // no-op when the timer itself is firing
     req->state = RequestState::Dropped;
     recorder_.onDrop(*req, sim_.now());
     if (anat_)
@@ -446,7 +442,7 @@ ControllerBase::schedulerFor(Partition *part)
     };
     cbs.onKvShortage = [this](Instance *i) { handleKvShortage(i); };
     slot = std::make_unique<TokenScheduler>(
-        sim_, *part, schedPolicy(), cfg_.noiseSigma,
+        sim_, *part, schedPolicy(), ControllerConfig::kNoiseSigma,
         rng_.fork(0x5C4ED + part->node * 16 + part->index), std::move(cbs),
         stats_, &index_, trace_, anat_);
     return *slot;
@@ -519,6 +515,43 @@ ControllerBase::startStaticLoad(Instance *inst)
         kickPartition(inst->primary);
         retryPending();
     });
+}
+
+Instance *
+ControllerBase::claimWholeNodes(ModelId model, InstanceRole role)
+{
+    const ModelSpec &spec = models_[model].spec;
+    int degree = std::max(1, spec.tpDegree);
+    std::vector<Node *> free_nodes;
+    for (const auto &node : nodes_) {
+        if (node->isCpu() || node->inUse() || node->failed())
+            continue;
+        if (!node->partitions().empty() &&
+            placementExcluded(node->partitions().front().get()))
+            continue;
+        free_nodes.push_back(node.get());
+        if (static_cast<int>(free_nodes.size()) == degree)
+            break;
+    }
+    if (static_cast<int>(free_nodes.size()) < degree)
+        return nullptr;
+    HardwareSpec exec =
+        PerfModel::tensorParallel(free_nodes[0]->spec(), degree);
+    Bytes total_cap = 0;
+    std::vector<Partition *> holds;
+    for (Node *n : free_nodes) {
+        for (auto &p : n->partitions()) {
+            total_cap += p->mem.capacity();
+            holds.push_back(p.get());
+        }
+    }
+    Partition *primary = holds.front();
+    holds.erase(holds.begin());
+    Instance *inst = makeInstance(model, primary, exec,
+                                  total_cap - spec.weightBytes(), role,
+                                  holds, true);
+    startStaticLoad(inst);
+    return inst;
 }
 
 void
@@ -601,11 +634,7 @@ void
 ControllerBase::admitTo(Request *req, Instance *inst)
 {
     cancelKeepAlive(inst);
-    auto it = dropEvents_.find(req->id);
-    if (it != dropEvents_.end()) {
-        it->second.cancel();
-        dropEvents_.erase(it);
-    }
+    req->dropEv.cancel();
     req->instance = inst->id;
     req->state = RequestState::Prefill;
     req->dispatchFailures = 0;
@@ -661,15 +690,11 @@ ControllerBase::queueRequest(Request *req)
         return; // re-queued mid-decode; never proactively dropped
     Seconds deadline = req->arrival + cfg_.slo.ttft(req->inputLen);
     Seconds delay = std::max<Seconds>(0.0, deadline - sim_.now());
-    dropEvents_[req->id] = sim_.schedule(delay, [this, req] {
-        if (req->state != RequestState::Queued)
-            return;
-        req->state = RequestState::Dropped;
-        recorder_.onDrop(*req, sim_.now());
-        if (anat_)
-            anat_->onDrop(*req, sim_.now());
-        dropEvents_.erase(req->id);
-        traceRequestEnd(req);
+    // A queued request is always referenced by pending_, so the drop
+    // never recycles it here.
+    req->dropEv = sim_.schedule(delay, [this, req] {
+        if (req->state == RequestState::Queued)
+            dropRequest(req);
     });
 }
 
@@ -720,10 +745,10 @@ ControllerBase::retryPending()
         // later round reaches them), so a deep backlog costs the
         // failures actually attempted, not O(queue) churn per event.
         const ResilienceConfig &res = cfg_.resilience;
-        const int kMaxFailures = res.retryCap;
         int failures = 0;
         retryStill_.clear();
-        while (!pending_.empty() && failures < kMaxFailures) {
+        while (!pending_.empty() &&
+               failures < ResilienceConfig::kRetryCap) {
             Request *req = pending_.front();
             pending_.pop_front();
             --req->queueRefs;
@@ -765,13 +790,12 @@ ControllerBase::retryPending()
 bool
 ControllerBase::armBackoff(Request *req)
 {
-    const ResilienceConfig &res = cfg_.resilience;
+    const Seconds cap = ResilienceConfig::kBackoffMax;
     ++req->dispatchFailures;
-    Seconds delay = res.backoffBase;
-    for (int i = 1; i < req->dispatchFailures && delay < res.backoffMax;
-         ++i)
+    Seconds delay = ResilienceConfig::kBackoffBase;
+    for (int i = 1; i < req->dispatchFailures && delay < cap; ++i)
         delay *= 2.0;
-    delay = std::min(delay, res.backoffMax);
+    delay = std::min(delay, cap);
     if (req->generated == 0) {
         // Deadline-aware give-up: a request that cannot attempt again
         // before its TTFT drop deadline can never dispatch in time.
@@ -1100,13 +1124,20 @@ SlinferController::placementDemand(const Request &req) const
     PlacementDemand d;
     d.cpuOk = cfg_.useCpu && cpuFeasible(req);
     d.weights = me.spec.weightBytes();
-    d.require = static_cast<Bytes>(std::max(
-                    static_cast<double>(req.inputLen) + me.avgOutput,
-                    static_cast<double>(me.spec.maxContext))) *
-                me.spec.kvBytesPerToken();
+    d.require = kvRequirement(req.model, req.inputLen);
     d.recommend = static_cast<Bytes>(static_cast<double>(d.require) *
                                      (1.0 + cfg_.watermark));
     return d;
+}
+
+Bytes
+SlinferController::kvRequirement(ModelId model, Tokens len) const
+{
+    const ModelEntry &me = models_[model];
+    return static_cast<Bytes>(
+               std::max(static_cast<double>(len) + me.avgOutput,
+                        static_cast<double>(me.spec.maxContext))) *
+           me.spec.kvBytesPerToken();
 }
 
 bool
@@ -1210,41 +1241,12 @@ SlinferController::tryNewInstance(Request *req)
 bool
 SlinferController::tryExclusivePlacement(Request *req)
 {
-    ModelEntry &me = models_[req->model];
-    int degree = std::max(1, me.spec.tpDegree);
-    // Collect fully idle GPU nodes.
-    std::vector<Node *> free_nodes;
-    for (const auto &node : nodes_) {
-        if (node->isCpu() || node->inUse() || node->failed())
-            continue;
-        if (!node->partitions().empty() &&
-            placementExcluded(node->partitions().front().get()))
-            continue;
-        free_nodes.push_back(node.get());
-        if (static_cast<int>(free_nodes.size()) == degree)
-            break;
-    }
-    if (static_cast<int>(free_nodes.size()) < degree)
+    Instance *inst = claimWholeNodes(req->model, InstanceRole::Unified);
+    if (!inst)
         return false;
-
-    HardwareSpec exec = PerfModel::tensorParallel(free_nodes[0]->spec(),
-                                                  degree);
-    if (!quant_.profiled(exec, me.spec))
-        quant_.profile(exec, me.spec);
-    Bytes total_cap = 0;
-    std::vector<Partition *> holds;
-    for (Node *n : free_nodes) {
-        for (auto &p : n->partitions()) {
-            total_cap += p->mem.capacity();
-            holds.push_back(p.get());
-        }
-    }
-    Partition *primary = holds.front();
-    holds.erase(holds.begin());
-    Bytes kv_alloc = total_cap - me.spec.weightBytes();
-    Instance *inst = makeInstance(req->model, primary, exec, kv_alloc,
-                                  InstanceRole::Unified, holds, true);
-    startStaticLoad(inst);
+    const ModelSpec &spec = models_[req->model].spec;
+    if (!quant_.profiled(inst->execSpec, spec))
+        quant_.profile(inst->execSpec, spec);
     admitTo(req, inst);
     return true;
 }
@@ -1269,14 +1271,8 @@ SlinferController::tryDispatch(Request *req)
 bool
 SlinferController::demandReclaimFor(Request *req)
 {
-    const ModelSpec &spec = models_[req->model].spec;
-    Bytes weights = spec.weightBytes();
-    Bytes require =
-        static_cast<Bytes>(std::max(
-            static_cast<double>(req->inputLen) +
-                models_[req->model].avgOutput,
-            static_cast<double>(spec.maxContext))) *
-        spec.kvBytesPerToken();
+    Bytes weights = models_[req->model].spec.weightBytes();
+    Bytes require = kvRequirement(req->model, req->inputLen);
     bool cpu_ok = cfg_.useCpu && cpuFeasible(*req);
 
     for (Partition *p : allPartitions(cpu_ok)) {
@@ -1284,10 +1280,6 @@ SlinferController::demandReclaimFor(Request *req)
             continue;
         if (!p->openForPlacement() || placementExcluded(p))
             continue;
-        if (!cfg_.enableSharing && !p->instances.empty()) {
-            // Exclusive placement: any fully idle partition will do
-            // once its residents are gone.
-        }
         MemorySubsystem &sub = subsystemFor(p);
         Bytes committed = sub.committed();
         Bytes cap = static_cast<Bytes>(
@@ -1355,11 +1347,7 @@ SlinferController::tryDispatchDecode(Request *req)
     }
     // Create a decode instance.
     Bytes weights = me.spec.weightBytes();
-    Bytes require = static_cast<Bytes>(std::max(
-                        static_cast<double>(req->contextLen()) +
-                            me.avgOutput,
-                        static_cast<double>(me.spec.maxContext))) *
-                    me.spec.kvBytesPerToken();
+    Bytes require = kvRequirement(req->model, req->contextLen());
     for (Partition *p : allPartitions(cfg_.useCpu)) {
         if (!p->openForPlacement() || placementExcluded(p))
             continue;

@@ -23,7 +23,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -195,6 +194,13 @@ class ControllerBase
                            bool staticKv);
     /** Baseline path: hold all memory statically and start the load. */
     void startStaticLoad(Instance *inst);
+    /**
+     * Claim tpDegree idle, healthy GPU nodes outside the failover
+     * exclusion window as one tensor-parallel instance of `model`
+     * holding all their memory, and start its static load; nullptr
+     * when too few nodes are free.
+     */
+    Instance *claimWholeNodes(ModelId model, InstanceRole role);
     /** Release a static instance (unload latency, then memory). */
     void unloadStatic(Instance *inst);
     /** Remove a Reclaimed instance from all registries and free it;
@@ -299,7 +305,6 @@ class ControllerBase
     std::vector<std::unique_ptr<TokenScheduler>> scheds_;
 
     std::deque<Request *> pending_;
-    std::map<RequestId, EventHandle> dropEvents_;
 
     /** PD mode: prefilled requests awaiting a decode slot, bucketed
      *  per model with global arrival sequence numbers; only models in
@@ -391,6 +396,10 @@ class SlinferController : public ControllerBase
         Bytes recommend = 0;
     };
     PlacementDemand placementDemand(const Request &req) const;
+    /** Eq. 2's KV requirement for a `model` instance starting from
+     *  `len` tokens: the expected output or the whole context window,
+     *  whichever is larger. */
+    Bytes kvRequirement(ModelId model, Tokens len) const;
 
     /** A shared-placement candidate for a new instance. */
     struct PlacementChoice

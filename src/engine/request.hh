@@ -15,6 +15,7 @@
 #define SLINFER_ENGINE_REQUEST_HH
 
 #include "common/types.hh"
+#include "sim/event_queue.hh"
 
 namespace slinfer
 {
@@ -88,6 +89,9 @@ struct Request
      *  backoff; attempts before this park the request instead of
      *  charging a retry. <= now means "try immediately". */
     Seconds retryAfter = 0.0;
+    /** The TTFT drop timer ControllerBase::queueRequest arms;
+     *  admission and dropRequest cancel it. */
+    EventHandle dropEv;
     /** Live references from controller pending queues (pending_ /
      *  pendingDecode_ entries, including ghost entries awaiting their
      *  lazy purge). A settled request may only be recycled by the

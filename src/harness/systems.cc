@@ -113,14 +113,14 @@ makeSystem(SystemKind kind, Simulator &sim, ClusterHandle &cluster,
       }
       case SystemKind::SllmC: {
         SllmOptions opts;
-        opts.useCpu = true;
+        cfg.useCpu = true;
         return std::make_unique<SllmController>(
             sim, nodes, std::move(modelSpecs), std::move(initialAvgOutput),
             cfg, recorder, stats, opts);
       }
       case SystemKind::SllmCS: {
         SllmOptions opts;
-        opts.useCpu = true;
+        cfg.useCpu = true;
         opts.staticShare = true;
         return std::make_unique<SllmController>(
             sim, nodes, std::move(modelSpecs), std::move(initialAvgOutput),
@@ -128,7 +128,7 @@ makeSystem(SystemKind kind, Simulator &sim, ClusterHandle &cluster,
       }
       case SystemKind::SllmCsPD: {
         SllmOptions opts;
-        opts.useCpu = true;
+        cfg.useCpu = true;
         opts.staticShare = true;
         cfg.pdDisaggregation = true;
         return std::make_unique<SllmController>(

@@ -57,7 +57,6 @@ struct SllmHarness
         nodes = buildCluster(cluster, partitions);
         models = std::move(model_specs);
         std::vector<double> avg(models.size(), 250.0);
-        ControllerConfig cfg;
         ctl = std::make_unique<SllmController>(sim, nodes, models, avg,
                                                cfg, recorder, nullptr,
                                                opts);
@@ -81,6 +80,8 @@ struct SllmHarness
     }
 
     ClusterSpec cluster;
+    /** What build() passes; useCpu set makes a +c variant. */
+    ControllerConfig cfg;
     Simulator sim;
     std::vector<std::unique_ptr<Node>> nodes;
     std::vector<ModelSpec> models;
@@ -96,6 +97,7 @@ struct SllmFixture : public ::testing::Test, public SllmHarness
 
 TEST_F(SllmFixture, SllmNeverUsesCpu)
 {
+    cfg.useCpu = false;
     build(2, 1, {llama2_7b()}, SllmOptions{});
     submitAt(0, 0.0, 1024, 50);
     sim.run();
@@ -106,6 +108,7 @@ TEST_F(SllmFixture, SllmNeverUsesCpu)
 
 TEST_F(SllmFixture, ExclusiveAllocationOnePerNode)
 {
+    cfg.useCpu = false;
     build(0, 2, {llama2_7b(), llama2_7b(), llama2_7b()}, SllmOptions{});
     submitAt(0, 0.0, 1024, 300);
     submitAt(1, 0.1, 1024, 300);
@@ -118,6 +121,7 @@ TEST_F(SllmFixture, ExclusiveAllocationOnePerNode)
 TEST_F(SllmFixture, ConcurrencyCapTriggersScaleOut)
 {
     SllmOptions opts;
+    cfg.useCpu = false;
     build(0, 2, {llama2_7b()}, opts);
     // 33 concurrent requests exceed the GPU cap of 32; a second
     // (fragmented) instance appears on the second GPU.
@@ -131,7 +135,6 @@ TEST_F(SllmFixture, ConcurrencyCapTriggersScaleOut)
 TEST_F(SllmFixture, SllmCPrefersCpu)
 {
     SllmOptions opts;
-    opts.useCpu = true;
     build(1, 1, {llama2_7b()}, opts);
     submitAt(0, 0.0, 1024, 30);
     sim.runUntil(2.0);
@@ -143,7 +146,6 @@ TEST_F(SllmFixture, SllmCPrefersCpu)
 TEST_F(SllmFixture, CpuBlindnessServes34BOnGpuOnly)
 {
     SllmOptions opts;
-    opts.useCpu = true;
     build(1, 2, {codellama_34b()}, opts);
     Request &r = submitAt(0, 0.0, 2048, 30);
     sim.run();
@@ -154,7 +156,6 @@ TEST_F(SllmFixture, CpuBlindnessServes34BOnGpuOnly)
 TEST_F(SllmFixture, StaticShareHostsTwoPerNode)
 {
     SllmOptions opts;
-    opts.useCpu = true;
     opts.staticShare = true;
     build(0, 1, {llama2_7b(), llama2_7b()}, opts, /*partitions=*/2);
     submitAt(0, 0.0, 1024, 200);
@@ -175,7 +176,6 @@ TEST_F(SllmFixture, StaticShareHostsTwoPerNode)
 TEST_F(SllmFixture, ThirteenBOnSharedCpuTakesWholeNode)
 {
     SllmOptions opts;
-    opts.useCpu = true;
     opts.staticShare = true;
     build(1, 1, {llama2_13b(), llama2_13b()}, opts, 2);
     submitAt(0, 0.0, 1024, 200);
@@ -197,6 +197,7 @@ TEST_F(SllmFixture, HalfPartitionIsSlower)
     // The same request takes about twice as long to prefill on a half
     // partition (the +s inefficiency for big prefills).
     SllmOptions full_opts;
+    cfg.useCpu = false;
     build(0, 1, {llama2_7b()}, full_opts, 1);
     Request &r = submitAt(0, 0.0, 2048, 1);
     sim.run();
@@ -204,6 +205,7 @@ TEST_F(SllmFixture, HalfPartitionIsSlower)
 
     SllmHarness half;
     SllmOptions half_opts;
+    half.cfg.useCpu = false;
     half_opts.staticShare = true;
     half.build(0, 1, {llama2_7b()}, half_opts, 2);
     Request &r2 = half.submitAt(0, 0.0, 2048, 1);
@@ -215,7 +217,6 @@ TEST_F(SllmFixture, HalfPartitionIsSlower)
 TEST_F(SllmFixture, PdDisaggregationRuns)
 {
     SllmOptions opts;
-    opts.useCpu = true;
     opts.staticShare = true;
     // PD flag arrives via the controller config in the harness; here we
     // drive the flag directly.

@@ -593,14 +593,6 @@ TEST(ResiliencePolicies, ChaosRunsAreDeterministic)
     EXPECT_EQ(a.completed + a.dropped, a.totalRequests);
 }
 
-TEST(ResiliencePolicies, RetryCapStillDropsEventually)
-{
-    ExperimentConfig cfg = chaosPolicyConfig(12);
-    cfg.controller.resilience.retryCap = 1;
-    Report tight = runExperiment(cfg);
-    EXPECT_EQ(tight.completed + tight.dropped, tight.totalRequests);
-}
-
 TEST(ResiliencePolicies, DefaultsMatchPrePolicyBehavior)
 {
     // All resilience knobs default off: a config that never touches

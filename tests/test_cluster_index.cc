@@ -239,7 +239,6 @@ TEST(ClusterIndexFuzz, SllmEmptySetsMatchScanThroughChurn)
         ControllerConfig cfg;
         cfg.seed = seed;
         SllmOptions opts;
-        opts.useCpu = true;
         opts.staticShare = seed % 2 == 0;
         h.build(2, 3,
                 {llama2_7b(), llama32_3b(), llama2_13b(), codellama_34b()},
