@@ -1211,8 +1211,15 @@ bool
 SlinferController::tryNewInstance(Request *req)
 {
     ModelEntry &me = models_[req->model];
-    if (exclusiveOnly(me.spec))
-        return tryExclusivePlacement(req);
+    if (exclusiveOnly(me.spec)) {
+        Instance *inst = claimWholeNodes(req->model, InstanceRole::Unified);
+        if (!inst)
+            return false;
+        if (!quant_.profiled(inst->execSpec, me.spec))
+            quant_.profile(inst->execSpec, me.spec);
+        admitTo(req, inst);
+        return true;
+    }
 
     PlacementDemand d = placementDemand(*req);
     PlacementChoice choice = selectPlacement(*req, d);
@@ -1234,19 +1241,6 @@ SlinferController::tryNewInstance(Request *req)
         kickPartition(inst->primary);
         retryPending();
     });
-    admitTo(req, inst);
-    return true;
-}
-
-bool
-SlinferController::tryExclusivePlacement(Request *req)
-{
-    Instance *inst = claimWholeNodes(req->model, InstanceRole::Unified);
-    if (!inst)
-        return false;
-    const ModelSpec &spec = models_[req->model].spec;
-    if (!quant_.profiled(inst->execSpec, spec))
-        quant_.profile(inst->execSpec, spec);
     admitTo(req, inst);
     return true;
 }

@@ -428,7 +428,6 @@ class SlinferController : public ControllerBase
 
     bool tryExistingInstances(Request *req);
     bool tryNewInstance(Request *req);
-    bool tryExclusivePlacement(Request *req);
     /**
      * Placement pressure: start unloading idle (keep-alive) instances
      * whose reclamation would make room for this model, so the queued

@@ -1,5 +1,6 @@
 #include "metrics/report.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -189,30 +190,15 @@ constexpr Field<Resilience> kResilienceFields[] = {
     {"recovery_mean_s", &Resilience::recoveryMeanS},
 };
 
-/** Writes `"key": `. */
+/** Streams as `"key": `. */
 struct JsonKey
 {
     const char *key;
 };
-
 std::ostream &
 operator<<(std::ostream &os, JsonKey k)
 {
     return os << '"' << k.key << "\": ";
-}
-
-/** The system,scenario,seed columns every CSV table starts with. */
-std::string
-csvIdHeader()
-{
-    return std::string(kSystem) + ',' + kScenario + ',' + kSeed;
-}
-
-void
-writeCsvId(std::ostream &os, const Report &r)
-{
-    os << csvField(r.system) << ',' << csvField(r.scenario) << ','
-       << r.seed;
 }
 
 } // namespace
@@ -227,33 +213,27 @@ reportScalarMetrics(const Report &r)
 }
 
 std::vector<std::pair<std::string, double>>
-reportAttributionMetrics(const Report &r)
+reportBlockMetrics(const Report &r)
 {
     std::vector<std::pair<std::string, double>> out;
-    if (!r.attribution.enabled)
-        return out;
-    out.emplace_back(std::string("attr_") + kViolations,
-                     static_cast<double>(r.attribution.violations));
-    // A sweep summarizes three of a segment's fields.
-    for (const Segment &s : r.attribution.segments) {
-        for (const Field<Segment> &f : kSegmentFields) {
-            if (f.real == &Segment::totalS || f.real == &Segment::p95s ||
-                f.count == &Segment::blamed)
-                out.emplace_back("seg_" + s.name + "_" + f.key,
-                                 f.value(s));
+    if (r.attribution.enabled) {
+        out.emplace_back(std::string("attr_") + kViolations,
+                         static_cast<double>(r.attribution.violations));
+        // A sweep summarizes three of a segment's fields.
+        for (const Segment &s : r.attribution.segments) {
+            for (const Field<Segment> &f : kSegmentFields) {
+                if (f.real == &Segment::totalS ||
+                    f.real == &Segment::p95s || f.count == &Segment::blamed)
+                    out.emplace_back("seg_" + s.name + "_" + f.key,
+                                     f.value(s));
+            }
         }
     }
-    return out;
-}
-
-std::vector<std::pair<std::string, double>>
-reportResilienceMetrics(const Report &r)
-{
-    std::vector<std::pair<std::string, double>> out;
-    if (!r.resilience.enabled)
-        return out;
-    for (const Field<Resilience> &f : kResilienceFields)
-        out.emplace_back(std::string("res_") + f.key, f.value(r.resilience));
+    if (r.resilience.enabled) {
+        for (const Field<Resilience> &f : kResilienceFields)
+            out.emplace_back(std::string("res_") + f.key,
+                             f.value(r.resilience));
+    }
     return out;
 }
 
@@ -363,38 +343,6 @@ emitJson(const Report &r, const char *nl, const char *indent,
     return os.str();
 }
 
-/** Counts read from a stored report; remembers the first value that
- *  is not one. */
-struct CountReader
-{
-    std::string bad;
-
-    std::uint64_t
-    operator()(double x, const char *key)
-    {
-        std::uint64_t n = 0;
-        if (!countFromJson(x, n) && bad.empty()) {
-            std::ostringstream os;
-            os << "report field '" << key << "' is not a count: " << x;
-            bad = os.str();
-        }
-        return n;
-    }
-};
-
-template <class R, class Fields>
-void
-readFields(const sweep::JsonValue &v, const Fields &fields, R &r,
-           CountReader &count)
-{
-    for (const Field<R> &f : fields) {
-        if (f.count)
-            r.*f.count = count(v.num(f.key), f.key);
-        else
-            r.*f.real = v.num(f.key);
-    }
-}
-
 } // namespace
 
 std::string
@@ -432,11 +380,29 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     r = Report();
     // Counts are stored as JSON numbers; a tampered or corrupt store
     // must fail here instead of reaching an unchecked cast.
-    CountReader count;
+    std::string bad;
+    auto count = [&bad](double x, const char *key) -> std::uint64_t {
+        std::uint64_t n = 0;
+        if (!countFromJson(x, n) && bad.empty()) {
+            std::ostringstream os;
+            os << "report field '" << key << "' is not a count: " << x;
+            bad = os.str();
+        }
+        return n;
+    };
+    auto readFields = [&count](const JsonValue &obj, const auto &fields,
+                               auto &rec) {
+        for (const auto &f : fields) {
+            if (f.count)
+                rec.*f.count = count(obj.num(f.key), f.key);
+            else
+                rec.*f.real = obj.num(f.key);
+        }
+    };
     r.system = v.string(kSystem);
     r.scenario = v.string(kScenario);
     r.seed = count(v.num(kSeed), kSeed);
-    readFields(v, kScalarFields, r, count);
+    readFields(v, kScalarFields, r);
     auto pairs = [&v](const char *key,
                       std::vector<std::pair<double, double>> &out) {
         const JsonValue *arr = v.find(key);
@@ -452,7 +418,7 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     if (const JsonValue *ws = v.find(kWindows); ws && ws->isArray()) {
         for (const JsonValue &wv : ws->array) {
             Window w;
-            readFields(wv, kWindowFields, w, count);
+            readFields(wv, kWindowFields, w);
             r.windows.push_back(w);
         }
     }
@@ -463,13 +429,13 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     if (attr && attr->isObject()) {
         Attribution &a = r.attribution;
         a.enabled = true;
-        readFields(*attr, kAttributionFields, a, count);
+        readFields(*attr, kAttributionFields, a);
         if (const JsonValue *segs = attr->find(kSegments);
             segs && segs->isArray()) {
             for (const JsonValue &sv : segs->array) {
                 Segment s;
                 s.name = sv.string(kName);
-                readFields(sv, kSegmentFields, s, count);
+                readFields(sv, kSegmentFields, s);
                 a.segments.push_back(std::move(s));
             }
         }
@@ -505,32 +471,14 @@ reportFromJson(const sweep::JsonValue &v, Report &r, std::string *err)
     const JsonValue *res = v.find(kResilience);
     if (res && res->isObject()) {
         r.resilience.enabled = true;
-        readFields(*res, kResilienceFields, r.resilience, count);
+        readFields(*res, kResilienceFields, r.resilience);
     }
-    if (!count.bad.empty()) {
+    if (!bad.empty()) {
         if (err)
-            *err = count.bad;
+            *err = bad;
         return false;
     }
     return true;
-}
-
-std::string
-reportCsvHeader()
-{
-    return csvIdHeader() + ',' + fieldKeys(kScalarFields);
-}
-
-std::string
-reportWindowsCsvHeader()
-{
-    return csvIdHeader() + ",window," + fieldKeys(kWindowFields);
-}
-
-std::string
-reportCountersCsvHeader()
-{
-    return csvIdHeader() + ",counter," + kValue;
 }
 
 std::string
@@ -597,26 +545,6 @@ renderAttribution(const Report &r)
 }
 
 std::string
-reportAttributionCsvHeader()
-{
-    return csvIdHeader() + ',' + kSegment + ',' + fieldKeys(kSegmentFields);
-}
-
-std::string
-toAttributionCsvRows(const Report &r)
-{
-    std::ostringstream os;
-    os.precision(10);
-    for (const Segment &s : r.attribution.segments) {
-        writeCsvId(os, r);
-        os << ',' << csvField(s.name) << ',';
-        writeFields(os, s, kSegmentFields, false);
-        os << '\n';
-    }
-    return os.str();
-}
-
-std::string
 renderResilience(const Report &r)
 {
     const Resilience &s = r.resilience;
@@ -639,51 +567,6 @@ renderResilience(const Report &r)
 }
 
 std::string
-reportResilienceCsvHeader()
-{
-    return csvIdHeader() + ',' + fieldKeys(kResilienceFields);
-}
-
-std::string
-toResilienceCsvRows(const Report &r)
-{
-    if (!r.resilience.enabled)
-        return "";
-    std::ostringstream os;
-    os.precision(10);
-    writeCsvId(os, r);
-    os << ',';
-    writeFields(os, r.resilience, kResilienceFields, false);
-    os << '\n';
-    return os.str();
-}
-
-std::string
-toCountersCsvRows(const Report &r)
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : r.counters) {
-        writeCsvId(os, r);
-        os << ',' << csvField(name) << ',' << value << '\n';
-    }
-    return os.str();
-}
-
-std::string
-toWindowsCsvRows(const Report &r)
-{
-    std::ostringstream os;
-    os.precision(10);
-    for (std::size_t i = 0; i < r.windows.size(); ++i) {
-        writeCsvId(os, r);
-        os << ',' << i << ',';
-        writeFields(os, r.windows[i], kWindowFields, false);
-        os << '\n';
-    }
-    return os.str();
-}
-
-std::string
 csvField(const std::string &field)
 {
     if (field.find_first_of(",\"\n\r") == std::string::npos)
@@ -699,13 +582,67 @@ csvField(const std::string &field)
 }
 
 std::string
-toCsvRow(const Report &r)
+toCsv(const std::vector<Report> &reports)
 {
     std::ostringstream os;
     os.precision(10);
-    writeCsvId(os, r);
-    os << ',';
-    writeFields(os, r, kScalarFields, false);
+    const std::string id =
+        std::string(kSystem) + ',' + kScenario + ',' + kSeed + ',';
+    auto rowId = [&os](const Report &r) {
+        os << csvField(r.system) << ',' << csvField(r.scenario) << ','
+           << r.seed << ',';
+    };
+    auto any = [&reports](auto carries) {
+        return std::any_of(reports.begin(), reports.end(), carries);
+    };
+    os << id << fieldKeys(kScalarFields) << '\n';
+    for (const Report &r : reports) {
+        rowId(r);
+        writeFields(os, r, kScalarFields, false);
+        os << '\n';
+    }
+    if (any([](const Report &r) { return !r.windows.empty(); })) {
+        os << '\n' << id << "window," << fieldKeys(kWindowFields) << '\n';
+        for (const Report &r : reports) {
+            for (std::size_t i = 0; i < r.windows.size(); ++i) {
+                rowId(r);
+                os << i << ',';
+                writeFields(os, r.windows[i], kWindowFields, false);
+                os << '\n';
+            }
+        }
+    }
+    if (any([](const Report &r) { return !r.counters.empty(); })) {
+        os << '\n' << id << "counter," << kValue << '\n';
+        for (const Report &r : reports) {
+            for (const auto &[name, value] : r.counters) {
+                rowId(r);
+                os << csvField(name) << ',' << value << '\n';
+            }
+        }
+    }
+    if (any([](const Report &r) { return r.attribution.enabled; })) {
+        os << '\n' << id << kSegment << ',' << fieldKeys(kSegmentFields)
+           << '\n';
+        for (const Report &r : reports) {
+            for (const Segment &s : r.attribution.segments) {
+                rowId(r);
+                os << csvField(s.name) << ',';
+                writeFields(os, s, kSegmentFields, false);
+                os << '\n';
+            }
+        }
+    }
+    if (any([](const Report &r) { return r.resilience.enabled; })) {
+        os << '\n' << id << fieldKeys(kResilienceFields) << '\n';
+        for (const Report &r : reports) {
+            if (!r.resilience.enabled)
+                continue;
+            rowId(r);
+            writeFields(os, r.resilience, kResilienceFields, false);
+            os << '\n';
+        }
+    }
     return os.str();
 }
 

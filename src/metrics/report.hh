@@ -208,52 +208,20 @@ std::vector<std::pair<std::string, double>>
 reportScalarMetrics(const Report &report);
 
 /**
- * The attribution block's sweep-facing metrics as (json_key, value)
- * pairs: per segment seg_<name>_total_s / seg_<name>_p95_s /
- * seg_<name>_blamed, plus attr_violations. Empty when the report has
- * no attribution block, so sweeps over uninstrumented runs are
- * unchanged (the summary and gate skip missing metrics).
+ * The optional blocks' sweep-facing metrics as (json_key, value)
+ * pairs: attr_violations and, per segment, seg_<name>_total_s /
+ * seg_<name>_p95_s / seg_<name>_blamed from the attribution block,
+ * then res_<key> for each resilience field. A block the report does
+ * not carry contributes nothing, so sweeps over uninstrumented or
+ * chaos-free runs are unchanged (the summary and gate skip missing
+ * metrics).
  */
 std::vector<std::pair<std::string, double>>
-reportAttributionMetrics(const Report &report);
-
-/**
- * The resilience block's sweep-facing metrics as (json_key, value)
- * pairs (res_availability, res_mttr_mean_s, res_recovery_mean_s, ...).
- * Empty when the report has no resilience block, so sweeps over
- * chaos-free runs are unchanged.
- */
-std::vector<std::pair<std::string, double>>
-reportResilienceMetrics(const Report &report);
+reportBlockMetrics(const Report &report);
 
 /** Human-readable rendering of the resilience block (empty string
  *  when the run had no resilience probe). */
 std::string renderResilience(const Report &report);
-
-/** Header line matching toResilienceCsvRows. */
-std::string reportResilienceCsvHeader();
-
-/** One CSV row of the resilience block (empty string when the run had
- *  no probe); carries system/scenario/seed so the table
- *  self-identifies. */
-std::string toResilienceCsvRows(const Report &report);
-
-/** Header line matching toCsvRow (scalar fields only). */
-std::string reportCsvHeader();
-
-/** Header line matching toWindowsCsvRows. */
-std::string reportWindowsCsvHeader();
-
-/** Header line matching toCountersCsvRows. */
-std::string reportCountersCsvHeader();
-
-/** Header line matching toAttributionCsvRows. */
-std::string reportAttributionCsvHeader();
-
-/** One CSV row per anatomy segment (empty string when the run did not
- *  enable attribution); rows carry system/scenario/seed so the table
- *  self-identifies. */
-std::string toAttributionCsvRows(const Report &report);
 
 /**
  * Human-readable rendering of the attribution block: the per-segment
@@ -263,18 +231,15 @@ std::string toAttributionCsvRows(const Report &report);
  */
 std::string renderAttribution(const Report &report);
 
-/** One CSV row per flight-recorder counter (empty string when the run
- *  did not enable counters); rows carry system/scenario/seed so the
- *  table self-identifies. */
-std::string toCountersCsvRows(const Report &report);
-
-/** One CSV row per report window (empty string when unwindowed);
- *  rows carry system/scenario/seed so the table self-identifies. */
-std::string toWindowsCsvRows(const Report &report);
-
-/** One CSV row of the report's scalar fields. String fields are
- *  RFC-4180-quoted when they contain commas/quotes/newlines. */
-std::string toCsvRow(const Report &report);
+/**
+ * The reports as CSV (`slinfer_run --format=csv`): one header and one
+ * row of scalar fields per report, then, for each optional block any
+ * report carries (windows, counters, attribution segments,
+ * resilience), a blank line and its own table. Every row starts with
+ * system,scenario,seed so each table self-identifies; string fields
+ * are RFC-4180-quoted when they contain commas/quotes/newlines.
+ */
+std::string toCsv(const std::vector<Report> &reports);
 
 /** Quote a CSV field if needed (RFC 4180: wrap in double quotes,
  *  double any embedded quotes). */

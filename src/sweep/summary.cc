@@ -119,21 +119,16 @@ summarize(const std::vector<Record> &records, int bootstrapIters)
             // Attribution and resilience metrics exist only on
             // instrumented runs, so they join by name (a mixed group
             // must not shift the positional scalar columns above).
-            auto joinByName = [&](const auto &named) {
-                for (const auto &[name, value] : named) {
-                    std::size_t idx = 0;
-                    for (; idx < samples.size(); ++idx) {
-                        if (samples[idx].first == name)
-                            break;
-                    }
-                    if (idx == samples.size())
-                        samples.emplace_back(name,
-                                             std::vector<double>{});
-                    samples[idx].second.push_back(value);
+            for (const auto &[name, value] : reportBlockMetrics(rec->report)) {
+                std::size_t idx = 0;
+                for (; idx < samples.size(); ++idx) {
+                    if (samples[idx].first == name)
+                        break;
                 }
-            };
-            joinByName(reportAttributionMetrics(rec->report));
-            joinByName(reportResilienceMetrics(rec->report));
+                if (idx == samples.size())
+                    samples.emplace_back(name, std::vector<double>{});
+                samples[idx].second.push_back(value);
+            }
         }
 
         for (auto &[name, values] : samples) {

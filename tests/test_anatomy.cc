@@ -141,7 +141,7 @@ TEST(AnatomyDeterminism, ReportsByteIdenticalOnVsOff)
         EXPECT_FALSE(off.attribution.enabled) << "seed " << seed;
         on.attribution = Report::Attribution{}; // the opted-in block
         EXPECT_EQ(toJson(off), toJson(on)) << "seed " << seed;
-        EXPECT_EQ(toCsvRow(off), toCsvRow(on)) << "seed " << seed;
+        EXPECT_EQ(toCsv({off}), toCsv({on})) << "seed " << seed;
     }
 }
 
@@ -301,7 +301,7 @@ TEST(SweepAttribution, RunJobStoreRoundTripAndSummaryMetrics)
     ASSERT_TRUE(r.attribution.enabled);
 
     std::vector<std::pair<std::string, double>> metrics =
-        reportAttributionMetrics(r);
+        reportBlockMetrics(r);
     ASSERT_FALSE(metrics.empty());
     EXPECT_EQ(metrics.front().first, "attr_violations");
     bool sawQueueWait = false;
@@ -311,7 +311,7 @@ TEST(SweepAttribution, RunJobStoreRoundTripAndSummaryMetrics)
     }
     EXPECT_TRUE(sawQueueWait);
     // Uninstrumented reports contribute none (baseline compatibility).
-    EXPECT_TRUE(reportAttributionMetrics(Report{}).empty());
+    EXPECT_TRUE(reportBlockMetrics(Report{}).empty());
 
     // Store round-trip: serialize one record line and parse it back;
     // the attribution block must survive byte-exactly.

@@ -18,7 +18,7 @@
  *
  * rebuilt in-process. The surfaces are:
  *
- *   csv               `--format=csv` stdout (all five tables)
+ *   csv               toCsv, the `--format=csv` stdout (all five tables)
  *   json              toJson
  *   json_line         toJsonLine (the sweep store's report)
  *   json_roundtrip    toJson(reportFromJson(toJsonLine(r)))
@@ -96,22 +96,6 @@ readFormats(std::map<std::string, std::string> &out, std::string *err)
     return true;
 }
 
-/** slinfer_run's --format=csv stdout for one report with every table
- *  enabled. */
-std::string
-csvOutput(const Report &r)
-{
-    std::ostringstream os;
-    os << reportCsvHeader() << "\n" << toCsvRow(r) << "\n";
-    os << "\n" << reportWindowsCsvHeader() << "\n" << toWindowsCsvRows(r);
-    os << "\n" << reportCountersCsvHeader() << "\n" << toCountersCsvRows(r);
-    os << "\n" << reportAttributionCsvHeader() << "\n"
-       << toAttributionCsvRows(r);
-    os << "\n" << reportResilienceCsvHeader() << "\n"
-       << toResilienceCsvRows(r);
-    return os.str();
-}
-
 class GoldenFormats : public ::testing::TestWithParam<const char *>
 {
 };
@@ -151,7 +135,7 @@ TEST_P(GoldenFormats, Match)
     ASSERT_TRUE(reportFromJson(parsed, back, &err)) << err;
 
     const std::vector<std::pair<const char *, std::string>> surfaces = {
-        {"csv", csvOutput(r)},
+        {"csv", toCsv({r})},
         {"json", toJson(r)},
         {"json_line", toJsonLine(r)},
         {"json_roundtrip", toJson(back)},

@@ -76,7 +76,7 @@ TEST(ObsDeterminism, ReportsByteIdenticalAcrossTwentySeeds)
         EXPECT_FALSE(on.counters.empty()) << "seed " << seed;
         on.counters.clear(); // opted-in block; the rest must match
         EXPECT_EQ(toJson(off), toJson(on)) << "seed " << seed;
-        EXPECT_EQ(toCsvRow(off), toCsvRow(on)) << "seed " << seed;
+        EXPECT_EQ(toCsv({off}), toCsv({on})) << "seed " << seed;
     }
 }
 

@@ -679,7 +679,7 @@ TEST(SweepCsv, FieldsWithCommasAreQuoted)
     Report r;
     r.system = "SLINFER";
     r.scenario = "flash,crowd"; // hostile scenario name
-    std::string row = toCsvRow(r);
+    std::string row = toCsv({r});
     EXPECT_NE(row.find("\"flash,crowd\""), std::string::npos);
 }
 

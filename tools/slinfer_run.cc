@@ -514,38 +514,7 @@ main(int argc, char **argv)
 
     std::ostringstream os;
     if (format == "csv") {
-        // One header regardless of how many scenarios/seeds follow, so
-        // concatenating multi-scenario output stays machine-readable.
-        os << reportCsvHeader() << "\n";
-        for (const Report &r : reports)
-            os << toCsvRow(r) << "\n";
-        // Windowed runs append a second self-identifying table.
-        if (windows > 0) {
-            os << "\n" << reportWindowsCsvHeader() << "\n";
-            for (const Report &r : reports)
-                os << toWindowsCsvRows(r);
-        }
-        // Counter-enabled runs append their own table likewise.
-        if (counters) {
-            os << "\n" << reportCountersCsvHeader() << "\n";
-            for (const Report &r : reports)
-                os << toCountersCsvRows(r);
-        }
-        // And so do attribution-enabled runs.
-        if (explain) {
-            os << "\n" << reportAttributionCsvHeader() << "\n";
-            for (const Report &r : reports)
-                os << toAttributionCsvRows(r);
-        }
-        // And probed (chaos) runs append the resilience table.
-        bool any_resilience = false;
-        for (const Report &r : reports)
-            any_resilience = any_resilience || r.resilience.enabled;
-        if (any_resilience) {
-            os << "\n" << reportResilienceCsvHeader() << "\n";
-            for (const Report &r : reports)
-                os << toResilienceCsvRows(r);
-        }
+        os << toCsv(reports);
     } else if (reports.size() == 1) {
         os << toJson(reports[0]) << "\n";
     } else {
