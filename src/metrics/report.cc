@@ -131,7 +131,8 @@ constexpr const char *kValue = "value";
 
 // The field tables, in emission order. A count prints as an integer
 // except in the report's top-level JSON, which prints every scalar as a
-// double (see emitJson). A third number is a rendered real's decimals.
+// double (see emitJson). A third number is the decimals a rendered table
+// shows a real with (default 2).
 
 constexpr Field<Report> kScalarFields[] = {
     {"total_requests", &Report::totalRequests},
@@ -286,8 +287,8 @@ emitJson(const Report &r, const char *nl, const char *indent,
     os << indent << JsonKey{kScenario} << "\"" << jsonEscape(r.scenario)
        << "\"," << nl;
     os << indent << JsonKey{kSeed} << r.seed << "," << nl;
-    // The scalars print as doubles, counts included: exact below 2^53,
-    // and without a decimal point at these precisions.
+    // The scalars print as doubles, counts included (DESIGN.md,
+    // "Output field tables").
     for (const Field<Report> &f : kScalarFields)
         os << indent << JsonKey{f.key} << f.value(r) << "," << nl;
     auto pairs = [&os](const std::vector<std::pair<double, double>> &v) {
