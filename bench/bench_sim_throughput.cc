@@ -24,7 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
