@@ -39,6 +39,9 @@ wordOf(std::int64_t x)
 /** Distinct owner tags for Partition::admitBounds (0 = none). */
 std::atomic<std::uint64_t> nextValidatorId{0};
 
+/** canAdmitNew's exclude set, kept for ensureBaseline(). */
+const std::set<const Instance *> kNoExclude;
+
 } // namespace
 
 ShadowValidator::ShadowValidator(const Quantifier &quant, ShadowConfig cfg)
@@ -71,11 +74,11 @@ ShadowValidator::SimInst::scanPrefills()
 }
 
 ShadowValidator::SimInst &
-ShadowValidator::slotAt(std::size_t i) const
+ShadowValidator::slotAt(std::vector<SimInst> &v, std::size_t i)
 {
-    if (i >= state_.size())
-        state_.resize(i + 1);
-    SimInst &s = state_[i];
+    if (i >= v.size())
+        v.resize(i + 1);
+    SimInst &s = v[i];
     s.prefills.clear();
     s.decodeDeadlines.clear();
     s.decodedSinceCandidate = false;
@@ -84,7 +87,8 @@ ShadowValidator::slotAt(std::size_t i) const
 }
 
 std::size_t
-ShadowValidator::buildState(const Partition &part, Seconds now,
+ShadowValidator::buildState(std::vector<SimInst> &v, const Partition &part,
+                            Seconds now,
                             const std::set<const Instance *> &exclude) const
 {
     std::size_t n = 0;
@@ -94,14 +98,16 @@ ShadowValidator::buildState(const Partition &part, Seconds now,
             continue;
         if (!inst->live())
             continue;
-        SimInst &s = slotAt(n++);
+        SimInst &s = slotAt(v, n++);
         s.table = &tableOf(*inst);
         s.availAt = inst->state() == InstanceState::Loading
                         ? inst->createdAt + inst->loadDuration
                         : now;
         for (const Request *r : inst->prefillQueue()) {
-            s.prefills.push_back({r->deadlineForNextToken(),
-                                  r->contextLen(), false, next_id++});
+            s.prefills.push_back(
+                {r->deadlineForNextToken(), r->contextLen(),
+                 Quantifier::prefillEstimate(*s.table, r->contextLen()),
+                 next_id++});
         }
         for (const Request *r : inst->decodeBatch()) {
             s.decodeDeadlines.push_back(
@@ -130,8 +136,7 @@ ShadowValidator::demandBoundHolds(const std::vector<SimInst> &v,
         // Prefills: one-shot jobs, each due at its own deadline.
         double len = si.avgLen;
         for (const SimReq &p : si.prefills) {
-            Seconds cost =
-                Quantifier::prefillEstimate(*si.table, p.ctx) * inflate;
+            Seconds cost = p.pfEst * inflate;
             prefill_sum += cost;
             jumps_.push_back({p.deadline - t, cost, false});
             len = std::max(len, static_cast<double>(p.ctx));
@@ -197,7 +202,7 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
         SimInst &si = v[i];
         si.scanPrefills();
         for (const SimReq &p : si.prefills)
-            if (p.isCandidate)
+            if (p.id < 0)
                 candidate_prefilled = false;
         si.decMin = kInf;
         for (const SimDecode &dd : si.decodeDeadlines)
@@ -209,16 +214,16 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
     if (!any_work)
         return true;
 
-    auto is_exempt = [this](int id) {
-        return std::binary_search(doomed_.begin(), doomed_.end(), id);
-    };
     auto violate = [&](int id) {
         // Returns true when the violation should reject the admission.
         if (collectDoomed) {
             doomed_.push_back(id);
             return false;
         }
-        return !is_exempt(id);
+        if (id < 0)
+            return !cur_.candidateLate;
+        ensureBaseline();
+        return !std::binary_search(doomed_.begin(), doomed_.end(), id);
     };
     auto finish = [this](bool verdict, int steps, bool horizon) {
         if (ctr_) {
@@ -272,9 +277,7 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
         const bool was_unsettled = chosen->unsettled();
         if (chosen->pfMin <= chosen->decMin) {
             SimReq req = chosen->prefills[chosen->pfIdx];
-            Seconds dur =
-                Quantifier::prefillEstimate(*chosen->table, req.ctx) *
-                cfg_.overestimate;
+            Seconds dur = req.pfEst * cfg_.overestimate;
             t += dur;
             if (t > req.deadline && violate(req.id)) {
                 obs::bump(ctr_, obs::kShadowRejectPrefillLate);
@@ -285,7 +288,7 @@ ShadowValidator::simulate(std::vector<SimInst> &v, std::size_t count,
                                    static_cast<std::ptrdiff_t>(
                                        chosen->pfIdx));
             chosen->scanPrefills();
-            if (req.isCandidate)
+            if (req.id < 0)
                 candidate_prefilled = true;
             // Joins the decode batch with the cumulative deadline,
             // current as of this instance's decode steps so far.
@@ -345,20 +348,15 @@ ShadowValidator::baselineKey(std::size_t count, Seconds start) const
     key_.push_back(bitsOf(start));
     key_.push_back(quant_.generation());
     for (std::size_t i = 0; i < count; ++i) {
-        const SimInst &si = state_[i];
-        std::size_t prefills = 0;
-        for (const SimReq &p : si.prefills)
-            prefills += p.isCandidate ? 0 : 1;
-        if (prefills == 0 && si.decodeDeadlines.empty())
+        const SimInst &si = baseline_[i];
+        if (!si.hasWork())
             continue;
         key_.push_back(reinterpret_cast<std::uintptr_t>(si.table));
         key_.push_back(bitsOf(si.availAt));
         key_.push_back(bitsOf(si.avgLen));
-        key_.push_back(prefills);
+        key_.push_back(si.prefills.size());
         key_.push_back(si.decodeDeadlines.size());
         for (const SimReq &p : si.prefills) {
-            if (p.isCandidate)
-                continue;
             key_.push_back(bitsOf(p.deadline));
             key_.push_back(wordOf(p.ctx));
             key_.push_back(wordOf(p.id));
@@ -370,58 +368,49 @@ ShadowValidator::baselineKey(std::size_t count, Seconds start) const
     }
 }
 
-bool
-ShadowValidator::twoPass(std::size_t count, Seconds start,
-                         Seconds now) const
+void
+ShadowValidator::ensureBaseline() const
 {
-    ++evals_;
-    // Baseline pass without the candidate: whatever violates anyway is
-    // doomed and must not veto the admission.
-    baselineKey(count, start);
-    const MemoEntry *hit = nullptr;
+    if (cur_.baselineReady)
+        return;
+    cur_.baselineReady = true;
+    // The candidate pass consumes `state_`, so the candidate-free state
+    // is rebuilt from the partition. buildState numbers the residents
+    // the same way, so their ids match the candidate pass's.
+    std::size_t count = buildState(baseline_, *cur_.part, cur_.now,
+                                   *cur_.exclude);
+    baselineKey(count, cur_.start);
     for (const MemoEntry &e : memo_) {
         if (e.key.size() == key_.size() &&
             std::memcmp(e.key.data(), key_.data(),
                         key_.size() * sizeof(std::uint64_t)) == 0) {
-            hit = &e;
-            break;
+            obs::bump(ctr_, obs::kShadowMemoHits);
+            doomed_ = e.doomed;
+            return;
         }
     }
-    if (hit) {
-        obs::bump(ctr_, obs::kShadowMemoHits);
-        doomed_ = hit->doomed;
-    } else {
-        // The baseline scratch copy-assigns element-wise so inner
-        // buffers are recycled.
-        if (baseline_.size() < count)
-            baseline_.resize(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            SimInst &si = baseline_[i];
-            si = state_[i];
-            si.prefills.erase(
-                std::remove_if(si.prefills.begin(), si.prefills.end(),
-                               [](const SimReq &p) {
-                                   return p.isCandidate;
-                               }),
-                si.prefills.end());
-        }
-        doomed_.clear();
-        simulate(baseline_, count, start, /*collectDoomed=*/true);
-        MemoEntry &slot = memo_[memoNext_];
-        memoNext_ = (memoNext_ + 1) % kMemoSlots;
-        slot.key.swap(key_);
-        slot.doomed = doomed_;
-    }
-    // A candidate whose own deadline has already passed (an evicted /
-    // migrated request being re-placed) cannot be protected either; it
-    // must still find a home, so its own lateness does not reject.
-    for (std::size_t i = 0; i < count; ++i) {
-        for (const SimReq &p : state_[i].prefills) {
-            if (p.isCandidate && p.deadline < now)
-                doomed_.push_back(p.id);
-        }
-    }
+    doomed_.clear();
+    simulate(baseline_, count, cur_.start, /*collectDoomed=*/true);
     std::sort(doomed_.begin(), doomed_.end());
+    MemoEntry &slot = memo_[memoNext_];
+    memoNext_ = (memoNext_ + 1) % kMemoSlots;
+    slot.key.swap(key_);
+    slot.doomed = doomed_;
+}
+
+bool
+ShadowValidator::twoPass(const Partition &part,
+                         const std::set<const Instance *> &exclude,
+                         std::size_t count, Seconds start, Seconds now,
+                         Seconds candidateDeadline) const
+{
+    ++evals_;
+    // The candidate pass reads the baseline's doomed set only at a
+    // resident's violation, so the baseline waits for one. A candidate
+    // whose own deadline has already passed (an evicted / migrated
+    // request being re-placed) cannot be protected; it must still find
+    // a home, so its own lateness does not reject.
+    cur_ = {&part, &exclude, now, start, candidateDeadline < now, false};
     return simulate(state_, count, start, /*collectDoomed=*/false);
 }
 
@@ -472,7 +461,8 @@ ShadowValidator::canAdmit(const Partition &part, const Instance *target,
         return false;
     }
 
-    std::size_t count = buildState(part, now, exclude);
+    std::size_t count = buildState(state_, part, now, exclude);
+    const Seconds deadline = req.deadlineForNextToken();
     std::size_t live = 0;
     for (const Instance *inst : part.instances) {
         if (exclude.count(inst))
@@ -480,12 +470,16 @@ ShadowValidator::canAdmit(const Partition &part, const Instance *target,
         if (!inst->live())
             continue;
         if (inst == target) {
-            state_[live].prefills.push_back({req.deadlineForNextToken(),
-                                             req.contextLen(), true, -1});
+            SimInst &s = state_[live];
+            s.prefills.push_back(
+                {deadline, req.contextLen(),
+                 Quantifier::prefillEstimate(*s.table, req.contextLen()),
+                 -1});
         }
         ++live;
     }
-    return twoPass(count, std::max(now, partBusyUntil), now);
+    return twoPass(part, exclude, count, std::max(now, partBusyUntil), now,
+                   deadline);
 }
 
 bool
@@ -537,17 +531,22 @@ ShadowValidator::canAdmitNew(const Partition &part, const ModelSpec &model,
         return false;
     }
 
-    std::size_t count = buildState(part, now, {});
-    SimInst &cand = slotAt(count);
+    // The baseline leaves the new instance out: without the candidate
+    // it has no work, so it neither runs nor enters the memo key.
+    std::size_t count = buildState(state_, part, now, kNoExclude);
+    SimInst &cand = slotAt(state_, count);
     cand.table = &table;
     cand.availAt = readyAt;
     // Cold-started requests receive a grace window equal to the load
     // time, mirroring the runtime accounting.
     Seconds grace = std::max<Seconds>(0.0, readyAt - now);
-    cand.prefills.push_back({req.deadlineForNextToken() + grace,
-                             req.contextLen(), true, -1});
+    const Seconds deadline = req.deadlineForNextToken() + grace;
+    cand.prefills.push_back(
+        {deadline, req.contextLen(),
+         Quantifier::prefillEstimate(table, req.contextLen()), -1});
     cand.avgLen = static_cast<double>(req.contextLen());
-    return twoPass(count + 1, std::max(now, partBusyUntil), now);
+    return twoPass(part, kNoExclude, count + 1, std::max(now, partBusyUntil),
+                   now, deadline);
 }
 
 } // namespace slinfer

@@ -76,8 +76,9 @@ class ShadowValidator
                              const std::set<const Instance *> &exclude =
                                  {}) const;
 
-    /** Cumulative full validations run (twoPass() calls, memo hits
-     *  included); tests read it beside the shadow_memo_hits counter. */
+    /** Cumulative validations that reached the token-level
+     *  fast-forward (twoPass() calls), whether or not they asked for a
+     *  baseline; tests read it beside the shadow_memo_hits counter. */
     std::uint64_t evaluations() const { return evals_; }
 
     /**
@@ -104,7 +105,9 @@ class ShadowValidator
     {
         Seconds deadline;
         Tokens ctx;
-        bool isCandidate;
+        /** Quantifier::prefillEstimate(table, ctx), uninflated; read
+         *  by the prefill step and demandBoundHolds. */
+        Seconds pfEst;
         int id; ///< stable identity across the two passes (-1: candidate)
     };
     struct SimDecode
@@ -155,34 +158,39 @@ class ShadowValidator
 
     /**
      * Rebuild the validation state for `part` into the first slots of
-     * `state_`, returning the live-instance count. All validation
-     * scratch (`state_`, `baseline_`, `doomed_`, the memo) is
-     * per-validator storage recycled across calls — admission
-     * validation runs a few hundred times per simulated second at
-     * fleet scale. The validator is therefore not reentrant, which is
-     * fine: one controller owns one validator on one simulator thread.
+     * `v` (`state_` or `baseline_`), returning the live-instance
+     * count. All validation scratch (`state_`, `baseline_`, `doomed_`,
+     * the memo) is per-validator storage recycled across calls —
+     * admission validation runs a few hundred times per simulated
+     * second at fleet scale. The validator is therefore not reentrant,
+     * which is fine: one controller owns one validator on one
+     * simulator thread.
      */
-    std::size_t buildState(const Partition &part, Seconds now,
+    std::size_t buildState(std::vector<SimInst> &v, const Partition &part,
+                           Seconds now,
                            const std::set<const Instance *> &exclude)
         const;
 
-    /** A recycled `state_` slot, inner vectors cleared. */
-    SimInst &slotAt(std::size_t i) const;
+    /** A recycled slot of `v`, inner vectors cleared. */
+    static SimInst &slotAt(std::vector<SimInst> &v, std::size_t i);
 
     /**
      * Fast-forward the token-level schedule over `v[0..count)`,
      * consuming it. Each step runs the most urgent request of the
      * runnable instance whose earliest deadline is smallest (first
      * instance on ties, earliest-queued prefill on ties, prefill
-     * before decode on ties). With `collectDoomed == false`, returns
-     * false on the first violation by a request not in the sorted
-     * `doomed_` scratch. With `collectDoomed == true`, never fails;
-     * instead it records the ids of requests that violate into
-     * `doomed_` (used as the baseline pass: requests that are late
-     * even without the candidate cannot be protected and must not
-     * veto admissions). Every decode entry of `v` must be at epoch 0.
-     * A pass whose demand bound holds (see demandBoundHolds) ends
-     * there with the horizon's verdict, true.
+     * before decode on ties). With `collectDoomed == false` (the
+     * candidate pass), returns false on the first violation that is
+     * not exempt: the candidate's (id -1) is exempt when its deadline
+     * was already past (`cur_.candidateLate`), a resident's when the
+     * baseline dooms it, which the first resident violation asks
+     * ensureBaseline() for. With `collectDoomed == true` (the baseline
+     * pass), never fails; instead it records the ids of requests that
+     * violate into `doomed_`: requests that are late even without the
+     * candidate cannot be protected and must not veto admissions.
+     * Every decode entry of `v` must be at epoch 0. A pass whose
+     * demand bound holds (see demandBoundHolds) ends there with the
+     * horizon's verdict, true.
      */
     bool simulate(std::vector<SimInst> &v, std::size_t count,
                   Seconds start, bool collectDoomed) const;
@@ -200,14 +208,29 @@ class ShadowValidator
                           std::size_t count, Seconds t,
                           int stepsLeft) const;
 
-    /** Two-pass validation over `state_[0..count)`: the baseline pass
-     *  (without the candidate) marks the doomed, then the real pass
-     *  checks only protectable requests. `now` is the true wall clock
-     *  (start may be later when the partition is mid-iteration). */
-    bool twoPass(std::size_t count, Seconds start, Seconds now) const;
+    /**
+     * Validate the candidate in `state_[0..count)`, built from `part`
+     * without `exclude`: the candidate pass runs first, and the
+     * baseline pass (without the candidate) runs only if a resident
+     * violates, to tell the doomed from the protectable. `now` is the
+     * true wall clock (start may be later when the partition is
+     * mid-iteration); a candidate due before it is late already.
+     */
+    bool twoPass(const Partition &part,
+                 const std::set<const Instance *> &exclude,
+                 std::size_t count, Seconds start, Seconds now,
+                 Seconds candidateDeadline) const;
+
+    /**
+     * Make `doomed_` the sorted ids the current validation's baseline
+     * pass dooms, once per validation: rebuild the candidate-free
+     * state into `baseline_` from `cur_`, then take the memo's entry
+     * or run the pass.
+     */
+    void ensureBaseline() const;
 
     /** Fill `key_` with every input the baseline pass over
-     *  `state_[0..count)` reads (see memo_). */
+     *  `baseline_[0..count)` reads (see memo_). */
     void baselineKey(std::size_t count, Seconds start) const;
 
     const Quantifier &quant_;
@@ -220,9 +243,22 @@ class ShadowValidator
     /** Recycled validation scratch (see buildState). */
     mutable std::vector<SimInst> state_;
     mutable std::vector<SimInst> baseline_;
-    /** Ids that violate even without the candidate; sorted between
-     *  the two passes, membership via binary search. */
+    /** Ids that violate even without the candidate; sorted once
+     *  ensureBaseline() fills them, membership via binary search. */
     mutable std::vector<int> doomed_;
+
+    /** The validation twoPass is running: what ensureBaseline()
+     *  rebuilds the baseline from, and whether it has yet. */
+    struct Current
+    {
+        const Partition *part = nullptr;
+        const std::set<const Instance *> *exclude = nullptr;
+        Seconds now = 0.0;
+        Seconds start = 0.0;
+        bool candidateLate = false;
+        bool baselineReady = false;
+    };
+    mutable Current cur_;
     /** demandBoundHolds scratch: one entry per pending prefill (a
      *  one-shot job) and per instance with work (its decode stream),
      *  at the offset from the clock where its demand starts. */
@@ -249,7 +285,7 @@ class ShadowValidator
     struct MemoEntry
     {
         std::vector<std::uint64_t> key;
-        std::vector<int> doomed; ///< baseline doomed ids, as collected
+        std::vector<int> doomed; ///< baseline doomed ids, sorted
     };
     static constexpr std::size_t kMemoSlots = 8;
     mutable std::array<MemoEntry, kMemoSlots> memo_;

@@ -3,7 +3,8 @@
  * Shadow-validation tests (§VI-C): the three rejection cases, the
  * doomed-request exemption, loading-instance availability, the
  * aggregate (case 3) decode check, and the fast path (running minima,
- * lazy decode deadlines, baseline memo) against a scan-based reference.
+ * lazy decode deadlines, baseline memo, baseline on demand) against a
+ * scan-based reference.
  */
 
 #include <gtest/gtest.h>
@@ -840,15 +841,16 @@ TEST_F(ShadowFixture, EarlyExitAtStepZero)
     ScanValidator reference(quant, ShadowConfig{1.10, 0.25, 500});
     ASSERT_TRUE(reference.canAdmit(*part, &inst, cand, now, now, {}));
 
-    // The first call fills the baseline memo; the second runs only the
-    // candidate pass.
-    ASSERT_TRUE(validator->canAdmit(*part, &inst, cand, now, now));
-    counters = obs::Counters();
-    EXPECT_TRUE(validator->canAdmit(*part, &inst, cand, now, now));
-    EXPECT_EQ(counters.v[obs::kShadowMemoHits], 1u);
-    EXPECT_EQ(counters.v[obs::kShadowSteps], 0u);
-    EXPECT_EQ(counters.v[obs::kShadowEarlyExits], 1u);
-    EXPECT_EQ(counters.v[obs::kShadowHorizonHits], 0u);
+    // No resident violates, so neither call asks for a baseline: each
+    // runs the candidate pass alone, and the bound ends it at step 0.
+    for (int call = 0; call < 2; ++call) {
+        counters = obs::Counters();
+        EXPECT_TRUE(validator->canAdmit(*part, &inst, cand, now, now));
+        EXPECT_EQ(counters.v[obs::kShadowMemoHits], 0u) << call;
+        EXPECT_EQ(counters.v[obs::kShadowSteps], 0u) << call;
+        EXPECT_EQ(counters.v[obs::kShadowEarlyExits], 1u) << call;
+        EXPECT_EQ(counters.v[obs::kShadowHorizonHits], 0u) << call;
+    }
 }
 
 TEST_F(ShadowFixture, PendingPrefillPullsStreamStartForward)
@@ -898,13 +900,16 @@ TEST_F(ShadowFixture, MemoHitsIdenticalStateAndMissesOneUlp)
 {
     obs::Counters counters;
     validator->attachCounters(&counters);
+    // The decoding request is past its deadline, so its first decode
+    // step violates and every candidate pass asks for the baseline.
     Instance &inst = addInstance(xeon6462c());
-    Request &decoding = makeRequest(99.0, 1024, 200, 4);
+    Request &decoding = makeRequest(90.0, 1024, 200, 4);
     decoding.state = RequestState::Decode;
     inst.joinDecode(&decoding);
     Request &a = makeRequest(100.0, 512, 50);
     Request &b = makeRequest(100.0, 256, 50);
     const Seconds now = 100.0;
+    ASSERT_LT(decoding.deadlineForNextToken(), now);
 
     bool first = validator->canAdmit(*part, &inst, a, now, now);
     EXPECT_EQ(counters.v[obs::kShadowMemoHits], 0u);
@@ -923,6 +928,113 @@ TEST_F(ShadowFixture, MemoHitsIdenticalStateAndMissesOneUlp)
     validator->canAdmit(*part, &inst, a, now, now);
     EXPECT_EQ(counters.v[obs::kShadowMemoHits], 2u);
     EXPECT_EQ(validator->evaluations(), 4u);
+}
+
+TEST_F(ShadowFixture, BaselineRunsOnlyAtAResidentViolation)
+{
+    // The candidate pass asks for the baseline only when a resident
+    // violates. A baseline pass that ran would leave its doomed set in
+    // the memo, so a repeated validation that records no memo hit ran
+    // none.
+    obs::Counters counters;
+    validator->attachCounters(&counters);
+    const ShadowConfig cfg{1.10, 0.25, 500};
+    ScanValidator reference(quant, cfg);
+    const Seconds now = 100.0;
+
+    // Settles without a violation: 32 CPU decodes 20 s ahead keep the
+    // demand bound from ending the pass (its decode step, costed at
+    // the horizon's length, exceeds tpotSlo), the candidate prefills
+    // and the batch decodes once. Two steps, both the candidate
+    // pass's; a baseline would add its own decode step.
+    {
+        Instance &inst = addInstance(xeon6462c());
+        addDecodes(inst, 32, now + 20.0);
+        Request &cand = makeRequest(now, 512, 100);
+        cand.ttftSlo = 3.0;
+        const Quantifier::ProfileTable &table =
+            quant.tableFor(xeon6462c(), llama2_7b());
+        ASSERT_GT(Quantifier::decodeEstimate(
+                      table, 33, inst.decodeBatch()[0]->contextLen() + 500) *
+                      1.10,
+                  0.25);
+        const bool expect = reference.canAdmit(*part, &inst, cand, now, now,
+                                               {});
+        EXPECT_TRUE(expect);
+        for (int call = 0; call < 2; ++call) {
+            counters = obs::Counters();
+            EXPECT_EQ(validator->canAdmit(*part, &inst, cand, now, now),
+                      expect);
+            EXPECT_EQ(counters.v[obs::kShadowSteps], 2u) << call;
+            EXPECT_EQ(counters.v[obs::kShadowEarlyExits], 0u) << call;
+            EXPECT_EQ(counters.v[obs::kShadowMemoHits], 0u) << call;
+        }
+        part->instances.clear();
+    }
+
+    // A late candidate due exactly at `now` is not late yet, so its
+    // own violation rejects, at its first step and with no baseline.
+    {
+        Instance &inst = addInstance(xeon6462c());
+        addDecodes(inst, 4, now + 20.0);
+        Request &cand = makeRequest(now, 512, 100);
+        cand.arrival += now - cand.deadlineForNextToken();
+        ASSERT_EQ(cand.deadlineForNextToken(), now);
+        const bool expect = reference.canAdmit(*part, &inst, cand, now, now,
+                                               {});
+        EXPECT_FALSE(expect);
+        for (int call = 0; call < 2; ++call) {
+            counters = obs::Counters();
+            EXPECT_EQ(validator->canAdmit(*part, &inst, cand, now, now),
+                      expect);
+            EXPECT_EQ(counters.v[obs::kShadowSteps], 1u) << call;
+            EXPECT_EQ(counters.v[obs::kShadowRejectPrefillLate], 1u) << call;
+            EXPECT_EQ(counters.v[obs::kShadowMemoHits], 0u) << call;
+        }
+        part->instances.clear();
+    }
+
+    // A doomed resident violates first: GPU instance `a` decodes one
+    // request just past its deadline, which asks for the baseline
+    // mid-pass and is exempt. The candidate then prefills on `a` in
+    // time, and GPU instance `b`'s decode, due after the candidate but
+    // within one decode step of its prefill, lands late. The baseline
+    // runs `b`'s decode right after `a`'s, in time, so `b` is
+    // protectable and the pass rejects.
+    {
+        const Quantifier::ProfileTable &table =
+            quant.tableFor(a100_80g(), llama2_7b());
+        Instance &a = addInstance(a100_80g());
+        Instance &b = addInstance(a100_80g());
+        addDecodes(a, 1, now - 0.001);
+        const Request &doomed = *reqs.back();
+        addDecodes(b, 1, now + 1.0);
+        Request &late = *reqs.back();
+        const Seconds dec =
+            Quantifier::decodeEstimate(table, 1, doomed.contextLen()) * 1.10;
+        Request &cand = makeRequest(now, 1024, 100);
+        const Seconds pf =
+            Quantifier::prefillEstimate(table, cand.contextLen()) * 1.10;
+        ASSERT_GT(pf, dec);
+        ASSERT_LT(2 * dec + pf, 0.2);
+        cand.arrival += now + dec + pf + 0.25 * dec -
+                        cand.deadlineForNextToken();
+        late.arrival += now + dec + pf + 0.5 * dec -
+                        late.deadlineForNextToken();
+        const bool expect = reference.canAdmit(*part, &a, cand, now, now,
+                                               {});
+        EXPECT_FALSE(expect);
+        counters = obs::Counters();
+        EXPECT_EQ(validator->canAdmit(*part, &a, cand, now, now), expect);
+        EXPECT_EQ(counters.v[obs::kShadowMemoHits], 0u);
+        EXPECT_EQ(counters.v[obs::kShadowRejectDecodeDelayed], 1u);
+        // The baseline ran: the repeat finds its doomed set in the memo.
+        counters = obs::Counters();
+        EXPECT_EQ(validator->canAdmit(*part, &a, cand, now, now), expect);
+        EXPECT_EQ(counters.v[obs::kShadowMemoHits], 1u);
+        EXPECT_EQ(counters.v[obs::kShadowRejectDecodeDelayed], 1u);
+        EXPECT_EQ(validator->evaluations(), 6u);
+    }
 }
 
 TEST_F(ShadowFixture, RejectionReasonsAreCounted)
