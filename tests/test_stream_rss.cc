@@ -22,6 +22,29 @@
 #include "stream/codec.hh"
 #include "workload/azure_trace.hh"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SLINFER_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SLINFER_TEST_ASAN 1
+#endif
+#endif
+
+#ifdef SLINFER_TEST_ASAN
+/**
+ * ASan parks every freed block in a quarantine (256 MB by default)
+ * before reusing it, so a replay's steady frees read as resident-set
+ * growth, and the longer replay frees more. This binary measures RSS,
+ * so it runs with the quarantine off; ASAN_OPTIONS still applies on
+ * top. The other test binaries keep ASan's defaults.
+ */
+extern "C" const char *
+__asan_default_options()
+{
+    return "quarantine_size_mb=0:thread_local_quarantine_size_kb=0";
+}
+#endif
+
 namespace slinfer
 {
 namespace
